@@ -23,10 +23,10 @@ class ExpectedCompletionScheduler final : public sim::BatchScheduler {
 
   [[nodiscard]] std::string name() const override { return "Expected-MCT"; }
 
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override {
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override {
     std::vector<sim::NodeAvailability> avail = context.avail;
-    std::vector<sim::Assignment> out;
+    out.clear();
     for (std::size_t j = 0; j < context.jobs.size(); ++j) {
       const sim::BatchJob& job = context.jobs[j];
       sim::SiteId best_site = sim::kInvalidSite;
@@ -57,7 +57,6 @@ class ExpectedCompletionScheduler final : public sim::BatchScheduler {
                                context.now);
       out.push_back({j, best_site});
     }
-    return out;
   }
 
  private:

@@ -100,13 +100,14 @@ std::vector<Chromosome> GaScheduler::build_initial_population(
   return initial;  // evolve() tops up with random chromosomes
 }
 
-std::vector<sim::Assignment> GaScheduler::schedule(
-    const sim::SchedulerContext& context) {
+void GaScheduler::schedule_into(const sim::SchedulerContext& context,
+                                std::vector<sim::Assignment>& out) {
+  out.clear();
   // STGA places jobs anywhere (the paper's STGA takes the most risk); the
   // fail-stop rule for secure_only retries is enforced by build_problem.
   GaProblem problem =
       build_problem(context, security::RiskPolicy::risky(config_.lambda));
-  if (problem.n_jobs() == 0) return {};
+  if (problem.n_jobs() == 0) return;
   scratch_.bind(problem);  // history rescoring + dispatch decode below
 
   const BatchSignature signature = make_signature(problem);
@@ -129,13 +130,11 @@ std::vector<sim::Assignment> GaScheduler::schedule(
 
   // Dispatch shortest-execution-first: the order decode_fitness scored, so
   // the engine realises exactly the reservations the GA optimised.
-  std::vector<sim::Assignment> assignments;
-  assignments.reserve(problem.n_jobs());
+  out.reserve(problem.n_jobs());
   for (const std::size_t j : decode_order_into(scratch_, problem,
                                                result.best)) {
-    assignments.push_back({problem.batch_index[j], result.best[j]});
+    out.push_back({problem.batch_index[j], result.best[j]});
   }
-  return assignments;
 }
 
 void GaScheduler::record_external(

@@ -68,7 +68,7 @@ constexpr std::array<MetricDef, 17> kMetricDefs = {{
      [](const metrics::RunMetrics& run) {
        return static_cast<double>(run.churn_unreleased_nodes);
      }},
-    // Wall time inside schedule(): varies run to run, so it never enters
+    // Wall time in schedule_into(): varies run to run, so it never enters
     // the byte-stable JSON artifact.
     {"scheduler_seconds", false,
      [](const metrics::RunMetrics& run) { return run.scheduler_seconds; }},

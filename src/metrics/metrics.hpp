@@ -43,7 +43,7 @@ struct RunMetrics {
   double mean_job_slowdown = 0.0;
 
   std::size_t batch_invocations = 0;
-  double scheduler_seconds = 0.0;  ///< wall time inside schedule()
+  double scheduler_seconds = 0.0;  ///< wall time in schedule_into()
 
   std::vector<double> site_utilization;  ///< fraction in [0,1], per site
   double avg_utilization = 0.0;

@@ -11,7 +11,33 @@
 
 namespace gridsched::obs {
 
+#if defined(__linux__)
+namespace {
+
+/// VmHWM ("high water mark") of /proc/self/status in bytes; 0 when the
+/// file or the field is unreadable.
+std::uint64_t vm_hwm_bytes() noexcept {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return 0;
+  std::uint64_t kib = 0;
+  char line[256];
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %" SCNu64 " kB", &kib) == 1) break;
+  }
+  std::fclose(status);
+  return kib * 1024u;
+}
+
+}  // namespace
+#endif
+
 std::uint64_t peak_rss_bytes() noexcept {
+#if defined(__linux__)
+  // getrusage's ru_maxrss keeps, on Linux, the resident set the process
+  // had before execve — a large forking parent's — so read the new
+  // image's own high-water mark first.
+  if (const std::uint64_t hwm = vm_hwm_bytes(); hwm != 0) return hwm;
+#endif
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;

@@ -1,4 +1,4 @@
-// Process-level resource probes for benchmarks: peak RSS via getrusage.
+// Process-level resource probes for benchmarks: peak and current RSS.
 // Kept out of any byte-stable artifact — these numbers vary run to run.
 #pragma once
 
@@ -6,9 +6,11 @@
 
 namespace gridsched::obs {
 
-/// Peak resident set size of this process in bytes; 0 when the platform
-/// offers no getrusage (the caller reports "unavailable" rather than a
-/// fake zero-byte peak — check before dividing).
+/// Peak resident set size of this process image in bytes: VmHWM from
+/// /proc/self/status on Linux, getrusage's ru_maxrss where that file is
+/// unreadable or absent; 0 when neither is available (the caller reports
+/// "unavailable" rather than a fake zero-byte peak — check before
+/// dividing).
 [[nodiscard]] std::uint64_t peak_rss_bytes() noexcept;
 
 /// Current resident set size in bytes (/proc/self/statm on Linux); 0 when

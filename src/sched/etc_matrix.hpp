@@ -1,7 +1,7 @@
 // Expected-Time-to-Compute matrix (Braun et al. terminology): exec(j, s) is
 // the execution time of batch job j on site s, infinity when the job does
-// not fit. Completion times (exec + queueing) are computed against
-// NodeAvailability profiles by the individual heuristics.
+// not fit. core::build_problem materializes a GA batch through it; the
+// heuristics price cells on the fly (sched/scan.hpp) and never build one.
 #pragma once
 
 #include <limits>
@@ -17,14 +17,9 @@ class EtcMatrix {
 
   /// Batch view of the context's execution model: the raw per-(job, site)
   /// ETC when the workload carries one, the rank-1 work/speed law
-  /// otherwise. This is the constructor schedulers use — building from
-  /// (jobs, sites) alone would silently re-project raw-ETC scenarios.
+  /// otherwise. The heuristics resolve cells on the fly instead; the GA
+  /// problem (core::build_problem) materializes its batch through this.
   explicit EtcMatrix(const sim::SchedulerContext& context);
-
-  /// Rank-1 work/speed matrix, for callers without a context (tests,
-  /// hand-assembled experiments).
-  EtcMatrix(const std::vector<sim::BatchJob>& jobs,
-            const std::vector<sim::SiteConfig>& sites);
 
   [[nodiscard]] std::size_t jobs() const noexcept { return n_jobs_; }
   [[nodiscard]] std::size_t sites() const noexcept { return n_sites_; }

@@ -7,6 +7,8 @@
 // "Min-Min risky".
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,27 @@
 #include "sim/scheduling.hpp"
 
 namespace gridsched::sched {
+
+/// Working state a heuristic keeps across cycles. Each call refills it by
+/// assignment into existing capacity, so once it has grown to the run's
+/// largest batch a scheduling cycle performs no heap allocation.
+struct HeuristicScratch {
+  /// One pending job's cached best completion time and site (Min-Min
+  /// family); Sufferage also keeps the second-best value and its site.
+  struct JobBest {
+    double best = std::numeric_limits<double>::infinity();
+    double second = std::numeric_limits<double>::infinity();
+    sim::SiteId best_site = sim::kInvalidSite;
+    sim::SiteId second_site = sim::kInvalidSite;
+  };
+
+  /// Working copy of the context's availability profiles.
+  std::vector<sim::NodeAvailability> avail;
+  /// Batch indices of the jobs still pending (Min-Min family), ascending.
+  std::vector<std::size_t> unassigned;
+  /// Per-job cache (Min-Min family), indexed by batch index.
+  std::vector<JobBest> best;
+};
 
 /// Common state for the iterative list heuristics.
 class HeuristicScheduler : public sim::BatchScheduler {
@@ -32,6 +55,7 @@ class HeuristicScheduler : public sim::BatchScheduler {
   [[nodiscard]] virtual std::string base_name() const = 0;
 
   security::RiskPolicy policy_;
+  HeuristicScratch scratch_;
 };
 
 /// Min-Min: repeatedly pick the (job, site) pair with the globally minimum
@@ -39,8 +63,8 @@ class HeuristicScheduler : public sim::BatchScheduler {
 class MinMinScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "Min-Min"; }
@@ -51,8 +75,8 @@ class MinMinScheduler final : public HeuristicScheduler {
 class MaxMinScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "Max-Min"; }
@@ -64,8 +88,8 @@ class MaxMinScheduler final : public HeuristicScheduler {
 class SufferageScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "Sufferage"; }
@@ -76,8 +100,8 @@ class SufferageScheduler final : public HeuristicScheduler {
 class MctScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "MCT"; }
@@ -88,8 +112,8 @@ class MctScheduler final : public HeuristicScheduler {
 class MetScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "MET"; }
@@ -100,8 +124,8 @@ class MetScheduler final : public HeuristicScheduler {
 class OlbScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "OLB"; }

@@ -89,7 +89,7 @@ struct EngineCounters {
   std::size_t risky_attempts = 0;     ///< dispatches with P(fail) > 0
   std::size_t batch_invocations =
       0;  ///< scheduler calls with a non-empty batch
-  double scheduler_seconds = 0.0;     ///< wall time inside schedule()
+  double scheduler_seconds = 0.0;     ///< wall time in schedule_into()
   /// Node reservation tails reclaimed by failure releases.
   std::size_t released_nodes = 0;
   /// Reserved tails a failure release could NOT reclaim because a later

@@ -83,7 +83,7 @@ class KernelObserver {
 
   /// A non-empty batch cycle ran at `now`: `batch_jobs` pending jobs were
   /// offered, `assigned` placed. `scheduler_wall_seconds` is host wall
-  /// time inside schedule() — non-deterministic by nature; trace/metric
+  /// time in schedule_into() — non-deterministic by nature; trace/metric
   /// consumers that promise byte-stable output must not record it.
   virtual void on_cycle(const SimKernel& kernel, Time now,
                         std::size_t batch_jobs, std::size_t assigned,

@@ -26,8 +26,8 @@ struct BatchJob {
   bool secure_only = false;
 };
 
-/// Immutable snapshot handed to BatchScheduler::schedule. Site availability
-/// profiles reflect every reservation committed so far.
+/// Immutable snapshot handed to BatchScheduler::schedule_into. Site
+/// availability profiles reflect every reservation committed so far.
 struct SchedulerContext {
   Time now = 0.0;
   std::vector<SiteConfig> sites;
@@ -62,6 +62,8 @@ struct SchedulerContext {
 struct Assignment {
   std::size_t job_index = 0;  ///< index into SchedulerContext::jobs
   SiteId site = kInvalidSite;
+
+  friend bool operator==(const Assignment&, const Assignment&) = default;
 };
 
 class BatchScheduler {
@@ -70,17 +72,20 @@ class BatchScheduler {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Map (a subset of) the batch to sites. Jobs omitted from the result
-  /// remain pending and reappear in the next cycle's batch.
-  virtual std::vector<Assignment> schedule(const SchedulerContext& context) = 0;
-
-  /// Allocation-aware variant: write the assignments into `out` (cleared
-  /// first), reusing its capacity. The engine's batch cycle calls this so
-  /// a scheduler that overrides it can keep the steady-state event loop
-  /// heap-free; the default simply delegates to schedule().
+  /// Map (a subset of) the batch to sites, replacing the contents of `out`
+  /// with the assignments. Jobs omitted remain pending and reappear in the
+  /// next cycle's batch. The one override point: the engine's batch cycle
+  /// passes its persistent assignment buffer, so a scheduler that keeps its
+  /// own working state across calls runs the steady-state event loop
+  /// heap-free.
   virtual void schedule_into(const SchedulerContext& context,
-                             std::vector<Assignment>& out) {
-    out = schedule(context);
+                             std::vector<Assignment>& out) = 0;
+
+  /// Convenience form of schedule_into returning a fresh vector.
+  std::vector<Assignment> schedule(const SchedulerContext& context) {
+    std::vector<Assignment> out;
+    schedule_into(context, out);
+    return out;
   }
 };
 

@@ -55,14 +55,13 @@ sim::EngineConfig quick_config(sim::Time interval = 50.0) {
 class PinScheduler final : public sim::BatchScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "pin"; }
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override {
-    if (!context.site_usable(0)) return {};
-    std::vector<sim::Assignment> out;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override {
+    out.clear();
+    if (!context.site_usable(0)) return;
     for (std::size_t j = 0; j < context.jobs.size(); ++j) {
       out.push_back({j, 0});
     }
-    return out;
   }
 };
 
@@ -516,6 +515,19 @@ TEST(ProcStats, PeakRssIsPlausible) {
     EXPECT_LT(rss, std::uint64_t{100} << 30);
   }
 }
+
+#if defined(__linux__)
+TEST(ProcStats, PeakRssIsThisImagesHighWaterMark) {
+  // Read the current RSS first: the peak read after it covers it. Linux
+  // serves the peak from VmHWM, which belongs to this process image only
+  // (ru_maxrss would also carry a forking parent's resident set).
+  const std::uint64_t current = obs::current_rss_bytes();
+  const std::uint64_t peak = obs::peak_rss_bytes();
+  EXPECT_GT(current, 0u);
+  EXPECT_GT(peak, 0u);
+  EXPECT_GE(peak, current);
+}
+#endif
 
 }  // namespace
 }  // namespace gridsched

@@ -47,14 +47,14 @@ class ScriptedScheduler final : public BatchScheduler {
 
   [[nodiscard]] std::string name() const override { return "scripted"; }
 
-  std::vector<Assignment> schedule(const SchedulerContext& context) override {
+  void schedule_into(const SchedulerContext& context,
+                     std::vector<Assignment>& out) override {
     const SiteId site = sequence_[std::min(call_, sequence_.size() - 1)];
     ++call_;
-    if (respect_mask_ && !context.site_usable(site)) return {};
-    std::vector<Assignment> out;
+    out.clear();
+    if (respect_mask_ && !context.site_usable(site)) return;
     for (std::size_t j = 0; j < context.jobs.size(); ++j) out.push_back({j,
                                                                          site});
-    return out;
   }
 
  private:
@@ -68,9 +68,10 @@ class MaskProbeScheduler final : public BatchScheduler {
  public:
   explicit MaskProbeScheduler(BatchScheduler& inner) : inner_(inner) {}
   [[nodiscard]] std::string name() const override { return inner_.name(); }
-  std::vector<Assignment> schedule(const SchedulerContext& context) override {
+  void schedule_into(const SchedulerContext& context,
+                     std::vector<Assignment>& out) override {
     masks.push_back(context.site_up);
-    return inner_.schedule(context);
+    inner_.schedule_into(context, out);
   }
   std::vector<std::vector<std::uint8_t>> masks;
 

@@ -29,13 +29,13 @@ class ScriptedScheduler final : public BatchScheduler {
 
   [[nodiscard]] std::string name() const override { return "scripted"; }
 
-  std::vector<Assignment> schedule(const SchedulerContext& context) override {
+  void schedule_into(const SchedulerContext& context,
+                     std::vector<Assignment>& out) override {
     const SiteId site = sequence_[std::min(call_, sequence_.size() - 1)];
     ++call_;
-    std::vector<Assignment> out;
+    out.clear();
     for (std::size_t j = 0; j < context.jobs.size(); ++j) out.push_back({j,
                                                                          site});
-    return out;
   }
 
  private:
@@ -47,8 +47,9 @@ class ScriptedScheduler final : public BatchScheduler {
 class RefusingScheduler final : public BatchScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "refuser"; }
-  std::vector<Assignment> schedule(const SchedulerContext&) override { return {
-    };
+  void schedule_into(const SchedulerContext&,
+                     std::vector<Assignment>& out) override {
+    out.clear();
   }
 };
 
@@ -57,8 +58,9 @@ class RawScheduler final : public BatchScheduler {
  public:
   explicit RawScheduler(std::vector<Assignment> out) : out_(std::move(out)) {}
   [[nodiscard]] std::string name() const override { return "raw"; }
-  std::vector<Assignment> schedule(const SchedulerContext&) override {
-    return std::exchange(out_, {});
+  void schedule_into(const SchedulerContext&,
+                     std::vector<Assignment>& out) override {
+    out = std::exchange(out_, {});
   }
 
  private:

@@ -1,10 +1,11 @@
-// Steady-state allocation guard for the streaming kernel (PR 10): once
-// the event loop has warmed its buffers (slot table, event queue, pending
-// queue, scheduler context), running the hot loop — admissions,
-// dispatches, completions, retirements, slot recycling — must perform
-// ZERO heap allocations. Pinned with the same binary-wide counting
-// allocator the decode fast path uses (decode_harness.hpp; this must stay
-// the only translation unit in this binary including it).
+// Steady-state allocation guard for the streaming kernel: once the event
+// loop has warmed its buffers (slot table, event queue, pending queue,
+// scheduler context, scheduler scratch), running the hot loop —
+// admissions, scheduling, dispatches, completions, retirements, slot
+// recycling — must perform ZERO heap allocations. Pinned with the same
+// binary-wide counting allocator the decode fast path uses
+// (decode_harness.hpp; this must stay the only translation unit in this
+// binary including it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "decode_harness.hpp"  // counting allocator (one TU per binary!)
 #include "exp/scenario.hpp"
 #include "metrics/metrics.hpp"
+#include "sched/heuristics.hpp"
 #include "security/security.hpp"
 #include "sim/engine.hpp"
 #include "sim/scheduling.hpp"
@@ -31,13 +33,6 @@ using bench::allocation_count;
 class GreedyIntoScheduler final : public sim::BatchScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "greedy-into"; }
-
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override {
-    std::vector<sim::Assignment> out;
-    schedule_into(context, out);
-    return out;
-  }
 
   void schedule_into(const sim::SchedulerContext& context,
                      std::vector<sim::Assignment>& out) override {
@@ -75,7 +70,10 @@ class AllocSampleObserver final : public sim::KernelObserver {
   std::vector<std::uint64_t> samples;
 };
 
-TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
+/// Runs a 6000-job streamed workload through `scheduler` and returns the
+/// allocation counts sampled at every batch cycle.
+std::vector<std::uint64_t> stream_alloc_samples(
+    sim::BatchScheduler& scheduler) {
   workload::synth::SynthStreamConfig config;
   config.name = "alloc-probe";
   config.n_jobs = 6000;
@@ -92,23 +90,45 @@ TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
                      std::move(stream.churn));
   AllocSampleObserver probe;
   engine.set_observer(&probe);
-  GreedyIntoScheduler scheduler;
   engine.run(scheduler);
 
   EXPECT_EQ(engine.kernel().retired_jobs(), config.n_jobs);
-  ASSERT_GE(probe.samples.size(), 16u)
-      << "run produced too few batch cycles to observe a steady state";
+  return std::move(probe.samples);
+}
 
-  // Every buffer high-water mark is deterministic (fixed seeds), so the
-  // allocation count at two fixed cycles is deterministic too: after the
-  // warmup half, the hot loop must not have touched the heap at all.
-  const std::size_t half = probe.samples.size() / 2;
-  const std::uint64_t at_half = probe.samples[half];
-  const std::uint64_t at_end = probe.samples.back();
+/// Every buffer high-water mark is deterministic (fixed seeds), so the
+/// allocation count at two fixed cycles is deterministic too: after the
+/// warmup half, the hot loop must not have touched the heap at all.
+void expect_steady_state_allocation_free(
+    const std::vector<std::uint64_t>& samples) {
+  ASSERT_GE(samples.size(), 16u)
+      << "run produced too few batch cycles to observe a steady state";
+  const std::size_t half = samples.size() / 2;
+  const std::uint64_t at_half = samples[half];
+  const std::uint64_t at_end = samples.back();
   EXPECT_EQ(at_half, at_end)
       << (at_end - at_half) << " heap allocation(s) in the steady-state "
       << "event loop between cycle " << half << " and cycle "
-      << (probe.samples.size() - 1);
+      << (samples.size() - 1);
+}
+
+TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
+  GreedyIntoScheduler scheduler;
+  expect_steady_state_allocation_free(stream_alloc_samples(scheduler));
+}
+
+// The shipped heuristics keep their working state (availability copy,
+// pending list, per-job best-site cache) in per-scheduler scratch reused
+// across cycles, so real MCT and Min-Min runs are heap-free in steady
+// state too — f-risky exercises the deferred admissibility path.
+TEST(StreamKernelAlloc, MctSteadyStateIsAllocationFree) {
+  sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_steady_state_allocation_free(stream_alloc_samples(scheduler));
+}
+
+TEST(StreamKernelAlloc, MinMinSteadyStateIsAllocationFree) {
+  sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_steady_state_allocation_free(stream_alloc_samples(scheduler));
 }
 
 TEST(StreamKernelAlloc, RetainedModeSteadyStateIsAllocationFreeToo) {
