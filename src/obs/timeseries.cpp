@@ -66,27 +66,23 @@ void TimeSeriesProbe::sample_at(const sim::SimKernel& kernel, sim::Time t) {
   for (std::size_t s = 0; s < kernel.sites().size(); ++s) {
     if (kernel.site_usable(s)) ++sample.sites_up;
   }
-  // Busy fraction from the attempt table: an active attempt claims its
-  // job's nodes on its site once the reservation window has started
-  // (reservations are disjoint per node, so the sum never exceeds the
-  // site's capacity). The attempt and job tables are slot-parallel in
-  // both kernel storage modes, and recycled slots are inactive, so the
-  // slot sweep sees exactly the live attempts. busy_nodes_ is persistent
-  // scratch — sampling allocates nothing once the run's buffers exist.
-  busy_nodes_.assign(kernel.sites().size(), 0.0);
-  const std::vector<sim::Attempt>& attempts = kernel.attempts();
-  for (std::size_t j = 0; j < attempts.size(); ++j) {
-    const sim::Attempt& attempt = attempts[j];
-    if (!attempt.active) continue;
-    ++sample.in_flight;
-    if (attempt.window.start > t) continue;  // reserved, not yet started
-    busy_nodes_[attempt.site] +=
-        static_cast<double>(kernel.jobs()[j].nodes);
-  }
+  // Busy fraction from the kernel's per-site live-attempt index: an
+  // active attempt claims its job's nodes on its site once the reservation
+  // window has started (reservations are disjoint per node, so the sum
+  // never exceeds the site's capacity). Node counts are small integers
+  // held as doubles, so the sum is exact in any index order. Sampling
+  // allocates nothing beyond the sample row itself.
+  sample.in_flight = kernel.live_attempt_count();
   sample.busy.resize(kernel.sites().size(), 0.0);
   for (std::size_t s = 0; s < kernel.sites().size(); ++s) {
+    double busy_nodes = 0.0;
+    for (const std::uint32_t slot :
+         kernel.live_attempts(static_cast<sim::SiteId>(s))) {
+      if (kernel.attempts()[slot].window.start > t) continue;  // reserved
+      busy_nodes += static_cast<double>(kernel.jobs()[slot].nodes);
+    }
     const unsigned nodes = kernel.sites()[s].config().nodes;
-    if (nodes > 0) sample.busy[s] = busy_nodes_[s] / nodes;
+    if (nodes > 0) sample.busy[s] = busy_nodes / nodes;
   }
   series_.samples.push_back(std::move(sample));
 }

@@ -78,7 +78,6 @@ class TimeSeriesProbe final : public sim::KernelObserver {
   /// long event gap flushes every boundary it skipped (no float drift).
   std::uint64_t next_index_ = 0;
   TimeSeries series_;
-  std::vector<double> busy_nodes_;  ///< per-site scratch, reused per sample
 };
 
 /// Compact column-oriented JSON: {"schema": ..., "interval", "sites",

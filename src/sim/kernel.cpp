@@ -12,6 +12,9 @@ namespace {
 /// Initial id->slot ring capacity in streaming mode (grows by doubling).
 constexpr std::size_t kInitialSlotRing = 64;
 
+/// Capacity of a site's first live-attempt list segment.
+constexpr std::uint32_t kMinLiveCapacity = 4;
+
 std::size_t checked_stream_size(
     const std::unique_ptr<workload::JobStream>& stream) {
   if (stream == nullptr) {
@@ -63,6 +66,7 @@ SimKernel::SimKernel(std::vector<SiteConfig> sites, EngineConfig config,
   // silently read a different job's row.
   exec_model_.check_shape(total_jobs_, sites_.size());
   site_up_.assign(sites_.size(), 1);
+  live_.resize(sites_.size());
 }
 
 SimKernel::SimKernel(std::vector<SiteConfig> sites, std::vector<Job> jobs,
@@ -282,12 +286,49 @@ void SimKernel::request_cycle(Time now) {
   cycle_scheduled_ = true;
 }
 
-unsigned SimKernel::revoke_attempt(JobId job_id, Time now) {
-  Job& the_job = job(job_id);
-  Attempt& the_attempt = attempt(job_id);
-  if (observer_) observer_->on_revoke(*this, job_id, the_attempt.site, now);
+void SimKernel::grow_live_list(LiveList& list) {
+  // Move the full list to a segment of twice the capacity at the pool's
+  // end and abandon the old one. A site's abandoned segments sum to less
+  // than its current capacity, so the pool stays within twice the sum of
+  // the lists' high-water capacities and stops growing with them.
+  const std::uint32_t capacity = std::max(kMinLiveCapacity, 2 * list.capacity);
+  const auto begin = static_cast<std::uint32_t>(live_pool_.size());
+  live_pool_.resize(live_pool_.size() + capacity);
+  std::copy_n(live_pool_.begin() + list.begin, list.size,
+              live_pool_.begin() + begin);
+  list.begin = begin;
+  list.capacity = capacity;
+}
+
+const Attempt& SimKernel::start_attempt(
+    JobId job_id, const NodeAvailability::Window& window, double exec,
+    SiteId site, unsigned serial) {
+  const std::uint32_t slot = slot_of_[job_id & slot_mask_];
+  LiveList& list = live_[site];
+  if (list.size == list.capacity) grow_live_list(list);
+  live_pool_[list.begin + list.size] = slot;
+  Attempt& the_attempt = attempts_[slot];
+  the_attempt = {window, exec, site, serial, true, list.size++};
+  ++running_;
+  return the_attempt;
+}
+
+void SimKernel::stop_attempt(JobId job_id) noexcept {
+  Attempt& the_attempt = attempts_[slot_of_[job_id & slot_mask_]];
+  LiveList& list = live_[the_attempt.site];
+  std::uint32_t* const slots = live_pool_.data() + list.begin;
+  const std::uint32_t moved = slots[--list.size];
+  slots[the_attempt.live_pos] = moved;
+  attempts_[moved].live_pos = the_attempt.live_pos;
   the_attempt.active = false;  // any queued kJobEnd for this attempt is stale
   --running_;
+}
+
+unsigned SimKernel::revoke_attempt(JobId job_id, Time now) {
+  Job& the_job = job(job_id);
+  const Attempt& the_attempt = attempt(job_id);
+  if (observer_) observer_->on_revoke(*this, job_id, the_attempt.site, now);
+  stop_attempt(job_id);
   the_job.state = JobState::kPending;
   GridSite& site = sites_[the_attempt.site];
   if (the_attempt.window.start < now) {

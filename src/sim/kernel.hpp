@@ -123,8 +123,17 @@ struct Attempt {
   /// Serial of this attempt (== Job::attempts at dispatch); kJobEnd events
   /// carry it so ends of revoked attempts are dropped as stale.
   unsigned serial = 0;
+  /// Set and cleared only by SimKernel::start_attempt / stop_attempt,
+  /// which keep the per-site live-attempt index in step with it.
   bool active = false;
+  /// Index of this attempt's slot in SimKernel::live_attempts(site) while
+  /// active (kernel-owned; stale once inactive). Lives in the tail padding.
+  std::uint32_t live_pos = 0;
 };
+// The retained slot table holds one Attempt per job; the live-index
+// position must ride in existing padding, not grow the table.
+static_assert(sizeof(Attempt) == 40,
+              "Attempt must stay 40 bytes (live_pos sits in tail padding)");
 
 /// One dynamic process of the simulation. A process registers the event
 /// kinds it owns (routing is exclusive: exactly one process per kind may
@@ -187,16 +196,17 @@ class SimKernel {
   // --- shared state, mutable for processes ---
   /// The job slot table. Retained mode: all jobs, slot == id. Streaming
   /// mode: live slots only (recycled slots hold stale retired data until
-  /// reused) — processes address jobs by id via job()/attempt(); only
-  /// slot-parallel scans (timeseries busy profile, churn victim sweep)
-  /// index this directly, always gated on Attempt::active.
+  /// reused) — processes address jobs by id via job()/attempt(), and
+  /// per-site scans (churn victims, timeseries busy profile) reach slots
+  /// through live_attempts(site), never by sweeping the table.
   [[nodiscard]] std::vector<Job>& jobs() noexcept { return jobs_; }
   [[nodiscard]] const std::vector<Job>& jobs() const noexcept { return jobs_; }
   [[nodiscard]] std::vector<GridSite>& sites() noexcept { return sites_; }
   [[nodiscard]] const std::vector<GridSite>& sites() const noexcept {
     return sites_;
   }
-  [[nodiscard]] std::vector<Attempt>& attempts() noexcept { return attempts_; }
+  /// Per-slot current attempts, parallel to jobs(). Read-only: attempts
+  /// change only through start_attempt / stop_attempt / revoke_attempt.
   [[nodiscard]] const std::vector<Attempt>& attempts() const noexcept {
     return attempts_;
   }
@@ -223,9 +233,6 @@ class SimKernel {
   }
   [[nodiscard]] const Job& job(JobId id) const noexcept {
     return jobs_[slot_of_[id & slot_mask_]];
-  }
-  [[nodiscard]] Attempt& attempt(JobId id) noexcept {
-    return attempts_[slot_of_[id & slot_mask_]];
   }
   [[nodiscard]] const Attempt& attempt(JobId id) const noexcept {
     return attempts_[slot_of_[id & slot_mask_]];
@@ -289,8 +296,31 @@ class SimKernel {
     return !pending_.empty() || arrivals_remaining_ > 0 || running_ > 0;
   }
   void note_arrival() noexcept { --arrivals_remaining_; }
-  void job_started() noexcept { ++running_; }
-  void job_stopped() noexcept { --running_; }
+
+  // --- live-attempt index ---
+  /// Commit `job`'s new attempt and mark it active: the only way an
+  /// attempt becomes active. Links the job's slot into the per-site live
+  /// index (amortised O(1), heap-free once every site's list has reached
+  /// its high-water mark) and returns the stored attempt.
+  const Attempt& start_attempt(JobId job,
+                               const NodeAvailability::Window& window,
+                               double exec, SiteId site, unsigned serial);
+  /// Deactivate `job`'s active attempt (any queued kJobEnd for it becomes
+  /// stale) and unlink it from its site's live list by swap-remove, O(1).
+  /// The only way an attempt stops being active.
+  void stop_attempt(JobId job) noexcept;
+  /// Slots (indices into jobs() / attempts()) of the active attempts on
+  /// `site`, in no meaningful order — callers that need a deterministic
+  /// order must sort by attempt data, never rely on index order.
+  [[nodiscard]] std::span<const std::uint32_t> live_attempts(
+      SiteId site) const noexcept {
+    const LiveList& list = live_[site];
+    return {live_pool_.data() + list.begin, list.size};
+  }
+  /// Active attempts over all sites (== the sum of live list sizes).
+  [[nodiscard]] std::size_t live_attempt_count() const noexcept {
+    return running_;
+  }
 
   /// Deactivate `job`'s current attempt at `now` and return it to the
   /// pending queue: account the node-seconds actually burned (none for a
@@ -349,6 +379,15 @@ class SimKernel {
   SimKernel(std::vector<SiteConfig> sites, EngineConfig config,
             ExecModel exec_model, std::size_t total_jobs);
 
+  /// One site's live list: slots live_pool_[begin, begin + size), room
+  /// for `capacity` before it must move.
+  struct LiveList {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t capacity = 0;
+  };
+  void grow_live_list(LiveList& list);
+
   void validate_workload() const;
   void validate_admitted(const Job& job) const;
   void grow_slot_ring();
@@ -361,11 +400,17 @@ class SimKernel {
   EventQueue events_;
   std::vector<JobId> pending_;
   std::vector<Attempt> attempts_;  ///< per slot, current attempt
+  /// Per-site live-attempt index: live_[s] lists the slot of every active
+  /// attempt on site s (attempts_[slot].live_pos is its position). All
+  /// lists share one contiguous pool instead of one heap block per site:
+  /// no per-site allocations, and one growth path for the whole index.
+  std::vector<LiveList> live_;
+  std::vector<std::uint32_t> live_pool_;
   std::vector<std::uint8_t> site_up_;
   EngineCounters counters_;
   Time makespan_ = 0.0;
   std::size_t arrivals_remaining_ = 0;
-  std::size_t running_ = 0;
+  std::size_t running_ = 0;  ///< active attempts (live_ entries)
   bool cycle_scheduled_ = false;
   /// 1 + index of the last scheduled batch cycle (see request_cycle).
   std::uint64_t next_cycle_index_ = 0;

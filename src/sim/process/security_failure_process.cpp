@@ -23,9 +23,8 @@ void SecurityFailureProcess::dispatch(SimKernel& kernel, JobId job_id,
   const NodeAvailability::Window window = site.dispatch(job.nodes, exec, now);
 
   ++job.attempts;
-  Attempt& attempt = kernel.attempt(job_id);
-  attempt = {window, exec, site_id, job.attempts, true};
-  kernel.job_started();
+  const Attempt& attempt =
+      kernel.start_attempt(job_id, window, exec, site_id, job.attempts);
   job.state = JobState::kDispatched;
   if (job.first_start < 0.0) job.first_start = window.start;
   job.last_start = window.start;
@@ -80,7 +79,7 @@ void SecurityFailureProcess::handle(SimKernel& kernel, const Event& event) {
   // elsewhere after the attempt this end belongs to was revoked.
   if (kernel.is_retired(event.job)) return;
   Job& job = kernel.job(event.job);
-  Attempt& attempt = kernel.attempt(event.job);
+  const Attempt& attempt = kernel.attempt(event.job);
   // A site-down revocation deactivates the attempt (and a re-dispatch bumps
   // the serial) but cannot remove the already-queued end event; drop it.
   if (!attempt.active || attempt.serial != event.attempt) return;
@@ -101,8 +100,7 @@ void SecurityFailureProcess::handle(SimKernel& kernel, const Event& event) {
     kernel.counters().unreleased_nodes += job.nodes - released;
     kernel.request_cycle(event.time);
   } else {
-    kernel.job_stopped();
-    attempt.active = false;
+    kernel.stop_attempt(event.job);
     job.state = JobState::kCompleted;
     job.finish = event.time;
     job.final_site = attempt.site;

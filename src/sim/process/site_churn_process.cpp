@@ -85,14 +85,17 @@ void SiteChurnProcess::take_site_down(SimKernel& kernel, SiteId site_id,
   // Victim attempts, latest stored window end first: a node's free time
   // equals the *last* reservation stacked onto it, so releasing in
   // descending end order reclaims every tail that is reclaimable at all.
-  // The sweep walks the slot table (only live attempts are active) but
-  // records job ids — the sort below and the revocations address by id.
+  // Victims come from the kernel's per-site live index (O(victims), not
+  // O(slots)) and are copied out as job ids because revoking mutates the
+  // index. The sort key (end descending, id ascending) is a strict total
+  // order, so the index's internal order never shows.
   victims_.clear();
-  for (std::size_t j = 0; j < kernel.attempts().size(); ++j) {
-    const Attempt& attempt = kernel.attempts()[j];
-    if (attempt.active && attempt.site == site_id) {
-      victims_.push_back(kernel.jobs()[j].id);
-    }
+  // Victims hold distinct slots: sizing the buffer to the slot table
+  // means it grows only when the table does, never on a late outage that
+  // merely hits more attempts than any earlier one.
+  victims_.reserve(kernel.jobs().size());
+  for (const std::uint32_t slot : kernel.live_attempts(site_id)) {
+    victims_.push_back(kernel.jobs()[slot].id);
   }
   std::sort(victims_.begin(), victims_.end(), [&](JobId a, JobId b) {
     const Time end_a = kernel.attempt(a).window.end;

@@ -58,8 +58,9 @@ class SiteChurnProcess final : public SimProcess {
   std::vector<util::Rng> streams_;  ///< per site, stochastic mode only
   std::vector<SiteOutage> script_;
   bool scripted_ = false;
-  /// Persistent victim scratch (rebuilt per outage, keeps its capacity so
-  /// site-down handling stays heap-free in the steady-state loop).
+  /// Persistent victim scratch (rebuilt per outage; capacity tracks the
+  /// slot table so site-down handling stays heap-free in the steady-state
+  /// loop).
   std::vector<JobId> victims_;
 };
 

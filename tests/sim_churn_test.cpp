@@ -1,10 +1,12 @@
 // Site-churn process + pluggable-kernel tests: hand-checked mid-run
 // revocation timelines (scripted outages composed directly onto a
 // SimKernel), availability-mask visibility, protocol enforcement, counter
-// accounting and end-to-end determinism of the stochastic churn process.
+// accounting, end-to-end determinism of the stochastic churn process and
+// consistency of the kernel's per-site live-attempt index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "sim/process/batch_cycle_process.hpp"
 #include "sim/process/security_failure_process.hpp"
 #include "sim/process/site_churn_process.hpp"
+#include "workload/stream.hpp"
 
 namespace gridsched::sim {
 namespace {
@@ -270,6 +273,144 @@ TEST(SiteChurn, ChurnFreeWorkloadNeverRegistersTheProcess) {
   engine.run(scheduler);
   EXPECT_EQ(engine.counters().site_down_events, 0u);
   EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 60.0);
+}
+
+/// Passive check of the live-attempt index: after every event (and once
+/// more at run end) each site's live list must equal, as a set, the
+/// brute-force {slot : attempts[slot].active && attempts[slot].site == s}
+/// scan, every listed slot must record its own list position, and the
+/// live count must equal the number of active slots. Also records the
+/// revocation order.
+class LiveIndexChecker final : public KernelObserver {
+ public:
+  void on_event(const SimKernel& kernel, const Event& event) override {
+    (void)event;
+    check(kernel);
+  }
+  void on_run_end(const SimKernel& kernel) override { check(kernel); }
+  void on_revoke(const SimKernel& kernel, JobId job, SiteId site,
+                 Time time) override {
+    (void)kernel;
+    (void)site;
+    (void)time;
+    revoked.push_back(job);
+  }
+
+  std::size_t checks = 0;
+  std::size_t max_live = 0;  ///< largest single-site live list seen
+  std::vector<JobId> revoked;
+
+ private:
+  void check(const SimKernel& kernel) {
+    ++checks;
+    const std::vector<Attempt>& attempts = kernel.attempts();
+    std::size_t active = 0;
+    for (const Attempt& attempt : attempts) active += attempt.active ? 1 : 0;
+    ASSERT_EQ(kernel.live_attempt_count(), active) << "check " << checks;
+    for (std::size_t s = 0; s < kernel.sites().size(); ++s) {
+      const auto site = static_cast<SiteId>(s);
+      std::vector<std::uint32_t> expected;
+      for (std::size_t slot = 0; slot < attempts.size(); ++slot) {
+        if (attempts[slot].active && attempts[slot].site == site) {
+          expected.push_back(static_cast<std::uint32_t>(slot));
+        }
+      }
+      const std::span<const std::uint32_t> live = kernel.live_attempts(site);
+      for (std::size_t pos = 0; pos < live.size(); ++pos) {
+        ASSERT_LT(live[pos], attempts.size());
+        ASSERT_EQ(attempts[live[pos]].live_pos, pos)
+            << "site " << s << ", check " << checks;
+      }
+      std::vector<std::uint32_t> actual(live.begin(), live.end());
+      std::sort(actual.begin(), actual.end());
+      ASSERT_EQ(actual, expected) << "site " << s << ", check " << checks;
+      max_live = std::max(max_live, live.size());
+    }
+  }
+};
+
+TEST(LiveAttemptIndex, ScriptedOutageOverStackedReservations) {
+  // Site 0 (one node) stacks A [50, 60), B [60, 160), C [160, 170); site 1
+  // runs D [50, 150). A's completion at 60 unlinks the head of site 0's
+  // list (a swap-remove that moves C); the t=100 outage then revokes C and
+  // B — latest window end first — and leaves D's site untouched.
+  SimKernel kernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}},
+                   {make_job(0.0, 10.0, 1, 0.5), make_job(0.0, 100.0, 1, 0.5),
+                    make_job(0.0, 10.0, 1, 0.5),
+                    make_job(0.0, 100.0, 1, 0.5)},
+                   quick_config(50.0));
+  // First cycle: jobs 0-2 to site 0, job 3 to site 1; later cycles (after
+  // the outage) send everything to site 1.
+  class SplitScheduler final : public BatchScheduler {
+   public:
+    [[nodiscard]] std::string name() const override { return "split"; }
+    void schedule_into(const SchedulerContext& context,
+                       std::vector<Assignment>& out) override {
+      out.clear();
+      for (std::size_t j = 0; j < context.jobs.size(); ++j) {
+        const bool first = calls_ == 0 && context.jobs[j].id < 3;
+        out.push_back({j, first ? SiteId{0} : SiteId{1}});
+      }
+      ++calls_;
+    }
+
+   private:
+    std::size_t calls_ = 0;
+  } scheduler;
+  LiveIndexChecker checker;
+  kernel.set_observer(&checker);
+  run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+
+  EXPECT_EQ(checker.revoked, (std::vector<JobId>{2, 1}));
+  EXPECT_EQ(checker.max_live, 3u);
+  EXPECT_EQ(kernel.counters().interrupted_attempts, 2u);
+  EXPECT_EQ(kernel.counters().churn_released_nodes, 1u);
+  EXPECT_EQ(kernel.counters().churn_unreleased_nodes, 1u);
+  EXPECT_EQ(kernel.counters().completed_jobs, 4u);
+  EXPECT_EQ(kernel.live_attempt_count(), 0u);
+  EXPECT_DOUBLE_EQ(kernel.jobs()[0].finish, 60.0);
+  EXPECT_DOUBLE_EQ(kernel.jobs()[3].finish, 150.0);
+}
+
+/// synth-churn-hi under the stochastic churn process, retained or streamed
+/// (slot recycling: stale ends of retired jobs whose slot already holds
+/// another job must not disturb the index either).
+void check_live_index_on_churn_hi(bool streamed) {
+  const exp::Scenario scenario = exp::make_scenario("synth-churn-hi", 150);
+  const workload::Workload workload = exp::make_workload(scenario, 5);
+  EngineConfig config = scenario.engine;
+  config.seed = 11;
+  std::unique_ptr<Engine> engine;
+  if (streamed) {
+    auto stream = std::make_unique<workload::MaterializedStream>(workload.jobs);
+    engine = std::make_unique<Engine>(workload.sites, std::move(stream),
+                                      config, workload.exec, workload.churn);
+  } else {
+    engine = std::make_unique<Engine>(workload.sites, workload.jobs, config,
+                                      workload.exec, workload.churn);
+  }
+  LiveIndexChecker checker;
+  engine->set_observer(&checker);
+  sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  engine->run(scheduler);
+
+  EXPECT_GT(engine->counters().interrupted_attempts, 0u)
+      << "no revocations; the index was never unlinked by churn";
+  EXPECT_GT(engine->counters().failure_events, 0u);
+  EXPECT_EQ(engine->counters().completed_jobs, workload.jobs.size());
+  EXPECT_GT(checker.max_live, 1u);
+  EXPECT_EQ(engine->kernel().live_attempt_count(), 0u);
+  if (streamed) {
+    EXPECT_LT(engine->kernel().peak_slots(), workload.jobs.size());
+  }
+}
+
+TEST(LiveAttemptIndex, MatchesBruteForceScanRetained) {
+  check_live_index_on_churn_hi(/*streamed=*/false);
+}
+
+TEST(LiveAttemptIndex, MatchesBruteForceScanStreamed) {
+  check_live_index_on_churn_hi(/*streamed=*/true);
 }
 
 TEST(SimKernel, RejectsDoubleRoutingOfAnEventKind) {

@@ -2,7 +2,8 @@
 // loop has warmed its buffers (slot table, event queue, pending queue,
 // scheduler context, scheduler scratch), running the hot loop —
 // admissions, scheduling, dispatches, completions, retirements, slot
-// recycling — must perform ZERO heap allocations. Pinned with the same
+// recycling and, under site churn, revocations through the live-attempt
+// index — must perform ZERO heap allocations. Pinned with the same
 // binary-wide counting allocator the decode fast path uses
 // (decode_harness.hpp; this must stay the only translation unit in this
 // binary including it).
@@ -70,30 +71,57 @@ class AllocSampleObserver final : public sim::KernelObserver {
   std::vector<std::uint64_t> samples;
 };
 
-/// Runs a 6000-job streamed workload through `scheduler` and returns the
-/// allocation counts sampled at every batch cycle.
-std::vector<std::uint64_t> stream_alloc_samples(
-    sim::BatchScheduler& scheduler) {
+/// One allocation-probe run: a synthetic stream on 20 sites at ~70% load.
+struct AllocProbe {
+  std::size_t n_jobs = 6000;
+  bool streamed = true;  ///< streaming kernel (else drained, retained)
+  bool churn = false;    ///< stochastic site churn (revocations)
+};
+
+/// Runs `probe`'s workload through `scheduler` and returns the allocation
+/// counts sampled at every batch cycle.
+std::vector<std::uint64_t> alloc_samples(sim::BatchScheduler& scheduler,
+                                         const AllocProbe& probe) {
   workload::synth::SynthStreamConfig config;
   config.name = "alloc-probe";
-  config.n_jobs = 6000;
+  config.n_jobs = probe.n_jobs;
   config.n_sites = 20;
   config.arrival.rate = 0.2;  // ~70% load on the 20-site default pattern
+  if (probe.churn) {
+    // ~10% downtime: a few outages per site over the run, each revoking
+    // that site's running and stacked reservations.
+    config.churn.enabled = true;
+    config.churn.mtbf_mean = 6000.0;
+    config.churn.mttr_mean = 600.0;
+  }
   workload::synth::StreamWorkload stream =
       workload::synth::stream_workload(config, 13);
 
   sim::EngineConfig engine_config;
   engine_config.batch_interval = 100.0;
   engine_config.seed = 4;
-  sim::Engine engine(std::move(stream.sites), std::move(stream.jobs),
-                     engine_config, std::move(stream.exec),
-                     std::move(stream.churn));
-  AllocSampleObserver probe;
-  engine.set_observer(&probe);
-  engine.run(scheduler);
+  std::unique_ptr<sim::Engine> engine;
+  if (probe.streamed) {
+    engine = std::make_unique<sim::Engine>(
+        std::move(stream.sites), std::move(stream.jobs), engine_config,
+        std::move(stream.exec), std::move(stream.churn));
+  } else {
+    workload::Workload drained =
+        workload::synth::materialize_stream(std::move(stream));
+    engine = std::make_unique<sim::Engine>(
+        std::move(drained.sites), std::move(drained.jobs), engine_config,
+        std::move(drained.exec), std::move(drained.churn));
+  }
+  AllocSampleObserver observer;
+  engine->set_observer(&observer);
+  engine->run(scheduler);
 
-  EXPECT_EQ(engine.kernel().retired_jobs(), config.n_jobs);
-  return std::move(probe.samples);
+  EXPECT_EQ(engine->kernel().retired_jobs(), probe.n_jobs);
+  if (probe.churn) {
+    EXPECT_GT(engine->counters().interrupted_attempts, 0u)
+        << "churn probe revoked nothing; the victim path went unexercised";
+  }
+  return std::move(observer.samples);
 }
 
 /// Every buffer high-water mark is deterministic (fixed seeds), so the
@@ -114,7 +142,7 @@ void expect_steady_state_allocation_free(
 
 TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
   GreedyIntoScheduler scheduler;
-  expect_steady_state_allocation_free(stream_alloc_samples(scheduler));
+  expect_steady_state_allocation_free(alloc_samples(scheduler, {}));
 }
 
 // The shipped heuristics keep their working state (availability copy,
@@ -123,38 +151,42 @@ TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
 // state too — f-risky exercises the deferred admissibility path.
 TEST(StreamKernelAlloc, MctSteadyStateIsAllocationFree) {
   sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
-  expect_steady_state_allocation_free(stream_alloc_samples(scheduler));
+  expect_steady_state_allocation_free(alloc_samples(scheduler, {}));
 }
 
 TEST(StreamKernelAlloc, MinMinSteadyStateIsAllocationFree) {
   sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
-  expect_steady_state_allocation_free(stream_alloc_samples(scheduler));
+  expect_steady_state_allocation_free(alloc_samples(scheduler, {}));
 }
 
 TEST(StreamKernelAlloc, RetainedModeSteadyStateIsAllocationFreeToo) {
   // The same guard for the retained kernel: the refactor shares the hot
   // loop between modes, so the vector-backed path must stay clean as well.
-  workload::synth::SynthStreamConfig config;
-  config.name = "alloc-probe-retained";
-  config.n_jobs = 3000;
-  config.n_sites = 20;
-  config.arrival.rate = 0.2;
-  workload::Workload drained = workload::synth::materialize_stream(
-      workload::synth::stream_workload(config, 13));
-
-  sim::EngineConfig engine_config;
-  engine_config.batch_interval = 100.0;
-  engine_config.seed = 4;
-  sim::Engine engine(drained.sites, drained.jobs, engine_config, drained.exec,
-                     drained.churn);
-  AllocSampleObserver probe;
-  engine.set_observer(&probe);
+  AllocProbe probe;
+  probe.n_jobs = 3000;
+  probe.streamed = false;
   GreedyIntoScheduler scheduler;
-  engine.run(scheduler);
+  expect_steady_state_allocation_free(alloc_samples(scheduler, probe));
+}
 
-  ASSERT_GE(probe.samples.size(), 16u);
-  const std::size_t half = probe.samples.size() / 2;
-  EXPECT_EQ(probe.samples[half], probe.samples.back());
+// Site churn adds the revocation path: the per-site live-attempt index
+// (start/stop/revoke) and the churn process's victims_ buffer must stop
+// touching the heap once their high-water marks are reached, in both
+// kernel modes.
+TEST(StreamKernelAlloc, ChurnedMctSteadyStateIsAllocationFree) {
+  AllocProbe probe;
+  probe.churn = true;
+  sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_steady_state_allocation_free(alloc_samples(scheduler, probe));
+}
+
+TEST(StreamKernelAlloc, ChurnedRetainedMctSteadyStateIsAllocationFree) {
+  AllocProbe probe;
+  probe.n_jobs = 3000;
+  probe.streamed = false;
+  probe.churn = true;
+  sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_steady_state_allocation_free(alloc_samples(scheduler, probe));
 }
 
 }  // namespace
