@@ -34,9 +34,10 @@ sim::SchedulerContext make_batch(std::size_t n_jobs, std::size_t n_sites,
   return context;
 }
 
-void heuristic_latency(benchmark::State& state, const std::string& name) {
+void heuristic_latency(benchmark::State& state, const std::string& name,
+                       std::size_t n_sites = 12) {
   const auto context =
-      make_batch(static_cast<std::size_t>(state.range(0)), 12, 42);
+      make_batch(static_cast<std::size_t>(state.range(0)), n_sites, 42);
   auto scheduler = sched::make_heuristic(name,
                                          security::RiskPolicy::f_risky(0.5));
   for (auto _ : state) {
@@ -50,6 +51,10 @@ void BM_Sufferage(benchmark::State& state) {
   heuristic_latency(state, "sufferage");
 }
 void BM_Mct(benchmark::State& state) { heuristic_latency(state, "mct"); }
+/// MCT on a 1000-site rank-1 grid: the branch-and-bound site search.
+void BM_MctWide(benchmark::State& state) {
+  heuristic_latency(state, "mct", 1000);
+}
 
 void ga_latency(benchmark::State& state, bool warm, std::size_t generations,
                 std::size_t n_sites = 12) {
@@ -134,6 +139,7 @@ void BM_FitnessDecodeScratch(benchmark::State& state) {
 BENCHMARK(BM_MinMin)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_Sufferage)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_Mct)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_MctWide)->Arg(64)->Arg(1024);
 BENCHMARK(BM_StgaWarm100)->Unit(benchmark::kMillisecond)->Arg(16)->Arg(32);
 BENCHMARK(BM_StgaWarm50)->Unit(benchmark::kMillisecond)->Arg(16)->Arg(32);
 BENCHMARK(BM_ColdGa100)->Unit(benchmark::kMillisecond)->Arg(16)->Arg(32);

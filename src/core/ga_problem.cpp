@@ -13,6 +13,11 @@ namespace gridsched::core {
 
 GaProblem build_problem(const sim::SchedulerContext& context,
                         const security::RiskPolicy& policy) {
+  if (!context.site_up.empty() &&
+      context.site_up.size() != context.sites.size()) {
+    // SchedulerContext::site_usable reads the mask unchecked.
+    throw std::invalid_argument("build_problem: site_up/sites size mismatch");
+  }
   static std::atomic<std::uint64_t> next_epoch{1};
   GaProblem problem;
   problem.epoch = next_epoch.fetch_add(1, std::memory_order_relaxed);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "sched/site_tree.hpp"
 #include "security/security.hpp"
 #include "sim/scheduling.hpp"
 
@@ -36,6 +37,8 @@ struct HeuristicScratch {
   std::vector<std::size_t> unassigned;
   /// Per-job cache (Min-Min family), indexed by batch index.
   std::vector<JobBest> best;
+  /// MCT's branch-and-bound site trees (see SiteTree::applies).
+  SiteTree tree;
 };
 
 /// Common state for the iterative list heuristics.
@@ -96,7 +99,9 @@ class SufferageScheduler final : public HeuristicScheduler {
 };
 
 /// MCT: jobs in batch order, each to the admissible site with the minimum
-/// completion time.
+/// completion time. Where SiteTree::applies (a rank-1 execution model on a
+/// wide grid) the site is found by a branch-and-bound query on the tree
+/// instead of a scan of every site, with the same result.
 class MctScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;

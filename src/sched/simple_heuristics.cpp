@@ -9,66 +9,111 @@ namespace gridsched::sched {
 
 namespace {
 
-/// Shared single-pass skeleton: `score` returns the value to minimise for
-/// a structurally feasible (job, site) pair given the current
-/// availability; admissibility is checked only for strict improvements.
-template <typename ScoreFn>
-void single_pass(const sim::SchedulerContext& context,
-                 const security::RiskPolicy& policy,
-                 std::vector<sim::NodeAvailability>& avail,
-                 std::vector<sim::Assignment>& out, ScoreFn&& score) {
+/// Validates the context and resets the working profiles and the output.
+void begin_pass(const sim::SchedulerContext& context,
+                std::vector<sim::NodeAvailability>& avail,
+                std::vector<sim::Assignment>& out) {
   scan::check_context(context);
   avail = context.avail;
   out.clear();
   out.reserve(context.jobs.size());
+}
 
+/// Shared single-pass skeleton (after begin_pass): places each job in batch
+/// order on the site `pick(job)` returns (kInvalidSite leaves it
+/// pending) and calls `committed(site)` after every reservation.
+template <typename PickFn, typename CommitFn>
+void single_pass(const sim::SchedulerContext& context,
+                 std::vector<sim::NodeAvailability>& avail,
+                 std::vector<sim::Assignment>& out, PickFn&& pick,
+                 CommitFn&& committed) {
   for (std::size_t j = 0; j < context.jobs.size(); ++j) {
     const sim::BatchJob& job = context.jobs[j];
-    sim::SiteId best_site = sim::kInvalidSite;
-    double best_score = std::numeric_limits<double>::infinity();
-    for (std::size_t s = 0; s < context.sites.size(); ++s) {
-      if (!scan::fits(context, job, s)) continue;
-      const double value = score(job, s, avail[s]);
-      if (value < best_score && admissible(context, job, s, policy)) {
-        best_score = value;
-        best_site = static_cast<sim::SiteId>(s);
-      }
-    }
-    if (best_site == sim::kInvalidSite) continue;  // stays pending
-    avail[best_site].reserve(job.nodes, context.exec_time(job, best_site),
-                             context.now);
-    out.push_back({j, best_site});
+    const sim::SiteId site = pick(job);
+    if (site == sim::kInvalidSite) continue;  // stays pending
+    avail[site].reserve(job.nodes, context.exec_time(job, site), context.now);
+    out.push_back({j, site});
+    committed(site);
   }
+}
+
+/// The admissible site minimising `score` for a structurally feasible
+/// (job, site) pair given the current availability, first site index among
+/// ties; admissibility is checked only for strict improvements.
+template <typename ScoreFn>
+sim::SiteId scan_best(const sim::SchedulerContext& context,
+                      const security::RiskPolicy& policy,
+                      const std::vector<sim::NodeAvailability>& avail,
+                      const sim::BatchJob& job, ScoreFn&& score) {
+  sim::SiteId best_site = sim::kInvalidSite;
+  double best_score = std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < context.sites.size(); ++s) {
+    if (!scan::fits(context, job, s)) continue;
+    const double value = score(job, s, avail[s]);
+    if (value < best_score && admissible(context, job, s, policy)) {
+      best_score = value;
+      best_site = static_cast<sim::SiteId>(s);
+    }
+  }
+  return best_site;
+}
+
+/// A whole pass placing every job on scan_best's site.
+template <typename ScoreFn>
+void scan_pass(const sim::SchedulerContext& context,
+               const security::RiskPolicy& policy,
+               std::vector<sim::NodeAvailability>& avail,
+               std::vector<sim::Assignment>& out, ScoreFn&& score) {
+  begin_pass(context, avail, out);
+  const auto pick = [&](const sim::BatchJob& job) {
+    return scan_best(context, policy, avail, job, score);
+  };
+  single_pass(context, avail, out, pick, [](sim::SiteId) {});
 }
 
 }  // namespace
 
 void MctScheduler::schedule_into(const sim::SchedulerContext& context,
                                  std::vector<sim::Assignment>& out) {
-  single_pass(context, policy_, scratch_.avail, out,
+  if (!SiteTree::applies(context)) {
+    // A small grid, or no exact subtree bound (a raw ETC matrix bounds
+    // nothing per subtree): scan every site.
+    scan_pass(context, policy_, scratch_.avail, out,
               [&](const sim::BatchJob& job, std::size_t s,
                   const sim::NodeAvailability& avail) {
                 return scan::completion(avail, job, context.exec_time(job, s),
                                         context.now);
               });
+    return;
+  }
+  begin_pass(context, scratch_.avail, out);
+  SiteTree& tree = scratch_.tree;
+  tree.build(context);
+  const auto pick = [&](const sim::BatchJob& job) {
+    return tree.best_site(context, policy_, job);
+  };
+  const auto committed = [&](sim::SiteId site) {
+    tree.update(context, scratch_.avail, site);
+  };
+  single_pass(context, scratch_.avail, out, pick, committed);
 }
 
 void MetScheduler::schedule_into(const sim::SchedulerContext& context,
                                  std::vector<sim::Assignment>& out) {
-  single_pass(context, policy_, scratch_.avail, out,
-              [&](const sim::BatchJob& job, std::size_t s,
-                  const sim::NodeAvailability&) {
-                return context.exec_time(job, s);
-              });
+  scan_pass(context, policy_, scratch_.avail, out,
+            [&](const sim::BatchJob& job, std::size_t s,
+                const sim::NodeAvailability&) {
+              return context.exec_time(job, s);
+            });
 }
 
 void OlbScheduler::schedule_into(const sim::SchedulerContext& context,
                                  std::vector<sim::Assignment>& out) {
-  single_pass(context, policy_, scratch_.avail, out,
-              [&](const sim::BatchJob& job, std::size_t,
-                  const sim::NodeAvailability& avail) {
-                return scan::start_time(avail, job, context.now);
-              });
+  scan_pass(context, policy_, scratch_.avail, out,
+            [&](const sim::BatchJob& job, std::size_t,
+                const sim::NodeAvailability& avail) {
+              return scan::start_time(avail, job, context.now);
+            });
 }
 
 }  // namespace gridsched::sched

@@ -1,0 +1,78 @@
+// Branch-and-bound site selection for MCT on rank-1 execution models.
+//
+// One min-tree per node count the batch requests, over the sites sorted by
+// speed descending (ties by site index). A leaf holds the site's earliest
+// start for that node count, or infinity when the job cannot fit or the
+// site is masked out; every node also knows its fastest site (its leftmost
+// leaf) and its smallest site index. With exec = work / speed and work >= 0,
+// a subtree's `min start + exec on its fastest site` never exceeds any of
+// its leaves' completion times (rounding is monotone), so a query can skip
+// every subtree whose (bound, smallest index) is not lexicographically
+// below the running (best completion, best site). That is exactly the
+// linear scan's strict-<, lowest-index-wins rule, so the answer is the
+// scan's answer.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "security/security.hpp"
+#include "sim/scheduling.hpp"
+
+namespace gridsched::sched {
+
+class SiteTree {
+ public:
+  /// Below this many sites the per-cycle build costs more than the scans it
+  /// saves: bench_micro_sched's 12-site BM_Mct ran up to 2x slower on the
+  /// trees, and small-batch break-even measured at 32-48 sites.
+  static constexpr std::size_t kMinSites = 64;
+
+  /// True when the tree is worth building for `context` (kMinSites or
+  /// more sites) and its subtree bound is exact: a rank-1 execution model
+  /// (no ETC matrix), every site speed > 0 and every job's work >= 0, so a
+  /// job's exec time never decreases as speed falls.
+  [[nodiscard]] static bool applies(const sim::SchedulerContext& context);
+
+  /// Rebuild over `context`'s sites and its availability profiles.
+  /// Requires applies(context) and scan::check_context(context).
+  void build(const sim::SchedulerContext& context);
+
+  /// The admissible site with the least completion time for `job` on the
+  /// profiles the tree was last built or updated from, lowest site index
+  /// among ties; kInvalidSite when none is admissible.
+  [[nodiscard]] sim::SiteId best_site(const sim::SchedulerContext& context,
+                                      const security::RiskPolicy& policy,
+                                      const sim::BatchJob& job) const;
+
+  /// Re-read site `s`'s leaves from `avail[s]` after a reservation there.
+  void update(const sim::SchedulerContext& context,
+              const std::vector<sim::NodeAvailability>& avail, std::size_t s);
+
+ private:
+  /// Static per-node data, shared by every tree of one build.
+  struct Node {
+    std::uint32_t fastest = 0;    ///< site of the subtree's leftmost leaf
+    std::uint32_t min_index = 0;  ///< smallest site index in the subtree
+  };
+  struct Search;
+
+  /// Leaves in the heap layout (a power of two >= the site count); node i
+  /// has children 2i and 2i+1, the root is node 1, leaf p is node leaves_+p.
+  std::size_t leaves_ = 0;
+  /// Sites in leaf order.
+  std::vector<std::uint32_t> order_;
+  /// Heap node of each site's leaf.
+  std::vector<std::size_t> leaf_of_site_;
+  std::vector<Node> nodes_;
+  /// Node count each tree serves, and each node count's tree (kNoTree when
+  /// the batch never asks for it or no site has that many nodes).
+  std::vector<unsigned> tree_nodes_;
+  std::vector<std::uint32_t> tree_of_;
+  /// Earliest start per tree and heap node: tree t's node i lives at
+  /// t * 2 * leaves_ + i; an inner node holds its children's minimum.
+  std::vector<double> start_;
+};
+
+}  // namespace gridsched::sched

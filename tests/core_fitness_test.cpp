@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -44,6 +45,15 @@ TEST(BuildProblem, DropsJobsWithEmptyDomains) {
       build_problem(context, security::RiskPolicy::risky());
   ASSERT_EQ(problem.n_jobs(), 1u);
   EXPECT_EQ(problem.batch_index[0], 1u);
+}
+
+TEST(BuildProblem, RejectsSiteMaskOfWrongLength) {
+  auto context = small_context();
+  context.site_up = {1};  // two sites
+  EXPECT_THROW(build_problem(context, security::RiskPolicy::risky()),
+               std::invalid_argument);
+  context.site_up = {1, 0};
+  EXPECT_NO_THROW(build_problem(context, security::RiskPolicy::risky()));
 }
 
 TEST(BuildProblem, ComputesExecAndPfail) {

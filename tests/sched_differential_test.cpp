@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
@@ -18,6 +19,7 @@
 
 #include "sched/heuristics.hpp"
 #include "sched/registry.hpp"
+#include "sched/site_tree.hpp"
 #include "sched_reference.hpp"
 #include "security/security.hpp"
 #include "sim/scheduling.hpp"
@@ -58,14 +60,16 @@ double grid(util::Rng& rng, double step, std::int64_t max_steps) {
   return step * static_cast<double>(rng.uniform_int(1, max_steps));
 }
 
-/// Random context with `n_jobs` jobs; `wide` draws larger batches and site
-/// counts so Min-Min family commits invalidate several cached bests.
+/// Random context with `n_jobs` jobs on `min_sites`..`max_sites` sites;
+/// half of them carry a raw ETC matrix unless `rank_one`.
 sim::SchedulerContext random_context(util::Rng& rng, std::size_t n_jobs,
-                                     bool wide) {
+                                     std::int64_t min_sites,
+                                     std::int64_t max_sites,
+                                     bool rank_one = false) {
   sim::SchedulerContext context;
   context.now = rng.bernoulli(0.5) ? 0.0 : grid(rng, 5.0, 4);
   const std::size_t n_sites =
-      static_cast<std::size_t>(rng.uniform_int(1, wide ? 16 : 6));
+      static_cast<std::size_t>(rng.uniform_int(min_sites, max_sites));
   for (std::size_t s = 0; s < n_sites; ++s) {
     sim::SiteConfig site;
     site.id = static_cast<sim::SiteId>(s);
@@ -97,7 +101,7 @@ sim::SchedulerContext random_context(util::Rng& rng, std::size_t n_jobs,
     job.secure_only = rng.bernoulli(0.15);
     context.jobs.push_back(job);
   }
-  if (n_jobs > 0 && rng.bernoulli(0.5)) {
+  if (!rank_one && n_jobs > 0 && rng.bernoulli(0.5)) {
     std::vector<double> cells(n_jobs * n_sites);
     for (double& cell : cells) cell = grid(rng, 2.0, 5);
     context.exec = sim::ExecModel(n_jobs, n_sites, std::move(cells));
@@ -127,13 +131,15 @@ TEST(SchedDifferential, MatchesDenseReferenceOnRandomContexts) {
   for (std::size_t i = 0; i < kContexts; ++i) {
     util::Rng rng = util::Rng::child(kMasterSeed, i);
     // Batches of size 0 and 1 every few contexts; otherwise up to 12 jobs,
-    // or up to 40 on the wide contexts.
+    // or up to 40 on the wide contexts, whose larger batches and site
+    // counts make Min-Min family commits invalidate several cached bests.
     const bool wide = i % 5 == 4;
     std::size_t n_jobs = i % 7;
     if (n_jobs >= 2) {
       n_jobs = static_cast<std::size_t>(rng.uniform_int(2, wide ? 40 : 12));
     }
-    const sim::SchedulerContext context = random_context(rng, n_jobs, wide);
+    const sim::SchedulerContext context =
+        random_context(rng, n_jobs, 1, wide ? 16 : 6);
 
     for (std::size_t h = 0; h < names.size(); ++h) {
       for (std::size_t p = 0; p < kPolicies.size(); ++p) {
@@ -152,6 +158,49 @@ TEST(SchedDifferential, MatchesDenseReferenceOnRandomContexts) {
   EXPECT_EQ(compared, kContexts * names.size() * kPolicies.size());
   // Guard against a generator that degenerates into empty schedules.
   EXPECT_GT(nonempty, compared / 2);
+}
+
+TEST(SchedDifferential, WideRankOneMctMatchesReference) {
+  // MCT's branch-and-bound site trees (SiteTree): rank-1 contexts on
+  // 17..1100 sites, mostly non-powers of two so padding leaves exist, and
+  // both sides of SiteTree::kMinSites. Speeds come from a 3-value grid and
+  // free times from an integer grid, so equal-speed leaves and exact
+  // completion ties across sites are the common case; masks, secure_only
+  // jobs, jobs that fit no site and several node counts per batch ride
+  // along. One scheduler per policy serves every context, so the trees are
+  // rebuilt across growing and shrinking site counts.
+  constexpr std::uint64_t kMasterSeed = 0x3c7ee5ULL;
+  constexpr std::size_t kContexts = 120;
+  const std::array kFirstSites = {1100, 17, 64, 65, 1000, 63, 128, 129, 33};
+  std::vector<std::unique_ptr<sim::BatchScheduler>> schedulers;
+  for (const RiskPolicy& policy : kPolicies) {
+    schedulers.push_back(make_heuristic("mct", policy));
+  }
+
+  std::size_t tree_contexts = 0;
+  std::size_t assigned = 0;
+  std::vector<sim::Assignment> out;
+  for (std::size_t i = 0; i < kContexts; ++i) {
+    util::Rng rng = util::Rng::child(kMasterSeed, i);
+    const std::int64_t n_sites =
+        i < kFirstSites.size() ? kFirstSites[i] : rng.uniform_int(17, 1100);
+    const auto n_jobs = static_cast<std::size_t>(rng.uniform_int(1, 120));
+    const sim::SchedulerContext context =
+        random_context(rng, n_jobs, n_sites, n_sites, /*rank_one=*/true);
+    if (SiteTree::applies(context)) ++tree_contexts;
+
+    for (std::size_t p = 0; p < kPolicies.size(); ++p) {
+      const auto expected = reference::mct(context, kPolicies[p]);
+      out.assign(3, sim::Assignment{7, 7});
+      schedulers[p]->schedule_into(context, out);
+      ASSERT_EQ(out, expected)
+          << "policy " << p << " context " << i << " sites " << n_sites;
+      assigned += expected.size();
+    }
+  }
+  // Most contexts must exercise the trees, and place real work.
+  EXPECT_GT(tree_contexts, kContexts * 3 / 4);
+  EXPECT_GT(assigned, kContexts * kPolicies.size() * 10);
 }
 
 TEST(SchedDifferential, TiesAcrossSitesAndJobsFollowTheReference) {
@@ -180,9 +229,10 @@ TEST(SchedDifferential, TiesAcrossSitesAndJobsFollowTheReference) {
 }
 
 TEST(SchedDifferential, MalformedContextIsRejected) {
-  // The matrix-free scan reads profiles without bounds checks, so every
-  // heuristic validates the context up front: a zero-node job, a profile
-  // with fewer nodes than its site declares, and a missing profile.
+  // The matrix-free scan reads profiles and the site mask without bounds
+  // checks, so every heuristic validates the context up front: a zero-node
+  // job, a profile with fewer nodes than its site declares, a missing
+  // profile, and a non-empty mask shorter than the site list.
   sim::SchedulerContext zero_nodes;
   zero_nodes.sites.push_back({0, 2, 1.0, 1.0});
   zero_nodes.avail.emplace_back(2, 0.0);
@@ -192,9 +242,18 @@ TEST(SchedDifferential, MalformedContextIsRejected) {
   short_profile.jobs[0].nodes = 2;
   sim::SchedulerContext missing = short_profile;
   missing.avail.clear();
+  // Wide enough for MCT's site trees, which read the mask while building.
+  sim::SchedulerContext short_mask;
+  for (std::size_t s = 0; s < SiteTree::kMinSites; ++s) {
+    short_mask.sites.push_back({static_cast<sim::SiteId>(s), 2, 1.0, 1.0});
+    short_mask.avail.emplace_back(2, 0.0);
+  }
+  short_mask.jobs.push_back({0, 10.0, 1, 0.5, 0.0, false});
+  short_mask.site_up.assign(SiteTree::kMinSites - 1, 1);
   for (const std::string& name : heuristic_names()) {
     const auto scheduler = make_heuristic(name, RiskPolicy::risky());
-    for (const auto* context : {&zero_nodes, &short_profile, &missing}) {
+    for (const auto* context :
+         {&zero_nodes, &short_profile, &missing, &short_mask}) {
       EXPECT_THROW(scheduler->schedule(*context), std::invalid_argument)
           << name;
     }

@@ -71,9 +71,10 @@ class AllocSampleObserver final : public sim::KernelObserver {
   std::vector<std::uint64_t> samples;
 };
 
-/// One allocation-probe run: a synthetic stream on 20 sites at ~70% load.
+/// One allocation-probe run: a synthetic stream at ~70% load.
 struct AllocProbe {
   std::size_t n_jobs = 6000;
+  std::size_t n_sites = 20;
   bool streamed = true;  ///< streaming kernel (else drained, retained)
   bool churn = false;    ///< stochastic site churn (revocations)
 };
@@ -85,8 +86,9 @@ std::vector<std::uint64_t> alloc_samples(sim::BatchScheduler& scheduler,
   workload::synth::SynthStreamConfig config;
   config.name = "alloc-probe";
   config.n_jobs = probe.n_jobs;
-  config.n_sites = 20;
-  config.arrival.rate = 0.2;  // ~70% load on the 20-site default pattern
+  config.n_sites = probe.n_sites;
+  // ~70% load on the default site pattern (0.2 jobs/s per 20 sites).
+  config.arrival.rate = 0.01 * static_cast<double>(probe.n_sites);
   if (probe.churn) {
     // ~10% downtime: a few outages per site over the run, each revoking
     // that site's running and stacked reservations.
@@ -152,6 +154,15 @@ TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
 TEST(StreamKernelAlloc, MctSteadyStateIsAllocationFree) {
   sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
   expect_steady_state_allocation_free(alloc_samples(scheduler, {}));
+}
+
+// 128 rank-1 sites put MCT on its branch-and-bound site trees
+// (sched::SiteTree), rebuilt every cycle into the same scratch.
+TEST(StreamKernelAlloc, WideMctSteadyStateIsAllocationFree) {
+  AllocProbe probe;
+  probe.n_sites = 128;
+  sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_steady_state_allocation_free(alloc_samples(scheduler, probe));
 }
 
 TEST(StreamKernelAlloc, MinMinSteadyStateIsAllocationFree) {
