@@ -63,6 +63,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gridsched.hpp"
@@ -274,9 +275,9 @@ int cmd_run(const util::Cli& cli) {
     // Replay mode: explicit traces, direct engine drive. v2 traces carry
     // the raw ETC matrix and replay it exactly; v1 traces fall back to
     // the rank-1 work/speed model.
-    const workload::JobsTrace trace =
+    workload::JobsTrace trace =
         workload::read_jobs_trace_file(*cli.get("trace"));
-    const auto sites = workload::read_sites_file(*cli.get("sites"));
+    auto sites = workload::read_sites_file(*cli.get("sites"));
     sim::EngineConfig config;
     config.batch_interval = cli.get_or("batch-interval", 2000.0);
     config.lambda = cli.get_or("lambda", security::kDefaultLambda);
@@ -291,7 +292,8 @@ int cmd_run(const util::Cli& cli) {
       GS_LOG_WARN("trace carries no ETC section; replay uses the rank-1 "
                   "work/speed execution model");
     }
-    sim::Engine engine(sites, trace.jobs, config, trace.exec);
+    sim::Engine engine(std::move(sites), std::move(trace.jobs), config,
+                       std::move(trace.exec));
     engine.set_observer(observer);
     engine.run(*scheduler);
     print_metrics(scheduler->name(), metrics::compute_metrics(engine), csv);

@@ -41,65 +41,10 @@ void train_stga(const Scenario& scenario, const workload::Workload& main,
     sim::EngineConfig engine_config = scenario.engine;
     engine_config.seed = phase_seed;
     engine_config.cancel = cancel;  // the watchdog covers training too
-    sim::Engine engine(training.sites, training.jobs, engine_config,
-                       training.exec);
+    sim::Engine engine(std::move(training.sites), std::move(training.jobs),
+                       engine_config, std::move(training.exec));
     engine.run(recorder);
   }
-}
-
-}  // namespace
-
-namespace {
-
-/// run_once for a streaming (kSynthStream) scenario: the job cursor goes
-/// straight into the kernel's stream constructor, so the run holds
-/// O(active jobs) — never the whole workload. Seed derivation matches the
-/// materialised path exactly, so draining the same scenario through
-/// make_workload reproduces the jobs this run simulates.
-metrics::RunMetrics run_once_stream(const Scenario& scenario,
-                                    const AlgorithmSpec& spec,
-                                    std::uint64_t seed,
-                                    util::ThreadPool* ga_pool,
-                                    const RunHooks& hooks) {
-  const std::uint64_t workload_seed = util::Rng::child(seed, 1).next_u64();
-  const std::uint64_t engine_seed = util::Rng::child(seed, 2).next_u64();
-  const std::uint64_t algo_seed = util::Rng::child(seed, 3).next_u64();
-
-  workload::synth::StreamWorkload stream =
-      make_stream_workload(scenario, workload_seed);
-  std::unique_ptr<sim::BatchScheduler> scheduler = spec.make(ga_pool,
-                                                             algo_seed);
-  if (hooks.cancel != nullptr) {
-    if (auto* ga = dynamic_cast<core::GaScheduler*>(scheduler.get())) {
-      ga->set_cancel_token(hooks.cancel);
-    }
-  }
-  if (spec.wants_training) {
-    if (auto* stga = dynamic_cast<core::GaScheduler*>(scheduler.get())) {
-      // Training drains a small reduced copy of the stream (hundreds of
-      // jobs), so the bootstrap stays O(training) while the measured run
-      // streams. Only the grid is borrowed from the main workload.
-      workload::Workload grid_only;
-      grid_only.name = stream.name;
-      grid_only.sites = stream.sites;
-      train_stga(scenario, grid_only, *stga, seed, hooks.cancel);
-    }
-  }
-  if (hooks.ga_profiles != nullptr) {
-    if (auto* ga = dynamic_cast<core::GaScheduler*>(scheduler.get())) {
-      ga->set_profile_sink(hooks.ga_profiles);
-    }
-  }
-
-  sim::EngineConfig engine_config = scenario.engine;
-  engine_config.seed = engine_seed;
-  engine_config.cancel = hooks.cancel;
-  sim::Engine engine(std::move(stream.sites), std::move(stream.jobs),
-                     engine_config, std::move(stream.exec),
-                     std::move(stream.churn));
-  engine.set_observer(hooks.observer);
-  engine.run(*scheduler);
-  return metrics::compute_metrics(engine);
 }
 
 }  // namespace
@@ -108,44 +53,61 @@ metrics::RunMetrics run_once(const Scenario& scenario,
                              const AlgorithmSpec& spec,
                              std::uint64_t seed, util::ThreadPool* ga_pool,
                              const RunHooks& hooks) {
-  if (scenario.kind == ScenarioKind::kSynthStream) {
-    return run_once_stream(scenario, spec, seed, ga_pool, hooks);
-  }
   const std::uint64_t workload_seed = util::Rng::child(seed, 1).next_u64();
   const std::uint64_t engine_seed = util::Rng::child(seed, 2).next_u64();
   const std::uint64_t algo_seed = util::Rng::child(seed, 3).next_u64();
 
-  workload::Workload workload = make_workload(scenario, workload_seed);
+  // A streaming scenario hands the kernel its generator cursor, so the run
+  // holds O(active jobs), never the whole workload. Every other kind is
+  // materialized here (training reads the full main workload) and wrapped
+  // in a MaterializedStream once training is done.
+  const bool streamed = scenario.kind == ScenarioKind::kSynthStream;
+  workload::synth::StreamWorkload run;
+  workload::Workload workload;
+  if (streamed) {
+    run = make_stream_workload(scenario, workload_seed);
+  } else {
+    workload = make_workload(scenario, workload_seed);
+  }
   std::unique_ptr<sim::BatchScheduler> scheduler = spec.make(ga_pool,
                                                              algo_seed);
+  auto* ga = dynamic_cast<core::GaScheduler*>(scheduler.get());
 
   // Cancellation attaches before training: a timed-out cell must not
   // spend its whole budget in the bootstrap phase.
-  if (hooks.cancel != nullptr) {
-    if (auto* ga = dynamic_cast<core::GaScheduler*>(scheduler.get())) {
-      ga->set_cancel_token(hooks.cancel);
-    }
+  if (ga != nullptr && hooks.cancel != nullptr) {
+    ga->set_cancel_token(hooks.cancel);
   }
 
-  if (spec.wants_training) {
-    if (auto* stga = dynamic_cast<core::GaScheduler*>(scheduler.get())) {
-      train_stga(scenario, workload, *stga, seed, hooks.cancel);
+  if (ga != nullptr && spec.wants_training) {
+    if (streamed) {
+      // Training drains a small reduced copy of the stream (hundreds of
+      // jobs), so the bootstrap stays O(training) while the measured run
+      // streams. Only the grid is borrowed from the main workload.
+      workload.name = run.name;
+      workload.sites = run.sites;
     }
+    train_stga(scenario, workload, *ga, seed, hooks.cancel);
   }
 
   // GA profiling attaches after training so the sink sees only the
   // measured run's scheduler invocations.
-  if (hooks.ga_profiles != nullptr) {
-    if (auto* ga = dynamic_cast<core::GaScheduler*>(scheduler.get())) {
-      ga->set_profile_sink(hooks.ga_profiles);
-    }
+  if (ga != nullptr && hooks.ga_profiles != nullptr) {
+    ga->set_profile_sink(hooks.ga_profiles);
   }
 
+  if (!streamed) {
+    run.sites = std::move(workload.sites);
+    run.jobs = std::make_unique<workload::MaterializedStream>(
+        std::move(workload.jobs));
+    run.exec = std::move(workload.exec);
+    run.churn = std::move(workload.churn);
+  }
   sim::EngineConfig engine_config = scenario.engine;
   engine_config.seed = engine_seed;
   engine_config.cancel = hooks.cancel;
-  sim::Engine engine(workload.sites, workload.jobs, engine_config,
-                     workload.exec, workload.churn);
+  sim::Engine engine(std::move(run.sites), std::move(run.jobs), engine_config,
+                     std::move(run.exec), std::move(run.churn));
   engine.set_observer(hooks.observer);
   engine.run(*scheduler);
   return metrics::compute_metrics(engine);

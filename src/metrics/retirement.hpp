@@ -7,7 +7,7 @@
 // sequence the old compute_metrics job loop performed, and the kernel
 // retires jobs strictly in id order (a completed job waits in its slot
 // until every lower id has retired), so the accumulated sums — and every
-// RunMetrics field derived from them — are bit-identical to the retained
+// RunMetrics field derived from them — are bit-identical to the old job
 // loop for any workload. This accumulator feeds byte-stable artifacts
 // (campaign aggregates); it must never read wall clocks (lint GS-R02).
 #pragma once

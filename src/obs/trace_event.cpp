@@ -34,9 +34,9 @@ std::string metadata(const char* name, int pid, int tid,
 
 void SimTraceRecorder::on_run_start(const sim::SimKernel& kernel) {
   events_.clear();
-  // Pre-size for the retained case; a streaming kernel's id space is not
-  // known yet, so open_slot() grows this on demand as jobs dispatch.
-  open_.assign(kernel.jobs().size(), OpenAttempt{});
+  // Jobs are admitted lazily, so open_slot() grows this on demand as
+  // jobs dispatch.
+  open_.clear();
   down_since_.assign(kernel.sites().size(), -1.0);
 
   events_.push_back(metadata("process_name", kSitesPid, -1, "grid sites"));

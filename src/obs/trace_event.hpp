@@ -76,8 +76,8 @@ class SimTraceRecorder final : public sim::KernelObserver {
                  unsigned serial);
   void emit_instant(const std::string& name, const char* category, int pid,
                     int tid, sim::Time time, const std::string& args);
-  /// Per-job entry, growing on demand: a streaming kernel admits jobs
-  /// lazily, so the job-id space is not known at on_run_start.
+  /// Per-job entry, growing on demand: the kernel admits jobs lazily, so
+  /// the job-id space is not known at on_run_start.
   OpenAttempt& open_slot(sim::JobId job) {
     if (job >= open_.size()) open_.resize(static_cast<std::size_t>(job) + 1);
     return open_[job];

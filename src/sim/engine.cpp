@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "sim/process/arrival_process.hpp"
@@ -10,18 +11,19 @@
 
 namespace gridsched::sim {
 
-Engine::Engine(std::vector<SiteConfig> sites, std::vector<Job> jobs,
-               EngineConfig config, ExecModel exec_model,
-               std::vector<SiteChurnParams> churn)
-    : kernel_(std::move(sites), std::move(jobs), config, std::move(exec_model)),
-      churn_(std::move(churn)) {}
-
 Engine::Engine(std::vector<SiteConfig> sites,
                std::unique_ptr<workload::JobStream> stream, EngineConfig config,
                ExecModel exec_model, std::vector<SiteChurnParams> churn)
     : kernel_(std::move(sites), std::move(stream), config,
               std::move(exec_model)),
       churn_(std::move(churn)) {}
+
+Engine::Engine(std::vector<SiteConfig> sites, std::vector<Job> jobs,
+               EngineConfig config, ExecModel exec_model,
+               std::vector<SiteChurnParams> churn)
+    : Engine(std::move(sites),
+             std::make_unique<workload::MaterializedStream>(std::move(jobs)),
+             config, std::move(exec_model), std::move(churn)) {}
 
 void Engine::run(BatchScheduler& scheduler) {
   // Registration order fixes the FIFO tie-break among events pushed in

@@ -22,23 +22,22 @@ namespace gridsched::sim {
 /// site goes down.
 class Engine {
  public:
+  /// Jobs come from a cursor (workload/stream.hpp); the kernel keeps only
+  /// O(active jobs) resident, recycling slots as jobs retire.
   /// `exec_model`: per-(job, site) execution times. A raw ETC matrix (rows
-  /// keyed by position in `jobs`) is authoritative; the default model is
-  /// the rank-1 work/speed fallback. `churn`: per-site up/down process
+  /// keyed by stream position) is authoritative; the default model is the
+  /// rank-1 work/speed fallback. `churn`: per-site up/down process
   /// parameters (empty, or all entries with mtbf/mttr <= 0, disables the
   /// churn process entirely).
-  Engine(std::vector<SiteConfig> sites, std::vector<Job> jobs,
-         EngineConfig config = {}, ExecModel exec_model = {},
-         std::vector<SiteChurnParams> churn = {});
-
-  /// Streaming variant: jobs come from a cursor (workload/stream.hpp) and
-  /// the kernel keeps only O(active jobs) resident, recycling slots as
-  /// jobs retire — the constructor for million-job workloads. Semantics
-  /// are otherwise identical to the retained constructor (a materialized
-  /// stream produces bit-identical artifacts).
   Engine(std::vector<SiteConfig> sites,
          std::unique_ptr<workload::JobStream> stream, EngineConfig config = {},
          ExecModel exec_model = {}, std::vector<SiteChurnParams> churn = {});
+
+  /// Convenience overload: wraps `jobs` in a workload::MaterializedStream.
+  /// Arrivals must be nondecreasing, as for any stream.
+  Engine(std::vector<SiteConfig> sites, std::vector<Job> jobs,
+         EngineConfig config = {}, ExecModel exec_model = {},
+         std::vector<SiteChurnParams> churn = {});
 
   /// Run to completion (all jobs finished). The scheduler object must
   /// outlive the call. Throws on scheduler protocol violations.
@@ -51,9 +50,6 @@ class Engine {
     kernel_.set_observer(observer);
   }
 
-  [[nodiscard]] const std::vector<Job>& jobs() const noexcept {
-    return kernel_.jobs();
-  }
   [[nodiscard]] const std::vector<GridSite>& sites() const noexcept {
     return kernel_.sites();
   }

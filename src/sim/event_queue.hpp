@@ -8,11 +8,12 @@
 // once the backing vector has grown to the run's high-water mark.
 //
 // Sequence numbers: push() assigns the next counter value, matching the
-// old queue exactly. A streamed run cannot push all arrivals up front, so
-// the kernel reserves the arrival block instead — reserve_seqs(n) starts
-// the counter at n and push_reserved(event, seq) pushes with an explicit
-// seq from the reserved [0, n) block. Eager and lazy arrival injection
-// therefore produce the identical (time, seq) total order.
+// old queue exactly. The kernel admits arrivals lazily rather than pushing
+// them all up front, so it reserves the arrival block instead —
+// reserve_seqs(n) starts the counter at n and push_reserved(event, seq)
+// pushes with an explicit seq from the reserved [0, n) block. Lazy
+// injection therefore pops in the same (time, seq) total order as eager
+// injection would.
 #pragma once
 
 #include <cstdint>

@@ -9,53 +9,28 @@ namespace gridsched::sim {
 
 namespace {
 
-/// Initial id->slot ring capacity in streaming mode (grows by doubling).
+/// Initial id->slot ring capacity (grows by doubling).
 constexpr std::size_t kInitialSlotRing = 64;
 
 /// Capacity of a site's first live-attempt list segment.
 constexpr std::uint32_t kMinLiveCapacity = 4;
 
-std::size_t checked_stream_size(
-    const std::unique_ptr<workload::JobStream>& stream) {
-  if (stream == nullptr) {
-    throw std::invalid_argument("Engine: null job stream");
-  }
-  return stream->size();
-}
-
 }  // namespace
 
-std::string describe_unfinished(const std::vector<Job>& jobs, Time sim_time) {
-  constexpr std::size_t kMaxNamed = 5;
-  std::size_t unfinished = 0;
-  std::string ids;
-  for (const Job& job : jobs) {
-    if (job.state == JobState::kCompleted) continue;
-    ++unfinished;
-    if (unfinished <= kMaxNamed) {
-      if (!ids.empty()) ids += ", ";
-      ids += std::to_string(job.id);
-      ids += job.state == JobState::kDispatched ? " (dispatched)"
-                                                : " (pending)";
-    }
-  }
-  std::string text = std::to_string(unfinished) + " of " +
-                     std::to_string(jobs.size()) + " job(s) unfinished at " +
-                     "sim time " + std::to_string(sim_time) + "; first ids: [" +
-                     ids;
-  if (unfinished > kMaxNamed) text += ", ...";
-  return text + "]";
-}
-
-SimKernel::SimKernel(std::vector<SiteConfig> sites, EngineConfig config,
-                     ExecModel exec_model, std::size_t total_jobs)
+SimKernel::SimKernel(std::vector<SiteConfig> sites,
+                     std::unique_ptr<workload::JobStream> stream,
+                     EngineConfig config, ExecModel exec_model)
     : config_(config),
       exec_model_(std::move(exec_model)),
-      total_jobs_(total_jobs) {
+      stream_(std::move(stream)) {
+  if (stream_ == nullptr) {
+    throw std::invalid_argument("Engine: null job stream");
+  }
   if (sites.empty()) throw std::invalid_argument("Engine: no sites");
   if (config_.batch_interval <= 0.0) {
     throw std::invalid_argument("Engine: batch_interval must be > 0");
   }
+  total_jobs_ = stream_->size();
   sites_.reserve(sites.size());
   for (std::size_t i = 0; i < sites.size(); ++i) {
     SiteConfig sc = sites[i];
@@ -67,99 +42,53 @@ SimKernel::SimKernel(std::vector<SiteConfig> sites, EngineConfig config,
   exec_model_.check_shape(total_jobs_, sites_.size());
   site_up_.assign(sites_.size(), 1);
   live_.resize(sites_.size());
-}
-
-SimKernel::SimKernel(std::vector<SiteConfig> sites, std::vector<Job> jobs,
-                     EngineConfig config, ExecModel exec_model)
-    : SimKernel(std::move(sites), config, std::move(exec_model), jobs.size()) {
-  jobs_ = std::move(jobs);
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    jobs_[i].id = static_cast<JobId>(i);
-  }
-  attempts_.resize(jobs_.size());
-  // Identity id->slot ring: a power-of-two capacity >= the job count makes
-  // `id & slot_mask_ == id`, so job(id) resolves through the same path the
-  // streaming mode uses while slot index stays exactly the job id.
-  std::size_t capacity = 1;
-  while (capacity < jobs_.size()) capacity <<= 1;
-  slot_of_.resize(capacity);
-  slot_mask_ = static_cast<std::uint32_t>(capacity - 1);
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    slot_of_[i] = static_cast<std::uint32_t>(i);
-  }
-  admitted_ = jobs_.size();
-  if (config_.validate_feasibility) validate_workload();
-}
-
-SimKernel::SimKernel(std::vector<SiteConfig> sites,
-                     std::unique_ptr<workload::JobStream> stream,
-                     EngineConfig config, ExecModel exec_model)
-    : SimKernel(std::move(sites), config, std::move(exec_model),
-                checked_stream_size(stream)) {
-  stream_mode_ = true;
-  stream_ = std::move(stream);
   slot_of_.resize(kInitialSlotRing);
   slot_mask_ = static_cast<std::uint32_t>(kInitialSlotRing - 1);
-  if (config_.validate_feasibility) {
-    // Per-admission feasibility must be O(1): precompute, for every node
-    // count k, the best security level any site with >= k nodes offers.
-    // is_safe(demand, level) is monotone in level, so "some site fits and
-    // is safe" == "is_safe(demand, best_security_[nodes])".
-    unsigned max_nodes = 0;
-    for (const GridSite& site : sites_) {
-      max_nodes = std::max(max_nodes, site.config().nodes);
-    }
-    best_security_.assign(static_cast<std::size_t>(max_nodes) + 1, -1.0);
-    for (const GridSite& site : sites_) {
-      double& best = best_security_[site.config().nodes];
-      best = std::max(best, site.security());
-    }
-    for (std::size_t k = max_nodes; k-- > 1;) {
-      best_security_[k] = std::max(best_security_[k], best_security_[k + 1]);
-    }
+  // Per-admission feasibility must be O(1): precompute, for every node
+  // count k, the best security level any site with >= k nodes offers.
+  // is_safe(demand, level) is monotone in level, so "some site fits and
+  // is safe" == "is_safe(demand, best_security_[nodes])".
+  unsigned max_nodes = 0;
+  for (const GridSite& site : sites_) {
+    max_nodes = std::max(max_nodes, site.config().nodes);
   }
-}
-
-void SimKernel::validate_workload() const {
-  for (const Job& job : jobs_) {
-    if (job.work <= 0.0)
-      throw std::invalid_argument("Engine: job work must be > 0");
-    if (job.nodes == 0)
-      throw std::invalid_argument("Engine: job nodes must be > 0");
-    if (job.arrival < 0.0)
-      throw std::invalid_argument("Engine: negative arrival");
-    const bool safe_home = std::any_of(
-        sites_.begin(), sites_.end(), [&](const GridSite& site) {
-          return site.fits(job.nodes) &&
-                 security::is_safe(job.demand, site.security());
-        });
-    if (!safe_home) {
-      throw std::invalid_argument(
-          "Engine: job " + std::to_string(job.id) +
-          " has no absolutely-safe site; it could starve after a failure");
-    }
+  best_security_.assign(static_cast<std::size_t>(max_nodes) + 1, -1.0);
+  for (const GridSite& site : sites_) {
+    double& best = best_security_[site.config().nodes];
+    best = std::max(best, site.security());
+  }
+  for (std::size_t k = max_nodes; k-- > 1;) {
+    best_security_[k] = std::max(best_security_[k], best_security_[k + 1]);
   }
 }
 
 void SimKernel::validate_admitted(const Job& job) const {
-  if (job.work <= 0.0)
-    throw std::invalid_argument("Engine: job work must be > 0");
-  if (job.nodes == 0)
-    throw std::invalid_argument("Engine: job nodes must be > 0");
-  if (job.arrival < 0.0)
-    throw std::invalid_argument("Engine: negative arrival");
+  const auto reject = [&job](const char* problem) {
+    throw std::invalid_argument("Engine: job " + std::to_string(job.id) +
+                                " " + problem);
+  };
+  // Written as negated positive tests so NaN fails them too; a non-finite
+  // arrival would also hang request_cycle's integer cycle search.
+  if (!(std::isfinite(job.arrival) && job.arrival >= 0.0)) {
+    reject("arrival must be finite and >= 0");
+  }
+  if (!(std::isfinite(job.work) && job.work > 0.0)) {
+    reject("work must be finite and > 0");
+  }
+  if (job.nodes == 0) reject("nodes must be > 0");
+  if (job.arrival < last_arrival_) {
+    reject("arrival is out of order: arrivals must be nondecreasing");
+  }
   const bool safe_home =
       job.nodes < best_security_.size() &&
       security::is_safe(job.demand, best_security_[job.nodes]);
   if (!safe_home) {
-    throw std::invalid_argument(
-        "Engine: job " + std::to_string(job.id) +
-        " has no absolutely-safe site; it could starve after a failure");
+    reject("has no absolutely-safe site; it could starve after a failure");
   }
 }
 
 bool SimKernel::admit_next(Event& arrival) {
-  if (!stream_mode_ || admitted_ == total_jobs_) return false;
+  if (admitted_ == total_jobs_) return false;
   Job job{};
   if (!stream_->next(job)) {
     throw std::runtime_error(
@@ -167,13 +96,8 @@ bool SimKernel::admit_next(Event& arrival) {
         " of " + std::to_string(total_jobs_) + " job(s)");
   }
   job.id = static_cast<JobId>(admitted_);
-  if (job.arrival < last_arrival_) {
-    throw std::invalid_argument(
-        "Engine: job stream arrivals must be nondecreasing (job " +
-        std::to_string(job.id) + ")");
-  }
+  validate_admitted(job);
   last_arrival_ = job.arrival;
-  if (config_.validate_feasibility) validate_admitted(job);
   std::uint32_t slot = 0;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -212,20 +136,19 @@ void SimKernel::grow_slot_ring() {
 
 void SimKernel::retire_completed() {
   // Retire strictly in id order: a completed job waits in its slot until
-  // every lower id has retired, so the accumulator sums in the same order
-  // the retained metrics loop would (bit-identical floating-point sums).
+  // every lower id has retired, so the accumulator always sums in id order
+  // (deterministic floating-point sums).
   while (retire_frontier_ < admitted_) {
     const std::uint32_t slot =
         slot_of_[static_cast<JobId>(retire_frontier_) & slot_mask_];
     if (jobs_[slot].state != JobState::kCompleted) break;
     retired_.add(jobs_[slot]);
-    if (stream_mode_) free_slots_.push_back(slot);
+    free_slots_.push_back(slot);
     ++retire_frontier_;
   }
 }
 
 std::string SimKernel::describe_unfinished(Time sim_time) const {
-  if (!stream_mode_) return sim::describe_unfinished(jobs_, sim_time);
   constexpr std::size_t kMaxNamed = 5;
   std::size_t unfinished = 0;
   std::string ids;
@@ -355,15 +278,12 @@ void SimKernel::run() {
   } guard{this};
 
   arrivals_remaining_ = total_jobs_;
-  // Arrival events always carry reserved sequence numbers (seq == job id),
-  // so eager (retained) and lazy (streamed) injection pop in the identical
-  // (time, seq) total order; dynamic events number from total_jobs_ on.
+  // Arrival events carry reserved sequence numbers (seq == job id), so
+  // lazy injection pops in the same (time, seq) total order as pushing
+  // every arrival up front would; dynamic events number from total_jobs_.
   events_.reserve_seqs(total_jobs_);
-  // Capacity hint: the retained arrival burst dominates the queue's
-  // high-water mark; a streamed queue holds O(active) events.
-  events_.reserve(stream_mode_
-                      ? std::min<std::size_t>(total_jobs_, 1024) + 64
-                      : total_jobs_ + 64);
+  // Capacity hint: the queue holds O(active) events.
+  events_.reserve(std::min<std::size_t>(total_jobs_, 1024) + 64);
   for (SimProcess* process : processes_) process->start(*this);
   if (observer_) observer_->on_run_start(*this);
 

@@ -7,22 +7,16 @@
 // owns. sim::Engine (engine.hpp) is the compatibility facade that wires
 // the paper's standard process set onto a kernel.
 //
-// Job storage comes in two modes, selected by the constructor:
-//
-//  - retained (vector ctor): every job is materialised up front and slot
-//    index == job id, exactly like the pre-streaming kernel — all existing
-//    callers (and their artifacts) are bit-identical.
-//  - streaming (JobStream ctor): jobs are admitted lazily, one arrival
-//    ahead of the clock, into a recycled slot table. A completed job
-//    retires into the RetirementAccumulator as soon as every lower id has
-//    retired (in-order retirement frontier), freeing its slot — resident
-//    job state is O(active jobs), not O(total), which is what opens
-//    million-job workloads (ROADMAP "Streaming-kernel invariants").
-//
-// In both modes jobs retire in id order through the same accumulator, so
-// metrics::compute_metrics produces bit-identical sums, and arrival events
-// carry reserved sequence numbers (seq == job id) so eager and lazy
-// injection pop in the identical (time, seq) order.
+// Jobs come from a workload::JobStream cursor (a job vector is wrapped in
+// workload::MaterializedStream). They are admitted lazily, one arrival
+// ahead of the clock, into a recycled slot table, and every admission is
+// validated in O(1). A completed job retires into the
+// RetirementAccumulator as soon as every lower id has retired (in-order
+// retirement frontier), freeing its slot: resident job state is
+// O(active jobs), not O(total), which is what opens million-job
+// workloads. Retiring in id order keeps metrics::compute_metrics' sums in
+// a fixed order, and arrival events carry reserved sequence numbers
+// (seq == job id), so the pop order is a pure function of the workload.
 #pragma once
 
 #include <cstdint>
@@ -46,13 +40,6 @@ namespace gridsched::sim {
 
 class SimKernel;
 
-/// Diagnostic text for runs that end with incomplete jobs: names the
-/// unfinished count, the first few job ids (with their states) and the
-/// simulation time. Shared by the kernel's terminal error and
-/// metrics::compute_metrics so both failure surfaces stay equally
-/// actionable.
-std::string describe_unfinished(const std::vector<Job>& jobs, Time sim_time);
-
 /// When a doomed risky run is detected as failed (DESIGN.md S4).
 enum class FailureDetection {
   kAtEnd,            ///< after the full execution window
@@ -68,9 +55,6 @@ struct EngineConfig {
   FailureDetection detection = FailureDetection::kUniformFraction;
   /// Seed for failure draws, detection fractions and churn timelines.
   std::uint64_t seed = 1;
-  /// Reject workloads containing a job no site could ever run safely
-  /// (such a job could starve forever after a failure).
-  bool validate_feasibility = true;
   /// Abort if this many consecutive non-empty batches make no progress.
   std::size_t max_idle_cycles = 10000;
   /// Cooperative cancellation (non-owning; may be null). The kernel polls
@@ -130,8 +114,8 @@ struct Attempt {
   /// active (kernel-owned; stale once inactive). Lives in the tail padding.
   std::uint32_t live_pos = 0;
 };
-// The retained slot table holds one Attempt per job; the live-index
-// position must ride in existing padding, not grow the table.
+// The slot table holds one Attempt per live job; the live-index position
+// must ride in existing padding, not grow the table.
 static_assert(sizeof(Attempt) == 40,
               "Attempt must stay 40 bytes (live_pos sits in tail padding)");
 
@@ -167,19 +151,17 @@ class DispatchModel {
 };
 
 /// The kernel: event queue + clock + shared state + routing. Construction
-/// validates the workload exactly like the former monolithic Engine; the
-/// caller registers processes (non-owning) and calls run().
+/// validates the grid and the config; the caller registers processes
+/// (non-owning) and calls run().
 class SimKernel {
  public:
-  /// Retained mode: materialise `jobs` up front (slot == id). Identical
-  /// behaviour and artifacts to the pre-streaming kernel.
-  SimKernel(std::vector<SiteConfig> sites, std::vector<Job> jobs,
-            EngineConfig config = {}, ExecModel exec_model = {});
-
-  /// Streaming mode: pull jobs from `stream` on demand and recycle slots
-  /// as jobs retire; resident job state is O(active). Feasibility is
-  /// validated per admission (O(1) via a precomputed best-security-per-
-  /// node-count table) and arrivals must be nondecreasing.
+  /// Pull jobs from `stream` on demand and recycle slots as jobs retire;
+  /// resident job state is O(active). Each job is validated when it is
+  /// admitted, inside run(): arrivals must be finite, >= 0 and
+  /// nondecreasing, work finite and > 0, nodes > 0, and some site must be
+  /// able to run the job safely (O(1) via a precomputed best-security-
+  /// per-node-count table). A violation throws std::invalid_argument
+  /// naming the job.
   SimKernel(std::vector<SiteConfig> sites,
             std::unique_ptr<workload::JobStream> stream,
             EngineConfig config = {}, ExecModel exec_model = {});
@@ -194,12 +176,11 @@ class SimKernel {
   void run();
 
   // --- shared state, mutable for processes ---
-  /// The job slot table. Retained mode: all jobs, slot == id. Streaming
-  /// mode: live slots only (recycled slots hold stale retired data until
-  /// reused) — processes address jobs by id via job()/attempt(), and
-  /// per-site scans (churn victims, timeseries busy profile) reach slots
-  /// through live_attempts(site), never by sweeping the table.
-  [[nodiscard]] std::vector<Job>& jobs() noexcept { return jobs_; }
+  /// The job slot table: live slots only (recycled slots hold stale
+  /// retired data until reused). Processes address jobs by id via
+  /// job()/attempt(), and per-site scans (churn victims, timeseries busy
+  /// profile) reach slots through live_attempts(site), never by sweeping
+  /// the table.
   [[nodiscard]] const std::vector<Job>& jobs() const noexcept { return jobs_; }
   [[nodiscard]] std::vector<GridSite>& sites() noexcept { return sites_; }
   [[nodiscard]] const std::vector<GridSite>& sites() const noexcept {
@@ -224,10 +205,10 @@ class SimKernel {
   }
 
   // --- job identity (id -> slot) ---
-  /// Total jobs this run will simulate (stream size in streaming mode).
+  /// Total jobs this run will simulate (the stream's size).
   [[nodiscard]] std::size_t total_jobs() const noexcept { return total_jobs_; }
   /// Job / attempt by id. Valid for live ids only: admitted and not yet
-  /// retired (retained mode never retires slots, so any id works there).
+  /// retired.
   [[nodiscard]] Job& job(JobId id) noexcept {
     return jobs_[slot_of_[id & slot_mask_]];
   }
@@ -251,22 +232,25 @@ class SimKernel {
       const noexcept {
     return retired_;
   }
-  /// High-water slot count (== total jobs in retained mode; O(active) in
-  /// streaming mode — the streaming scale tests pin this).
+  /// High-water slot count: O(active jobs), not O(total) — the streaming
+  /// scale tests pin this.
   [[nodiscard]] std::size_t peak_slots() const noexcept { return jobs_.size(); }
 
-  /// Streaming mode: admit the next job from the cursor into a slot and
-  /// fill `arrival` with its kJobArrival event; false when exhausted (or
-  /// in retained mode). Called by ArrivalProcess, one arrival ahead.
+  /// Admit the next job from the cursor into a slot (validating it) and
+  /// fill `arrival` with its kJobArrival event; false when exhausted.
+  /// Called by ArrivalProcess, one arrival ahead.
   bool admit_next(Event& arrival);
 
   /// Advance the retirement frontier over completed jobs (in id order),
-  /// folding each into the accumulator and (streaming mode) freeing its
-  /// slot. Called after every completion.
+  /// folding each into the accumulator and freeing its slot. Called after
+  /// every completion.
   void retire_completed();
 
-  /// Kernel-level variant of sim::describe_unfinished that works in both
-  /// storage modes (byte-identical to the free function in retained mode).
+  /// Diagnostic text for runs that end with incomplete jobs: names the
+  /// unfinished count, the first few job ids (with their states) and the
+  /// simulation time. Shared by the kernel's terminal error and
+  /// metrics::compute_metrics so both failure surfaces stay equally
+  /// actionable.
   [[nodiscard]] std::string describe_unfinished(Time sim_time) const;
 
   /// max over jobs of finish time (0 before run / for empty workloads).
@@ -376,9 +360,6 @@ class SimKernel {
   }
 
  private:
-  SimKernel(std::vector<SiteConfig> sites, EngineConfig config,
-            ExecModel exec_model, std::size_t total_jobs);
-
   /// One site's live list: slots live_pool_[begin, begin + size), room
   /// for `capacity` before it must move.
   struct LiveList {
@@ -388,12 +369,11 @@ class SimKernel {
   };
   void grow_live_list(LiveList& list);
 
-  void validate_workload() const;
   void validate_admitted(const Job& job) const;
   void grow_slot_ring();
 
   std::vector<GridSite> sites_;
-  std::vector<Job> jobs_;  ///< slot table (all jobs in retained mode)
+  std::vector<Job> jobs_;  ///< slot table (live jobs)
   EngineConfig config_;
   ExecModel exec_model_;
 
@@ -420,17 +400,15 @@ class SimKernel {
   bool ran_ = false;
 
   // --- job identity / streaming state ---
-  bool stream_mode_ = false;
   std::unique_ptr<workload::JobStream> stream_;
   std::size_t total_jobs_ = 0;
   std::size_t admitted_ = 0;        ///< ids [0, admitted_) hold a slot
   std::size_t retire_frontier_ = 0; ///< ids [0, frontier) are retired
   Time last_arrival_ = 0.0;         ///< sorted-stream admission guard
-  /// id -> slot ring (power-of-two capacity >= live-id window); identity
-  /// in retained mode.
+  /// id -> slot ring (power-of-two capacity >= live-id window).
   std::vector<std::uint32_t> slot_of_;
   std::uint32_t slot_mask_ = 0;
-  std::vector<std::uint32_t> free_slots_;  ///< recycled slots (stream mode)
+  std::vector<std::uint32_t> free_slots_;  ///< recycled slots
   /// Per-admission feasibility table: best_security_[k] = max security
   /// level over sites with >= k nodes (-1 when no site fits k).
   std::vector<double> best_security_;

@@ -8,21 +8,11 @@ std::span<const EventKind> ArrivalProcess::owned_kinds() const noexcept {
 }
 
 void ArrivalProcess::start(SimKernel& kernel) {
-  // Streaming kernel: admit only the first job; each arrival then admits
-  // its successor (handle below), so at most one un-arrived job is ever
-  // resident. Arrival events use their reserved seq (== job id) so lazy
-  // injection pops in the same (time, seq) order the eager loop produces.
+  // Admit only the first job; each arrival then admits its successor
+  // (handle below), so at most one un-arrived job is ever resident.
+  // Arrival events use their reserved seq (== job id).
   Event arrival;
   if (kernel.admit_next(arrival)) {
-    kernel.push_event_reserved(arrival, arrival.job);
-    return;
-  }
-  // Retained kernel: every job is materialised — inject all arrivals now.
-  for (const Job& job : kernel.jobs()) {
-    arrival = Event{};
-    arrival.time = job.arrival;
-    arrival.kind = EventKind::kJobArrival;
-    arrival.job = job.id;
     kernel.push_event_reserved(arrival, arrival.job);
   }
 }
@@ -30,9 +20,9 @@ void ArrivalProcess::start(SimKernel& kernel) {
 void ArrivalProcess::handle(SimKernel& kernel, const Event& event) {
   kernel.note_arrival();
   kernel.pending().push_back(event.job);
-  // Pull the next streamed job (no-op for retained workloads). Its arrival
-  // is >= this one (sorted-stream contract) and its reserved seq is larger,
-  // so pushing it now cannot perturb the pop order.
+  // Pull the next job. Its arrival is >= this one (sorted-stream contract,
+  // checked at admission) and its reserved seq is larger, so pushing it
+  // now cannot perturb the pop order.
   Event next;
   if (kernel.admit_next(next)) {
     kernel.push_event_reserved(next, next.job);

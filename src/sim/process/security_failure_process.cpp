@@ -74,8 +74,8 @@ void SecurityFailureProcess::dispatch(SimKernel& kernel, JobId job_id,
 }
 
 void SecurityFailureProcess::handle(SimKernel& kernel, const Event& event) {
-  // A retired job's slot may already belong to another job (streaming
-  // kernel); an end event for it is necessarily stale — the job completed
+  // A retired job's slot may already belong to another job; an end event
+  // for it is necessarily stale — the job completed
   // elsewhere after the attempt this end belongs to was revoked.
   if (kernel.is_retired(event.job)) return;
   Job& job = kernel.job(event.job);
@@ -108,8 +108,8 @@ void SecurityFailureProcess::handle(SimKernel& kernel, const Event& event) {
     kernel.observe_finish(event.time);
     ++kernel.counters().completed_jobs;
     kernel.notify_job_complete(event.job, attempt.site, event.time);
-    // Fold newly-retirable jobs into the metric accumulator (and, in
-    // streaming mode, recycle their slots) after observers saw the
+    // Fold newly-retirable jobs into the metric accumulator (recycling
+    // their slots) after observers saw the
     // completion — observers address jobs by id and must see live state.
     kernel.retire_completed();
   }

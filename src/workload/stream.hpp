@@ -1,17 +1,15 @@
 // Streaming workload cursor: pull the next job arrival on demand instead
-// of materialising the whole workload up front. SimKernel's stream
-// constructor drives one of these through ArrivalProcess, holding O(active)
-// job state however many jobs the stream will eventually yield; the
-// MaterializedStream adapter wraps every existing generator's job vector so
-// a streamed run of any registry scenario replays the exact same jobs (and
-// therefore the exact same bytes) as a retained run.
+// of materialising the whole workload up front. SimKernel drives one of
+// these through ArrivalProcess, holding O(active) job state however many
+// jobs the stream will eventually yield; the MaterializedStream adapter
+// wraps a pre-built job vector (every non-streaming generator, trace
+// replay) in the same interface.
 //
 // Contract: next() yields jobs in nondecreasing arrival order (every
 // generator already sorts; the kernel enforces it at admission, because the
 // lazy one-arrival-ahead event push is only order-preserving for sorted
 // streams), and size() is the total count the stream will yield — the
-// kernel pre-reserves that many event sequence numbers so streamed and
-// materialised runs pop events in the identical (time, seq) order.
+// kernel pre-reserves that many event sequence numbers for the arrivals.
 #pragma once
 
 #include <cstddef>

@@ -15,6 +15,7 @@
 #include "core/ga_problem.hpp"
 #include "core/ga_scheduler.hpp"
 #include "exp/scenario_registry.hpp"
+#include "job_recorder.hpp"
 #include "sched/etc_matrix.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/engine.hpp"
@@ -84,12 +85,12 @@ TEST(EtcExecution, EngineRealisesHandCheckedRawEtc) {
   config.batch_interval = 50.0;
   sim::Engine engine({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, jobs, config, etc);
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
+  const std::vector<sim::Job> done = test::run_recorded(engine, scheduler);
 
-  EXPECT_EQ(engine.jobs()[0].final_site, 0u);
-  EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 80.0);
-  EXPECT_EQ(engine.jobs()[1].final_site, 1u);
-  EXPECT_DOUBLE_EQ(engine.jobs()[1].finish, 90.0);
+  EXPECT_EQ(done[0].final_site, 0u);
+  EXPECT_DOUBLE_EQ(done[0].finish, 80.0);
+  EXPECT_EQ(done[1].final_site, 1u);
+  EXPECT_DOUBLE_EQ(done[1].finish, 90.0);
   EXPECT_DOUBLE_EQ(engine.makespan(), 90.0);
 }
 

@@ -1,0 +1,37 @@
+// Test-only observer that keeps a copy of every job's final record. The
+// kernel retires a completed job's slot right after on_job_complete, so
+// tests that inspect per-job outcomes after run() read this copy, never
+// the kernel's slot table.
+#pragma once
+
+#include <utility>
+#include <vector>
+
+#include "sim/engine.hpp"
+
+namespace gridsched::test {
+
+class JobRecorder final : public sim::KernelObserver {
+ public:
+  /// The record is final here and not yet retired.
+  void on_job_complete(const sim::SimKernel& kernel, sim::JobId job,
+                       sim::SiteId /*site*/, sim::Time /*time*/) override {
+    if (job >= jobs.size()) jobs.resize(static_cast<std::size_t>(job) + 1);
+    jobs[job] = kernel.job(job);
+  }
+
+  /// Final record per job id (default-constructed until it completes).
+  std::vector<sim::Job> jobs;
+};
+
+/// Runs `engine` with a JobRecorder attached; returns the final records.
+inline std::vector<sim::Job> run_recorded(sim::Engine& engine,
+                                          sim::BatchScheduler& scheduler) {
+  JobRecorder recorder;
+  engine.set_observer(&recorder);
+  engine.run(scheduler);
+  engine.set_observer(nullptr);
+  return std::move(recorder.jobs);
+}
+
+}  // namespace gridsched::test

@@ -197,8 +197,8 @@ TEST(LintR02, StreamingAggregationIsInScope) {
 }
 
 TEST(LintR05, StreamKernelEntropyFires) {
-  // The streaming slot table / admission path must draw nothing ambient:
-  // streamed runs replay the retained path's exact draws.
+  // The kernel's slot table / admission path must draw nothing ambient:
+  // every run must reproduce its pinned digests and fingerprints.
   EXPECT_TRUE(has(lint_one("src/sim/kernel.cpp",
                            "std::random_device rd;\n"),
                   "GS-R05", "src/sim/kernel.cpp", 1));

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <string>
@@ -28,6 +29,7 @@
 #include "sim/process/security_failure_process.hpp"
 #include "sim/process/site_churn_process.hpp"
 #include "util/log.hpp"
+#include "workload/stream.hpp"
 
 namespace gridsched {
 namespace {
@@ -103,6 +105,13 @@ class RecordingObserver final : public sim::KernelObserver {
 
 /// One 1-node site, one job running [50, 150), outage [100, 120): the
 /// timeline sim_churn_test hand-checks, here observed from the outside.
+SimKernel churn_timeline_kernel() {
+  return SimKernel({{0, 1, 1.0, 1.0}},
+                   std::make_unique<workload::MaterializedStream>(
+                       std::vector<sim::Job>{make_job(0.0, 100.0, 1, 0.5)}),
+                   quick_config(50.0));
+}
+
 void run_churn_timeline(SimKernel& kernel, sim::BatchScheduler& scheduler) {
   sim::ArrivalProcess arrival;
   sim::SecurityFailureProcess failure;
@@ -166,8 +175,7 @@ TEST(MetricRegistry, KindCollisionsAndBoundsMismatchesThrow) {
 // ------------------------------------------------------------- observer ---
 
 TEST(KernelObserver, ChurnTimelineCallbackOrder) {
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = churn_timeline_kernel();
   PinScheduler scheduler;
   RecordingObserver recorder;
   kernel.set_observer(&recorder);
@@ -274,8 +282,7 @@ TEST(SimTraceRecorder, TraceIsByteDeterministic) {
 }
 
 TEST(SimTraceRecorder, ChurnTimelineSpans) {
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = churn_timeline_kernel();
   PinScheduler scheduler;
   obs::SimTraceRecorder trace;
   kernel.set_observer(&trace);
@@ -311,8 +318,7 @@ TEST(TimeSeriesProbe, ChurnTimelineSamplesAreHandCheckable) {
   // reflects the state after all events strictly before it: at t=120 the
   // site-up event (at exactly 120) has not been applied yet, so the site
   // still reads down; the 250 row is the terminal makespan sample.
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = churn_timeline_kernel();
   PinScheduler scheduler;
   obs::TimeSeriesProbe probe(60.0);
   kernel.set_observer(&probe);
@@ -483,8 +489,7 @@ TEST(KernelObserverTee, ForwardsToEveryObserverAndIgnoresNull) {
   tee.add(&second);
   EXPECT_FALSE(tee.empty());
 
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = churn_timeline_kernel();
   PinScheduler scheduler;
   kernel.set_observer(&tee);
   run_churn_timeline(kernel, scheduler);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "exp/scenario_registry.hpp"
+#include "job_recorder.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/engine.hpp"
 #include "sim/process/arrival_process.hpp"
@@ -18,6 +19,7 @@
 #include "sim/process/security_failure_process.hpp"
 #include "sim/process/site_churn_process.hpp"
 #include "workload/stream.hpp"
+#include "workload/synth/stream_gen.hpp"
 
 namespace gridsched::sim {
 namespace {
@@ -29,6 +31,10 @@ Job make_job(Time arrival, double work, unsigned nodes, double demand) {
   job.nodes = nodes;
   job.demand = demand;
   return job;
+}
+
+std::unique_ptr<workload::JobStream> stream_of(std::vector<Job> jobs) {
+  return std::make_unique<workload::MaterializedStream>(std::move(jobs));
 }
 
 EngineConfig quick_config(Time interval = 50.0) {
@@ -83,9 +89,11 @@ class MaskProbeScheduler final : public BatchScheduler {
 };
 
 /// Run a kernel with the standard process set plus a scripted churn
-/// timeline — the composition the Engine facade cannot express.
-void run_with_outages(SimKernel& kernel, BatchScheduler& scheduler,
-                      std::vector<SiteOutage> outages) {
+/// timeline — the composition the Engine facade cannot express. Returns
+/// each job's final record; an observer already attached to `kernel`
+/// keeps receiving every callback.
+std::vector<Job> run_with_outages(SimKernel& kernel, BatchScheduler& scheduler,
+                                  std::vector<SiteOutage> outages) {
   ArrivalProcess arrival;
   SecurityFailureProcess failure;
   BatchCycleProcess batch(scheduler, failure);
@@ -94,7 +102,15 @@ void run_with_outages(SimKernel& kernel, BatchScheduler& scheduler,
   kernel.add_process(batch);
   kernel.add_process(failure);
   kernel.add_process(churn);
+  KernelObserver* const attached = kernel.observer();
+  test::JobRecorder done;
+  KernelObserverTee tee;
+  tee.add(attached);
+  tee.add(&done);
+  kernel.set_observer(&tee);
   kernel.run();
+  kernel.set_observer(attached);
+  return std::move(done.jobs);
 }
 
 TEST(SiteChurn, HandCheckedMidRunRevocation) {
@@ -103,12 +119,14 @@ TEST(SiteChurn, HandCheckedMidRunRevocation) {
   // released back to t=100), the job re-enters the queue, the t=100 cycle
   // sees a fully masked grid and assigns nothing, and the t=150 cycle
   // re-dispatches for a [150, 250) run.
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
+  SimKernel kernel({{0, 1, 1.0, 1.0}},
+                   stream_of({make_job(0.0, 100.0, 1, 0.5)}),
                    quick_config(50.0));
   ScriptedScheduler scheduler({0});
-  run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const std::vector<Job> done =
+      run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
 
-  const Job& job = kernel.jobs()[0];
+  const Job& job = done[0];
   EXPECT_EQ(job.state, JobState::kCompleted);
   EXPECT_EQ(job.attempts, 2u);
   EXPECT_EQ(job.failures, 0u);
@@ -139,14 +157,16 @@ TEST(SiteChurn, RevocationReleasesStackedReservationsLatestFirst) {
   // tail is reclaimable (released) while A's window end no longer matches
   // — surfaced as an unreleased node, exactly like a failure release that
   // lost the race with a later reservation.
-  SimKernel kernel({{0, 1, 1.0, 1.0}},
-                   {make_job(0.0, 100.0, 1, 0.5), make_job(0.0, 10.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel(
+      {{0, 1, 1.0, 1.0}},
+      stream_of({make_job(0.0, 100.0, 1, 0.5), make_job(0.0, 10.0, 1, 0.5)}),
+      quick_config(50.0));
   ScriptedScheduler scheduler({0});
-  run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const std::vector<Job> done =
+      run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
 
-  const Job& a = kernel.jobs()[0];
-  const Job& b = kernel.jobs()[1];
+  const Job& a = done[0];
+  const Job& b = done[1];
   EXPECT_EQ(a.interruptions, 1u);
   EXPECT_EQ(b.interruptions, 1u);
   const EngineCounters& counters = kernel.counters();
@@ -161,7 +181,8 @@ TEST(SiteChurn, RevocationReleasesStackedReservationsLatestFirst) {
 }
 
 TEST(SiteChurn, SchedulersSeeTheAvailabilityMask) {
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
+  SimKernel kernel({{0, 1, 1.0, 1.0}},
+                   stream_of({make_job(0.0, 100.0, 1, 0.5)}),
                    quick_config(50.0));
   ScriptedScheduler inner({0});
   MaskProbeScheduler probe(inner);
@@ -176,9 +197,10 @@ TEST(SiteChurn, SchedulersSeeTheAvailabilityMask) {
 TEST(SiteChurn, AssigningToADownSiteIsAProtocolViolation) {
   // The scripted scheduler ignores the mask and keeps targeting site 0
   // while it is down at the t=100 cycle; the kernel must reject that.
-  SimKernel kernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}},
-                   {make_job(0.0, 100.0, 1, 0.5), make_job(60.0, 10.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel(
+      {{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}},
+      stream_of({make_job(0.0, 100.0, 1, 0.5), make_job(60.0, 10.0, 1, 0.5)}),
+      quick_config(50.0));
   ScriptedScheduler scheduler({0}, /*respect_mask=*/false);
   EXPECT_THROW(run_with_outages(kernel, scheduler, {{0, 90.0, 500.0}}),
                std::logic_error);
@@ -193,11 +215,12 @@ TEST(SiteChurn, InterruptedSecureOnlyRetryStaysSecureOnly) {
   config.lambda = 1000.0;
   config.detection = FailureDetection::kImmediate;
   SimKernel kernel({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
-                   {make_job(0.0, 100.0, 1, 0.9)}, config);
+                   stream_of({make_job(0.0, 100.0, 1, 0.9)}), config);
   ScriptedScheduler scheduler({0, 1, 1});
-  run_with_outages(kernel, scheduler, {{1, 150.0, 160.0}});
+  const std::vector<Job> done =
+      run_with_outages(kernel, scheduler, {{1, 150.0, 160.0}});
 
-  const Job& job = kernel.jobs()[0];
+  const Job& job = done[0];
   EXPECT_EQ(job.failures, 1u);
   EXPECT_EQ(job.interruptions, 1u);
   EXPECT_EQ(job.attempts, 3u);
@@ -212,13 +235,15 @@ TEST(SiteChurn, StaleEndEventOfARevokedAttemptIsDropped) {
   // The revoked attempt's kJobEnd (t=150) pops after the job has already
   // been re-dispatched at the t=150 cycle with a new attempt serial; the
   // stale end must not complete (or double-complete) the job.
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
+  SimKernel kernel({{0, 1, 1.0, 1.0}},
+                   stream_of({make_job(0.0, 100.0, 1, 0.5)}),
                    quick_config(50.0));
   ScriptedScheduler scheduler({0});
-  run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const std::vector<Job> done =
+      run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
   EXPECT_EQ(kernel.counters().completed_jobs, 1u);
-  EXPECT_EQ(kernel.jobs()[0].attempts, 2u);
-  EXPECT_DOUBLE_EQ(kernel.jobs()[0].finish, 250.0);
+  EXPECT_EQ(done[0].attempts, 2u);
+  EXPECT_DOUBLE_EQ(done[0].finish, 250.0);
 }
 
 TEST(SiteChurn, ScriptedOutageValidation) {
@@ -251,9 +276,9 @@ TEST(SiteChurn, EngineFacadeRunsStochasticChurnDeterministically) {
     Engine engine(workload.sites, workload.jobs, config, workload.exec,
                   workload.churn);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
-    engine.run(scheduler);
+    const std::vector<Job> done = test::run_recorded(engine, scheduler);
     std::vector<double> finishes;
-    for (const Job& job : engine.jobs()) finishes.push_back(job.finish);
+    for (const Job& job : done) finishes.push_back(job.finish);
     return std::pair(finishes, engine.counters().site_down_events);
   };
   const auto a = run(11);
@@ -270,9 +295,9 @@ TEST(SiteChurn, ChurnFreeWorkloadNeverRegistersTheProcess) {
   Engine engine({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
                 quick_config(50.0), {}, no_churn);
   ScriptedScheduler scheduler({0});
-  engine.run(scheduler);
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
   EXPECT_EQ(engine.counters().site_down_events, 0u);
-  EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 60.0);
+  EXPECT_DOUBLE_EQ(done[0].finish, 60.0);
 }
 
 /// Passive check of the live-attempt index: after every event (and once
@@ -335,9 +360,10 @@ TEST(LiveAttemptIndex, ScriptedOutageOverStackedReservations) {
   // list (a swap-remove that moves C); the t=100 outage then revokes C and
   // B — latest window end first — and leaves D's site untouched.
   SimKernel kernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}},
-                   {make_job(0.0, 10.0, 1, 0.5), make_job(0.0, 100.0, 1, 0.5),
-                    make_job(0.0, 10.0, 1, 0.5),
-                    make_job(0.0, 100.0, 1, 0.5)},
+                   stream_of({make_job(0.0, 10.0, 1, 0.5),
+                              make_job(0.0, 100.0, 1, 0.5),
+                              make_job(0.0, 10.0, 1, 0.5),
+                              make_job(0.0, 100.0, 1, 0.5)}),
                    quick_config(50.0));
   // First cycle: jobs 0-2 to site 0, job 3 to site 1; later cycles (after
   // the outage) send everything to site 1.
@@ -359,7 +385,8 @@ TEST(LiveAttemptIndex, ScriptedOutageOverStackedReservations) {
   } scheduler;
   LiveIndexChecker checker;
   kernel.set_observer(&checker);
-  run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const std::vector<Job> done =
+      run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
 
   EXPECT_EQ(checker.revoked, (std::vector<JobId>{2, 1}));
   EXPECT_EQ(checker.max_live, 3u);
@@ -368,54 +395,61 @@ TEST(LiveAttemptIndex, ScriptedOutageOverStackedReservations) {
   EXPECT_EQ(kernel.counters().churn_unreleased_nodes, 1u);
   EXPECT_EQ(kernel.counters().completed_jobs, 4u);
   EXPECT_EQ(kernel.live_attempt_count(), 0u);
-  EXPECT_DOUBLE_EQ(kernel.jobs()[0].finish, 60.0);
-  EXPECT_DOUBLE_EQ(kernel.jobs()[3].finish, 150.0);
+  EXPECT_DOUBLE_EQ(done[0].finish, 60.0);
+  EXPECT_DOUBLE_EQ(done[3].finish, 150.0);
 }
 
-/// synth-churn-hi under the stochastic churn process, retained or streamed
-/// (slot recycling: stale ends of retired jobs whose slot already holds
-/// another job must not disturb the index either).
-void check_live_index_on_churn_hi(bool streamed) {
+/// Runs `engine` (stochastic churn) under the live-index checker. Slots
+/// recycle as jobs retire, so stale ends of retired jobs whose slot
+/// already holds another job must not disturb the index either.
+void check_live_index(Engine& engine, std::size_t n_jobs) {
+  LiveIndexChecker checker;
+  engine.set_observer(&checker);
+  sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  engine.run(scheduler);
+
+  EXPECT_GT(engine.counters().interrupted_attempts, 0u)
+      << "no revocations; the index was never unlinked by churn";
+  EXPECT_GT(engine.counters().failure_events, 0u);
+  EXPECT_EQ(engine.counters().completed_jobs, n_jobs);
+  EXPECT_GT(checker.max_live, 1u);
+  EXPECT_EQ(engine.kernel().live_attempt_count(), 0u);
+  EXPECT_LT(engine.kernel().peak_slots(), n_jobs);
+}
+
+TEST(LiveAttemptIndex, MatchesBruteForceScanMaterialized) {
+  // A materialized job vector: synth-churn-hi.
   const exp::Scenario scenario = exp::make_scenario("synth-churn-hi", 150);
   const workload::Workload workload = exp::make_workload(scenario, 5);
   EngineConfig config = scenario.engine;
   config.seed = 11;
-  std::unique_ptr<Engine> engine;
-  if (streamed) {
-    auto stream = std::make_unique<workload::MaterializedStream>(workload.jobs);
-    engine = std::make_unique<Engine>(workload.sites, std::move(stream),
-                                      config, workload.exec, workload.churn);
-  } else {
-    engine = std::make_unique<Engine>(workload.sites, workload.jobs, config,
-                                      workload.exec, workload.churn);
-  }
-  LiveIndexChecker checker;
-  engine->set_observer(&checker);
-  sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
-  engine->run(scheduler);
-
-  EXPECT_GT(engine->counters().interrupted_attempts, 0u)
-      << "no revocations; the index was never unlinked by churn";
-  EXPECT_GT(engine->counters().failure_events, 0u);
-  EXPECT_EQ(engine->counters().completed_jobs, workload.jobs.size());
-  EXPECT_GT(checker.max_live, 1u);
-  EXPECT_EQ(engine->kernel().live_attempt_count(), 0u);
-  if (streamed) {
-    EXPECT_LT(engine->kernel().peak_slots(), workload.jobs.size());
-  }
+  Engine engine(workload.sites, workload.jobs, config, workload.exec,
+                workload.churn);
+  check_live_index(engine, workload.jobs.size());
 }
 
-TEST(LiveAttemptIndex, MatchesBruteForceScanRetained) {
-  check_live_index_on_churn_hi(/*streamed=*/false);
-}
-
-TEST(LiveAttemptIndex, MatchesBruteForceScanStreamed) {
-  check_live_index_on_churn_hi(/*streamed=*/true);
+TEST(LiveAttemptIndex, MatchesBruteForceScanGenerated) {
+  // A generator cursor: a churned synthetic stream at ~70% load.
+  workload::synth::SynthStreamConfig stream_config;
+  stream_config.name = "live-index-probe";
+  stream_config.n_jobs = 400;
+  stream_config.n_sites = 20;
+  stream_config.arrival.rate = 0.2;
+  stream_config.churn.enabled = true;
+  stream_config.churn.mtbf_mean = 6000.0;
+  stream_config.churn.mttr_mean = 600.0;
+  workload::synth::StreamWorkload stream =
+      workload::synth::stream_workload(stream_config, 13);
+  EngineConfig config;
+  config.batch_interval = 100.0;
+  config.seed = 4;
+  Engine engine(std::move(stream.sites), std::move(stream.jobs), config,
+                std::move(stream.exec), std::move(stream.churn));
+  check_live_index(engine, stream_config.n_jobs);
 }
 
 TEST(SimKernel, RejectsDoubleRoutingOfAnEventKind) {
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, std::vector<Job>{},
-                   quick_config(50.0));
+  SimKernel kernel({{0, 1, 1.0, 1.0}}, stream_of({}), quick_config(50.0));
   ArrivalProcess a;
   ArrivalProcess b;
   kernel.add_process(a);
@@ -425,7 +459,8 @@ TEST(SimKernel, RejectsDoubleRoutingOfAnEventKind) {
 TEST(SimKernel, UnroutedEventKindThrows) {
   // A kernel missing the batch/failure processes cannot make progress on
   // a job arrival's requested cycle.
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
+  SimKernel kernel({{0, 1, 1.0, 1.0}},
+                   stream_of({make_job(0.0, 10.0, 1, 0.5)}),
                    quick_config(50.0));
   ArrivalProcess arrival;
   kernel.add_process(arrival);

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "job_recorder.hpp"
 #include "sched/heuristics.hpp"
 
 namespace gridsched::sim {
@@ -74,6 +77,22 @@ EngineConfig quick_config(Time interval = 50.0) {
   return config;
 }
 
+/// Jobs are validated as they are admitted, inside run(): running an
+/// engine over `jobs` must throw std::invalid_argument whose text
+/// contains `problem` (the job and the field).
+void expect_rejected(std::vector<Job> jobs, const std::string& problem,
+                     std::vector<SiteConfig> sites = {{0, 1, 1.0, 1.0}}) {
+  Engine engine(std::move(sites), std::move(jobs), quick_config());
+  sched::MctScheduler scheduler(security::RiskPolicy::secure());
+  try {
+    engine.run(scheduler);
+    ADD_FAILURE() << "run accepted the workload";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(problem), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Engine, RejectsEmptySiteList) {
   EXPECT_THROW(Engine({}, {make_job(0, 10, 1, 0.5)}, quick_config()),
                std::invalid_argument);
@@ -88,27 +107,49 @@ TEST(Engine, RejectsNonPositiveInterval) {
 
 TEST(Engine, RejectsJobWithoutSafeHome) {
   // Only site has SL 0.7 < demand 0.9: a failure could never be recovered.
-  EXPECT_THROW(Engine({{0, 1, 1.0, 0.7}}, {make_job(0, 10, 1, 0.9)},
-                      quick_config()),
-               std::invalid_argument);
+  expect_rejected({make_job(0, 10, 1, 0.9)}, "job 0 has no absolutely-safe",
+                  {{0, 1, 1.0, 0.7}});
 }
 
 TEST(Engine, RejectsOversizedJob) {
-  EXPECT_THROW(Engine({{0, 2, 1.0, 1.0}}, {make_job(0, 10, 4, 0.5)},
-                      quick_config()),
-               std::invalid_argument);
+  expect_rejected({make_job(0, 10, 4, 0.5)}, "job 0 has no absolutely-safe",
+                  {{0, 2, 1.0, 1.0}});
 }
 
 TEST(Engine, RejectsBadJobFields) {
-  EXPECT_THROW(Engine({{0, 1, 1.0, 1.0}}, {make_job(0, 0.0, 1, 0.5)},
-                      quick_config()),
-               std::invalid_argument);
-  EXPECT_THROW(Engine({{0, 1, 1.0, 1.0}}, {make_job(0, 10, 0, 0.5)},
-                      quick_config()),
-               std::invalid_argument);
-  EXPECT_THROW(Engine({{0, 1, 1.0, 1.0}}, {make_job(-1, 10, 1, 0.5)},
-                      quick_config()),
-               std::invalid_argument);
+  expect_rejected({make_job(0, 0.0, 1, 0.5)}, "job 0 work");
+  expect_rejected({make_job(0, 10, 0, 0.5)}, "job 0 nodes");
+  expect_rejected({make_job(-1, 10, 1, 0.5)}, "job 0 arrival");
+}
+
+// Non-finite fields: an infinite arrival would spin request_cycle's
+// integer cycle search forever, a NaN arrival would leak into the metrics,
+// and non-finite work would surface only as scheduler starvation.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(Engine, RejectsInfiniteArrival) {
+  expect_rejected({make_job(kInf, 10, 1, 0.5)}, "job 0 arrival");
+}
+
+TEST(Engine, RejectsNaNArrival) {
+  expect_rejected({make_job(kNaN, 10, 1, 0.5)}, "job 0 arrival");
+}
+
+TEST(Engine, RejectsNaNWork) {
+  expect_rejected({make_job(0, kNaN, 1, 0.5)}, "job 0 work");
+}
+
+TEST(Engine, RejectsInfiniteWork) {
+  expect_rejected({make_job(0, kInf, 1, 0.5)}, "job 0 work");
+}
+
+TEST(Engine, RejectsOutOfOrderJobVector) {
+  // A job vector obeys the stream contract: arrivals must be
+  // nondecreasing. The second job is rejected when it is admitted.
+  expect_rejected({make_job(10, 10, 1, 0.5), make_job(5, 10, 1, 0.5)},
+                  "job 1 arrival is out of order: arrivals must be "
+                  "nondecreasing");
 }
 
 TEST(Engine, SingleJobTimeline) {
@@ -116,9 +157,9 @@ TEST(Engine, SingleJobTimeline) {
   Engine engine({{0, 1, 1.0, 1.0}}, {make_job(10.0, 100.0, 1, 0.8)},
                 quick_config(50.0));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
 
-  const Job& job = engine.jobs()[0];
+  const Job& job = done[0];
   EXPECT_EQ(job.state, JobState::kCompleted);
   EXPECT_DOUBLE_EQ(job.first_start, 50.0);
   EXPECT_DOUBLE_EQ(job.finish, 150.0);
@@ -136,11 +177,11 @@ TEST(Engine, JobsAccumulateIntoOneBatch) {
                 {make_job(10.0, 20.0, 1, 0.7), make_job(60.0, 30.0, 1, 0.7)},
                 quick_config(100.0));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
 
   EXPECT_EQ(engine.counters().batch_invocations, 1u);
-  EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 120.0);
-  EXPECT_DOUBLE_EQ(engine.jobs()[1].finish, 150.0);
+  EXPECT_DOUBLE_EQ(done[0].finish, 120.0);
+  EXPECT_DOUBLE_EQ(done[1].finish, 150.0);
 }
 
 TEST(Engine, MultiNodeJobsShareSite) {
@@ -150,12 +191,12 @@ TEST(Engine, MultiNodeJobsShareSite) {
                  make_job(0.0, 10.0, 1, 0.7)},
                 quick_config(50.0));
   ScriptedScheduler scheduler({0});
-  engine.run(scheduler);
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
   // Dispatch order = batch order: J0 holds both nodes 50..90; J1 90..100;
   // J2 90..100 on the other node.
-  EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 90.0);
-  EXPECT_DOUBLE_EQ(engine.jobs()[1].finish, 100.0);
-  EXPECT_DOUBLE_EQ(engine.jobs()[2].finish, 100.0);
+  EXPECT_DOUBLE_EQ(done[0].finish, 90.0);
+  EXPECT_DOUBLE_EQ(done[1].finish, 100.0);
+  EXPECT_DOUBLE_EQ(done[2].finish, 100.0);
   EXPECT_DOUBLE_EQ(engine.makespan(), 100.0);
 }
 
@@ -163,8 +204,8 @@ TEST(Engine, SpeedScalesExecution) {
   Engine engine({{0, 1, 4.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.7)},
                 quick_config(10.0));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
-  EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 35.0);  // 10 + 100/4
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  EXPECT_DOUBLE_EQ(done[0].finish, 35.0);  // 10 + 100/4
 }
 
 TEST(Engine, CertainFailureIsRescheduledToSafeSite) {
@@ -174,9 +215,9 @@ TEST(Engine, CertainFailureIsRescheduledToSafeSite) {
   Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
                 {make_job(0.0, 100.0, 1, 0.9)}, config);
   ScriptedScheduler scheduler({0, 1});
-  engine.run(scheduler);
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
 
-  const Job& job = engine.jobs()[0];
+  const Job& job = done[0];
   EXPECT_EQ(job.failures, 1u);
   EXPECT_EQ(job.attempts, 2u);
   EXPECT_TRUE(job.took_risk);
@@ -211,8 +252,8 @@ TEST(Engine, UniformDetectionFailsBeforePlannedEnd) {
   Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
                 {make_job(0.0, 100.0, 1, 0.9)}, config);
   ScriptedScheduler scheduler({0, 1});
-  engine.run(scheduler);
-  const Job& job = engine.jobs()[0];
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const Job& job = done[0];
   EXPECT_EQ(job.failures, 1u);
   // The retry cycle can only fire after the detection instant, which is
   // strictly inside (50, 150]; the retry completes 100 s after it starts.
@@ -229,8 +270,9 @@ TEST(Engine, AtMostOneFailurePerJob) {
   }
   Engine engine({{0, 2, 1.0, 0.4}, {1, 2, 1.0, 0.95}}, jobs, config);
   sched::MctScheduler scheduler(security::RiskPolicy::risky());
-  engine.run(scheduler);
-  for (const Job& job : engine.jobs()) {
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  ASSERT_EQ(done.size(), jobs.size());
+  for (const Job& job : done) {
     EXPECT_LE(job.failures, 1u);
     EXPECT_EQ(job.attempts, job.failures + 1);
   }
@@ -241,10 +283,11 @@ TEST(Engine, SecurePolicyNeverRisks) {
   for (int i = 0; i < 20; ++i) jobs.push_back(make_job(i * 3.0, 25.0, 1, 0.8));
   Engine engine({{0, 2, 1.0, 0.5}, {1, 2, 1.0, 0.9}}, jobs, quick_config(30.0));
   sched::MinMinScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
   EXPECT_EQ(engine.counters().risky_attempts, 0u);
   EXPECT_EQ(engine.counters().failure_events, 0u);
-  for (const Job& job : engine.jobs()) {
+  ASSERT_EQ(done.size(), jobs.size());
+  for (const Job& job : done) {
     EXPECT_EQ(job.final_site, 1u);  // only the SL=0.9 site is admissible
   }
 }
@@ -305,9 +348,9 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
     Engine engine({{0, 2, 1.0, 0.5}, {1, 2, 2.0, 0.7}, {2, 1, 1.0, 0.95}},
                   jobs, config);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
-    engine.run(scheduler);
+    const std::vector<Job> done = test::run_recorded(engine, scheduler);
     std::vector<double> finishes;
-    for (const Job& job : engine.jobs()) finishes.push_back(job.finish);
+    for (const Job& job : done) finishes.push_back(job.finish);
     return finishes;
   };
   EXPECT_EQ(run(), run());
@@ -347,10 +390,10 @@ TEST(Engine, FailureReleasesReservedCapacity) {
                            make_job(60.0, 10.0, 1, 0.3)};
   Engine engine({{0, 2, 1.0, 0.4}, {1, 2, 1.0, 1.0}}, jobs, config);
   sched::MctScheduler scheduler(security::RiskPolicy::risky());
-  engine.run(scheduler);
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
 
-  const Job& a = engine.jobs()[0];
-  const Job& b = engine.jobs()[1];
+  const Job& a = done[0];
+  const Job& b = done[1];
   EXPECT_EQ(a.failures, 1u);
   EXPECT_EQ(a.final_site, 1u);  // fail-stop retry on the safe site
   EXPECT_DOUBLE_EQ(a.finish, 1100.0);  // retry dispatched at t=100
@@ -378,10 +421,10 @@ TEST(Engine, FailureReleaseCountsTailsAlreadyReReserved) {
                            make_job(60.0, 10.0, 1, 0.3)};
   Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 0.01, 1.0}}, jobs, config);
   sched::MctScheduler scheduler(security::RiskPolicy::risky());
-  engine.run(scheduler);
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
 
-  const Job& b = engine.jobs()[1];
-  EXPECT_EQ(engine.jobs()[0].failures, 1u);
+  const Job& b = done[1];
+  EXPECT_EQ(done[0].failures, 1u);
   EXPECT_EQ(b.final_site, 0u);
   EXPECT_DOUBLE_EQ(b.first_start, 150.0);  // stacked behind A's full window
   EXPECT_EQ(engine.counters().released_nodes, 0u);
@@ -396,8 +439,8 @@ TEST(Engine, BatchCycleAtExactMultipleStaysStrictlyAfterNow) {
   EngineConfig config = quick_config(0.2);
   Engine engine({{0, 1, 1.0, 1.0}}, {make_job(1.0, 1.0, 1, 0.5)}, config);
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
-  const Job& job = engine.jobs()[0];
+  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const Job& job = done[0];
   EXPECT_GT(job.first_start, 1.0);
   EXPECT_NEAR(job.first_start, 1.2, 1e-9);
 }

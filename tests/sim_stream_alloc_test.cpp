@@ -75,7 +75,7 @@ class AllocSampleObserver final : public sim::KernelObserver {
 struct AllocProbe {
   std::size_t n_jobs = 6000;
   std::size_t n_sites = 20;
-  bool streamed = true;  ///< streaming kernel (else drained, retained)
+  bool streamed = true;  ///< generator cursor (else a drained job vector)
   bool churn = false;    ///< stochastic site churn (revocations)
 };
 
@@ -170,9 +170,9 @@ TEST(StreamKernelAlloc, MinMinSteadyStateIsAllocationFree) {
   expect_steady_state_allocation_free(alloc_samples(scheduler, {}));
 }
 
-TEST(StreamKernelAlloc, RetainedModeSteadyStateIsAllocationFreeToo) {
-  // The same guard for the retained kernel: the refactor shares the hot
-  // loop between modes, so the vector-backed path must stay clean as well.
+TEST(StreamKernelAlloc, MaterializedVectorSteadyStateIsAllocationFree) {
+  // The same guard for a materialized job vector (Engine's vector
+  // overload): only the input source differs from the generator cursor.
   AllocProbe probe;
   probe.n_jobs = 3000;
   probe.streamed = false;
@@ -182,8 +182,8 @@ TEST(StreamKernelAlloc, RetainedModeSteadyStateIsAllocationFreeToo) {
 
 // Site churn adds the revocation path: the per-site live-attempt index
 // (start/stop/revoke) and the churn process's victims_ buffer must stop
-// touching the heap once their high-water marks are reached, in both
-// kernel modes.
+// touching the heap once their high-water marks are reached, whichever
+// source feeds the jobs.
 TEST(StreamKernelAlloc, ChurnedMctSteadyStateIsAllocationFree) {
   AllocProbe probe;
   probe.churn = true;
@@ -191,7 +191,7 @@ TEST(StreamKernelAlloc, ChurnedMctSteadyStateIsAllocationFree) {
   expect_steady_state_allocation_free(alloc_samples(scheduler, probe));
 }
 
-TEST(StreamKernelAlloc, ChurnedRetainedMctSteadyStateIsAllocationFree) {
+TEST(StreamKernelAlloc, ChurnedMaterializedMctSteadyStateIsAllocationFree) {
   AllocProbe probe;
   probe.n_jobs = 3000;
   probe.streamed = false;

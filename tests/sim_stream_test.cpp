@@ -1,10 +1,13 @@
-// Streaming-kernel regression suite (PR 10): a streamed run of any
-// registry scenario must be bit-identical to the retained run of the same
-// workload (metrics, trace bytes, timeseries bytes), slots must recycle
-// under churn without retiring revoked jobs early, and the 1e5-job
-// streaming scenario must run to completion in O(active) memory.
+// Streaming-kernel regression suite: every registry scenario must
+// reproduce its golden digest (metrics, trace bytes, timeseries bytes),
+// slots must recycle under churn without retiring revoked jobs early, and
+// the 1e5-job streaming scenario must run to completion in O(active)
+// memory.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,8 +26,6 @@
 namespace gridsched {
 namespace {
 
-using workload::MaterializedStream;
-
 struct RunArtifacts {
   metrics::RunMetrics metrics;
   std::string trace;
@@ -33,85 +34,118 @@ struct RunArtifacts {
   std::size_t retired = 0;
 };
 
-/// Run `workload` through a fresh MinMin f-risky engine, retained or
-/// streamed, capturing every byte-stable artifact the run produces.
+/// Run `workload` through a fresh MinMin f-risky engine, capturing every
+/// byte-stable artifact the run produces.
 RunArtifacts run_workload(const workload::Workload& workload,
-                          sim::EngineConfig config, bool streamed) {
+                          sim::EngineConfig config) {
   obs::SimTraceRecorder trace;
   obs::TimeSeriesProbe probe(500.0);
   sim::KernelObserverTee tee;
   tee.add(&trace);
   tee.add(&probe);
 
-  auto engine = streamed
-                    ? std::make_unique<sim::Engine>(
-                          workload.sites,
-                          std::make_unique<MaterializedStream>(workload.jobs),
-                          config, workload.exec, workload.churn)
-                    : std::make_unique<sim::Engine>(workload.sites,
-                                                    workload.jobs, config,
-                                                    workload.exec,
-                                                    workload.churn);
-  engine->set_observer(&tee);
+  sim::Engine engine(workload.sites, workload.jobs, config, workload.exec,
+                     workload.churn);
+  engine.set_observer(&tee);
   sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
-  engine->run(scheduler);
+  engine.run(scheduler);
 
   RunArtifacts artifacts;
-  artifacts.metrics = metrics::compute_metrics(*engine);
+  artifacts.metrics = metrics::compute_metrics(engine);
   artifacts.trace = trace.render();
   artifacts.timeseries = obs::render_timeseries_json(probe.series());
-  artifacts.peak_slots = engine->kernel().peak_slots();
-  artifacts.retired = engine->kernel().retired_jobs();
+  artifacts.peak_slots = engine.kernel().peak_slots();
+  artifacts.retired = engine.kernel().retired_jobs();
   return artifacts;
 }
 
-void expect_identical(const RunArtifacts& retained, const RunArtifacts& streamed,
-                      const std::string& label) {
-  const metrics::RunMetrics& a = retained.metrics;
-  const metrics::RunMetrics& b = streamed.metrics;
-  EXPECT_EQ(a.n_jobs, b.n_jobs) << label;
-  EXPECT_EQ(a.n_risk, b.n_risk) << label;
-  EXPECT_EQ(a.n_fail, b.n_fail) << label;
-  EXPECT_EQ(a.total_attempts, b.total_attempts) << label;
-  EXPECT_EQ(a.failure_events, b.failure_events) << label;
-  EXPECT_EQ(a.risky_attempts, b.risky_attempts) << label;
-  EXPECT_EQ(a.released_nodes, b.released_nodes) << label;
-  EXPECT_EQ(a.unreleased_nodes, b.unreleased_nodes) << label;
-  EXPECT_EQ(a.site_down_events, b.site_down_events) << label;
-  EXPECT_EQ(a.site_up_events, b.site_up_events) << label;
-  EXPECT_EQ(a.interruptions, b.interruptions) << label;
-  EXPECT_EQ(a.n_interrupted, b.n_interrupted) << label;
-  EXPECT_EQ(a.churn_released_nodes, b.churn_released_nodes) << label;
-  EXPECT_EQ(a.churn_unreleased_nodes, b.churn_unreleased_nodes) << label;
-  // EXPECT_EQ on doubles is operator== — bitwise identity for finite
-  // values, which is exactly the contract under test.
-  EXPECT_EQ(a.makespan, b.makespan) << label;
-  EXPECT_EQ(a.avg_response, b.avg_response) << label;
-  EXPECT_EQ(a.avg_final_exec, b.avg_final_exec) << label;
-  EXPECT_EQ(a.slowdown_ratio, b.slowdown_ratio) << label;
-  EXPECT_EQ(a.mean_job_slowdown, b.mean_job_slowdown) << label;
-  EXPECT_EQ(a.batch_invocations, b.batch_invocations) << label;
-  EXPECT_EQ(a.site_utilization, b.site_utilization) << label;
-  EXPECT_EQ(a.avg_utilization, b.avg_utilization) << label;
-  EXPECT_EQ(a.idle_sites, b.idle_sites) << label;
-  EXPECT_EQ(retained.trace, streamed.trace) << label;
-  EXPECT_EQ(retained.timeseries, streamed.timeseries) << label;
+/// 64-bit FNV-1a over every deterministic RunMetrics field
+/// (scheduler_seconds is wall clock and left out) and the rendered trace
+/// and timeseries bytes. Numbers are hashed as 8-byte little-endian bit
+/// patterns, so a digest does not depend on the host's byte order.
+std::uint64_t digest(const RunArtifacts& run) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto byte = [&hash](unsigned char b) {
+    hash = (hash ^ b) * 0x100000001b3ULL;
+  };
+  const auto u64 = [&byte](std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      byte(static_cast<unsigned char>(value >> shift));
+    }
+  };
+  const auto f64 = [&u64](double value) {
+    u64(std::bit_cast<std::uint64_t>(value));
+  };
+  const auto text = [&](const std::string& value) {
+    u64(value.size());
+    for (const char c : value) byte(static_cast<unsigned char>(c));
+  };
+  const metrics::RunMetrics& m = run.metrics;
+  for (const std::size_t count :
+       {m.n_jobs, m.n_risk, m.n_fail, m.total_attempts, m.failure_events,
+        m.risky_attempts, m.released_nodes, m.unreleased_nodes,
+        m.site_down_events, m.site_up_events, m.interruptions,
+        m.n_interrupted, m.churn_released_nodes, m.churn_unreleased_nodes,
+        m.batch_invocations, m.idle_sites}) {
+    u64(count);
+  }
+  for (const double value :
+       {m.makespan, m.avg_response, m.avg_final_exec, m.slowdown_ratio,
+        m.mean_job_slowdown, m.avg_utilization}) {
+    f64(value);
+  }
+  u64(m.site_utilization.size());
+  for (const double value : m.site_utilization) f64(value);
+  text(run.trace);
+  text(run.timeseries);
+  return hash;
 }
 
-TEST(StreamKernel, StreamedRunsAreBitIdenticalAcrossRegistry) {
-  for (const std::string& name : exp::scenario_names()) {
+// Golden digests of each registry scenario (80 jobs, workload seed 17,
+// engine seed 9, MinMin f-risky 0.5), captured at commit 78b089e from the
+// kernel mode that materialized the whole job vector up front. The single
+// stream-fed kernel must reproduce them bit for bit. A deliberate
+// behaviour change re-captures them; say so when it happens.
+const std::map<std::string, std::uint64_t>& golden_digests() {
+  static const std::map<std::string, std::uint64_t> kDigests = {
+      {"nas", 0x393fdef8177a19dcULL},
+      {"psa", 0x319b867796133ed1ULL},
+      {"synth-batch", 0x25f1d568b3714563ULL},
+      {"synth-bursty", 0x0fd4a9f6e411d30fULL},
+      {"synth-churn-hi", 0x81b96654af950b54ULL},
+      {"synth-churn-lo", 0x7daac3e359dbebdcULL},
+      {"synth-consistent-hihi", 0x83685f8a2e41a2fcULL},
+      {"synth-consistent-lolo", 0xd1b9b7beaf35084aULL},
+      {"synth-inconsistent-hihi", 0x199d9dbbfca8a846ULL},
+      {"synth-inconsistent-lolo", 0x048cfa9fb372799fULL},
+      {"synth-risky", 0x675dd98610237550ULL},
+      {"synth-secure", 0x05be2e239bc9944fULL},
+      {"synth-semi-hihi", 0x682ddc04650aebadULL},
+      {"synth-semi-lolo", 0xfdc5a8a274062a6cULL},
+      {"synth-stream-hi", 0x09da797211b19982ULL},
+      {"synth-stream-med", 0xffb68c6de710f146ULL},
+  };
+  return kDigests;
+}
+
+TEST(StreamKernel, RegistryRunsReproduceGoldenDigests) {
+  const std::vector<std::string> names = exp::scenario_names();
+  EXPECT_EQ(names.size(), golden_digests().size())
+      << "a scenario was added or removed; capture or drop its digest";
+  for (const std::string& name : names) {
     SCOPED_TRACE(name);
     const exp::Scenario scenario = exp::make_scenario(name, 80);
     const workload::Workload workload = exp::make_workload(scenario, 17);
     sim::EngineConfig config = scenario.engine;
     config.seed = 9;
-    const RunArtifacts retained = run_workload(workload, config, false);
-    const RunArtifacts streamed = run_workload(workload, config, true);
-    expect_identical(retained, streamed, name);
-    // Retained mode never recycles; streamed mode retires every job.
-    EXPECT_EQ(retained.peak_slots, workload.jobs.size());
-    EXPECT_EQ(streamed.retired, workload.jobs.size());
-    EXPECT_LE(streamed.peak_slots, workload.jobs.size());
+    const RunArtifacts run = run_workload(workload, config);
+    const auto golden = golden_digests().find(name);
+    ASSERT_NE(golden, golden_digests().end()) << "no golden digest";
+    EXPECT_EQ(digest(run), golden->second)
+        << std::hex << "digest 0x" << digest(run);
+    // Every job retires, and slots recycle as they do.
+    EXPECT_EQ(run.retired, workload.jobs.size());
+    EXPECT_LE(run.peak_slots, workload.jobs.size());
   }
 }
 
@@ -148,9 +182,8 @@ TEST(StreamKernel, SlotRecyclingHoldsFrontierThroughChurn) {
   const workload::Workload workload = exp::make_workload(scenario, 5);
   sim::EngineConfig config = scenario.engine;
   config.seed = 11;
-  sim::Engine engine(workload.sites,
-                     std::make_unique<MaterializedStream>(workload.jobs),
-                     config, workload.exec, workload.churn);
+  sim::Engine engine(workload.sites, workload.jobs, config, workload.exec,
+                     workload.churn);
   FrontierInvariantObserver invariants;
   engine.set_observer(&invariants);
   sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
@@ -223,25 +256,6 @@ TEST(StreamKernel, ShortStreamThrowsWithProgressCount) {
   }
 }
 
-TEST(StreamKernel, OutOfOrderStreamIsRejected) {
-  auto stream = std::make_unique<ScriptedStream>(
-      std::vector<sim::Job>{stream_job(10.0), stream_job(5.0)}, 2);
-  sim::Engine engine({{0, 4, 1.0, 1.0}}, std::move(stream), quick_config());
-  sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  EXPECT_THROW(engine.run(scheduler), std::invalid_argument);
-}
-
-TEST(StreamKernel, InfeasibleStreamedJobIsRejectedAtAdmission) {
-  // Only site offers SL 0.7 < demand 0.9: the O(1) per-admission check
-  // must reject exactly like the retained validator does up front.
-  auto bad = stream_job(0.0);
-  bad.demand = 0.9;
-  auto stream = std::make_unique<ScriptedStream>(std::vector<sim::Job>{bad}, 1);
-  sim::Engine engine({{0, 4, 1.0, 0.7}}, std::move(stream), quick_config());
-  sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  EXPECT_THROW(engine.run(scheduler), std::invalid_argument);
-}
-
 TEST(StreamKernel, DescribeUnfinishedCoversUnadmittedJobs) {
   auto stream = std::make_unique<ScriptedStream>(
       std::vector<sim::Job>{stream_job(0.0), stream_job(1.0)}, 2);
@@ -276,9 +290,9 @@ TEST(StreamKernel, HundredThousandJobStreamStaysSmall) {
 }
 
 TEST(StreamKernel, RunOnceStreamsAndMatchesMaterializedDrain) {
-  // run_once on a streaming scenario must agree with a retained run over
-  // the drained vector of the same (scenario, seed) — the runner derives
-  // the workload seed from the cell seed, so reproduce that here.
+  // run_once on a streaming scenario must agree with a run over the
+  // drained vector of the same (scenario, seed) — the runner derives the
+  // workload seed from the cell seed, so reproduce that here.
   const exp::Scenario scenario = exp::make_scenario("synth-stream-med", 400);
   const exp::AlgorithmSpec spec =
       exp::heuristic_spec("mct", security::RiskPolicy::f_risky(0.5));
@@ -294,15 +308,15 @@ TEST(StreamKernel, RunOnceStreamsAndMatchesMaterializedDrain) {
                      drained.churn);
   sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
   engine.run(scheduler);
-  const metrics::RunMetrics retained = metrics::compute_metrics(engine);
+  const metrics::RunMetrics drain = metrics::compute_metrics(engine);
 
-  EXPECT_EQ(streamed.n_jobs, retained.n_jobs);
-  EXPECT_EQ(streamed.makespan, retained.makespan);
-  EXPECT_EQ(streamed.avg_response, retained.avg_response);
-  EXPECT_EQ(streamed.slowdown_ratio, retained.slowdown_ratio);
-  EXPECT_EQ(streamed.n_risk, retained.n_risk);
-  EXPECT_EQ(streamed.n_fail, retained.n_fail);
-  EXPECT_EQ(streamed.site_utilization, retained.site_utilization);
+  EXPECT_EQ(streamed.n_jobs, drain.n_jobs);
+  EXPECT_EQ(streamed.makespan, drain.makespan);
+  EXPECT_EQ(streamed.avg_response, drain.avg_response);
+  EXPECT_EQ(streamed.slowdown_ratio, drain.slowdown_ratio);
+  EXPECT_EQ(streamed.n_risk, drain.n_risk);
+  EXPECT_EQ(streamed.n_fail, drain.n_fail);
+  EXPECT_EQ(streamed.site_utilization, drain.site_utilization);
 }
 
 }  // namespace

@@ -242,9 +242,9 @@ void rule_r01(const std::vector<LintFile>& files,
 /// GS-R02 — no wall-clock sources in byte-stable artifact renderers
 /// (campaign sinks, campaign journal, trace writer) or in the streaming
 /// aggregation they read (the retirement accumulator and the job-stream
-/// cursors feed bit-identical metric sums; a clock there would desync
-/// streamed and retained artifacts). Host time may only reach the
-/// --profile sidecar (ROADMAP "Observability invariants").
+/// cursors feed the metric sums; a clock there would make the same run
+/// render different bytes and break the golden digests). Host time may
+/// only reach the --profile sidecar (ROADMAP "Observability invariants").
 void rule_r02(const std::vector<LintFile>& files,
               std::vector<Diagnostic>& out) {
   for (const LintFile& f : files) {
@@ -365,10 +365,10 @@ void rule_r04(const std::vector<LintFile>& files,
 /// and the cancellation deadline (or behind a justified NOLINT). The
 /// benchgate tool is held to the same bar — a regression gate that
 /// consulted the clock could pass or fail the same artifacts on rerun.
-/// The streaming kernel (slot table, admission path) and the job-stream
-/// cursors sit squarely in scope: lazy admission replays the exact draws
-/// the retained path makes, so any ambient entropy there would break the
-/// streamed-equals-materialised bit-identity contract.
+/// The kernel (slot table, admission path) and the job-stream cursors sit
+/// squarely in scope: every run must reproduce its pinned results (golden
+/// digests, bench fingerprints), so any ambient entropy there would break
+/// run-to-run bit identity.
 void rule_r05(const std::vector<LintFile>& files,
               std::vector<Diagnostic>& out) {
   for (const LintFile& f : files) {
