@@ -1,12 +1,13 @@
 #include "core/ga_engine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/operators.hpp"
 
@@ -33,44 +34,63 @@ std::uint64_t chromosome_hash(const Chromosome& chromosome) noexcept {
 /// Memoized fitness evaluation for one evolve() run. Owns one DecodeScratch
 /// per thread-pool chunk so the ~population x generations decodes reuse the
 /// same buffers (zero steady-state allocations in the decode itself), and a
-/// hash table that lets duplicate chromosomes — elitism copies, crossover
-/// of converged parents — reuse an identical individual's score instead of
+/// duplicate memo that lets identical chromosomes — elitism copies,
+/// crossover of converged parents — reuse one individual's score instead of
 /// decoding again. Fitness is a pure function of the chromosome, so
 /// memoization and parallel evaluation are both result-invariant.
+///
+/// The memo is a flat open-addressing table (slot -> population index,
+/// linear probing) sized once to a power of two >= 2 x population, so a
+/// serial evaluate() never allocates. Its entries are always distinct
+/// chromosomes, so a probe finds the one representative a chained bucket
+/// scan would: the evaluation and memo-hit counts do not depend on the
+/// table layout.
 class FitnessEvaluator {
  public:
   FitnessEvaluator(const GaProblem& problem, const GaParams& params,
                    util::ThreadPool* pool)
       : problem_(problem), params_(params), pool_(pool),
-        scratches_(pool != nullptr ? pool->size() : 1) {
+        scratches_(pool != nullptr ? pool->size() : 1),
+        slots_(std::bit_ceil(2 * params.population), kEmptySlot),
+        hashes_(params.population),
+        mask_(slots_.size() - 1) {
     // Rank/cell tables are built once and shared; per-chunk scratches only
     // size their own mutable buffers.
     scratches_.front().bind(problem);
     for (std::size_t i = 1; i < scratches_.size(); ++i) {
       scratches_[i].bind_from(scratches_.front());
     }
+    alias_.reserve(params.population);
+    to_eval_.reserve(params.population);
   }
 
-  /// Fill every NaN entry of `fitness` (parallel to `population`). Known
-  /// entries — elites whose fitness was carried across the generation —
-  /// are kept as-is and serve as memo sources for their duplicates.
+  /// Fill every NaN entry of `fitness` (parallel to `population`, which
+  /// holds params.population chromosomes). Known entries — elites whose
+  /// fitness was carried across the generation — are kept as-is and serve
+  /// as memo sources for their duplicates.
   void evaluate(const std::vector<Chromosome>& population,
                 std::vector<double>& fitness, GaResult& stats) {
     const std::size_t n = population.size();
+    assert(n <= hashes_.size() && "evaluate: population outgrew the memo");
     alias_.assign(n, kNoAlias);
     to_eval_.clear();
-    buckets_.clear();
+    std::fill(slots_.begin(), slots_.end(), kEmptySlot);
+    // GS-FASTPATH-BEGIN: the per-individual memo probe (GS-R01 no-alloc).
     for (std::size_t i = 0; i < n; ++i) {
-      auto& bucket = buckets_[chromosome_hash(population[i])];
+      const Chromosome& chromosome = population[i];
+      const std::uint64_t hash = chromosome_hash(chromosome);
+      hashes_[i] = hash;
+      std::size_t slot = static_cast<std::size_t>(hash) & mask_;
       std::size_t representative = kNoAlias;
-      for (const std::size_t j : bucket) {
-        if (population[j] == population[i]) {
+      for (; slots_[slot] != kEmptySlot; slot = (slot + 1) & mask_) {
+        const std::size_t j = slots_[slot];
+        if (hashes_[j] == hash && population[j] == chromosome) {
           representative = j;
           break;
         }
       }
       if (!std::isnan(fitness[i])) {  // carried elite: already scored
-        if (representative == kNoAlias) bucket.push_back(i);
+        if (representative == kNoAlias) slots_[slot] = i;
         continue;
       }
       if (representative != kNoAlias) {
@@ -78,9 +98,10 @@ class FitnessEvaluator {
         ++stats.memo_hits;
       } else {
         to_eval_.push_back(i);
-        bucket.push_back(i);
+        slots_[slot] = i;
       }
     }
+    // GS-FASTPATH-END
     stats.evaluations += to_eval_.size();
 
     const std::size_t volume = to_eval_.size() * problem_.n_jobs();
@@ -111,11 +132,15 @@ class FitnessEvaluator {
   }
 
  private:
+  static constexpr std::size_t kEmptySlot = kNoAlias;
+
   const GaProblem& problem_;
   const GaParams& params_;
   util::ThreadPool* pool_;
   std::vector<DecodeScratch> scratches_;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets_;
+  std::vector<std::size_t> slots_;     ///< memo: population index or empty
+  std::vector<std::uint64_t> hashes_;  ///< chromosome_hash per individual
+  std::size_t mask_;                   ///< slots_.size() - 1
   std::vector<std::size_t> alias_;   ///< duplicate -> representative index
   std::vector<std::size_t> to_eval_; ///< unique chromosomes needing a decode
 };

@@ -161,12 +161,19 @@ std::span<const DecodeScratch::SortedGene> DecodeScratch::prepare(
 std::span<const DecodeScratch::SortedGene> DecodeScratch::sort_genes(
     std::size_t n) noexcept {
   // Packed (rank << 32 | index) integers order genes by exec with ties on
-  // the original position — exactly stable_sort's order. Below the
-  // threshold a plain u64 sort wins.
+  // the original position — exactly stable_sort's order. The keys are
+  // unique, so any correct sort yields that order; below the threshold an
+  // inline insertion sort beats both the radix passes and a std::sort call.
   constexpr std::size_t kRadixThreshold = 64;
   if (n < kRadixThreshold) {
-    std::sort(sort_a_.begin(), sort_a_.end());
-    return sort_a_;
+    SortedGene* keys = sort_a_.data();
+    for (std::size_t i = 1; i < n; ++i) {
+      const SortedGene key = keys[i];
+      std::size_t j = i;
+      for (; j > 0 && keys[j - 1] > key; --j) keys[j] = keys[j - 1];
+      keys[j] = key;
+    }
+    return {keys, n};
   }
   // Stable LSD radix over the rank bytes only (bytes 4..4+rank_bytes of
   // the packed key; the index bytes need no passes — stability plus the
@@ -220,12 +227,12 @@ sim::NodeAvailability::Window DecodeScratch::reserve(sim::SiteId s, unsigned k,
   const sim::Time end = start + exec;
   // The k earliest-free nodes become free at `end`. Restore sorted order
   // without inplace_merge (which heap-allocates a temporary buffer on
-  // every call): entries in [k, p) are < end and slide down; the k
-  // reserved nodes — all equal to `end` — land just before p. The linear
-  // scan beats a binary search on these <= O(site nodes) profiles.
+  // every call): entries in [k, p) are < end and slide down k places as
+  // the scan finds them (no separate memmove call); the k reserved nodes —
+  // all equal to `end` — land just before p. The linear scan beats a
+  // binary search on these <= O(site nodes) profiles.
   std::size_t p = k;
-  while (p < n && free_times[p] < end) ++p;
-  std::memmove(free_times, free_times + k, (p - k) * sizeof(sim::Time));
+  for (; p < n && free_times[p] < end; ++p) free_times[p - k] = free_times[p];
   for (std::size_t i = p - k; i < p; ++i) free_times[i] = end;
   return {start, end};
 }

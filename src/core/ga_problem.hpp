@@ -92,11 +92,11 @@ struct GaProblem {
 /// the distinct exec values once (order-isomorphic dense integers, ties
 /// mapped to equal ranks), so each decode sorts small packed
 /// (rank << 32 | gene index) integers — a two-pass LSD radix for typical
-/// rank widths, std::sort below a size threshold. Both are stable in the
-/// gene index and therefore reproduce stable_sort's order exactly. After
-/// bind() the steady-state decode path performs zero heap allocations; the
-/// GA engine keeps one scratch per thread-pool chunk, so ~20k evaluations
-/// per batch reuse the same buffers.
+/// rank widths, an insertion sort below a size threshold. The packed keys
+/// are unique (the gene index breaks ties), so both reproduce stable_sort's
+/// order exactly. After bind() the steady-state decode path performs zero
+/// heap allocations; the GA engine keeps one scratch per thread-pool chunk,
+/// so ~20k evaluations per batch reuse the same buffers.
 class DecodeScratch {
  public:
   /// Packed sort element: exec rank in the high 32 bits, gene index below.

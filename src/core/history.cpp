@@ -14,11 +14,10 @@ double max_abs_entry(std::span<const double> v) {
   return peak;
 }
 
-/// Nearest-neighbour resample of `v` to length n (n > 0, v non-empty).
-std::vector<double> resample(std::span<const double> v, std::size_t n) {
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = v[i * v.size() / n];
-  return out;
+/// Nearest-neighbour resample of `v` to length n (n >= v.size() > 0),
+/// read on the fly: element i is v[i * v.size() / n].
+double resampled(std::span<const double> v, std::size_t i, std::size_t n) {
+  return v[i * v.size() / n];
 }
 
 }  // namespace
@@ -37,20 +36,22 @@ double similarity_raw(std::span<const double> a, std::span<const double> b) {
 double vector_similarity(std::span<const double> a, std::span<const double> b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  std::vector<double> a_resampled;
-  std::vector<double> b_resampled;
-  if (a.size() != b.size()) {
-    const std::size_t n = std::max(a.size(), b.size());
-    a_resampled = resample(a, n);
-    b_resampled = resample(b, n);
-    a = a_resampled;
-    b = b_resampled;
-  }
+  // Unequal lengths compare both vectors nearest-neighbour resampled to the
+  // longer length, indexed on the fly instead of copied. Upsampling visits
+  // every source element, so the peaks of the originals are the peaks of
+  // the resampled vectors, and the distance sums in the same order.
+  const std::size_t n = std::max(a.size(), b.size());
   double distance = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) distance += std::abs(a[i] - b[i]);
+  if (a.size() == b.size()) {
+    for (std::size_t i = 0; i < n; ++i) distance += std::abs(a[i] - b[i]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      distance += std::abs(resampled(a, i, n) - resampled(b, i, n));
+    }
+  }
   const double denom = std::max(max_abs_entry(a), max_abs_entry(b));
   if (denom == 0.0) return 1.0;
-  const double mean_distance = distance / static_cast<double>(a.size());
+  const double mean_distance = distance / static_cast<double>(n);
   return 1.0 - mean_distance / denom;
 }
 

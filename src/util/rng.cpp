@@ -4,29 +4,11 @@
 
 namespace gridsched::util {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng SeedMix::rng() const noexcept { return Rng(seed()); }
 
 Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
   SplitMix64 mix(seed);
   for (auto& word : s_) word = mix.next();
-}
-
-Xoshiro256StarStar::result_type Xoshiro256StarStar::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 void Xoshiro256StarStar::long_jump() noexcept {

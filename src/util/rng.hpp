@@ -97,7 +97,19 @@ class Xoshiro256StarStar {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() noexcept;
+  /// Inline: the GA draws once per gene per child (mutation), so an
+  /// out-of-line call here is a per-gene cost on the STGA hot loop.
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Equivalent to 2^128 calls to operator(); used to create non-overlapping
   /// subsequences.
@@ -108,6 +120,10 @@ class Xoshiro256StarStar {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
 };
 

@@ -168,5 +168,49 @@ TEST(EvolveMemo, MemoizationDoesNotChangeTheResult) {
   EXPECT_EQ(a.memo_hits, b.memo_hits);
 }
 
+/// Heap allocations made by one serial evolve() of `problem` at the given
+/// generation count.
+std::uint64_t evolve_allocations(const GaProblem& problem, GaParams params,
+                                 std::size_t generations) {
+  params.generations = generations;
+  util::Rng rng(21);
+  const std::uint64_t before = allocation_count();
+  const GaResult result = evolve(problem, {}, params, rng);
+  const std::uint64_t allocations = allocation_count() - before;
+  EXPECT_EQ(result.best_per_generation.size(), generations + 1);
+  return allocations;
+}
+
+TEST(EvolveMemo, SteadyStateGenerationsAreAllocationFree) {
+  // The paper's batch shape on the NAS testbed: 17 jobs over 4 x 16-node
+  // and 8 x 8-node sites. Every allocation must happen while evolve() sets
+  // up; a longer run may not make a single extra one.
+  const auto context = scenario_batch("nas", 17, 3);
+  const GaProblem problem =
+      build_problem(context, security::RiskPolicy::risky());
+  ASSERT_EQ(problem.n_jobs(), 17u);
+  ASSERT_EQ(problem.n_sites(), 12u);
+  GaParams params;
+  params.population = 201;  // odd: the spare-child path runs
+  EXPECT_EQ(evolve_allocations(problem, params, 5),
+            evolve_allocations(problem, params, 60));
+
+  // Two-site domains (each job's first two admissible sites) flood the
+  // population with duplicates, so memo probes run into occupied slots
+  // and chain.
+  GaProblem crowded = problem;
+  for (auto& domain : crowded.domains) {
+    ASSERT_GE(domain.size(), 2u);
+    domain.resize(2);
+  }
+  params.population = 200;
+  EXPECT_EQ(evolve_allocations(crowded, params, 5),
+            evolve_allocations(crowded, params, 60));
+  util::Rng rng(21);
+  params.generations = 60;
+  const GaResult result = evolve(crowded, {}, params, rng);
+  EXPECT_GT(result.memo_hits, 0u);  // the probes did find duplicates
+}
+
 }  // namespace
 }  // namespace gridsched::core

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/ga_problem.hpp"
+#include "util/rng.hpp"
 
 namespace gridsched::core {
 namespace {
@@ -80,6 +85,31 @@ TEST(VectorSimilarity, ResamplesDifferentLengths) {
   const std::vector<double> c = {0.0, 2.0};       // resamples to 0,0,2,2
   const std::vector<double> d = {0.0, 0.0, 2.0, 2.0};
   EXPECT_DOUBLE_EQ(vector_similarity(c, d), 1.0);
+}
+
+TEST(VectorSimilarity, UnequalLengthsMatchAnExplicitResample) {
+  // Comparing unequal lengths must equal, bit for bit, comparing copies
+  // nearest-neighbour resampled to the longer length.
+  util::Rng rng(31);
+  for (const auto& [na, nb] : {std::pair<std::size_t, std::size_t>{7, 19},
+                               {19, 7},
+                               {1, 12},
+                               {150, 204},
+                               {13, 13}}) {
+    std::vector<double> a(na);
+    std::vector<double> b(nb);
+    for (double& x : a) x = rng.uniform(-50.0, 900.0);
+    for (double& x : b) x = rng.uniform(-50.0, 900.0);
+    const std::size_t n = std::max(na, nb);
+    std::vector<double> a_n(n);
+    std::vector<double> b_n(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a_n[i] = a[i * na / n];
+      b_n[i] = b[i * nb / n];
+    }
+    EXPECT_EQ(vector_similarity(a, b), vector_similarity(a_n, b_n))
+        << na << " vs " << nb;
+  }
 }
 
 TEST(VectorSimilarity, DecreasesWithDistance) {

@@ -125,6 +125,16 @@ TEST(LintR01, VectorConstructionInRegionFires) {
   EXPECT_TRUE(has(diags, "GS-R01", "src/core/other.cpp", 2));
 }
 
+TEST(LintR01, UnorderedMapInRegionFires) {
+  // A node-based hash map allocates per insert: the GA's duplicate memo
+  // probe is fenced so it cannot regress to one.
+  const auto diags = lint_one("src/core/ga_engine.cpp",
+                              "// GS-FASTPATH-BEGIN: memo probe\n"
+                              "std::unordered_map<std::uint64_t, int> memo;\n"
+                              "// GS-FASTPATH-END\n");
+  EXPECT_TRUE(has(diags, "GS-R01", "src/core/ga_engine.cpp", 2));
+}
+
 TEST(LintR01, CleanRegionAndCodeOutsideRegionPass) {
   const auto diags = lint_one("src/core/other.cpp",
                               "std::vector<double> fine;\n"

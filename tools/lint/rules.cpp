@@ -181,9 +181,10 @@ void diag(std::vector<Diagnostic>& out, const LintFile& f, std::size_t line,
 // ------------------------------------------------------------------ rules --
 
 /// GS-R01 — no allocating calls inside GS-FASTPATH regions. The decode
-/// fast path (ROADMAP "Decode fast-path invariants") must stay heap-free
-/// in steady state: no stable_sort / inplace_merge (both allocate
-/// temporaries), no std::vector construction, no new.
+/// fast path and the GA's duplicate-memo probe (ROADMAP "Decode fast-path
+/// invariants") must stay heap-free in steady state: no stable_sort /
+/// inplace_merge (both allocate temporaries), no std::vector construction,
+/// no node-based std::unordered_map, no new.
 void rule_r01(const std::vector<LintFile>& files,
               std::vector<Diagnostic>& out) {
   for (const LintFile& f : files) {
@@ -229,7 +230,8 @@ void rule_r01(const std::vector<LintFile>& files,
       if (t.kind != TokenKind::kIdentifier || !in_region(t.line)) continue;
       if (t.text == "stable_sort" || t.text == "inplace_merge" ||
           t.text == "new" || t.text == "vector" ||
-          t.text == "make_shared" || t.text == "make_unique") {
+          t.text == "unordered_map" || t.text == "make_shared" ||
+          t.text == "make_unique") {
         diag(out, f, t.line, "GS-R01",
              "allocating call \"" + t.text +
                  "\" in the decode fast-path region — per-decode state "
