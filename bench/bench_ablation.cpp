@@ -4,104 +4,118 @@
 //   * lookup-table capacity and similarity threshold
 //   * fitness shaping (flowtime / expected-rework weights)
 //   * failure-detection model (at-end vs uniform fraction)
-// All on the PSA workload (N = 1000 by default).
+// All on the PSA workload (N = 1000 by default, --psa-jobs=N; 300 with
+// --quick), as two programmatic campaigns: one labelled `stga`/`ga`
+// policy per variant, and Min-Min risky over one custom scenario per
+// detection model. Campaign seeds pair the policies, so every variant of
+// a replication schedules the same workload under the same failure draws.
+// The seed mixes the scenario label, so the two detection-model rows run
+// on different draws: compare them over replications (--reps=N).
 #include "bench_common.hpp"
+
+#include <iostream>
 
 using namespace gridsched;
 
 namespace {
 
-exp::AlgorithmSpec variant(const std::string& name, core::StgaConfig config,
-                           bool classic = false) {
-  exp::AlgorithmSpec spec =
-      classic ? exp::classic_ga_spec(config) : exp::stga_spec(config);
-  spec.name = name;
-  return spec;
+exp::campaign::PolicyRef variant(const std::string& label,
+                                 core::StgaConfig config,
+                                 const char* algo = "stga") {
+  exp::campaign::PolicyRef ref;
+  ref.algo = algo;
+  ref.label = label;
+  ref.stga = config;
+  return ref;
+}
+
+void run_and_print(const exp::campaign::CampaignSpec& spec) {
+  const exp::campaign::CampaignResult result =
+      exp::campaign::CampaignRunner().run(spec);
+  std::cout << exp::campaign::render_table(result) << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::parse_args(argc, argv);
+  const util::Cli cli(argc, argv);
+  const auto psa_jobs = static_cast<std::size_t>(
+      cli.get_or("psa-jobs", std::int64_t{args.quick ? 300 : 1000}));
   bench::print_banner(
-      "Ablation -- STGA design choices (PSA, N=" +
-          std::to_string(args.psa_jobs) + ")",
+      "Ablation -- STGA design choices (PSA, N=" + std::to_string(psa_jobs) +
+          ")",
       "history + heuristic seeds drive the win; tiny tables / strict "
       "thresholds reduce reuse; fitness shaping trades makespan vs response");
 
-  core::StgaConfig base = bench::paper_stga();
+  core::StgaConfig base;
   // A deliberately tight budget so the initial population quality shows.
   base.ga.generations = 30;
 
-  std::vector<exp::AlgorithmSpec> variants;
-  variants.push_back(variant("STGA (paper config)", base));
+  exp::campaign::CampaignSpec variants;
+  variants.name = "ablation";
+  variants.seed = args.seed;
+  variants.replications = args.reps;
+  variants.metrics = {"makespan", "avg_response", "slowdown", "n_fail",
+                      "scheduler_seconds"};
+  exp::campaign::ScenarioRef psa;
+  psa.name = "psa";
+  psa.n_jobs = psa_jobs;
+  variants.scenarios.push_back(psa);
+  variants.policies.push_back(variant("STGA (paper config)", base));
   {
     core::StgaConfig config = base;
     config.heuristic_seeds = false;
-    variants.push_back(variant("STGA, no heuristic seeds", config));
+    variants.policies.push_back(variant("STGA, no heuristic seeds", config));
   }
-  variants.push_back(variant("classic GA (no history/seeds)", base, true));
+  variants.policies.push_back(
+      variant("classic GA (no history/seeds)", base, "ga"));
   {
     core::StgaConfig config = base;
     config.table_capacity = 10;
-    variants.push_back(variant("STGA, table capacity 10", config));
+    variants.policies.push_back(variant("STGA, table capacity 10", config));
   }
   {
     core::StgaConfig config = base;
     config.similarity_threshold = 0.95;
-    variants.push_back(variant("STGA, threshold 0.95", config));
+    variants.policies.push_back(variant("STGA, threshold 0.95", config));
   }
   {
     core::StgaConfig config = base;
     config.similarity_threshold = 0.5;
-    variants.push_back(variant("STGA, threshold 0.50", config));
+    variants.policies.push_back(variant("STGA, threshold 0.50", config));
   }
   {
     core::StgaConfig config = base;
     config.ga.fitness = {0.0, 0.0};  // pure makespan objective
-    variants.push_back(variant("STGA, pure-makespan fitness", config));
+    variants.policies.push_back(variant("STGA, pure-makespan fitness", config));
   }
   {
     core::StgaConfig config = base;
     config.ga.fitness = {0.6, 0.0};  // no expected-rework term
-    variants.push_back(variant("STGA, no risk penalty", config));
+    variants.policies.push_back(variant("STGA, no risk penalty", config));
   }
-
-  const exp::Scenario scenario = exp::psa_scenario(args.psa_jobs);
-  util::Table table({"variant", "makespan (s)", "avg response (s)",
-                     "slowdown", "N_fail", "sched time (s)"});
-  for (const auto& spec : variants) {
-    const auto result =
-        exp::run_replicated(scenario, spec, args.reps, args.seed);
-    const auto& agg = result.aggregate;
-    table.row()
-        .cell(spec.name)
-        .cell(agg.makespan().mean(), 3)
-        .cell(agg.avg_response().mean(), 3)
-        .cell(agg.slowdown().mean(), 2)
-        .cell(agg.n_fail().mean(), 0)
-        .cell(agg.scheduler_seconds().mean(), 2);
-    std::fflush(stdout);
-  }
-  std::printf("%s\n", table.str().c_str());
+  run_and_print(variants);
 
   // Failure-detection model ablation on the heuristics.
-  util::Table detect({"detection model", "Min-Min risky makespan",
-                      "Min-Min risky response"});
+  exp::campaign::CampaignSpec detection;
+  detection.name = "ablation-detection";
+  detection.seed = args.seed;
+  detection.replications = args.reps;
+  detection.metrics = {"makespan", "avg_response"};
   for (const bool at_end : {false, true}) {
-    exp::Scenario scenario_d = exp::psa_scenario(args.psa_jobs);
-    scenario_d.engine.detection = at_end
-                                      ? sim::FailureDetection::kAtEnd
-                                      : sim::FailureDetection::kUniformFraction;
-    const auto result = exp::run_replicated(
-        scenario_d,
-        exp::heuristic_spec("min-min", security::RiskPolicy::risky()),
-        args.reps, args.seed);
-    detect.row()
-        .cell(at_end ? "at planned end" : "uniform fraction")
-        .cell(result.aggregate.makespan().mean(), 3)
-        .cell(result.aggregate.avg_response().mean(), 3);
+    exp::campaign::ScenarioRef ref;
+    ref.name = "psa";
+    ref.label = at_end ? "at planned end" : "uniform fraction";
+    ref.custom = exp::psa_scenario(psa_jobs);
+    ref.custom->engine.detection =
+        at_end ? sim::FailureDetection::kAtEnd
+               : sim::FailureDetection::kUniformFraction;
+    detection.scenarios.push_back(std::move(ref));
   }
-  std::printf("%s\n", detect.str().c_str());
+  exp::campaign::PolicyRef min_min_risky;
+  min_min_risky.mode = "risky";
+  detection.policies.push_back(min_min_risky);
+  run_and_print(detection);
   return 0;
 }

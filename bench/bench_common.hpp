@@ -1,9 +1,9 @@
-// Shared plumbing for the per-figure bench binaries: flag parsing, the
-// paper-roster runners, table helpers and the BENCH_*.json emission
-// helpers (one ordered-key writer instead of per-binary fprintf blocks).
-// Every binary runs with no arguments and prints the same rows/series the
-// paper reports; flags let you scale the experiment (--jobs, --reps,
-// --seed, --f, ...).
+// Shared plumbing for the bench binaries: flag parsing, the banner and the
+// BENCH_*.json emission helpers (one ordered-key writer instead of
+// per-binary fprintf blocks). Every binary runs with no arguments; flags
+// let you scale the experiment (--reps, --seed, --f, --quick, ...). The
+// paper's tables and figures are campaign specs, not binaries: see
+// examples/campaigns/paper/.
 #pragma once
 
 #include <cmath>
@@ -20,8 +20,6 @@ struct BenchArgs {
   std::size_t reps = 1;  // the paper reports single-trace runs; raise for CIs
   std::uint64_t seed = 20050419;  // IPDPS 2005 vintage
   double f = 0.5;                 // paper's chosen risk bound
-  std::size_t nas_jobs = 16000;   // paper Table 1
-  std::size_t psa_jobs = 1000;
   bool quick = false;             // shrink everything for CI-style runs
 };
 
@@ -33,16 +31,8 @@ inline BenchArgs parse_args(int argc, char** argv) {
   args.seed = static_cast<std::uint64_t>(
       cli.get_or("seed", static_cast<std::int64_t>(args.seed)));
   args.f = cli.get_or("f", args.f);
-  args.nas_jobs = static_cast<std::size_t>(
-      cli.get_or("nas-jobs", static_cast<std::int64_t>(args.nas_jobs)));
-  args.psa_jobs = static_cast<std::size_t>(
-      cli.get_or("psa-jobs", static_cast<std::int64_t>(args.psa_jobs)));
   args.quick = cli.get_or("quick", false);
-  if (args.quick) {
-    args.nas_jobs = std::min<std::size_t>(args.nas_jobs, 2000);
-    args.psa_jobs = std::min<std::size_t>(args.psa_jobs, 300);
-    args.reps = 1;
-  }
+  if (args.quick) args.reps = 1;
   return args;
 }
 
@@ -149,18 +139,6 @@ inline bool write_bench_json(const std::string& path,
 /// bench_synth both print.
 inline double peak_rss_mib() {
   return static_cast<double>(obs::peak_rss_bytes()) / 1048576.0;
-}
-
-/// Paper-default STGA configuration (Table 1).
-inline core::StgaConfig paper_stga() {
-  core::StgaConfig config;
-  config.ga.population = 200;
-  config.ga.generations = 100;
-  config.ga.crossover_prob = 0.8;
-  config.ga.mutation_prob = 0.01;
-  config.table_capacity = 150;
-  config.similarity_threshold = 0.8;
-  return config;
 }
 
 }  // namespace gridsched::bench

@@ -2,10 +2,11 @@
 // consistency classes, arrival processes, security regimes) against every
 // registry heuristic plus the GAs — expressed as a declarative campaign
 // and sharded across the thread pool (--threads=N; 1 = serial).
-// Deterministic in --seed: per-cell seeds hash (seed, scenario, policy,
-// replication), so two runs with the same seed print identical
-// makespan/slowdown tables for ANY thread count, and the output doubles
-// as a reproducibility check for the generator and the campaign layer.
+// Deterministic in --seed: per-cell seeds hash (seed, scenario,
+// replication), so every policy of a replication runs on the same
+// workload, two runs with the same seed print identical makespan/slowdown
+// tables for ANY thread count, and the output doubles as a
+// reproducibility check for the generator and the campaign layer.
 #include "bench_common.hpp"
 
 using namespace gridsched;
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
     ref.f = args.f;
     spec.policies.push_back(std::move(ref));
   }
-  core::StgaConfig stga = bench::paper_stga();
+  core::StgaConfig stga;  // paper Table 1 defaults
   if (args.quick) {
     stga.ga.population = 50;
     stga.ga.generations = 20;

@@ -13,7 +13,8 @@
 //             [--trace-events=F] [--metrics=F] [--ga-profile=F]
 //             [--timeseries=F] [--timeseries-csv=F]
 //             [--timeseries-interval=SEC]
-//             Simulate and print the paper's metrics. --algo is one of the
+//             Simulate and print the paper's metrics, including the
+//             per-site utilization (paper Fig. 9). --algo is one of the
 //             registry heuristics ("min-min", "sufferage", "max-min",
 //             "mct", "met", "olb"), "stga" or "ga". --trace-events writes
 //             a Chrome trace_event JSON timeline (chrome://tracing /
@@ -25,8 +26,6 @@
 //             (default 1000) and writes it as JSON (--timeseries-csv for
 //             CSV); with --trace-events too, the samples also merge into
 //             the trace as Perfetto counter tracks.
-//   roster    [--scenario=NAME --jobs=N --reps=R --seed=S]
-//             Run the paper's 7-algorithm comparison.
 //   campaign  SPEC.json [--threads=N] [--dry-run] [--out-json=F]
 //             [--out-csv=F] [--profile=F] [--progress] [--quiet]
 //             [--strict] [--retries=N] [--cell-timeout=SEC]
@@ -76,7 +75,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: gridsched_cli "
-               "<scenarios|generate|describe|run|roster|campaign> [flags]\n"
+               "<scenarios|generate|describe|run|campaign> [flags]\n"
                "see the header of examples/gridsched_cli.cpp for details\n");
   return 2;
 }
@@ -181,6 +180,11 @@ void print_metrics(const std::string& name, const metrics::RunMetrics& run,
   std::printf("risk-taking jobs: %zu\n", run.n_risk);
   std::printf("failed jobs:      %zu\n", run.n_fail);
   std::printf("avg utilization:  %.1f%%\n", 100.0 * run.avg_utilization);
+  std::printf("site utilization:");
+  for (const double util : run.site_utilization) {
+    std::printf(" %.1f", 100.0 * util);
+  }
+  std::printf(" %% (%zu idle)\n", run.idle_sites);
   if (run.site_down_events > 0) {
     std::printf("site churn:       %zu outages; %zu jobs interrupted "
                 "(%zu interruptions)\n",
@@ -309,34 +313,6 @@ int cmd_run(const util::Cli& cli) {
       exp::run_once(scenario, spec, seed, /*ga_pool=*/nullptr, hooks);
   print_metrics(spec.name, run, csv);
   write_observability();
-  return 0;
-}
-
-int cmd_roster(const util::Cli& cli) {
-  const auto seed =
-      static_cast<std::uint64_t>(cli.get_or("seed", std::int64_t{1}));
-  const auto reps =
-      static_cast<std::size_t>(cli.get_or("reps", std::int64_t{1}));
-  const exp::Scenario scenario = scenario_from(cli);
-  util::Table table({"algorithm", "makespan (s)", "±95% CI", "response (s)",
-                     "slowdown", "N_fail", "N_risk"});
-  for (const auto& spec : exp::paper_roster(cli.get_or("f", 0.5))) {
-    const auto result = exp::run_replicated(scenario, spec, reps, seed);
-    // Small-n-aware interval (Student's t): honest error bars at the
-    // 3-10 replications this subcommand is typically run with.
-    const util::Summary makespan =
-        util::summarize(result.aggregate.makespan());
-    table.row()
-        .cell(spec.name)
-        .cell(makespan.mean, 3)
-        .cell(makespan.ci95, 3)
-        .cell(result.aggregate.avg_response().mean(), 3)
-        .cell(result.aggregate.slowdown().mean(), 2)
-        .cell(result.aggregate.n_fail().mean(), 0)
-        .cell(result.aggregate.n_risk().mean(), 0);
-    std::fflush(stdout);
-  }
-  std::printf("%s", table.str().c_str());
   return 0;
 }
 
@@ -499,7 +475,6 @@ int main(int argc, char** argv) {
     if (command == "generate") return cmd_generate(cli);
     if (command == "describe") return cmd_describe(cli);
     if (command == "run") return cmd_run(cli);
-    if (command == "roster") return cmd_roster(cli);
     if (command == "campaign") return cmd_campaign(cli);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());

@@ -9,7 +9,7 @@ namespace gridsched::exp::campaign {
 
 namespace {
 
-constexpr std::array<MetricDef, 17> kMetricDefs = {{
+constexpr std::array<MetricDef, 18> kMetricDefs = {{
     {"makespan", true,
      [](const metrics::RunMetrics& run) { return run.makespan; }},
     {"avg_response", true,
@@ -26,6 +26,11 @@ constexpr std::array<MetricDef, 17> kMetricDefs = {{
      }},
     {"avg_utilization", true,
      [](const metrics::RunMetrics& run) { return run.avg_utilization; }},
+    // Sites below 1% utilization (paper Fig. 9's idle count).
+    {"idle_sites", true,
+     [](const metrics::RunMetrics& run) {
+       return static_cast<double>(run.idle_sites);
+     }},
     // Engine counters (PR 5): pure functions of (scenario, policy, seed),
     // so all deterministic and JSON-safe.
     {"failure_events", true,

@@ -53,6 +53,8 @@ void apply_metric(metrics::RunMetrics& m, const std::string& key,
     count(m.n_fail);
   } else if (key == "avg_utilization") {
     m.avg_utilization = value;
+  } else if (key == "idle_sites") {
+    count(m.idle_sites);
   } else if (key == "failure_events") {
     count(m.failure_events);
   } else if (key == "risky_attempts") {

@@ -19,10 +19,9 @@
 namespace gridsched::exp::campaign {
 
 std::uint64_t cell_seed(const CampaignSpec& spec, std::size_t scenario_index,
-                        std::size_t policy_index, std::size_t replication) {
+                        std::size_t replication) {
   return util::SeedMix(spec.seed)
       .mix(spec.scenarios[scenario_index].display())
-      .mix(spec.policies[policy_index].display())
       .mix(static_cast<std::uint64_t>(replication))
       .seed();
 }
@@ -39,7 +38,7 @@ std::vector<Cell> expand(const CampaignSpec& spec) {
         cell.scenario = s;
         cell.policy = p;
         cell.replication = r;
-        cell.seed = cell_seed(spec, s, p, r);
+        cell.seed = cell_seed(spec, s, r);
         cells.push_back(cell);
       }
     }

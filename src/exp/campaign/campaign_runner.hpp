@@ -4,14 +4,16 @@
 // heuristic cells, so fine-grained tasks keep the pool busy), and reduce
 // the results with CampaignAggregator.
 //
-// Determinism contract: every cell gets its own RNG stream with
-//   seed = SeedMix(spec.seed).mix(scenario label).mix(policy label)
-//                            .mix(replication)
-// and runs with GA fitness evaluation serial inside the cell, so cell
-// results — and therefore the aggregate JSON artifact — are byte-identical
-// for any --threads value and any execution order. Wall-clock fields
-// (CampaignResult::wall_seconds and friends) are the only exception and
-// never enter the artifact.
+// Determinism contract: every cell runs under
+//   seed = SeedMix(spec.seed).mix(scenario label).mix(replication)
+// with GA fitness evaluation serial inside the cell, so cell results —
+// and therefore the aggregate JSON artifact — are byte-identical for any
+// --threads value and any execution order. The policy label is not mixed
+// in: the policies of one (scenario, replication) pair are *paired* — they
+// see the same workload, the same failure hash and the same GA seed, so a
+// difference between two policies is the policies' doing, not the draw's.
+// Wall-clock fields (CampaignResult::wall_seconds and friends) are the only
+// exception to byte-identity and never enter the artifact.
 //
 // Fault tolerance (PR 7): cells fail *individually*. A throwing or
 // timed-out cell is recorded with its status and error, every other cell
@@ -44,10 +46,12 @@ struct Cell {
   std::uint64_t seed = 0;       ///< deterministic per-cell stream
 };
 
-/// Per-cell seed; depends only on (spec seed, labels, replication) — never
-/// on axis indices, so inserting a scenario does not reseed the others.
+/// Per-cell seed; depends only on (spec seed, scenario label, replication)
+/// — never on axis indices, so inserting a scenario does not reseed the
+/// others, and never on the policy, so every policy of a replication
+/// shares it.
 std::uint64_t cell_seed(const CampaignSpec& spec, std::size_t scenario_index,
-                        std::size_t policy_index, std::size_t replication);
+                        std::size_t replication);
 
 /// The flat run matrix (validates the spec first).
 std::vector<Cell> expand(const CampaignSpec& spec);

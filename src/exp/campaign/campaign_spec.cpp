@@ -65,7 +65,8 @@ PolicyRef parse_policy_ref(const Value& entry) {
   check_keys(entry, {"algo", "mode", "f", "label", "ga"}, "policy entry");
   ref.algo = entry.at("algo").as_string();
   // No-effect keys are errors, not silent defaults: the GAs ignore the
-  // heuristic risk mode, and heuristics ignore the GA config.
+  // heuristic risk mode, heuristics ignore the GA config, and only the
+  // f-risky mode reads f.
   const bool is_ga = ref.algo == "stga" || ref.algo == "ga";
   if (is_ga && (entry.find("mode") != nullptr || entry.find("f") != nullptr)) {
     spec_error("\"mode\"/\"f\" have no effect on policy algo \"" + ref.algo +
@@ -76,6 +77,11 @@ PolicyRef parse_policy_ref(const Value& entry) {
                ref.algo + "\"");
   }
   if (const Value* mode = entry.find("mode")) ref.mode = mode->as_string();
+  if (entry.find("f") != nullptr &&
+      (ref.mode == "secure" || ref.mode == "risky")) {
+    spec_error("\"f\" has no effect on mode \"" + ref.mode +
+               "\" (only f-risky reads the risk bound)");
+  }
   if (const Value* f = entry.find("f")) ref.f = f->as_number();
   if (const Value* label = entry.find("label")) ref.label = label->as_string();
   if (const Value* ga = entry.find("ga")) {

@@ -30,9 +30,10 @@ void maybe_inject(const FaultPlan& plan, std::uint64_t spec_seed,
   if (!plan.scenario.empty() && plan.scenario != scenario) return;
   if (!plan.policy.empty() && plan.policy != policy) return;
 
-  // Same cell-key convention as campaign::cell_seed (labels + replication,
-  // never axis indices) under a dedicated "fault" domain, plus the attempt
-  // index so retries re-draw.
+  // Cell key by labels + replication (never axis indices) under a
+  // dedicated "fault" domain, plus the attempt index so retries re-draw.
+  // Unlike campaign::cell_seed the policy label is mixed in: a fault
+  // filter or probability applies to each cell independently.
   util::Rng rng = util::SeedMix(spec_seed)
                       .mix("fault")
                       .mix(scenario)

@@ -113,26 +113,4 @@ metrics::RunMetrics run_once(const Scenario& scenario,
   return metrics::compute_metrics(engine);
 }
 
-ReplicatedResult run_replicated(const Scenario& scenario,
-                                const AlgorithmSpec& spec,
-                                std::size_t replications,
-                                std::uint64_t base_seed,
-                                util::ThreadPool* pool) {
-  ReplicatedResult result;
-  result.runs.resize(replications);
-  auto one = [&](std::size_t r) {
-    const std::uint64_t seed = util::Rng::child(base_seed, r).next_u64();
-    // GA fitness stays serial inside each replication: the pool's workers
-    // are busy running replications and must not block on nested waits.
-    result.runs[r] = run_once(scenario, spec, seed, nullptr);
-  };
-  if (pool != nullptr && replications > 1) {
-    pool->parallel_for(replications, one, replications);
-  } else {
-    for (std::size_t r = 0; r < replications; ++r) one(r);
-  }
-  for (const auto& run : result.runs) result.aggregate.add(run);
-  return result;
-}
-
 }  // namespace gridsched::exp

@@ -1,7 +1,7 @@
-// Experiment execution: single runs (with the STGA training phase when the
-// algorithm asks for it) and seed-replicated runs fanned out over a thread
-// pool. Results are bit-reproducible in (scenario, spec, seed) regardless
-// of thread count.
+// Experiment execution: one run (with the STGA training phase when the
+// algorithm asks for it), bit-reproducible in (scenario, spec, seed).
+// Replication lives in the campaign runner (exp/campaign/), which pairs
+// every policy of a replication on one seed.
 #pragma once
 
 #include <cstdint>
@@ -42,19 +42,5 @@ metrics::RunMetrics run_once(const Scenario& scenario,
                              std::uint64_t seed,
                              util::ThreadPool* ga_pool = nullptr,
                              const RunHooks& hooks = {});
-
-struct ReplicatedResult {
-  metrics::MetricsAggregate aggregate;
-  std::vector<metrics::RunMetrics> runs;  ///< per replication, in seed order
-};
-
-/// Run `replications` independent seeds (base_seed-derived). When `pool` is
-/// given, replications run concurrently and GA fitness evaluation stays
-/// serial inside each run (no nested blocking).
-ReplicatedResult run_replicated(const Scenario& scenario,
-                                const AlgorithmSpec& spec,
-                                std::size_t replications,
-                                std::uint64_t base_seed,
-                                util::ThreadPool* pool = nullptr);
 
 }  // namespace gridsched::exp

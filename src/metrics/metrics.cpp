@@ -66,21 +66,4 @@ RunMetrics compute_metrics(const sim::Engine& engine) {
   return metrics;
 }
 
-void MetricsAggregate::add(const RunMetrics& run) {
-  ++runs_;
-  makespan_.add(run.makespan);
-  response_.add(run.avg_response);
-  slowdown_.add(run.slowdown_ratio);
-  n_risk_.add(static_cast<double>(run.n_risk));
-  n_fail_.add(static_cast<double>(run.n_fail));
-  avg_util_.add(run.avg_utilization);
-  sched_seconds_.add(run.scheduler_seconds);
-  if (site_util_.size() < run.site_utilization.size()) {
-    site_util_.resize(run.site_utilization.size());
-  }
-  for (std::size_t s = 0; s < run.site_utilization.size(); ++s) {
-    site_util_[s].add(run.site_utilization[s]);
-  }
-}
-
 }  // namespace gridsched::metrics

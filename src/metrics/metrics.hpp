@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "util/stats.hpp"
 
 namespace gridsched::metrics {
 
@@ -52,50 +51,5 @@ struct RunMetrics {
 
 /// Derive all metrics from a finished engine run.
 RunMetrics compute_metrics(const sim::Engine& engine);
-
-/// Streaming aggregation over replications (different seeds).
-class MetricsAggregate {
- public:
-  void add(const RunMetrics& run);
-
-  [[nodiscard]] std::size_t runs() const noexcept { return runs_; }
-  [[nodiscard]] const util::RunningStats& makespan() const noexcept {
-    return makespan_;
-  }
-  [[nodiscard]] const util::RunningStats& avg_response() const noexcept {
-    return response_;
-  }
-  [[nodiscard]] const util::RunningStats& slowdown() const noexcept {
-    return slowdown_;
-  }
-  [[nodiscard]] const util::RunningStats& n_risk() const noexcept {
-    return n_risk_;
-  }
-  [[nodiscard]] const util::RunningStats& n_fail() const noexcept {
-    return n_fail_;
-  }
-  [[nodiscard]] const util::RunningStats& avg_utilization() const noexcept {
-    return avg_util_;
-  }
-  [[nodiscard]] const util::RunningStats& scheduler_seconds() const noexcept {
-    return sched_seconds_;
-  }
-  /// Per-site utilization stats; sized on the first add().
-  [[nodiscard]] const std::vector<util::RunningStats>& site_utilization()
-      const noexcept {
-    return site_util_;
-  }
-
- private:
-  std::size_t runs_ = 0;
-  util::RunningStats makespan_;
-  util::RunningStats response_;
-  util::RunningStats slowdown_;
-  util::RunningStats n_risk_;
-  util::RunningStats n_fail_;
-  util::RunningStats avg_util_;
-  util::RunningStats sched_seconds_;
-  std::vector<util::RunningStats> site_util_;
-};
 
 }  // namespace gridsched::metrics

@@ -40,8 +40,9 @@ class Rng;
 /// apart and order matters: mix(1).mix(2) != mix(2).mix(1). This is the
 /// canonical replacement for ad-hoc `seed + i` stream derivation in sweep
 /// and bench loops — and the campaign layer's per-cell seeding
-/// (seed = SeedMix(spec_seed).mix(scenario).mix(policy).mix(rep)), which
-/// makes cell results independent of shard order and thread count.
+/// (seed = SeedMix(spec_seed).mix(scenario).mix(rep), shared by every
+/// policy of a replication), which makes cell results independent of
+/// shard order and thread count.
 class SeedMix {
  public:
   explicit constexpr SeedMix(std::uint64_t seed) noexcept : state_(seed) {}

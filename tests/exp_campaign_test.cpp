@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -108,6 +109,13 @@ TEST(CampaignSpec, ErrorPaths) {
   EXPECT_THROW(parse_spec_text(R"({"scenarios": ["psa"],
         "policies": [{"algo": "min-min", "ga": {"population": 8}}]})"),
                std::invalid_argument);
+  // Only f-risky reads "f"; secure and risky would silently drop it.
+  EXPECT_THROW(parse_spec_text(R"({"scenarios": ["psa"],
+        "policies": [{"algo": "min-min", "mode": "secure", "f": 0.3}]})"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_spec_text(R"({"scenarios": ["psa"],
+        "policies": [{"algo": "sufferage", "mode": "risky", "f": 1.0}]})"),
+               std::invalid_argument);
   // Duplicate labels need explicit disambiguation.
   EXPECT_THROW(parse_spec_text(R"({"scenarios": ["psa", "psa"],
                                    "policies": ["min-min"]})"),
@@ -139,15 +147,51 @@ TEST(CampaignSpec, CustomScenariosHonourOverrides) {
   EXPECT_DOUBLE_EQ(resolved.engine.batch_interval, 500.0);
 }
 
+TEST(CampaignSpec, EveryCommittedSpecParsesAndExpands) {
+  // Every spec under examples/campaigns/ (the paper figures included)
+  // must stay loadable as the parser tightens; the name check keeps an
+  // empty or mis-rooted glob from passing vacuously.
+  const std::filesystem::path root =
+      std::filesystem::path(GRIDSCHED_SOURCE_DIR) / "examples" / "campaigns";
+  std::set<std::string> seen;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (entry.path().extension() != ".json") continue;
+    const std::string relative =
+        std::filesystem::relative(entry.path(), root).generic_string();
+    SCOPED_TRACE(relative);
+    const CampaignSpec spec = load_spec(entry.path().string());
+    EXPECT_FALSE(expand(spec).empty());
+    seen.insert(relative);
+  }
+  for (const char* name :
+       {"table2.json", "chaos.json", "smoke.json", "smoke_slow.json",
+        "paper/nas.json", "paper/fig7a.json", "paper/fig7b.json",
+        "paper/fig10.json"}) {
+    EXPECT_EQ(seen.count(name), 1u) << name;
+  }
+}
+
 // ------------------------------------------------------------- expansion ---
 
 TEST(CampaignExpand, MatrixOrderAndDistinctSeeds) {
   const CampaignSpec spec = mini_spec();
   const std::vector<Cell> cells = expand(spec);
   ASSERT_EQ(cells.size(), 2u * 2u * 2u);
+  // Policies are paired: one seed per (scenario, replication), shared by
+  // every policy and distinct from every other pair's.
+  std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> pair_seed;
+  for (const Cell& cell : cells) {
+    const auto key = std::make_pair(cell.scenario, cell.replication);
+    const auto it = pair_seed.emplace(key, cell.seed).first;
+    EXPECT_EQ(it->second, cell.seed)
+        << "scenario " << cell.scenario << " rep " << cell.replication
+        << " policy " << cell.policy;
+  }
+  ASSERT_EQ(pair_seed.size(), 2u * 2u);
   std::set<std::uint64_t> seeds;
-  for (const Cell& cell : cells) seeds.insert(cell.seed);
-  EXPECT_EQ(seeds.size(), cells.size());  // all streams distinct
+  for (const auto& [key, seed] : pair_seed) seeds.insert(seed);
+  EXPECT_EQ(seeds.size(), pair_seed.size());  // pair streams distinct
   // Scenario-major, policy-minor, replication-innermost.
   EXPECT_EQ(cells[0].scenario, 0u);
   EXPECT_EQ(cells[0].policy, 0u);
@@ -159,12 +203,21 @@ TEST(CampaignExpand, MatrixOrderAndDistinctSeeds) {
 
 TEST(CampaignExpand, SeedsDependOnLabelsNotIndices) {
   CampaignSpec spec = mini_spec();
-  const std::uint64_t batch_seed = cell_seed(spec, 1, 0, 0);
+  const std::uint64_t batch_seed = cell_seed(spec, 1, 0);
   // Inserting a scenario in front must not reseed synth-batch's cells.
   ScenarioRef extra;
   extra.name = "nas";
   spec.scenarios.insert(spec.scenarios.begin(), extra);
-  EXPECT_EQ(cell_seed(spec, 2, 0, 0), batch_seed);
+  EXPECT_EQ(cell_seed(spec, 2, 0), batch_seed);
+  // Nor may inserting a policy: the policy axis never enters the seed.
+  PolicyRef policy;
+  policy.algo = "mct";
+  spec.policies.insert(spec.policies.begin(), policy);
+  for (const Cell& cell : expand(spec)) {
+    if (cell.scenario == 2 && cell.replication == 0) {
+      EXPECT_EQ(cell.seed, batch_seed) << "policy " << cell.policy;
+    }
+  }
 }
 
 // ----------------------------------------------------------- determinism ---
@@ -184,6 +237,39 @@ TEST(CampaignRunner, ByteIdenticalJsonAcrossThreadCounts) {
     }
   }
   EXPECT_FALSE(baseline.empty());
+}
+
+TEST(CampaignRunner, PoliciesOfAReplicationArePaired) {
+  // The same heuristic under two labels must see the same workload and
+  // the same failure draws, so every replication's metrics agree bit for
+  // bit between the two groups; across replications they must differ.
+  const CampaignSpec spec = parse_spec_text(R"({
+    "name": "paired",
+    "seed": 11,
+    "replications": 3,
+    "scenarios": [{"name": "psa", "jobs": 120}],
+    "policies": [
+      {"algo": "min-min", "mode": "risky", "label": "a"},
+      {"algo": "min-min", "mode": "risky", "label": "b"}
+    ]
+  })");
+  RunnerOptions options;
+  options.threads = 2;
+  const CampaignResult result = CampaignRunner(options).run(spec);
+  ASSERT_EQ(result.cells.size(), 6u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    const metrics::RunMetrics& a = result.cells[r].metrics;
+    const metrics::RunMetrics& b = result.cells[3 + r].metrics;
+    ASSERT_EQ(result.cells[3 + r].cell.replication, r);
+    for (const MetricDef& def : metric_defs()) {
+      if (!def.deterministic) continue;
+      EXPECT_EQ(def.value(a), def.value(b)) << def.key << " rep " << r;
+    }
+    EXPECT_EQ(a.site_utilization, b.site_utilization) << "rep " << r;
+    EXPECT_GT(a.n_fail, 0u) << "rep " << r;  // the failure hash is shared
+  }
+  EXPECT_NE(result.cells[0].metrics.makespan,
+            result.cells[1].metrics.makespan);
 }
 
 TEST(CampaignRunner, ChurnScenarioJsonIsByteIdenticalAcrossThreadCounts) {
@@ -327,9 +413,9 @@ TEST(CampaignRunner, GoldenMiniCampaignOverScenarioBatch) {
   EXPECT_EQ(group.policy, "min-min-risky");
   EXPECT_EQ(group.cells, 3u);
 
-  // Defaulted metrics = all deterministic ones (incl. the PR 5 engine
-  // counters), canonical order.
-  ASSERT_EQ(group.metrics.size(), 16u);
+  // Defaulted metrics = all deterministic ones (incl. the engine
+  // counters and idle_sites), canonical order.
+  ASSERT_EQ(group.metrics.size(), 17u);
   EXPECT_EQ(group.metrics[0].key, "makespan");
   util::RunningStats makespan;
   for (const CellResult& cell : result.cells) {

@@ -353,6 +353,7 @@ TEST(Journal, RecordRoundTripsEveryDeterministicMetric) {
   m.n_risk = 7;
   m.n_fail = 3;
   m.avg_utilization = 0.87654321;
+  m.idle_sites = 53;
   m.failure_events = 11;
   m.risky_attempts = 13;
   m.released_nodes = 19;

@@ -160,16 +160,6 @@ TEST(Runner, TrainingJobsZeroSkipsTraining) {
   EXPECT_EQ(run.n_jobs, 40u);
 }
 
-TEST(Runner, ReplicationSeedsAreDistinct) {
-  const Scenario scenario = psa_scenario(40);
-  const auto spec =
-      heuristic_spec("mct", security::RiskPolicy::f_risky(0.5));
-  const auto result = run_replicated(scenario, spec, 3, 500);
-  ASSERT_EQ(result.runs.size(), 3u);
-  EXPECT_FALSE(result.runs[0].makespan == result.runs[1].makespan &&
-               result.runs[1].makespan == result.runs[2].makespan);
-}
-
 TEST(WorkloadStats, CharacterizesGeneratedTrace) {
   const workload::Workload psa = make_workload(psa_scenario(400), 11);
   const auto stats = workload::characterize(psa.jobs);

@@ -121,25 +121,6 @@ TEST(Integration, DifferentSeedsGiveDifferentWorkloads) {
   EXPECT_NE(a.makespan, b.makespan);
 }
 
-TEST(Integration, ReplicatedRunsMatchSequentialAndParallel) {
-  const auto scenario = tiny_psa(50);
-  const auto spec =
-      exp::heuristic_spec("sufferage", security::RiskPolicy::f_risky(0.5));
-  util::ThreadPool pool(4);
-  const auto serial = exp::run_replicated(scenario, spec, 4, 77, nullptr);
-  const auto parallel = exp::run_replicated(scenario, spec, 4, 77, &pool);
-  ASSERT_EQ(serial.runs.size(), 4u);
-  ASSERT_EQ(parallel.runs.size(), 4u);
-  for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_DOUBLE_EQ(serial.runs[r].makespan, parallel.runs[r].makespan);
-    EXPECT_DOUBLE_EQ(serial.runs[r].avg_response,
-                     parallel.runs[r].avg_response);
-  }
-  EXPECT_EQ(serial.aggregate.runs(), 4u);
-  EXPECT_NEAR(serial.aggregate.makespan().mean(),
-              parallel.aggregate.makespan().mean(), 1e-9);
-}
-
 TEST(Integration, TrainingWarmsTheStgaTable) {
   // Run the STGA training phase by hand and check the table fills.
   const auto scenario = tiny_psa(60);
@@ -156,21 +137,32 @@ TEST(Integration, TrainingWarmsTheStgaTable) {
 }
 
 TEST(Integration, SecureSlowerThanRiskyOnCongestedNas) {
-  // The paper's headline ordering at small scale, averaged over seeds to
-  // damp noise: secure-mode response time is materially worse.
-  const auto scenario = tiny_nas(300);
-  const auto secure =
-      exp::run_replicated(scenario,
-                          exp::heuristic_spec("min-min",
-                                              security::RiskPolicy::secure()),
-                          3, 1234);
-  const auto risky =
-      exp::run_replicated(scenario,
-                          exp::heuristic_spec("min-min",
-                                              security::RiskPolicy::risky()),
-                          3, 1234);
-  EXPECT_GT(secure.aggregate.avg_response().mean(),
-            risky.aggregate.avg_response().mean());
+  // The paper's headline ordering at small scale, averaged over a 3-rep
+  // campaign to damp noise: secure-mode response time is materially
+  // worse. The campaign pairs the two policies on each replication's seed.
+  exp::campaign::CampaignSpec spec;
+  spec.seed = 1234;
+  spec.replications = 3;
+  spec.metrics = {"avg_response"};
+  exp::campaign::ScenarioRef nas;
+  nas.name = "nas";
+  nas.custom = tiny_nas(300);
+  spec.scenarios.push_back(nas);
+  for (const char* mode : {"secure", "risky"}) {
+    exp::campaign::PolicyRef policy;
+    policy.algo = "min-min";
+    policy.mode = mode;
+    spec.policies.push_back(policy);
+  }
+  exp::campaign::RunnerOptions options;
+  options.threads = 1;
+  const auto result = exp::campaign::CampaignRunner(options).run(spec);
+  ASSERT_EQ(result.groups.size(), 2u);
+  const auto& secure = result.groups[0];
+  const auto& risky = result.groups[1];
+  ASSERT_EQ(secure.policy, "min-min-secure");
+  ASSERT_EQ(risky.cells, 3u);
+  EXPECT_GT(secure.metrics[0].summary.mean, risky.metrics[0].summary.mean);
 }
 
 TEST(Integration, FRiskyInterpolatesRiskCounts) {

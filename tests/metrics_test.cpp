@@ -84,44 +84,5 @@ TEST(Metrics, IdleSiteDetection) {
   EXPECT_DOUBLE_EQ(metrics.site_utilization[1], 0.0);
 }
 
-TEST(MetricsAggregate, AccumulatesRunningStats) {
-  RunMetrics a;
-  a.makespan = 100.0;
-  a.avg_response = 10.0;
-  a.slowdown_ratio = 2.0;
-  a.n_risk = 5;
-  a.n_fail = 2;
-  a.avg_utilization = 0.5;
-  a.site_utilization = {0.4, 0.6};
-  RunMetrics b = a;
-  b.makespan = 300.0;
-  b.site_utilization = {0.8, 1.0};
-
-  MetricsAggregate aggregate;
-  aggregate.add(a);
-  aggregate.add(b);
-  EXPECT_EQ(aggregate.runs(), 2u);
-  EXPECT_DOUBLE_EQ(aggregate.makespan().mean(), 200.0);
-  EXPECT_DOUBLE_EQ(aggregate.makespan().min(), 100.0);
-  EXPECT_DOUBLE_EQ(aggregate.makespan().max(), 300.0);
-  EXPECT_DOUBLE_EQ(aggregate.n_risk().mean(), 5.0);
-  ASSERT_EQ(aggregate.site_utilization().size(), 2u);
-  EXPECT_DOUBLE_EQ(aggregate.site_utilization()[0].mean(), 0.6);
-  EXPECT_DOUBLE_EQ(aggregate.site_utilization()[1].mean(), 0.8);
-}
-
-TEST(MetricsAggregate, HandlesHeterogeneousSiteCounts) {
-  RunMetrics small;
-  small.site_utilization = {0.5};
-  RunMetrics large;
-  large.site_utilization = {0.1, 0.9};
-  MetricsAggregate aggregate;
-  aggregate.add(small);
-  aggregate.add(large);
-  ASSERT_EQ(aggregate.site_utilization().size(), 2u);
-  EXPECT_EQ(aggregate.site_utilization()[0].count(), 2u);
-  EXPECT_EQ(aggregate.site_utilization()[1].count(), 1u);
-}
-
 }  // namespace
 }  // namespace gridsched::metrics
