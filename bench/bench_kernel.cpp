@@ -3,12 +3,13 @@
 // over the largest registry scenarios — including the synth-stream-{med,
 // hi} streaming scenarios at 1e5/1e6 jobs — and reports events/sec,
 // dispatches/sec and per-row RSS growth. The event/dispatch/outcome
-// counts come from a passive observer and are pure functions of
-// (scenario, jobs, seed) — bit-equal across machines — so the committed
-// BENCH_kernel.json doubles as a determinism baseline: tools/benchgate
-// hard-fails when the counts drift, warns on throughput (hardware-
-// dependent), and applies the O(active)-memory advisory to the streaming
-// rows (rss_delta_bytes / n_jobs must stay tiny).
+// counts are the kernel's own tallies, read from the run's RunMetrics
+// (events popped, attempts dispatched, scheduler calls). They are pure
+// functions of (scenario, jobs, seed) — bit-equal across machines — so
+// the committed BENCH_kernel.json doubles as a determinism baseline:
+// tools/benchgate hard-fails when the counts drift, warns on throughput
+// (hardware-dependent), and applies the O(active)-memory advisory to the
+// streaming rows (rss_delta_bytes / n_jobs must stay tiny).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -20,28 +21,6 @@ namespace {
 
 using namespace gridsched;
 using Clock = std::chrono::steady_clock;
-
-/// Tallies the raw event stream and the structured callbacks; passive,
-/// so the run stays bit-identical to an unobserved one.
-class ThroughputObserver final : public sim::KernelObserver {
- public:
-  std::uint64_t events = 0;
-  std::uint64_t dispatches = 0;
-  std::uint64_t cycles = 0;
-
-  void on_event(const sim::SimKernel&, const sim::Event&) override {
-    ++events;
-  }
-  void on_dispatch(const sim::SimKernel&, sim::JobId, sim::SiteId,
-                   const sim::NodeAvailability::Window&, double,
-                   unsigned) override {
-    ++dispatches;
-  }
-  void on_cycle(const sim::SimKernel&, sim::Time, std::size_t, std::size_t,
-                double) override {
-    ++cycles;
-  }
-};
 
 struct KernelRow {
   std::string scenario;
@@ -111,13 +90,9 @@ int main(int argc, char** argv) {
     const exp::Scenario scenario = exp::make_scenario(shape.name, jobs);
     const exp::AlgorithmSpec spec = exp::heuristic_spec(
         shape.algo, security::RiskPolicy::f_risky(args.f));
-    ThroughputObserver observer;
-    exp::RunHooks hooks;
-    hooks.observer = &observer;
     const std::uint64_t rss_before = obs::current_rss_bytes();
     const auto start = Clock::now();
-    const metrics::RunMetrics run =
-        exp::run_once(scenario, spec, args.seed, /*ga_pool=*/nullptr, hooks);
+    const metrics::RunMetrics run = exp::run_once(scenario, spec, args.seed);
     const double wall_seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
     const std::uint64_t rss_after = obs::current_rss_bytes();
@@ -125,18 +100,17 @@ int main(int argc, char** argv) {
     KernelRow row;
     row.scenario = shape.name;
     row.n_jobs = run.n_jobs;
-    row.events = observer.events;
-    row.dispatches = observer.dispatches;
-    row.cycles = observer.cycles;
+    row.events = run.events;
+    row.dispatches = run.total_attempts;
+    row.cycles = run.batch_invocations;
     row.failures = run.failure_events;
     row.interruptions = run.interruptions;
     row.makespan = run.makespan;
     row.wall_ms = wall_seconds * 1e3;
     if (wall_seconds > 0.0) {
-      row.events_per_sec =
-          static_cast<double>(observer.events) / wall_seconds;
+      row.events_per_sec = static_cast<double>(row.events) / wall_seconds;
       row.dispatches_per_sec =
-          static_cast<double>(observer.dispatches) / wall_seconds;
+          static_cast<double>(row.dispatches) / wall_seconds;
     }
     row.rss_delta_bytes = rss_after > rss_before ? rss_after - rss_before : 0;
     row.peak_rss_bytes = obs::peak_rss_bytes();

@@ -9,74 +9,33 @@ namespace gridsched::exp::campaign {
 
 namespace {
 
+using metrics::RunMetrics;
+
 constexpr std::array<MetricDef, 18> kMetricDefs = {{
-    {"makespan", true,
-     [](const metrics::RunMetrics& run) { return run.makespan; }},
-    {"avg_response", true,
-     [](const metrics::RunMetrics& run) { return run.avg_response; }},
-    {"slowdown", true,
-     [](const metrics::RunMetrics& run) { return run.slowdown_ratio; }},
-    {"n_risk", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.n_risk);
-     }},
-    {"n_fail", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.n_fail);
-     }},
-    {"avg_utilization", true,
-     [](const metrics::RunMetrics& run) { return run.avg_utilization; }},
+    {"makespan", &RunMetrics::makespan},
+    {"avg_response", &RunMetrics::avg_response},
+    {"slowdown", &RunMetrics::slowdown_ratio},
+    {"n_risk", &RunMetrics::n_risk},
+    {"n_fail", &RunMetrics::n_fail},
+    {"avg_utilization", &RunMetrics::avg_utilization},
     // Sites below 1% utilization (paper Fig. 9's idle count).
-    {"idle_sites", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.idle_sites);
-     }},
+    {"idle_sites", &RunMetrics::idle_sites},
     // Engine counters (PR 5): pure functions of (scenario, policy, seed),
     // so all deterministic and JSON-safe.
-    {"failure_events", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.failure_events);
-     }},
-    {"risky_attempts", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.risky_attempts);
-     }},
-    {"released_nodes", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.released_nodes);
-     }},
-    {"unreleased_nodes", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.unreleased_nodes);
-     }},
-    {"site_down_events", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.site_down_events);
-     }},
-    {"site_up_events", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.site_up_events);
-     }},
-    {"interruptions", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.interruptions);
-     }},
-    {"n_interrupted", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.n_interrupted);
-     }},
-    {"churn_released_nodes", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.churn_released_nodes);
-     }},
-    {"churn_unreleased_nodes", true,
-     [](const metrics::RunMetrics& run) {
-       return static_cast<double>(run.churn_unreleased_nodes);
-     }},
+    {"failure_events", &RunMetrics::failure_events},
+    {"risky_attempts", &RunMetrics::risky_attempts},
+    {"released_nodes", &RunMetrics::released_nodes},
+    {"unreleased_nodes", &RunMetrics::unreleased_nodes},
+    {"site_down_events", &RunMetrics::site_down_events},
+    {"site_up_events", &RunMetrics::site_up_events},
+    {"interruptions", &RunMetrics::interruptions},
+    {"n_interrupted", &RunMetrics::n_interrupted},
+    {"churn_released_nodes", &RunMetrics::churn_released_nodes},
+    {"churn_unreleased_nodes", &RunMetrics::churn_unreleased_nodes},
     // Wall time in schedule_into(): varies run to run, so it never enters
     // the byte-stable JSON artifact.
-    {"scheduler_seconds", false,
-     [](const metrics::RunMetrics& run) { return run.scheduler_seconds; }},
+    {"scheduler_seconds", &RunMetrics::scheduler_seconds,
+     /*is_deterministic=*/false},
 }};
 
 }  // namespace

@@ -5,6 +5,9 @@
 // are byte-stable regardless of thread count or completion order.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -34,14 +37,49 @@ std::string_view status_name(CellStatus status) noexcept;
 /// Inverse of status_name; throws std::invalid_argument on unknown text.
 CellStatus parse_status(std::string_view text);
 
-/// A reportable scalar derived from one run's metrics. `deterministic`
-/// marks metrics that are pure functions of (scenario, policy, seed);
+/// A reportable scalar: one RunMetrics field, real or count, under a
+/// stable name. The one name table both reads a field (reports, journal
+/// encode) and writes it back (journal decode). `deterministic` marks
+/// metrics that are pure functions of (scenario, policy, seed);
 /// wall-clock metrics (scheduler_seconds) are excluded from the stable
-/// JSON artifact and only appear in table/CSV output when requested.
+/// JSON artifact and the journal, and only appear in table/CSV output
+/// when requested.
 struct MetricDef {
+  using Real = double metrics::RunMetrics::*;
+  using Count = std::size_t metrics::RunMetrics::*;
+
+  constexpr MetricDef(std::string_view name, Real field,
+                      bool is_deterministic = true)
+      : key(name), deterministic(is_deterministic), real(field) {}
+  constexpr MetricDef(std::string_view name, Count field)
+      : key(name), deterministic(true), count(field) {}
+
+  [[nodiscard]] double value(const metrics::RunMetrics& run) const {
+    return real != nullptr ? run.*real : static_cast<double>(run.*count);
+  }
+  /// Writes `value` back into the field. Returns false, writing nothing,
+  /// when a count's value is not a whole number in size_t's range (NaN,
+  /// negative, fractional or too large), so a corrupt input cannot reach
+  /// the cast.
+  [[nodiscard]] bool assign(metrics::RunMetrics& run, double value) const {
+    if (real != nullptr) {
+      run.*real = value;
+      return true;
+    }
+    // max() rounds up to 2^64 as a double: the first value past the range.
+    constexpr double kEnd =
+        static_cast<double>(std::numeric_limits<std::size_t>::max());
+    if (!(value >= 0.0 && value < kEnd) || value != std::floor(value)) {
+      return false;
+    }
+    run.*count = static_cast<std::size_t>(value);
+    return true;
+  }
+
   std::string_view key;
   bool deterministic;
-  double (*value)(const metrics::RunMetrics&);
+  Real real = nullptr;    ///< set for real-valued metrics
+  Count count = nullptr;  ///< set for counts
 };
 
 /// All known metrics, in canonical report order.

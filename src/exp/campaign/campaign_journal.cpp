@@ -4,8 +4,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -26,59 +26,15 @@ std::string hex_seed(std::uint64_t seed) {
   return buffer;
 }
 
+/// Inverse of hex_seed: "0x" and 1-16 hex digits, nothing else.
 std::uint64_t parse_hex_seed(const std::string& text) {
-  if (text.size() < 3 || text[0] != '0' || text[1] != 'x') {
+  std::uint64_t seed = 0;
+  const char* const last = text.data() + text.size();
+  if (text.size() < 3 || text.size() > 18 || text.compare(0, 2, "0x") != 0 ||
+      std::from_chars(text.data() + 2, last, seed, 16).ptr != last) {
     throw std::runtime_error("campaign journal: bad seed \"" + text + "\"");
   }
-  return std::strtoull(text.c_str() + 2, nullptr, 16);
-}
-
-/// The deterministic metric values a record persists, applied back onto a
-/// RunMetrics on load. Kept next to decode so adding a metric def without
-/// a setter fails the journal round-trip test, not silently.
-void apply_metric(metrics::RunMetrics& m, const std::string& key,
-                  double value) {
-  const auto count = [&](std::size_t& field) {
-    field = static_cast<std::size_t>(value);
-  };
-  if (key == "makespan") {
-    m.makespan = value;
-  } else if (key == "avg_response") {
-    m.avg_response = value;
-  } else if (key == "slowdown") {
-    m.slowdown_ratio = value;
-  } else if (key == "n_risk") {
-    count(m.n_risk);
-  } else if (key == "n_fail") {
-    count(m.n_fail);
-  } else if (key == "avg_utilization") {
-    m.avg_utilization = value;
-  } else if (key == "idle_sites") {
-    count(m.idle_sites);
-  } else if (key == "failure_events") {
-    count(m.failure_events);
-  } else if (key == "risky_attempts") {
-    count(m.risky_attempts);
-  } else if (key == "released_nodes") {
-    count(m.released_nodes);
-  } else if (key == "unreleased_nodes") {
-    count(m.unreleased_nodes);
-  } else if (key == "site_down_events") {
-    count(m.site_down_events);
-  } else if (key == "site_up_events") {
-    count(m.site_up_events);
-  } else if (key == "interruptions") {
-    count(m.interruptions);
-  } else if (key == "n_interrupted") {
-    count(m.n_interrupted);
-  } else if (key == "churn_released_nodes") {
-    count(m.churn_released_nodes);
-  } else if (key == "churn_unreleased_nodes") {
-    count(m.churn_unreleased_nodes);
-  } else {
-    throw std::runtime_error("campaign journal: unknown metric \"" + key +
-                             "\" (journal from a newer build?)");
-  }
+  return seed;
 }
 
 }  // namespace
@@ -141,7 +97,17 @@ JournalRecord decode_record(const std::string& line) {
     record.metrics.batch_invocations =
         static_cast<std::size_t>(doc.at("batch_invocations").as_uint());
     for (const auto& [key, value] : doc.at("metrics").members()) {
-      apply_metric(record.metrics, key, value.as_number());
+      const MetricDef* def = find_metric(key);
+      // Records carry deterministic metrics only (see encode_record).
+      if (def == nullptr || !def->deterministic) {
+        throw std::runtime_error("campaign journal: unknown metric \"" + key +
+                                 "\" (journal from a newer build?)");
+      }
+      if (!def->assign(record.metrics, value.as_number())) {
+        throw std::runtime_error("campaign journal: metric \"" + key +
+                                 "\" is not a count: " +
+                                 util::json::number(value.as_number()));
+      }
     }
   } else {
     record.error = doc.at("error").as_string();

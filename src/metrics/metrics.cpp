@@ -40,13 +40,14 @@ RunMetrics compute_metrics(const sim::Engine& engine) {
 
   const sim::EngineCounters& counters = engine.counters();
   metrics.batch_invocations = counters.batch_invocations;
+  for (const std::size_t count : counters.events) metrics.events += count;
   metrics.scheduler_seconds = counters.scheduler_seconds;
   metrics.failure_events = counters.failure_events;
   metrics.risky_attempts = counters.risky_attempts;
   metrics.released_nodes = counters.released_nodes;
   metrics.unreleased_nodes = counters.unreleased_nodes;
-  metrics.site_down_events = counters.site_down_events;
-  metrics.site_up_events = counters.site_up_events;
+  metrics.site_down_events = counters.events_of(sim::EventKind::kSiteDown);
+  metrics.site_up_events = counters.events_of(sim::EventKind::kSiteUp);
   metrics.interruptions = counters.interrupted_attempts;
   metrics.churn_released_nodes = counters.churn_released_nodes;
   metrics.churn_unreleased_nodes = counters.churn_unreleased_nodes;

@@ -42,6 +42,8 @@ struct RunMetrics {
   double mean_job_slowdown = 0.0;
 
   std::size_t batch_invocations = 0;
+  /// Events the kernel popped, all kinds (EngineCounters::events summed).
+  std::size_t events = 0;
   double scheduler_seconds = 0.0;  ///< wall time in schedule_into()
 
   std::vector<double> site_utilization;  ///< fraction in [0,1], per site

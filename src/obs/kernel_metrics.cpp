@@ -1,20 +1,60 @@
 #include "obs/kernel_metrics.hpp"
 
+#include <array>
+
 #include "sim/kernel.hpp"
 
 namespace gridsched::obs {
 
+namespace {
+
+/// A `kernel.*` counter and the kernel tally it reports.
+struct CounterSource {
+  const char* name;
+  std::size_t (*read)(const sim::SimKernel& kernel);
+};
+
+template <sim::EventKind kKind>
+std::size_t popped(const sim::SimKernel& kernel) {
+  return kernel.counters().events_of(kKind);
+}
+
+constexpr std::array<CounterSource, 10> kCounterSources = {{
+    {"kernel.events.arrival", popped<sim::EventKind::kJobArrival>},
+    {"kernel.events.batch_cycle", popped<sim::EventKind::kBatchCycle>},
+    {"kernel.events.job_end", popped<sim::EventKind::kJobEnd>},
+    {"kernel.events.site_down", popped<sim::EventKind::kSiteDown>},
+    {"kernel.events.site_up", popped<sim::EventKind::kSiteUp>},
+    // Every dispatch is one attempt of a job that has since retired.
+    {"kernel.dispatches",
+     [](const sim::SimKernel& kernel) {
+       return kernel.retirement().total_attempts();
+     }},
+    {"kernel.completions",
+     [](const sim::SimKernel& kernel) {
+       return kernel.counters().completed_jobs;
+     }},
+    {"kernel.failures",
+     [](const sim::SimKernel& kernel) {
+       return kernel.counters().failure_events;
+     }},
+    // Failure releases and site-down interruptions share revoke_attempt.
+    {"kernel.revocations",
+     [](const sim::SimKernel& kernel) {
+       return kernel.counters().failure_events +
+              kernel.counters().interrupted_attempts;
+     }},
+    // Scheduler calls: one per non-empty batch cycle.
+    {"kernel.cycles",
+     [](const sim::SimKernel& kernel) {
+       return kernel.counters().batch_invocations;
+     }},
+}};
+
+}  // namespace
+
 KernelMetricsObserver::KernelMetricsObserver(MetricRegistry& registry)
-    : events_arrival_(registry.counter("kernel.events.arrival")),
-      events_batch_cycle_(registry.counter("kernel.events.batch_cycle")),
-      events_job_end_(registry.counter("kernel.events.job_end")),
-      events_site_down_(registry.counter("kernel.events.site_down")),
-      events_site_up_(registry.counter("kernel.events.site_up")),
-      dispatches_(registry.counter("kernel.dispatches")),
-      completions_(registry.counter("kernel.completions")),
-      failures_(registry.counter("kernel.failures")),
-      revocations_(registry.counter("kernel.revocations")),
-      cycles_(registry.counter("kernel.cycles")),
+    : registry_(registry),
       batch_jobs_(registry.histogram("kernel.batch_jobs", 0.0, 256.0, 32)),
       batch_assigned_(
           registry.histogram("kernel.batch_assigned", 0.0, 256.0, 32)),
@@ -23,29 +63,9 @@ KernelMetricsObserver::KernelMetricsObserver(MetricRegistry& registry)
       job_response_seconds_(registry.histogram("kernel.job_response_seconds",
                                                0.0, 100000.0, 50)),
       makespan_(registry.gauge("kernel.makespan")),
-      scheduler_seconds_(registry.gauge("kernel.scheduler_seconds")) {}
-
-void KernelMetricsObserver::on_event(const sim::SimKernel& kernel,
-                                     const sim::Event& event) {
-  (void)kernel;
-  switch (event.kind) {
-    case sim::EventKind::kJobArrival:
-      events_arrival_.inc();
-      break;
-    case sim::EventKind::kBatchCycle:
-      events_batch_cycle_.inc();
-      break;
-    case sim::EventKind::kJobEnd:
-      events_job_end_.inc();
-      break;
-    case sim::EventKind::kSiteDown:
-      events_site_down_.inc();
-      break;
-    case sim::EventKind::kSiteUp:
-      events_site_up_.inc();
-      break;
-    default:
-      break;
+      scheduler_seconds_(registry.gauge("kernel.scheduler_seconds")) {
+  for (const CounterSource& source : kCounterSources) {
+    registry.counter(source.name);
   }
 }
 
@@ -58,7 +78,6 @@ void KernelMetricsObserver::on_dispatch(
   (void)site;
   (void)window;
   (void)serial;
-  dispatches_.inc();
   attempt_exec_seconds_.observe(exec);
 }
 
@@ -66,29 +85,7 @@ void KernelMetricsObserver::on_job_complete(const sim::SimKernel& kernel,
                                             sim::JobId job, sim::SiteId site,
                                             sim::Time time) {
   (void)site;
-  completions_.inc();
   job_response_seconds_.observe(time - kernel.job(job).arrival);
-}
-
-void KernelMetricsObserver::on_attempt_failure(const sim::SimKernel& kernel,
-                                               sim::JobId job,
-                                               sim::SiteId site,
-                                               sim::Time time) {
-  (void)kernel;
-  (void)job;
-  (void)site;
-  (void)time;
-  failures_.inc();
-}
-
-void KernelMetricsObserver::on_revoke(const sim::SimKernel& kernel,
-                                      sim::JobId job, sim::SiteId site,
-                                      sim::Time time) {
-  (void)kernel;
-  (void)job;
-  (void)site;
-  (void)time;
-  revocations_.inc();
 }
 
 void KernelMetricsObserver::on_cycle(const sim::SimKernel& kernel,
@@ -98,12 +95,14 @@ void KernelMetricsObserver::on_cycle(const sim::SimKernel& kernel,
   (void)kernel;
   (void)now;
   (void)scheduler_wall_seconds;  // wall time goes to the end-of-run gauge
-  cycles_.inc();
   batch_jobs_.observe(static_cast<double>(batch_jobs));
   batch_assigned_.observe(static_cast<double>(assigned));
 }
 
 void KernelMetricsObserver::on_run_end(const sim::SimKernel& kernel) {
+  for (const CounterSource& source : kCounterSources) {
+    registry_.counter(source.name).inc(source.read(kernel));
+  }
   makespan_.set(kernel.makespan());
   // The one wall-clock (non-deterministic) value in the registry; see the
   // README determinism note.

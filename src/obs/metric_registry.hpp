@@ -1,10 +1,10 @@
 // Named-metric registry: counters, gauges and histograms registered by
 // stable string names, snapshotted to deterministic JSON. The registry is
-// the sink side of the observability layer — kernel observers, the GA
-// engine and the campaign runner write into it; `snapshot_json()` is the
-// single export surface. Metric handles returned by the registry are
-// stable for the registry's lifetime (node-based storage), so hot paths
-// resolve a name once and then touch only the handle.
+// the sink side of the observability layer — KernelMetricsObserver is
+// its one writer; `snapshot_json()` is the single export surface. Metric
+// handles returned by the registry are stable for the registry's lifetime
+// (node-based storage), so hot paths resolve a name once and then touch
+// only the handle.
 //
 // Determinism contract: a snapshot's bytes depend only on the sequence of
 // metric operations (names iterate in sorted order, numbers render via

@@ -301,6 +301,7 @@ void SimKernel::run() {
     if (config_.cancel != nullptr && event.kind == EventKind::kBatchCycle) {
       config_.cancel->check("simulation batch cycle");
     }
+    ++counters_.events[static_cast<std::size_t>(event.kind)];
     if (observer_) observer_->on_event(*this, event);
     SimProcess* route = routes_[static_cast<std::size_t>(event.kind)];
     if (route == nullptr) {

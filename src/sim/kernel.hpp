@@ -19,6 +19,7 @@
 // (seq == job id), so the pop order is a pure function of the workload.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -66,8 +67,13 @@ struct EngineConfig {
 };
 
 /// Aggregate outcome counters kept by the kernel while it runs; per-job
-/// details live in the Job records themselves.
+/// details live in the Job records themselves. Each count has one source:
+/// observers and metrics read these (and the retirement accumulator)
+/// instead of re-tallying callbacks.
 struct EngineCounters {
+  /// Events popped from the queue, by EventKind (stale kJobEnd events and
+  /// empty batch cycles included).
+  std::array<std::size_t, kEventKindCount> events{};
   std::size_t completed_jobs = 0;
   std::size_t failure_events = 0;     ///< failure detections (attempts)
   std::size_t risky_attempts = 0;     ///< dispatches with P(fail) > 0
@@ -83,8 +89,6 @@ struct EngineCounters {
   /// is visible instead of silently ignored.
   std::size_t unreleased_nodes = 0;
   // --- site-churn process ---
-  std::size_t site_down_events = 0;   ///< kSiteDown occurrences
-  std::size_t site_up_events = 0;     ///< kSiteUp occurrences
   /// Attempts revoked because their site went down (per-job counts live in
   /// Job::interruptions).
   std::size_t interrupted_attempts = 0;
@@ -94,6 +98,10 @@ struct EngineCounters {
   /// behind the revoked one on the same node).
   std::size_t churn_released_nodes = 0;
   std::size_t churn_unreleased_nodes = 0;
+
+  [[nodiscard]] std::size_t events_of(EventKind kind) const noexcept {
+    return events[static_cast<std::size_t>(kind)];
+  }
 };
 
 /// The current attempt of a job: the reservation committed at dispatch.

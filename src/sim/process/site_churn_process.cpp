@@ -125,7 +125,6 @@ void SiteChurnProcess::take_site_down(SimKernel& kernel, SiteId site_id,
 void SiteChurnProcess::handle(SimKernel& kernel, const Event& event) {
   const auto site = static_cast<std::size_t>(event.site);
   if (event.kind == EventKind::kSiteDown) {
-    ++kernel.counters().site_down_events;
     take_site_down(kernel, event.site, event.time);
     if (!scripted_ && site < params_.size() && params_[site].churns()) {
       push_site_event(kernel, EventKind::kSiteUp, event.site,
@@ -134,7 +133,6 @@ void SiteChurnProcess::handle(SimKernel& kernel, const Event& event) {
     }
     return;
   }
-  ++kernel.counters().site_up_events;
   kernel.set_site_up(event.site, true);
   if (!scripted_ && site < params_.size() && params_[site].churns()) {
     push_site_event(kernel, EventKind::kSiteDown, event.site,

@@ -399,6 +399,85 @@ TEST(Journal, FailedRecordCarriesErrorInsteadOfMetrics) {
   EXPECT_EQ(decoded.error, record.error);
 }
 
+/// A valid ok record line whose seed and metrics text tests can swap out.
+std::string ok_record_line() {
+  JournalRecord record;
+  record.scenario = "psa";
+  record.policy = "min-min";
+  record.seed = 0x1234;
+  record.status = CellStatus::kOk;
+  record.attempts = 1;
+  record.metrics.n_jobs = 10;
+  return encode_record(record);
+}
+
+/// `line` with its first occurrence of `from` replaced by `to`.
+std::string replaced(std::string line, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return line.replace(at, from.size(), to);
+}
+
+TEST(Journal, SeedMustBeOneToSixteenHexDigits) {
+  const std::string line = ok_record_line();
+  const auto seed_of = [&line](const char* text) {
+    return decode_record(replaced(line, "\"0x0000000000001234\"", text)).seed;
+  };
+  EXPECT_EQ(seed_of("\"0x1234\""), 0x1234u);
+  EXPECT_EQ(seed_of("\"0xFFFFFFFFFFFFFFFF\""), 0xffffffffffffffffull);
+  const char* const bad_seeds[] = {
+      "\"0x\"",
+      "\"0xzz\"",
+      "\"0x1g\"",
+      "\"0x-1\"",
+      "\"0x+1\"",
+      "\"0x 1\"",
+      "\"1234\"",
+      "\"0x1234567890abcdef1\"",
+      "\"0x0000000000000000001\"",
+  };
+  for (const char* bad : bad_seeds) {
+    try {
+      (void)seed_of(bad);
+      ADD_FAILURE() << "accepted seed " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad seed"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Journal, DecodeRejectsUnknownAndWallClockMetrics) {
+  const std::string line = ok_record_line();
+  // scheduler_seconds is a known metric but wall clock: encode_record
+  // never writes it, so a record carrying it is not one of ours.
+  for (const char* key : {"\"no_such_metric\"", "\"scheduler_seconds\""}) {
+    try {
+      (void)decode_record(replaced(line, "\"makespan\"", key));
+      ADD_FAILURE() << "accepted metric " << key;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  // A count must decode to a whole number in size_t's range; casting
+  // anything else would be undefined or silently truncate.
+  const auto with_n_fail = [&line](const std::string& count) {
+    return replaced(line, "\"n_fail\": 0", "\"n_fail\": " + count);
+  };
+  for (const char* count : {"-1", "1.5", "1e300", "18446744073709551616"}) {
+    try {
+      (void)decode_record(with_n_fail(count));
+      ADD_FAILURE() << "accepted n_fail " << count;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("n_fail"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(decode_record(with_n_fail("9007199254740992")).metrics.n_fail,
+            std::size_t{1} << 53);
+}
+
 TEST(Journal, WriterLoaderRoundTripAndTruncatedTailTolerance) {
   const std::string path = testing::TempDir() + "ft_journal.jsonl";
   std::remove(path.c_str());

@@ -2,10 +2,12 @@
 // collision rules, kernel observer callback order against a hand-checked
 // churn timeline, trace-JSON byte determinism, the null-observer /
 // attached-observer bit-identity guarantee, GA convergence-profile
-// invariants, and the observer tee.
+// invariants, the observer tee, and the kernel's counts against an
+// independent callback tally.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -17,6 +19,7 @@
 #include "core/ga_engine.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "exp/scenario_registry.hpp"
 #include "obs/ga_profile_json.hpp"
 #include "obs/kernel_metrics.hpp"
 #include "obs/metric_registry.hpp"
@@ -255,6 +258,118 @@ TEST(KernelObserver, AttachedObserverLeavesRunBitIdentical) {
   // And the observers saw a consistent run.
   EXPECT_EQ(registry.counter("kernel.completions").value(), plain.n_jobs);
   EXPECT_GT(trace.size(), 0u);
+}
+
+/// Counts every callback independently of the kernel, so the kernel's
+/// own tallies (and the metrics read from them) can be checked against a
+/// second source. Keeps a copy of EngineCounters taken at run end.
+class TallyObserver final : public sim::KernelObserver {
+ public:
+  std::array<std::size_t, sim::kEventKindCount> events{};
+  std::size_t dispatches = 0;
+  std::size_t completions = 0;
+  std::size_t failures = 0;
+  std::size_t revokes = 0;
+  std::size_t cycles = 0;
+  sim::EngineCounters at_end;
+
+  [[nodiscard]] std::size_t events_of(sim::EventKind kind) const {
+    return events[static_cast<std::size_t>(kind)];
+  }
+  void on_event(const SimKernel&, const sim::Event& event) override {
+    ++events[static_cast<std::size_t>(event.kind)];
+  }
+  void on_dispatch(const SimKernel&, sim::JobId, sim::SiteId,
+                   const sim::NodeAvailability::Window&, double,
+                   unsigned) override {
+    ++dispatches;
+  }
+  void on_job_complete(const SimKernel&, sim::JobId, sim::SiteId,
+                       sim::Time) override {
+    ++completions;
+  }
+  void on_attempt_failure(const SimKernel&, sim::JobId, sim::SiteId,
+                          sim::Time) override {
+    ++failures;
+  }
+  void on_revoke(const SimKernel&, sim::JobId, sim::SiteId,
+                 sim::Time) override {
+    ++revokes;
+  }
+  void on_cycle(const SimKernel&, sim::Time, std::size_t, std::size_t,
+                double) override {
+    ++cycles;
+  }
+  void on_run_end(const SimKernel& kernel) override {
+    at_end = kernel.counters();
+  }
+};
+
+TEST(KernelCounts, EveryCountHasOneSourceThatMatchesAnIndependentTally) {
+  const std::pair<const char*, security::RiskPolicy> algos[] = {
+      {"min-min", security::RiskPolicy::risky()},
+      {"mct", security::RiskPolicy::f_risky(0.5)},
+  };
+  // Indexed by EventKind.
+  const char* const event_counters[sim::kEventKindCount] = {
+      "kernel.events.arrival",
+      "kernel.events.batch_cycle",
+      "kernel.events.job_end",
+      "kernel.events.site_down",
+      "kernel.events.site_up",
+  };
+  std::size_t site_downs = 0;
+  std::size_t interruptions = 0;
+  std::size_t failures = 0;
+  for (const std::string& name : exp::scenario_names()) {
+    for (const auto& [algo, policy] : algos) {
+      SCOPED_TRACE(name + " / " + algo);
+      obs::MetricRegistry registry;
+      obs::KernelMetricsObserver metrics_observer(registry);
+      TallyObserver tally;
+      sim::KernelObserverTee tee;
+      tee.add(&tally);
+      tee.add(&metrics_observer);
+      exp::RunHooks hooks;
+      hooks.observer = &tee;
+      const exp::Scenario scenario = exp::make_scenario(name, 60);
+      const exp::AlgorithmSpec spec = exp::heuristic_spec(algo, policy);
+      const metrics::RunMetrics run =
+          exp::run_once(scenario, spec, 7, nullptr, hooks);
+      const auto counter = [&registry](const char* metric) {
+        return registry.counter(metric).value();
+      };
+
+      std::size_t events = 0;
+      for (std::size_t kind = 0; kind < sim::kEventKindCount; ++kind) {
+        EXPECT_EQ(tally.at_end.events[kind], tally.events[kind]) << kind;
+        EXPECT_EQ(counter(event_counters[kind]), tally.events[kind])
+            << event_counters[kind];
+        events += tally.events[kind];
+      }
+      EXPECT_EQ(run.events, events);
+      using sim::EventKind;
+      EXPECT_EQ(run.site_down_events, tally.events_of(EventKind::kSiteDown));
+      EXPECT_EQ(run.site_up_events, tally.events_of(EventKind::kSiteUp));
+      EXPECT_EQ(run.n_jobs, tally.events_of(EventKind::kJobArrival));
+      EXPECT_EQ(run.total_attempts, tally.dispatches);
+      EXPECT_EQ(run.batch_invocations, tally.cycles);
+      EXPECT_EQ(run.failure_events, tally.failures);
+      EXPECT_EQ(run.failure_events + run.interruptions, tally.revokes);
+      EXPECT_EQ(counter("kernel.dispatches"), tally.dispatches);
+      EXPECT_EQ(counter("kernel.completions"), tally.completions);
+      EXPECT_EQ(counter("kernel.failures"), tally.failures);
+      EXPECT_EQ(counter("kernel.revocations"), tally.revokes);
+      EXPECT_EQ(counter("kernel.cycles"), tally.cycles);
+      site_downs += run.site_down_events;
+      interruptions += run.interruptions;
+      failures += run.failure_events;
+    }
+  }
+  // The sweep exercised every kind of revocation, not just the easy path.
+  EXPECT_GT(site_downs, 0u);
+  EXPECT_GT(interruptions, 0u);
+  EXPECT_GT(failures, 0u);
 }
 
 // ---------------------------------------------------------------- trace ---

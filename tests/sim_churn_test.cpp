@@ -139,8 +139,8 @@ TEST(SiteChurn, HandCheckedMidRunRevocation) {
 
   const EngineCounters& counters = kernel.counters();
   EXPECT_EQ(counters.completed_jobs, 1u);
-  EXPECT_EQ(counters.site_down_events, 1u);
-  EXPECT_EQ(counters.site_up_events, 1u);
+  EXPECT_EQ(counters.events_of(EventKind::kSiteDown), 1u);
+  EXPECT_EQ(counters.events_of(EventKind::kSiteUp), 1u);
   EXPECT_EQ(counters.interrupted_attempts, 1u);
   EXPECT_EQ(counters.churn_released_nodes, 1u);
   EXPECT_EQ(counters.churn_unreleased_nodes, 0u);
@@ -279,7 +279,8 @@ TEST(SiteChurn, EngineFacadeRunsStochasticChurnDeterministically) {
     const std::vector<Job> done = test::run_recorded(engine, scheduler);
     std::vector<double> finishes;
     for (const Job& job : done) finishes.push_back(job.finish);
-    return std::pair(finishes, engine.counters().site_down_events);
+    return std::pair(finishes,
+                     engine.counters().events_of(EventKind::kSiteDown));
   };
   const auto a = run(11);
   const auto b = run(11);
@@ -296,7 +297,7 @@ TEST(SiteChurn, ChurnFreeWorkloadNeverRegistersTheProcess) {
                 quick_config(50.0), {}, no_churn);
   ScriptedScheduler scheduler({0});
   const std::vector<Job> done = test::run_recorded(engine, scheduler);
-  EXPECT_EQ(engine.counters().site_down_events, 0u);
+  EXPECT_EQ(engine.counters().events_of(EventKind::kSiteDown), 0u);
   EXPECT_DOUBLE_EQ(done[0].finish, 60.0);
 }
 
