@@ -76,11 +76,11 @@ int main(int argc, char** argv) {
   std::printf("peak RSS: %.1f MiB\n", bench::peak_rss_mib());
 
   if (const auto path = cli.get("out-json")) {
-    exp::campaign::JsonFileSink(*path).consume(result);
+    exp::campaign::write_file(*path, exp::campaign::render_json(result));
     std::printf("wrote %s\n", path->c_str());
   }
   if (const auto path = cli.get("profile")) {
-    exp::campaign::ProfileFileSink(*path).consume(result);
+    exp::campaign::write_file(*path, exp::campaign::render_profile(result));
     std::printf("wrote %s\n", path->c_str());
   }
   return 0;

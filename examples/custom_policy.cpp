@@ -100,22 +100,22 @@ int main(int argc, char** argv) {
   util::Table table({"scheduler", "makespan (s)", "response (s)", "N_fail"});
   // Baselines from the registry...
   for (const std::string name : {"mct", "min-min"}) {
-    sim::Engine engine(workload.sites, workload.jobs, engine_config,
-                       workload.exec);
+    sim::SimKernel kernel(workload.sites, workload.jobs, engine_config,
+                          workload.exec);
     auto scheduler =
         sched::make_heuristic(name, security::RiskPolicy::f_risky(0.5));
-    engine.run(*scheduler);
-    const auto run = metrics::compute_metrics(engine);
+    kernel.run(*scheduler);
+    const auto run = metrics::compute_metrics(kernel);
     table.row().cell(scheduler->name()).cell(run.makespan, 0)
         .cell(run.avg_response, 0).cell(run.n_fail);
   }
   // ...versus the custom policy.
   {
-    sim::Engine engine(workload.sites, workload.jobs, engine_config,
-                       workload.exec);
+    sim::SimKernel kernel(workload.sites, workload.jobs, engine_config,
+                          workload.exec);
     ExpectedCompletionScheduler scheduler(engine_config.lambda);
-    engine.run(scheduler);
-    const auto run = metrics::compute_metrics(engine);
+    kernel.run(scheduler);
+    const auto run = metrics::compute_metrics(kernel);
     table.row().cell(scheduler.name()).cell(run.makespan, 0)
         .cell(run.avg_response, 0).cell(run.n_fail);
   }

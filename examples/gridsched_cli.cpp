@@ -276,7 +276,7 @@ int cmd_run(const util::Cli& cli) {
   };
 
   if (cli.has("trace") && cli.has("sites")) {
-    // Replay mode: explicit traces, direct engine drive. v2 traces carry
+    // Replay mode: explicit traces, direct kernel drive. v2 traces carry
     // the raw ETC matrix and replay it exactly; v1 traces fall back to
     // the rank-1 work/speed model.
     workload::JobsTrace trace =
@@ -296,11 +296,11 @@ int cmd_run(const util::Cli& cli) {
       GS_LOG_WARN("trace carries no ETC section; replay uses the rank-1 "
                   "work/speed execution model");
     }
-    sim::Engine engine(std::move(sites), std::move(trace.jobs), config,
-                       std::move(trace.exec));
-    engine.set_observer(observer);
-    engine.run(*scheduler);
-    print_metrics(scheduler->name(), metrics::compute_metrics(engine), csv);
+    sim::SimKernel kernel(std::move(sites), std::move(trace.jobs), config,
+                          std::move(trace.exec));
+    kernel.set_observer(observer);
+    kernel.run(*scheduler);
+    print_metrics(scheduler->name(), metrics::compute_metrics(kernel), csv);
     write_observability();
     return 0;
   }
@@ -420,26 +420,25 @@ int cmd_campaign(const util::Cli& cli) {
   exp::campaign::CampaignRunner runner(options);
   const exp::campaign::CampaignResult result = runner.run(spec);
 
-  std::vector<std::unique_ptr<exp::campaign::Sink>> sinks;
   if (!quiet) {
-    sinks.push_back(std::make_unique<exp::campaign::TableSink>(std::cout));
+    std::cout << exp::campaign::render_table(result);
+    std::cout.flush();
   }
   // The stable aggregate artifact is written by default (commit it like
   // BENCH_ga_decode.json); --out-json= overrides the path.
   const std::string out_json =
       cli.get_or("out-json", spec.name + "_campaign.json");
-  sinks.push_back(std::make_unique<exp::campaign::JsonFileSink>(out_json));
+  exp::campaign::write_file(out_json, exp::campaign::render_json(result));
   if (const auto csv_path = cli.get("out-csv")) {
-    sinks.push_back(std::make_unique<exp::campaign::CsvFileSink>(*csv_path));
+    exp::campaign::write_file(*csv_path, exp::campaign::render_csv(result));
   }
   // The wall-clock profile is a deliberately separate artifact: the
   // aggregate above stays byte-stable, the sidecar carries timing.
   const auto profile_path = cli.get("profile");
   if (profile_path) {
-    sinks.push_back(
-        std::make_unique<exp::campaign::ProfileFileSink>(*profile_path));
+    exp::campaign::write_file(*profile_path,
+                              exp::campaign::render_profile(result));
   }
-  exp::campaign::emit(result, sinks);
   GS_LOG_INFO("wrote %s", out_json.c_str());
   if (profile_path) GS_LOG_INFO("wrote %s", profile_path->c_str());
   if (timeseries_dir) {

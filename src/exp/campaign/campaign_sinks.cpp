@@ -34,13 +34,6 @@ std::string hex_seed(std::uint64_t seed) {
   return buffer;
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot create file: " + path);
-  out << content;
-  if (!out.good()) throw std::runtime_error("failed writing file: " + path);
-}
-
 }  // namespace
 
 std::string render_table(const CampaignResult& result) {
@@ -315,26 +308,11 @@ void write_timeseries_dir(const CampaignResult& result,
              render_series_aggregate_json(result));
 }
 
-void TableSink::consume(const CampaignResult& result) {
-  out_ << render_table(result);
-  out_.flush();
-}
-
-void CsvFileSink::consume(const CampaignResult& result) {
-  write_file(path_, render_csv(result));
-}
-
-void JsonFileSink::consume(const CampaignResult& result) {
-  write_file(path_, render_json(result));
-}
-
-void ProfileFileSink::consume(const CampaignResult& result) {
-  write_file(path_, render_profile(result));
-}
-
-void emit(const CampaignResult& result,
-          std::span<const std::unique_ptr<Sink>> sinks) {
-  for (const auto& sink : sinks) sink->consume(result);
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot create file: " + path);
+  out << text;
+  if (!out.good()) throw std::runtime_error("failed writing file: " + path);
 }
 
 }  // namespace gridsched::exp::campaign

@@ -1,9 +1,8 @@
 // Campaign result rendering: a pretty util::Table summary, long-format
 // CSV (one row per group x metric — tidy data for plotting), and a
 // byte-stable JSON artifact suitable for committing next to the bench
-// JSON. The renderers are pure functions of the result; the Sink
-// interface adapts them to streams/files so callers can fan one campaign
-// out to several destinations.
+// JSON. The renderers are pure functions of the result; callers print
+// them or put them on disk with write_file.
 //
 // Stability contract: render_json() emits only deterministic fields —
 // spec echo, per-group aggregates of deterministic metrics, per-cell
@@ -12,9 +11,6 @@
 // throughput appears in render_table() only.
 #pragma once
 
-#include <iosfwd>
-#include <memory>
-#include <span>
 #include <string>
 
 #include "exp/campaign/campaign_runner.hpp"
@@ -57,54 +53,8 @@ std::string render_series_aggregate_json(const CampaignResult& result);
 void write_timeseries_dir(const CampaignResult& result,
                           const std::string& dir);
 
-class Sink {
- public:
-  virtual ~Sink() = default;
-  virtual void consume(const CampaignResult& result) = 0;
-};
-
-/// Writes render_table to a stream the caller keeps alive.
-class TableSink final : public Sink {
- public:
-  explicit TableSink(std::ostream& out) : out_(out) {}
-  void consume(const CampaignResult& result) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// Writes render_csv / render_json to a file (created/truncated on
-/// consume; throws std::runtime_error when the file cannot be written).
-class CsvFileSink final : public Sink {
- public:
-  explicit CsvFileSink(std::string path) : path_(std::move(path)) {}
-  void consume(const CampaignResult& result) override;
-
- private:
-  std::string path_;
-};
-
-class JsonFileSink final : public Sink {
- public:
-  explicit JsonFileSink(std::string path) : path_(std::move(path)) {}
-  void consume(const CampaignResult& result) override;
-
- private:
-  std::string path_;
-};
-
-/// Writes render_profile (the wall-clock sidecar) to a file.
-class ProfileFileSink final : public Sink {
- public:
-  explicit ProfileFileSink(std::string path) : path_(std::move(path)) {}
-  void consume(const CampaignResult& result) override;
-
- private:
-  std::string path_;
-};
-
-/// Feed one result to every sink.
-void emit(const CampaignResult& result,
-          std::span<const std::unique_ptr<Sink>> sinks);
+/// Write `text` to `path` (created/truncated). Throws std::runtime_error
+/// when the file cannot be written.
+void write_file(const std::string& path, const std::string& text);
 
 }  // namespace gridsched::exp::campaign

@@ -41,9 +41,9 @@ void train_stga(const Scenario& scenario, const workload::Workload& main,
     sim::EngineConfig engine_config = scenario.engine;
     engine_config.seed = phase_seed;
     engine_config.cancel = cancel;  // the watchdog covers training too
-    sim::Engine engine(std::move(training.sites), std::move(training.jobs),
-                       engine_config, std::move(training.exec));
-    engine.run(recorder);
+    sim::SimKernel kernel(std::move(training.sites), std::move(training.jobs),
+                          engine_config, std::move(training.exec));
+    kernel.run(recorder);
   }
 }
 
@@ -106,11 +106,12 @@ metrics::RunMetrics run_once(const Scenario& scenario,
   sim::EngineConfig engine_config = scenario.engine;
   engine_config.seed = engine_seed;
   engine_config.cancel = hooks.cancel;
-  sim::Engine engine(std::move(run.sites), std::move(run.jobs), engine_config,
-                     std::move(run.exec), std::move(run.churn));
-  engine.set_observer(hooks.observer);
-  engine.run(*scheduler);
-  return metrics::compute_metrics(engine);
+  sim::SimKernel kernel(std::move(run.sites), std::move(run.jobs),
+                        engine_config, std::move(run.exec),
+                        std::move(run.churn));
+  kernel.set_observer(hooks.observer);
+  kernel.run(*scheduler);
+  return metrics::compute_metrics(kernel);
 }
 
 }  // namespace gridsched::exp

@@ -4,7 +4,7 @@
 
 #include <cstdint>
 
-#include "sim/engine.hpp"
+#include "sim/kernel.hpp"
 #include "workload/nas.hpp"
 #include "workload/psa.hpp"
 #include "workload/synth/stream_gen.hpp"

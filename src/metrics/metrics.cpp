@@ -4,9 +4,8 @@
 
 namespace gridsched::metrics {
 
-RunMetrics compute_metrics(const sim::Engine& engine) {
+RunMetrics compute_metrics(const sim::SimKernel& kernel) {
   RunMetrics metrics;
-  const sim::SimKernel& kernel = engine.kernel();
   metrics.n_jobs = kernel.total_jobs();
 
   // Per-job sums come from the kernel's retirement accumulator, which
@@ -18,7 +17,7 @@ RunMetrics compute_metrics(const sim::Engine& engine) {
   const RetirementAccumulator& retired = kernel.retirement();
   if (retired.jobs() != kernel.total_jobs()) {
     throw std::invalid_argument(
-        "compute_metrics: " + kernel.describe_unfinished(engine.makespan()));
+        "compute_metrics: " + kernel.describe_unfinished(kernel.makespan()));
   }
   metrics.n_risk = retired.n_risk();
   metrics.n_fail = retired.n_fail();
@@ -28,7 +27,7 @@ RunMetrics compute_metrics(const sim::Engine& engine) {
   const double exec_sum = retired.exec_sum();
   const double job_slowdown_sum = retired.job_slowdown_sum();
 
-  metrics.makespan = engine.makespan();
+  metrics.makespan = kernel.makespan();
   if (metrics.n_jobs > 0) {
     const auto n = static_cast<double>(metrics.n_jobs);
     metrics.avg_response = response_sum / n;
@@ -38,7 +37,7 @@ RunMetrics compute_metrics(const sim::Engine& engine) {
     metrics.mean_job_slowdown = job_slowdown_sum / n;
   }
 
-  const sim::EngineCounters& counters = engine.counters();
+  const sim::EngineCounters& counters = kernel.counters();
   metrics.batch_invocations = counters.batch_invocations;
   for (const std::size_t count : counters.events) metrics.events += count;
   metrics.scheduler_seconds = counters.scheduler_seconds;
@@ -52,17 +51,17 @@ RunMetrics compute_metrics(const sim::Engine& engine) {
   metrics.churn_released_nodes = counters.churn_released_nodes;
   metrics.churn_unreleased_nodes = counters.churn_unreleased_nodes;
 
-  metrics.site_utilization.reserve(engine.sites().size());
+  metrics.site_utilization.reserve(kernel.sites().size());
   double util_sum = 0.0;
-  for (const sim::GridSite& site : engine.sites()) {
-    const double util = site.utilization(engine.makespan());
+  for (const sim::GridSite& site : kernel.sites()) {
+    const double util = site.utilization(kernel.makespan());
     metrics.site_utilization.push_back(util);
     util_sum += util;
     if (util < 0.01) ++metrics.idle_sites;
   }
-  if (!engine.sites().empty()) {
+  if (!kernel.sites().empty()) {
     metrics.avg_utilization =
-        util_sum / static_cast<double>(engine.sites().size());
+        util_sum / static_cast<double>(kernel.sites().size());
   }
   return metrics;
 }

@@ -6,7 +6,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "sim/engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace gridsched::metrics {
 
@@ -51,7 +51,7 @@ struct RunMetrics {
   std::size_t idle_sites = 0;            ///< sites with utilization < 1%
 };
 
-/// Derive all metrics from a finished engine run.
-RunMetrics compute_metrics(const sim::Engine& engine);
+/// Derive all metrics from a finished kernel run.
+RunMetrics compute_metrics(const sim::SimKernel& kernel);
 
 }  // namespace gridsched::metrics

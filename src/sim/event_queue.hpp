@@ -29,10 +29,10 @@ enum class EventKind : std::uint8_t {
   kJobEnd,       ///< payload = job id; success or failure detection
   kSiteDown,     ///< payload = site id; churn outage begins
   kSiteUp,       ///< payload = site id; churn outage ends
-  kKindCount_,   ///< sentinel — keep last (sizes the kernel routing table)
+  kKindCount_,   ///< sentinel — keep last (sizes the per-kind counters)
 };
 
-/// Number of EventKind values (sizes the kernel's routing table).
+/// Number of EventKind values (sizes the kernel's per-kind counters).
 inline constexpr std::size_t kEventKindCount =
     static_cast<std::size_t>(EventKind::kKindCount_);
 

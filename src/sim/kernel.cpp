@@ -19,16 +19,17 @@ constexpr std::uint32_t kMinLiveCapacity = 4;
 
 SimKernel::SimKernel(std::vector<SiteConfig> sites,
                      std::unique_ptr<workload::JobStream> stream,
-                     EngineConfig config, ExecModel exec_model)
+                     EngineConfig config, ExecModel exec_model,
+                     SiteChurn churn)
     : config_(config),
       exec_model_(std::move(exec_model)),
       stream_(std::move(stream)) {
   if (stream_ == nullptr) {
-    throw std::invalid_argument("Engine: null job stream");
+    throw std::invalid_argument("SimKernel: null job stream");
   }
-  if (sites.empty()) throw std::invalid_argument("Engine: no sites");
+  if (sites.empty()) throw std::invalid_argument("SimKernel: no sites");
   if (config_.batch_interval <= 0.0) {
-    throw std::invalid_argument("Engine: batch_interval must be > 0");
+    throw std::invalid_argument("SimKernel: batch_interval must be > 0");
   }
   total_jobs_ = stream_->size();
   sites_.reserve(sites.size());
@@ -60,11 +61,19 @@ SimKernel::SimKernel(std::vector<SiteConfig> sites,
   for (std::size_t k = max_nodes; k-- > 1;) {
     best_security_[k] = std::max(best_security_[k], best_security_[k + 1]);
   }
+  churn_ = SiteChurnProcess(std::move(churn), config_.seed, sites_.size());
 }
+
+SimKernel::SimKernel(std::vector<SiteConfig> sites, std::vector<Job> jobs,
+                     EngineConfig config, ExecModel exec_model,
+                     SiteChurn churn)
+    : SimKernel(std::move(sites),
+                std::make_unique<workload::MaterializedStream>(std::move(jobs)),
+                config, std::move(exec_model), std::move(churn)) {}
 
 void SimKernel::validate_admitted(const Job& job) const {
   const auto reject = [&job](const char* problem) {
-    throw std::invalid_argument("Engine: job " + std::to_string(job.id) +
+    throw std::invalid_argument("SimKernel: job " + std::to_string(job.id) +
                                 " " + problem);
   };
   // Written as negated positive tests so NaN fails them too; a non-finite
@@ -92,7 +101,7 @@ bool SimKernel::admit_next(Event& arrival) {
   Job job{};
   if (!stream_->next(job)) {
     throw std::runtime_error(
-        "Engine: job stream ended after " + std::to_string(admitted_) +
+        "SimKernel: job stream ended after " + std::to_string(admitted_) +
         " of " + std::to_string(total_jobs_) + " job(s)");
   }
   job.id = static_cast<JobId>(admitted_);
@@ -170,19 +179,6 @@ std::string SimKernel::describe_unfinished(Time sim_time) const {
                      ids;
   if (unfinished > kMaxNamed) text += ", ...";
   return text + "]";
-}
-
-void SimKernel::add_process(SimProcess& process) {
-  if (ran_) throw std::logic_error("SimKernel: add_process after run");
-  for (const EventKind kind : process.owned_kinds()) {
-    SimProcess*& route = routes_[static_cast<std::size_t>(kind)];
-    if (route != nullptr) {
-      throw std::logic_error("SimKernel: event kind already routed to " +
-                             std::string(route->name()));
-    }
-    route = &process;
-  }
-  processes_.push_back(&process);
 }
 
 void SimKernel::request_cycle(Time now) {
@@ -263,19 +259,9 @@ unsigned SimKernel::revoke_attempt(JobId job_id, Time now) {
   return released;
 }
 
-void SimKernel::run() {
-  if (ran_) throw std::logic_error("Engine::run called twice");
+void SimKernel::run(BatchScheduler& scheduler) {
+  if (ran_) throw std::logic_error("SimKernel::run called twice");
   ran_ = true;
-  // The kernel does not own its processes (typically facade locals); drop
-  // every reference on the way out — normal or throwing — so the exposed
-  // post-run kernel can never dereference a dead process.
-  struct RouteGuard {
-    SimKernel* kernel;
-    ~RouteGuard() {
-      kernel->processes_.clear();
-      for (SimProcess*& route : kernel->routes_) route = nullptr;
-    }
-  } guard{this};
 
   arrivals_remaining_ = total_jobs_;
   // Arrival events carry reserved sequence numbers (seq == job id), so
@@ -284,7 +270,10 @@ void SimKernel::run() {
   events_.reserve_seqs(total_jobs_);
   // Capacity hint: the queue holds O(active) events.
   events_.reserve(std::min<std::size_t>(total_jobs_, 1024) + 64);
-  for (SimProcess* process : processes_) process->start(*this);
+  // Start order fixes the FIFO tie-break among the initial events:
+  // arrivals first, churn timelines last.
+  ArrivalProcess::start(*this);
+  churn_.start(*this);
   if (observer_) observer_->on_run_start(*this);
 
   // The loop ends when every job has completed, not when the queue drains:
@@ -303,15 +292,29 @@ void SimKernel::run() {
     }
     ++counters_.events[static_cast<std::size_t>(event.kind)];
     if (observer_) observer_->on_event(*this, event);
-    SimProcess* route = routes_[static_cast<std::size_t>(event.kind)];
-    if (route == nullptr) {
-      throw std::logic_error("SimKernel: event kind has no registered process");
+    // No default: -Werror=switch makes a kind without a case a compile
+    // error.
+    switch (event.kind) {
+      case EventKind::kJobArrival:
+        ArrivalProcess::handle(*this, event);
+        break;
+      case EventKind::kBatchCycle:
+        batch_.handle(*this, scheduler, event);
+        break;
+      case EventKind::kJobEnd:
+        SecurityFailureProcess::handle(*this, event);
+        break;
+      case EventKind::kSiteDown:
+      case EventKind::kSiteUp:
+        churn_.handle(*this, event);
+        break;
+      case EventKind::kKindCount_:  // sentinel, never queued
+        break;
     }
-    route->handle(*this, event);
   }
 
   if (counters_.completed_jobs != total_jobs_) {
-    throw std::runtime_error("Engine: simulation ended with " +
+    throw std::runtime_error("SimKernel: simulation ended with " +
                              describe_unfinished(now));
   }
   if (observer_) observer_->on_run_end(*this);

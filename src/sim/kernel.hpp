@@ -1,11 +1,11 @@
-// Event-driven simulation kernel. SimKernel owns only the generic
-// machinery — event queue, clock, deterministic FIFO tie-breaking, shared
-// run state (job slots, sites, attempts, pending queue, counters) and the
-// site-availability mask — while every dynamic process of the simulated
-// grid (job arrivals, periodic batch scheduling, security failures, site
-// churn) is a pluggable SimProcess that registers for the event kinds it
-// owns. sim::Engine (engine.hpp) is the compatibility facade that wires
-// the paper's standard process set onto a kernel.
+// Event-driven simulation kernel: the paper's online model (Fig. 1) as one
+// fixed set of processes — job arrivals, the periodic batch scheduler,
+// Eq. 1 security failures with fail-stop re-scheduling — plus site churn.
+// SimKernel owns the event queue, clock, deterministic FIFO tie-breaking,
+// the shared run state (job slots, sites, attempts, pending queue,
+// counters, site-availability mask) and the two stateful processes (batch
+// cycle, site churn); run() sends each popped event to its process
+// (sim/process/) through one switch over EventKind.
 //
 // Jobs come from a workload::JobStream cursor (a job vector is wrapped in
 // workload::MaterializedStream). They are admitted lazily, one arrival
@@ -24,7 +24,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "metrics/retirement.hpp"
@@ -33,13 +32,16 @@
 #include "sim/exec_model.hpp"
 #include "sim/job.hpp"
 #include "sim/observer.hpp"
+#include "sim/process/arrival_process.hpp"
+#include "sim/process/batch_cycle_process.hpp"
+#include "sim/process/security_failure_process.hpp"
+#include "sim/process/site_churn_process.hpp"
+#include "sim/scheduling.hpp"
 #include "sim/site.hpp"
 #include "util/cancel.hpp"
 #include "workload/stream.hpp"
 
 namespace gridsched::sim {
-
-class SimKernel;
 
 /// When a doomed risky run is detected as failed (DESIGN.md S4).
 enum class FailureDetection {
@@ -127,40 +129,9 @@ struct Attempt {
 static_assert(sizeof(Attempt) == 40,
               "Attempt must stay 40 bytes (live_pos sits in tail padding)");
 
-/// One dynamic process of the simulation. A process registers the event
-/// kinds it owns (routing is exclusive: exactly one process per kind may
-/// be registered), seeds its initial events in start(), and mutates the
-/// shared kernel state in handle().
-class SimProcess {
- public:
-  virtual ~SimProcess() = default;
-
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
-  /// Event kinds routed to this process. Must stay constant.
-  [[nodiscard]] virtual std::span<const EventKind> owned_kinds()
-      const noexcept = 0;
-
-  /// Called once, in registration order, before the event loop.
-  virtual void start(SimKernel& kernel) { (void)kernel; }
-
-  /// Handle one event whose kind this process owns.
-  virtual void handle(SimKernel& kernel, const Event& event) = 0;
-};
-
-/// How a validated (job, site) placement turns into a reservation and an
-/// end event. Implemented by SecurityFailureProcess (which owns the
-/// failure draws); BatchCycleProcess calls it for each assignment.
-class DispatchModel {
- public:
-  virtual ~DispatchModel() = default;
-  virtual void dispatch(SimKernel& kernel, JobId job, SiteId site,
-                        Time now) = 0;
-};
-
-/// The kernel: event queue + clock + shared state + routing. Construction
-/// validates the grid and the config; the caller registers processes
-/// (non-owning) and calls run().
+/// The kernel: event queue + clock + shared state + the process set.
+/// Construction validates the grid, the config and the churn script; the
+/// caller attaches an observer (optional) and calls run() once.
 class SimKernel {
  public:
   /// Pull jobs from `stream` on demand and recycle slots as jobs retire;
@@ -169,19 +140,27 @@ class SimKernel {
   /// nondecreasing, work finite and > 0, nodes > 0, and some site must be
   /// able to run the job safely (O(1) via a precomputed best-security-
   /// per-node-count table). A violation throws std::invalid_argument
-  /// naming the job.
+  /// naming the job. `exec_model`: per-(job, site) execution times; a raw
+  /// ETC matrix (rows keyed by stream position) is authoritative, the
+  /// default is the rank-1 work/speed fallback. `churn`: per-site up/down
+  /// parameters drawn from config.seed (empty, or every entry with
+  /// mtbf/mttr <= 0, queues no churn event) or a scripted outage list.
   SimKernel(std::vector<SiteConfig> sites,
             std::unique_ptr<workload::JobStream> stream,
-            EngineConfig config = {}, ExecModel exec_model = {});
+            EngineConfig config = {}, ExecModel exec_model = {},
+            SiteChurn churn = {});
 
-  /// Register a process and route its owned kinds to it. Throws
-  /// std::logic_error if a kind is already routed or run() has started.
-  void add_process(SimProcess& process);
+  /// Convenience overload: wraps `jobs` in a workload::MaterializedStream.
+  /// Arrivals must be nondecreasing, as for any stream.
+  SimKernel(std::vector<SiteConfig> sites, std::vector<Job> jobs,
+            EngineConfig config = {}, ExecModel exec_model = {},
+            SiteChurn churn = {});
 
-  /// Run the event loop to completion (all jobs finished). Throws on
-  /// scheduler protocol violations and if the queue drains with unfinished
-  /// jobs. May be called once.
-  void run();
+  /// Run the event loop to completion (all jobs finished), invoking
+  /// `scheduler` at every non-empty batch cycle. Throws on scheduler
+  /// protocol violations and if the queue drains with unfinished jobs.
+  /// May be called once (a second call throws std::logic_error).
+  void run(BatchScheduler& scheduler);
 
   // --- shared state, mutable for processes ---
   /// The job slot table: live slots only (recycled slots hold stale
@@ -402,8 +381,8 @@ class SimKernel {
   bool cycle_scheduled_ = false;
   /// 1 + index of the last scheduled batch cycle (see request_cycle).
   std::uint64_t next_cycle_index_ = 0;
-  std::vector<SimProcess*> processes_;
-  SimProcess* routes_[kEventKindCount] = {};
+  BatchCycleProcess batch_;
+  SiteChurnProcess churn_;
   KernelObserver* observer_ = nullptr;
   bool ran_ = false;
 

@@ -1,5 +1,5 @@
 // Read-only observation hooks on the simulation kernel. A KernelObserver
-// receives callbacks at the kernel's decision points — event routing,
+// receives callbacks at the kernel's decision points — every event,
 // dispatches, completions, failure detections, revocations, batch cycles
 // — and must never mutate simulation state: with no observer attached
 // (the default) every notification compiles down to a single null check,

@@ -1,11 +1,8 @@
 #include "sim/process/arrival_process.hpp"
 
-namespace gridsched::sim {
+#include "sim/kernel.hpp"
 
-std::span<const EventKind> ArrivalProcess::owned_kinds() const noexcept {
-  static constexpr EventKind kKinds[] = {EventKind::kJobArrival};
-  return kKinds;
-}
+namespace gridsched::sim {
 
 void ArrivalProcess::start(SimKernel& kernel) {
   // Admit only the first job; each arrival then admits its successor

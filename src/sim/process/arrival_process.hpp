@@ -4,20 +4,18 @@
 // process draws no randomness.
 #pragma once
 
-#include "sim/kernel.hpp"
+#include "sim/event_queue.hpp"
 
 namespace gridsched::sim {
 
-class ArrivalProcess final : public SimProcess {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "arrival";
-  }
-  [[nodiscard]] std::span<const EventKind> owned_kinds()
-      const noexcept override;
+class SimKernel;
 
-  void start(SimKernel& kernel) override;
-  void handle(SimKernel& kernel, const Event& event) override;
+class ArrivalProcess {
+ public:
+  /// Admit the first job and queue its arrival.
+  static void start(SimKernel& kernel);
+  /// A kJobArrival: queue the job and admit its successor.
+  static void handle(SimKernel& kernel, const Event& event);
 };
 
 }  // namespace gridsched::sim

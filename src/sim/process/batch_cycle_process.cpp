@@ -4,20 +4,20 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/kernel.hpp"
+#include "sim/process/security_failure_process.hpp"
+
 namespace gridsched::sim {
 
-std::span<const EventKind> BatchCycleProcess::owned_kinds() const noexcept {
-  static constexpr EventKind kKinds[] = {EventKind::kBatchCycle};
-  return kKinds;
-}
-
-void BatchCycleProcess::handle(SimKernel& kernel, const Event& event) {
+void BatchCycleProcess::handle(SimKernel& kernel, BatchScheduler& scheduler,
+                               const Event& event) {
   kernel.cycle_fired();
-  run_cycle(kernel, event.time);
+  run_cycle(kernel, scheduler, event.time);
   if (kernel.work_remains()) kernel.request_cycle(event.time);
 }
 
-void BatchCycleProcess::run_cycle(SimKernel& kernel, Time now) {
+void BatchCycleProcess::run_cycle(SimKernel& kernel, BatchScheduler& scheduler,
+                                  Time now) {
   if (kernel.pending().empty()) return;
 
   // Refresh the persistent context snapshot in place. Site configs and the
@@ -52,7 +52,7 @@ void BatchCycleProcess::run_cycle(SimKernel& kernel, Time now) {
   // the kernel.scheduler_seconds gauge only — never a byte-stable artifact.
   // NOLINTNEXTLINE(GS-R05): wall-clock is observability-only here
   const auto wall_start = std::chrono::steady_clock::now();
-  scheduler_.schedule_into(context, assignments_);
+  scheduler.schedule_into(context, assignments_);
   const double wall =
       // NOLINTNEXTLINE(GS-R05): wall-clock is observability-only here
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -91,7 +91,7 @@ void BatchCycleProcess::run_cycle(SimKernel& kernel, Time now) {
           "scheduler violated the fail-stop rule (secure_only job on "
           "risky site)");
     }
-    dispatcher_.dispatch(kernel, job_id, assignment.site, now);
+    SecurityFailureProcess::dispatch(kernel, job_id, assignment.site, now);
   }
 
   // Compact dispatched jobs out of the pending queue in place, preserving
@@ -108,7 +108,7 @@ void BatchCycleProcess::run_cycle(SimKernel& kernel, Time now) {
   } else {
     if (++idle_cycles_ > kernel.config().max_idle_cycles) {
       throw std::runtime_error(
-          "Engine: scheduler starved " +
+          "SimKernel: scheduler starved " +
           std::to_string(kernel.pending().size()) +
           " pending job(s) for too many cycles");
     }

@@ -3,33 +3,26 @@
 // (pending batch, committed availability profiles, site mask), invokes the
 // BatchScheduler, validates the returned assignments against the protocol
 // (range, duplicates, node fit, fail-stop rule, site mask) and hands each
-// accepted placement to the DispatchModel.
+// accepted placement to SecurityFailureProcess::dispatch.
 #pragma once
 
-#include "sim/kernel.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/scheduling.hpp"
 
 namespace gridsched::sim {
 
-class BatchCycleProcess final : public SimProcess {
+class SimKernel;
+
+class BatchCycleProcess {
  public:
-  /// `scheduler` and `dispatcher` must outlive the kernel run.
-  BatchCycleProcess(BatchScheduler& scheduler, DispatchModel& dispatcher)
-      : scheduler_(scheduler), dispatcher_(dispatcher) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "batch-cycle";
-  }
-  [[nodiscard]] std::span<const EventKind> owned_kinds()
-      const noexcept override;
-
-  void handle(SimKernel& kernel, const Event& event) override;
+  /// A kBatchCycle: run `scheduler` over the pending batch and request the
+  /// next cycle while work remains.
+  void handle(SimKernel& kernel, BatchScheduler& scheduler,
+              const Event& event);
 
  private:
-  void run_cycle(SimKernel& kernel, Time now);
+  void run_cycle(SimKernel& kernel, BatchScheduler& scheduler, Time now);
 
-  BatchScheduler& scheduler_;
-  DispatchModel& dispatcher_;
   std::size_t idle_cycles_ = 0;
   // Persistent cycle scratch: the context snapshot, assignment list and
   // per-batch-index marks are rebuilt every cycle but keep their heap

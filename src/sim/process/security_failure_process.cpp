@@ -2,15 +2,10 @@
 
 #include <algorithm>
 
+#include "sim/kernel.hpp"
 #include "util/rng.hpp"
 
 namespace gridsched::sim {
-
-std::span<const EventKind> SecurityFailureProcess::owned_kinds()
-    const noexcept {
-  static constexpr EventKind kKinds[] = {EventKind::kJobEnd};
-  return kKinds;
-}
 
 void SecurityFailureProcess::dispatch(SimKernel& kernel, JobId job_id,
                                       SiteId site_id, Time now) {

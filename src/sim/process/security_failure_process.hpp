@@ -11,23 +11,21 @@
 // is therefore stateless.
 #pragma once
 
-#include "sim/kernel.hpp"
+#include "sim/event_queue.hpp"
 
 namespace gridsched::sim {
 
-class SecurityFailureProcess final : public SimProcess, public DispatchModel {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "security-failure";
-  }
-  [[nodiscard]] std::span<const EventKind> owned_kinds()
-      const noexcept override;
+class SimKernel;
 
+class SecurityFailureProcess {
+ public:
   /// Reserve `site` for `job` no earlier than `now`, draw the failure
   /// outcome, push the end event.
-  void dispatch(SimKernel& kernel, JobId job, SiteId site, Time now) override;
+  static void dispatch(SimKernel& kernel, JobId job, SiteId site, Time now);
 
-  void handle(SimKernel& kernel, const Event& event) override;
+  /// A kJobEnd: complete the job, or release the failed reservation and
+  /// re-queue the job as a secure_only retry.
+  static void handle(SimKernel& kernel, const Event& event);
 };
 
 }  // namespace gridsched::sim

@@ -2,20 +2,34 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
+
+#include "sim/kernel.hpp"
 
 namespace gridsched::sim {
 
-SiteChurnProcess::SiteChurnProcess(std::vector<SiteChurnParams> params,
-                                   std::uint64_t seed)
-    : params_(std::move(params)), seed_(seed) {}
-
-SiteChurnProcess::SiteChurnProcess(std::vector<SiteOutage> script)
-    : script_(std::move(script)), scripted_(true) {
+SiteChurnProcess::SiteChurnProcess(SiteChurn churn, std::uint64_t seed,
+                                   std::size_t n_sites)
+    : seed_(seed) {
+  if (auto* params = std::get_if<std::vector<SiteChurnParams>>(&churn)) {
+    params_ = std::move(*params);
+    if (params_.size() > n_sites) params_.resize(n_sites);
+    return;
+  }
+  script_ = std::get<std::vector<SiteOutage>>(std::move(churn));
+  scripted_ = true;
   for (const SiteOutage& outage : script_) {
     if (!(outage.up > outage.down) || outage.down < 0.0) {
       throw std::invalid_argument(
           "SiteChurnProcess: outage must satisfy 0 <= down < up");
+    }
+    // The mask and the live-attempt index are sized to the grid.
+    if (outage.site >= n_sites) {
+      throw std::invalid_argument(
+          "SiteChurnProcess: outage names site " +
+          std::to_string(outage.site) + " but the grid has " +
+          std::to_string(n_sites) + " site(s)");
     }
   }
   // The availability mask is a boolean, so overlapping outages for one
@@ -36,12 +50,6 @@ SiteChurnProcess::SiteChurnProcess(std::vector<SiteOutage> script)
   }
 }
 
-std::span<const EventKind> SiteChurnProcess::owned_kinds() const noexcept {
-  static constexpr EventKind kKinds[] = {EventKind::kSiteDown,
-                                         EventKind::kSiteUp};
-  return kKinds;
-}
-
 void SiteChurnProcess::push_site_event(SimKernel& kernel, EventKind kind,
                                        SiteId site, Time time) {
   Event event;
@@ -60,10 +68,9 @@ void SiteChurnProcess::start(SimKernel& kernel) {
     }
     return;
   }
-  const std::size_t n_sites = kernel.sites().size();
   streams_.clear();
-  streams_.reserve(n_sites);
-  for (std::size_t s = 0; s < n_sites; ++s) {
+  streams_.reserve(params_.size());
+  for (std::size_t s = 0; s < params_.size(); ++s) {
     // Independent per-site streams: adding draws to one site's timeline
     // never perturbs another's, and nothing here shares state with the
     // failure process's per-(job, attempt) hash draws.
@@ -71,7 +78,7 @@ void SiteChurnProcess::start(SimKernel& kernel) {
                            .mix("site-churn")
                            .mix(static_cast<std::uint64_t>(s))
                            .rng());
-    if (s < params_.size() && params_[s].churns()) {
+    if (params_[s].churns()) {
       push_site_event(kernel, EventKind::kSiteDown, static_cast<SiteId>(s),
                       streams_[s].exponential(1.0 / params_[s].mtbf));
     }
@@ -126,7 +133,7 @@ void SiteChurnProcess::handle(SimKernel& kernel, const Event& event) {
   const auto site = static_cast<std::size_t>(event.site);
   if (event.kind == EventKind::kSiteDown) {
     take_site_down(kernel, event.site, event.time);
-    if (!scripted_ && site < params_.size() && params_[site].churns()) {
+    if (!scripted_) {
       push_site_event(kernel, EventKind::kSiteUp, event.site,
                       event.time +
                           streams_[site].exponential(1.0 / params_[site].mttr));
@@ -134,7 +141,7 @@ void SiteChurnProcess::handle(SimKernel& kernel, const Event& event) {
     return;
   }
   kernel.set_site_up(event.site, true);
-  if (!scripted_ && site < params_.size() && params_[site].churns()) {
+  if (!scripted_) {
     push_site_event(kernel, EventKind::kSiteDown, event.site,
                     event.time +
                         streams_[site].exponential(1.0 / params_[site].mtbf));

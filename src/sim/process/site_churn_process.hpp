@@ -13,39 +13,34 @@
 // explicit outage script (tests, trace-driven what-ifs).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "sim/kernel.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/site.hpp"
 #include "util/rng.hpp"
 
 namespace gridsched::sim {
 
-/// One scripted outage: `site` is down during [down, up).
-struct SiteOutage {
-  SiteId site = kInvalidSite;
-  Time down = 0.0;
-  Time up = 0.0;
-};
+class SimKernel;
 
-class SiteChurnProcess final : public SimProcess {
+class SiteChurnProcess {
  public:
-  /// Stochastic mode: `params[s]` drives site s (entries beyond the site
-  /// count are ignored; sites without an entry, or with mtbf/mttr <= 0,
-  /// never churn). `seed` is usually EngineConfig::seed.
-  SiteChurnProcess(std::vector<SiteChurnParams> params, std::uint64_t seed);
+  SiteChurnProcess() = default;
 
-  /// Scripted mode: exactly the given outages, in the given order. Throws
-  /// std::invalid_argument on a non-positive-length outage.
-  explicit SiteChurnProcess(std::vector<SiteOutage> script);
+  /// `churn` over a grid of `n_sites` sites. Stochastic mode: entry s
+  /// drives site s (entries beyond the site count are ignored; sites
+  /// without an entry, or with mtbf/mttr <= 0, never churn) on streams
+  /// seeded from `seed` (EngineConfig::seed). Scripted mode: exactly the
+  /// given outages, in the given order; throws std::invalid_argument on a
+  /// non-positive-length outage, overlapping outages of one site, or a
+  /// site outside the grid.
+  SiteChurnProcess(SiteChurn churn, std::uint64_t seed, std::size_t n_sites);
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "site-churn";
-  }
-  [[nodiscard]] std::span<const EventKind> owned_kinds()
-      const noexcept override;
-
-  void start(SimKernel& kernel) override;
-  void handle(SimKernel& kernel, const Event& event) override;
+  /// Queue the initial events (none when no site churns).
+  void start(SimKernel& kernel);
+  /// A kSiteDown or kSiteUp.
+  void handle(SimKernel& kernel, const Event& event);
 
  private:
   void push_site_event(SimKernel& kernel, EventKind kind, SiteId site,

@@ -7,6 +7,7 @@
 // the ones the simulator realises (DESIGN.md §5.2/S10).
 #pragma once
 
+#include <variant>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -36,6 +37,20 @@ struct SiteChurnParams {
     return mtbf > 0.0 && mttr > 0.0;
   }
 };
+
+/// One scripted outage: `site` is down during [down, up).
+struct SiteOutage {
+  SiteId site = kInvalidSite;
+  Time down = 0.0;
+  Time up = 0.0;
+};
+
+/// A run's site churn, handed to the SimKernel constructor: per-site
+/// stochastic parameters (the synth workloads' mode) or an explicit outage
+/// script (tests, trace-driven what-ifs). The default — no parameters —
+/// is a churn-free grid.
+using SiteChurn =
+    std::variant<std::vector<SiteChurnParams>, std::vector<SiteOutage>>;
 
 /// Sorted multiset of per-node free times with reservation operations.
 class NodeAvailability {

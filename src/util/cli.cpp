@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -41,9 +42,12 @@ std::string Cli::get_or(const std::string& name, std::string fallback) const {
 double Cli::get_or(const std::string& name, double fallback) const {
   const auto value = get(name);
   if (!value) return fallback;
+  // The whole value must parse, and within range: "0.5x" or "1e999" is a
+  // typo, not 0.5 or HUGE_VAL.
   char* end = nullptr;
+  errno = 0;
   const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str()) {
+  if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument("Cli: flag --" + name + " is not a number: " +
                                 *value);
   }
@@ -54,8 +58,9 @@ std::int64_t Cli::get_or(const std::string& name, std::int64_t fallback) const {
   const auto value = get(name);
   if (!value) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(value->c_str(), &end, 10);
-  if (end == value->c_str()) {
+  if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument("Cli: flag --" + name + " is not an integer: " +
                                 *value);
   }

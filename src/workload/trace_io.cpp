@@ -112,8 +112,9 @@ JobsTrace read_jobs_trace(std::istream& in) {
           version != "v1" || etc_jobs == 0 || etc_sites == 0) {
         parse_error(line_no, line);
       }
+      // No reserve from the header: the cells grow as rows arrive, so an
+      // untrusted jobs x sites claim never sizes an allocation.
       have_etc = true;
-      etc_cells.reserve(etc_jobs * etc_sites);
       continue;
     }
     if (is_skippable(line)) continue;

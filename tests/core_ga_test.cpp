@@ -14,7 +14,7 @@
 #include "core/operators.hpp"
 #include "exp/scenario_registry.hpp"
 #include "sched/heuristics.hpp"
-#include "sim/engine.hpp"
+#include "sim/kernel.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gridsched::core {
@@ -207,10 +207,10 @@ GaProblem first_batch_problem(const std::string& name) {
   const workload::Workload workload = exp::make_workload(scenario, 17);
   sim::EngineConfig config = scenario.engine;
   config.seed = 9;
-  sim::Engine engine(workload.sites, workload.jobs, config, workload.exec,
-                     workload.churn);
+  sim::SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
+                        workload.churn);
   FirstProblemScheduler recorder;
-  engine.run(recorder);
+  kernel.run(recorder);
   if (!recorder.problem) throw std::runtime_error(name + ": no GA batch");
   return std::move(*recorder.problem);
 }

@@ -18,7 +18,7 @@
 #include "job_recorder.hpp"
 #include "sched/etc_matrix.hpp"
 #include "sched/heuristics.hpp"
-#include "sim/engine.hpp"
+#include "sim/kernel.hpp"
 #include "workload/synth/synth.hpp"
 
 namespace gridsched {
@@ -83,15 +83,16 @@ TEST(EtcExecution, EngineRealisesHandCheckedRawEtc) {
   }
   sim::EngineConfig config;
   config.batch_interval = 50.0;
-  sim::Engine engine({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, jobs, config, etc);
+  sim::SimKernel kernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, jobs, config,
+                        etc);
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  const std::vector<sim::Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<sim::Job> done = test::run_recorded(kernel, scheduler);
 
   EXPECT_EQ(done[0].final_site, 0u);
   EXPECT_DOUBLE_EQ(done[0].finish, 80.0);
   EXPECT_EQ(done[1].final_site, 1u);
   EXPECT_DOUBLE_EQ(done[1].finish, 90.0);
-  EXPECT_DOUBLE_EQ(engine.makespan(), 90.0);
+  EXPECT_DOUBLE_EQ(kernel.makespan(), 90.0);
 }
 
 // ---------------------------------------------------- registry scenarios ---
@@ -176,10 +177,10 @@ TEST(EtcExecution, RawEtcChangesHeuristicAndGaMakespans) {
   projected.exec = sim::ExecModel{};  // strip: rank-1 fallback
 
   const auto run_minmin = [&](const workload::Workload& w) {
-    sim::Engine engine(w.sites, w.jobs, scenario.engine, w.exec);
+    sim::SimKernel kernel(w.sites, w.jobs, scenario.engine, w.exec);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
-    engine.run(scheduler);
-    return engine.makespan();
+    kernel.run(scheduler);
+    return kernel.makespan();
   };
   EXPECT_NE(run_minmin(raw), run_minmin(projected));
 
@@ -188,9 +189,9 @@ TEST(EtcExecution, RawEtcChangesHeuristicAndGaMakespans) {
     config.ga.population = 16;
     config.ga.generations = 6;
     core::GaScheduler scheduler(config);
-    sim::Engine engine(w.sites, w.jobs, scenario.engine, w.exec);
-    engine.run(scheduler);
-    return engine.makespan();
+    sim::SimKernel kernel(w.sites, w.jobs, scenario.engine, w.exec);
+    kernel.run(scheduler);
+    return kernel.makespan();
   };
   EXPECT_NE(run_ga(raw), run_ga(projected));
 }

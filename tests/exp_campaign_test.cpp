@@ -10,10 +10,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
-#include <memory>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -478,25 +477,27 @@ TEST(CampaignSinks, TableShowsThroughputFooter) {
   EXPECT_NE(table.find("8 cells"), std::string::npos);
 }
 
-TEST(CampaignSinks, FileSinksWriteAndEmitFansOut) {
+TEST(CampaignSinks, WriteFileWritesRenderedArtifacts) {
   RunnerOptions options;
   options.threads = 1;
   const CampaignResult result = CampaignRunner(options).run(mini_spec());
   const std::string json_path = testing::TempDir() + "campaign_sink.json";
   const std::string csv_path = testing::TempDir() + "campaign_sink.csv";
-  std::ostringstream table_out;
-  std::vector<std::unique_ptr<Sink>> sinks;
-  sinks.push_back(std::make_unique<TableSink>(table_out));
-  sinks.push_back(std::make_unique<JsonFileSink>(json_path));
-  sinks.push_back(std::make_unique<CsvFileSink>(csv_path));
-  emit(result, sinks);
-  EXPECT_FALSE(table_out.str().empty());
+  write_file(json_path, render_json(result));
+  write_file(csv_path, render_csv(result));
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(read(json_path), render_json(result));
+  const std::string csv = read(csv_path);
+  EXPECT_EQ(csv, render_csv(result));
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "scenario,policy,metric,count,mean,stddev,ci95");
   EXPECT_EQ(util::json::parse_file(json_path).at("campaign").as_string(),
             "mini");
-  std::ifstream csv(csv_path);
-  std::string line;
-  ASSERT_TRUE(std::getline(csv, line));
-  EXPECT_EQ(line, "scenario,policy,metric,count,mean,stddev,ci95");
+  EXPECT_THROW(write_file(testing::TempDir() + "no-such-dir/x.json", "{}"),
+               std::runtime_error);
 }
 
 // ------------------------------------------------------------- timeseries ---

@@ -131,8 +131,8 @@ TEST(Integration, TrainingWarmsTheStgaTable) {
   EXPECT_EQ(training.sites.size(), workload.sites.size());
   sched::MinMinScheduler heuristic(security::RiskPolicy::risky());
   core::RecordingScheduler recorder(heuristic, *stga);
-  sim::Engine engine(training.sites, training.jobs, scenario.engine);
-  engine.run(recorder);
+  sim::SimKernel kernel(training.sites, training.jobs, scenario.engine);
+  kernel.run(recorder);
   EXPECT_GT(stga->history().size(), 0u);
 }
 

@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace gridsched::test {
 
@@ -24,13 +24,19 @@ class JobRecorder final : public sim::KernelObserver {
   std::vector<sim::Job> jobs;
 };
 
-/// Runs `engine` with a JobRecorder attached; returns the final records.
-inline std::vector<sim::Job> run_recorded(sim::Engine& engine,
+/// Runs `kernel` with a JobRecorder attached; returns the final records.
+/// An observer already attached to `kernel` keeps receiving every
+/// callback.
+inline std::vector<sim::Job> run_recorded(sim::SimKernel& kernel,
                                           sim::BatchScheduler& scheduler) {
+  sim::KernelObserver* const attached = kernel.observer();
   JobRecorder recorder;
-  engine.set_observer(&recorder);
-  engine.run(scheduler);
-  engine.set_observer(nullptr);
+  sim::KernelObserverTee tee;
+  tee.add(attached);
+  tee.add(&recorder);
+  kernel.set_observer(&tee);
+  kernel.run(scheduler);
+  kernel.set_observer(attached);
   return std::move(recorder.jobs);
 }
 

@@ -17,22 +17,22 @@ sim::Job make_job(double arrival, double work, unsigned nodes, double demand) {
 }
 
 /// One node, two safe jobs, interval 50: fully deterministic timeline.
-sim::Engine deterministic_run() {
+sim::SimKernel deterministic_run() {
   sim::EngineConfig config;
   config.batch_interval = 50.0;
-  sim::Engine engine({{0, 1, 1.0, 1.0}},
-                     {make_job(10.0, 100.0, 1, 0.8), make_job(20.0, 50.0, 1,
-                                                              0.8)},
-                     config);
+  sim::SimKernel kernel({{0, 1, 1.0, 1.0}},
+                        {make_job(10.0, 100.0, 1, 0.8), make_job(20.0, 50.0, 1,
+                                                                 0.8)},
+                        config);
   static sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
-  return engine;
+  kernel.run(scheduler);
+  return kernel;
 }
 
 TEST(Metrics, HandComputedDeterministicTimeline) {
   // Batch at t=50: J0 runs 50..150, J1 runs 150..200 (MCT in batch order).
-  const sim::Engine engine = deterministic_run();
-  const RunMetrics metrics = compute_metrics(engine);
+  const sim::SimKernel kernel = deterministic_run();
+  const RunMetrics metrics = compute_metrics(kernel);
 
   EXPECT_EQ(metrics.n_jobs, 2u);
   EXPECT_DOUBLE_EQ(metrics.makespan, 200.0);
@@ -60,11 +60,11 @@ TEST(Metrics, CountsRiskAndFailures) {
   config.batch_interval = 50.0;
   config.lambda = 1000.0;  // certain failure on the risky site
   config.detection = sim::FailureDetection::kAtEnd;
-  sim::Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
-                     {make_job(0.0, 100.0, 1, 0.9)}, config);
+  sim::SimKernel kernel({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
+                        {make_job(0.0, 100.0, 1, 0.9)}, config);
   sched::MetScheduler scheduler(security::RiskPolicy::risky());
-  engine.run(scheduler);
-  const RunMetrics metrics = compute_metrics(engine);
+  kernel.run(scheduler);
+  const RunMetrics metrics = compute_metrics(kernel);
   EXPECT_EQ(metrics.n_risk, 1u);
   EXPECT_EQ(metrics.n_fail, 1u);
   EXPECT_EQ(metrics.total_attempts, 2u);
@@ -75,11 +75,11 @@ TEST(Metrics, IdleSiteDetection) {
   sim::EngineConfig config;
   config.batch_interval = 10.0;
   // Second site is unusably slow-secured for this demand under secure mode.
-  sim::Engine engine({{0, 1, 1.0, 0.95}, {1, 1, 1.0, 0.45}},
-                     {make_job(0.0, 30.0, 1, 0.9)}, config);
+  sim::SimKernel kernel({{0, 1, 1.0, 0.95}, {1, 1, 1.0, 0.45}},
+                        {make_job(0.0, 30.0, 1, 0.9)}, config);
   sched::MinMinScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
-  const RunMetrics metrics = compute_metrics(engine);
+  kernel.run(scheduler);
+  const RunMetrics metrics = compute_metrics(kernel);
   EXPECT_EQ(metrics.idle_sites, 1u);
   EXPECT_DOUBLE_EQ(metrics.site_utilization[1], 0.0);
 }

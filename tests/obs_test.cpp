@@ -26,11 +26,8 @@
 #include "obs/proc_stats.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace_event.hpp"
+#include "sim/kernel.hpp"
 #include "sim/observer.hpp"
-#include "sim/process/arrival_process.hpp"
-#include "sim/process/batch_cycle_process.hpp"
-#include "sim/process/security_failure_process.hpp"
-#include "sim/process/site_churn_process.hpp"
 #include "util/log.hpp"
 #include "workload/stream.hpp"
 
@@ -112,19 +109,8 @@ SimKernel churn_timeline_kernel() {
   return SimKernel({{0, 1, 1.0, 1.0}},
                    std::make_unique<workload::MaterializedStream>(
                        std::vector<sim::Job>{make_job(0.0, 100.0, 1, 0.5)}),
-                   quick_config(50.0));
-}
-
-void run_churn_timeline(SimKernel& kernel, sim::BatchScheduler& scheduler) {
-  sim::ArrivalProcess arrival;
-  sim::SecurityFailureProcess failure;
-  sim::BatchCycleProcess batch(scheduler, failure);
-  sim::SiteChurnProcess churn({{0, 100.0, 120.0}});
-  kernel.add_process(arrival);
-  kernel.add_process(batch);
-  kernel.add_process(failure);
-  kernel.add_process(churn);
-  kernel.run();
+                   quick_config(50.0), {},
+                   std::vector<sim::SiteOutage>{{0, 100.0, 120.0}});
 }
 
 // ------------------------------------------------------------- registry ---
@@ -182,7 +168,7 @@ TEST(KernelObserver, ChurnTimelineCallbackOrder) {
   PinScheduler scheduler;
   RecordingObserver recorder;
   kernel.set_observer(&recorder);
-  run_churn_timeline(kernel, scheduler);
+  kernel.run(scheduler);
 
   const std::vector<std::string> expected = {
       "start",
@@ -401,7 +387,7 @@ TEST(SimTraceRecorder, ChurnTimelineSpans) {
   PinScheduler scheduler;
   obs::SimTraceRecorder trace;
   kernel.set_observer(&trace);
-  run_churn_timeline(kernel, scheduler);
+  kernel.run(scheduler);
 
   const std::string rendered = trace.render();
   // The interrupted first attempt, the outage span, the churn instants
@@ -437,7 +423,7 @@ TEST(TimeSeriesProbe, ChurnTimelineSamplesAreHandCheckable) {
   PinScheduler scheduler;
   obs::TimeSeriesProbe probe(60.0);
   kernel.set_observer(&probe);
-  run_churn_timeline(kernel, scheduler);
+  kernel.run(scheduler);
 
   EXPECT_EQ(render_timeseries_csv(probe.series()),
             "t,ready,in_flight,sites_up,completed,failures,interruptions,"
@@ -607,7 +593,7 @@ TEST(KernelObserverTee, ForwardsToEveryObserverAndIgnoresNull) {
   SimKernel kernel = churn_timeline_kernel();
   PinScheduler scheduler;
   kernel.set_observer(&tee);
-  run_churn_timeline(kernel, scheduler);
+  kernel.run(scheduler);
 
   EXPECT_FALSE(first.lines.empty());
   EXPECT_EQ(first.lines, second.lines);

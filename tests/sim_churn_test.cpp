@@ -1,23 +1,20 @@
-// Site-churn process + pluggable-kernel tests: hand-checked mid-run
-// revocation timelines (scripted outages composed directly onto a
-// SimKernel), availability-mask visibility, protocol enforcement, counter
-// accounting, end-to-end determinism of the stochastic churn process and
-// consistency of the kernel's per-site live-attempt index.
+// Site-churn tests: hand-checked mid-run revocation timelines (scripted
+// outages handed to the SimKernel constructor), availability-mask
+// visibility, protocol enforcement, counter accounting, end-to-end
+// determinism of the stochastic churn process and consistency of the
+// kernel's per-site live-attempt index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "exp/scenario_registry.hpp"
 #include "job_recorder.hpp"
 #include "sched/heuristics.hpp"
-#include "sim/engine.hpp"
-#include "sim/process/arrival_process.hpp"
-#include "sim/process/batch_cycle_process.hpp"
-#include "sim/process/security_failure_process.hpp"
-#include "sim/process/site_churn_process.hpp"
+#include "sim/kernel.hpp"
 #include "workload/stream.hpp"
 #include "workload/synth/stream_gen.hpp"
 
@@ -88,30 +85,8 @@ class MaskProbeScheduler final : public BatchScheduler {
   BatchScheduler& inner_;
 };
 
-/// Run a kernel with the standard process set plus a scripted churn
-/// timeline — the composition the Engine facade cannot express. Returns
-/// each job's final record; an observer already attached to `kernel`
-/// keeps receiving every callback.
-std::vector<Job> run_with_outages(SimKernel& kernel, BatchScheduler& scheduler,
-                                  std::vector<SiteOutage> outages) {
-  ArrivalProcess arrival;
-  SecurityFailureProcess failure;
-  BatchCycleProcess batch(scheduler, failure);
-  SiteChurnProcess churn(std::move(outages));
-  kernel.add_process(arrival);
-  kernel.add_process(batch);
-  kernel.add_process(failure);
-  kernel.add_process(churn);
-  KernelObserver* const attached = kernel.observer();
-  test::JobRecorder done;
-  KernelObserverTee tee;
-  tee.add(attached);
-  tee.add(&done);
-  kernel.set_observer(&tee);
-  kernel.run();
-  kernel.set_observer(attached);
-  return std::move(done.jobs);
-}
+/// A scripted churn timeline for the kernel constructor.
+SiteChurn outages(std::vector<SiteOutage> script) { return script; }
 
 TEST(SiteChurn, HandCheckedMidRunRevocation) {
   // One 1-node site; job runs [50, 150); the site dies at t=100 and
@@ -121,10 +96,9 @@ TEST(SiteChurn, HandCheckedMidRunRevocation) {
   // re-dispatches for a [150, 250) run.
   SimKernel kernel({{0, 1, 1.0, 1.0}},
                    stream_of({make_job(0.0, 100.0, 1, 0.5)}),
-                   quick_config(50.0));
+                   quick_config(50.0), {}, outages({{0, 100.0, 120.0}}));
   ScriptedScheduler scheduler({0});
-  const std::vector<Job> done =
-      run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
   const Job& job = done[0];
   EXPECT_EQ(job.state, JobState::kCompleted);
@@ -160,10 +134,9 @@ TEST(SiteChurn, RevocationReleasesStackedReservationsLatestFirst) {
   SimKernel kernel(
       {{0, 1, 1.0, 1.0}},
       stream_of({make_job(0.0, 100.0, 1, 0.5), make_job(0.0, 10.0, 1, 0.5)}),
-      quick_config(50.0));
+      quick_config(50.0), {}, outages({{0, 100.0, 120.0}}));
   ScriptedScheduler scheduler({0});
-  const std::vector<Job> done =
-      run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
   const Job& a = done[0];
   const Job& b = done[1];
@@ -183,10 +156,10 @@ TEST(SiteChurn, RevocationReleasesStackedReservationsLatestFirst) {
 TEST(SiteChurn, SchedulersSeeTheAvailabilityMask) {
   SimKernel kernel({{0, 1, 1.0, 1.0}},
                    stream_of({make_job(0.0, 100.0, 1, 0.5)}),
-                   quick_config(50.0));
+                   quick_config(50.0), {}, outages({{0, 100.0, 120.0}}));
   ScriptedScheduler inner({0});
   MaskProbeScheduler probe(inner);
-  run_with_outages(kernel, probe, {{0, 100.0, 120.0}});
+  kernel.run(probe);
 
   ASSERT_EQ(probe.masks.size(), 3u);
   EXPECT_EQ(probe.masks[0], std::vector<std::uint8_t>({1}));  // t=50
@@ -200,10 +173,9 @@ TEST(SiteChurn, AssigningToADownSiteIsAProtocolViolation) {
   SimKernel kernel(
       {{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}},
       stream_of({make_job(0.0, 100.0, 1, 0.5), make_job(60.0, 10.0, 1, 0.5)}),
-      quick_config(50.0));
+      quick_config(50.0), {}, outages({{0, 90.0, 500.0}}));
   ScriptedScheduler scheduler({0}, /*respect_mask=*/false);
-  EXPECT_THROW(run_with_outages(kernel, scheduler, {{0, 90.0, 500.0}}),
-               std::logic_error);
+  EXPECT_THROW(kernel.run(scheduler), std::logic_error);
 }
 
 TEST(SiteChurn, InterruptedSecureOnlyRetryStaysSecureOnly) {
@@ -215,10 +187,10 @@ TEST(SiteChurn, InterruptedSecureOnlyRetryStaysSecureOnly) {
   config.lambda = 1000.0;
   config.detection = FailureDetection::kImmediate;
   SimKernel kernel({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
-                   stream_of({make_job(0.0, 100.0, 1, 0.9)}), config);
+                   stream_of({make_job(0.0, 100.0, 1, 0.9)}), config, {},
+                   outages({{1, 150.0, 160.0}}));
   ScriptedScheduler scheduler({0, 1, 1});
-  const std::vector<Job> done =
-      run_with_outages(kernel, scheduler, {{1, 150.0, 160.0}});
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
   const Job& job = done[0];
   EXPECT_EQ(job.failures, 1u);
@@ -237,34 +209,51 @@ TEST(SiteChurn, StaleEndEventOfARevokedAttemptIsDropped) {
   // stale end must not complete (or double-complete) the job.
   SimKernel kernel({{0, 1, 1.0, 1.0}},
                    stream_of({make_job(0.0, 100.0, 1, 0.5)}),
-                   quick_config(50.0));
+                   quick_config(50.0), {}, outages({{0, 100.0, 120.0}}));
   ScriptedScheduler scheduler({0});
-  const std::vector<Job> done =
-      run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
   EXPECT_EQ(kernel.counters().completed_jobs, 1u);
   EXPECT_EQ(done[0].attempts, 2u);
   EXPECT_DOUBLE_EQ(done[0].finish, 250.0);
 }
 
+/// A two-site kernel over `script`; construction validates the script.
+SimKernel two_site_kernel(std::vector<SiteOutage> script) {
+  return SimKernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, stream_of({}),
+                   quick_config(), {}, std::move(script));
+}
+
 TEST(SiteChurn, ScriptedOutageValidation) {
-  EXPECT_THROW(SiteChurnProcess({SiteOutage{0, 100.0, 100.0}}),
+  EXPECT_THROW(two_site_kernel({SiteOutage{0, 100.0, 100.0}}),
                std::invalid_argument);
-  EXPECT_THROW(SiteChurnProcess({SiteOutage{0, -1.0, 10.0}}),
+  EXPECT_THROW(two_site_kernel({SiteOutage{0, -1.0, 10.0}}),
                std::invalid_argument);
   // Overlapping outages for one site are rejected (a boolean mask cannot
   // represent nested downtime); the same windows on distinct sites are
   // fine, as are back-to-back outages sharing an endpoint.
   EXPECT_THROW(
-      SiteChurnProcess({SiteOutage{0, 10.0, 100.0}, SiteOutage{0, 50.0,
-                                                               200.0}}),
+      two_site_kernel({SiteOutage{0, 10.0, 100.0}, SiteOutage{0, 50.0,
+                                                              200.0}}),
       std::invalid_argument);
-  EXPECT_NO_THROW(SiteChurnProcess(
+  EXPECT_NO_THROW(two_site_kernel(
       {SiteOutage{0, 10.0, 100.0}, SiteOutage{1, 50.0, 200.0}}));
-  EXPECT_NO_THROW(SiteChurnProcess(
+  EXPECT_NO_THROW(two_site_kernel(
       {SiteOutage{0, 10.0, 100.0}, SiteOutage{0, 100.0, 200.0}}));
 }
 
-TEST(SiteChurn, EngineFacadeRunsStochasticChurnDeterministically) {
+TEST(SiteChurn, ScriptedOutageOnUnknownSiteIsRejected) {
+  // Site 2 is outside the two-site grid: the mask and the live-attempt
+  // index have no entry for it.
+  try {
+    two_site_kernel({SiteOutage{2, 10.0, 20.0}});
+    FAIL() << "an outage on an unknown site was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("site 2"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SiteChurn, StochasticChurnIsDeterministic) {
   // Same workload + seed => bit-identical outcome, including every churn
   // counter; a different engine seed draws a different churn timeline.
   auto run = [](std::uint64_t engine_seed) {
@@ -273,14 +262,14 @@ TEST(SiteChurn, EngineFacadeRunsStochasticChurnDeterministically) {
     EXPECT_EQ(workload.churn.size(), workload.sites.size());
     sim::EngineConfig config = scenario.engine;
     config.seed = engine_seed;
-    Engine engine(workload.sites, workload.jobs, config, workload.exec,
-                  workload.churn);
+    SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
+                     workload.churn);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
-    const std::vector<Job> done = test::run_recorded(engine, scheduler);
+    const std::vector<Job> done = test::run_recorded(kernel, scheduler);
     std::vector<double> finishes;
     for (const Job& job : done) finishes.push_back(job.finish);
     return std::pair(finishes,
-                     engine.counters().events_of(EventKind::kSiteDown));
+                     kernel.counters().events_of(EventKind::kSiteDown));
   };
   const auto a = run(11);
   const auto b = run(11);
@@ -290,14 +279,14 @@ TEST(SiteChurn, EngineFacadeRunsStochasticChurnDeterministically) {
   EXPECT_NE(a.first, c.first);
 }
 
-TEST(SiteChurn, ChurnFreeWorkloadNeverRegistersTheProcess) {
+TEST(SiteChurn, ChurnFreeWorkloadQueuesNoChurnEvent) {
   // An all-zero churn vector must behave exactly like no churn vector.
   std::vector<SiteChurnParams> no_churn(1);
-  Engine engine({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
-                quick_config(50.0), {}, no_churn);
+  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
+                   quick_config(50.0), {}, no_churn);
   ScriptedScheduler scheduler({0});
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
-  EXPECT_EQ(engine.counters().events_of(EventKind::kSiteDown), 0u);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
+  EXPECT_EQ(kernel.counters().events_of(EventKind::kSiteDown), 0u);
   EXPECT_DOUBLE_EQ(done[0].finish, 60.0);
 }
 
@@ -365,7 +354,7 @@ TEST(LiveAttemptIndex, ScriptedOutageOverStackedReservations) {
                               make_job(0.0, 100.0, 1, 0.5),
                               make_job(0.0, 10.0, 1, 0.5),
                               make_job(0.0, 100.0, 1, 0.5)}),
-                   quick_config(50.0));
+                   quick_config(50.0), {}, outages({{0, 100.0, 120.0}}));
   // First cycle: jobs 0-2 to site 0, job 3 to site 1; later cycles (after
   // the outage) send everything to site 1.
   class SplitScheduler final : public BatchScheduler {
@@ -386,8 +375,7 @@ TEST(LiveAttemptIndex, ScriptedOutageOverStackedReservations) {
   } scheduler;
   LiveIndexChecker checker;
   kernel.set_observer(&checker);
-  const std::vector<Job> done =
-      run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
   EXPECT_EQ(checker.revoked, (std::vector<JobId>{2, 1}));
   EXPECT_EQ(checker.max_live, 3u);
@@ -400,22 +388,22 @@ TEST(LiveAttemptIndex, ScriptedOutageOverStackedReservations) {
   EXPECT_DOUBLE_EQ(done[3].finish, 150.0);
 }
 
-/// Runs `engine` (stochastic churn) under the live-index checker. Slots
+/// Runs `kernel` (stochastic churn) under the live-index checker. Slots
 /// recycle as jobs retire, so stale ends of retired jobs whose slot
 /// already holds another job must not disturb the index either.
-void check_live_index(Engine& engine, std::size_t n_jobs) {
+void check_live_index(SimKernel& kernel, std::size_t n_jobs) {
   LiveIndexChecker checker;
-  engine.set_observer(&checker);
+  kernel.set_observer(&checker);
   sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
-  engine.run(scheduler);
+  kernel.run(scheduler);
 
-  EXPECT_GT(engine.counters().interrupted_attempts, 0u)
+  EXPECT_GT(kernel.counters().interrupted_attempts, 0u)
       << "no revocations; the index was never unlinked by churn";
-  EXPECT_GT(engine.counters().failure_events, 0u);
-  EXPECT_EQ(engine.counters().completed_jobs, n_jobs);
+  EXPECT_GT(kernel.counters().failure_events, 0u);
+  EXPECT_EQ(kernel.counters().completed_jobs, n_jobs);
   EXPECT_GT(checker.max_live, 1u);
-  EXPECT_EQ(engine.kernel().live_attempt_count(), 0u);
-  EXPECT_LT(engine.kernel().peak_slots(), n_jobs);
+  EXPECT_EQ(kernel.live_attempt_count(), 0u);
+  EXPECT_LT(kernel.peak_slots(), n_jobs);
 }
 
 TEST(LiveAttemptIndex, MatchesBruteForceScanMaterialized) {
@@ -424,9 +412,9 @@ TEST(LiveAttemptIndex, MatchesBruteForceScanMaterialized) {
   const workload::Workload workload = exp::make_workload(scenario, 5);
   EngineConfig config = scenario.engine;
   config.seed = 11;
-  Engine engine(workload.sites, workload.jobs, config, workload.exec,
-                workload.churn);
-  check_live_index(engine, workload.jobs.size());
+  SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
+                   workload.churn);
+  check_live_index(kernel, workload.jobs.size());
 }
 
 TEST(LiveAttemptIndex, MatchesBruteForceScanGenerated) {
@@ -444,28 +432,9 @@ TEST(LiveAttemptIndex, MatchesBruteForceScanGenerated) {
   EngineConfig config;
   config.batch_interval = 100.0;
   config.seed = 4;
-  Engine engine(std::move(stream.sites), std::move(stream.jobs), config,
-                std::move(stream.exec), std::move(stream.churn));
-  check_live_index(engine, stream_config.n_jobs);
-}
-
-TEST(SimKernel, RejectsDoubleRoutingOfAnEventKind) {
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, stream_of({}), quick_config(50.0));
-  ArrivalProcess a;
-  ArrivalProcess b;
-  kernel.add_process(a);
-  EXPECT_THROW(kernel.add_process(b), std::logic_error);
-}
-
-TEST(SimKernel, UnroutedEventKindThrows) {
-  // A kernel missing the batch/failure processes cannot make progress on
-  // a job arrival's requested cycle.
-  SimKernel kernel({{0, 1, 1.0, 1.0}},
-                   stream_of({make_job(0.0, 10.0, 1, 0.5)}),
-                   quick_config(50.0));
-  ArrivalProcess arrival;
-  kernel.add_process(arrival);
-  EXPECT_THROW(kernel.run(), std::logic_error);
+  SimKernel kernel(std::move(stream.sites), std::move(stream.jobs), config,
+                   std::move(stream.exec), std::move(stream.churn));
+  check_live_index(kernel, stream_config.n_jobs);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "sim/engine.hpp"
+#include "sim/kernel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -78,14 +78,14 @@ EngineConfig quick_config(Time interval = 50.0) {
 }
 
 /// Jobs are validated as they are admitted, inside run(): running an
-/// engine over `jobs` must throw std::invalid_argument whose text
+/// kernel over `jobs` must throw std::invalid_argument whose text
 /// contains `problem` (the job and the field).
 void expect_rejected(std::vector<Job> jobs, const std::string& problem,
                      std::vector<SiteConfig> sites = {{0, 1, 1.0, 1.0}}) {
-  Engine engine(std::move(sites), std::move(jobs), quick_config());
+  SimKernel kernel(std::move(sites), std::move(jobs), quick_config());
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
   try {
-    engine.run(scheduler);
+    kernel.run(scheduler);
     ADD_FAILURE() << "run accepted the workload";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find(problem), std::string::npos)
@@ -94,14 +94,14 @@ void expect_rejected(std::vector<Job> jobs, const std::string& problem,
 }
 
 TEST(Engine, RejectsEmptySiteList) {
-  EXPECT_THROW(Engine({}, {make_job(0, 10, 1, 0.5)}, quick_config()),
+  EXPECT_THROW(SimKernel({}, {make_job(0, 10, 1, 0.5)}, quick_config()),
                std::invalid_argument);
 }
 
 TEST(Engine, RejectsNonPositiveInterval) {
   EngineConfig config;
   config.batch_interval = 0.0;
-  EXPECT_THROW(Engine({{0, 1, 1.0, 1.0}}, std::vector<Job>{}, config),
+  EXPECT_THROW(SimKernel({{0, 1, 1.0, 1.0}}, std::vector<Job>{}, config),
                std::invalid_argument);
 }
 
@@ -154,57 +154,57 @@ TEST(Engine, RejectsOutOfOrderJobVector) {
 
 TEST(Engine, SingleJobTimeline) {
   // Arrival 10, interval 50 -> scheduled at the t=50 cycle, runs 100 s.
-  Engine engine({{0, 1, 1.0, 1.0}}, {make_job(10.0, 100.0, 1, 0.8)},
-                quick_config(50.0));
+  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(10.0, 100.0, 1, 0.8)},
+                   quick_config(50.0));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
   const Job& job = done[0];
   EXPECT_EQ(job.state, JobState::kCompleted);
   EXPECT_DOUBLE_EQ(job.first_start, 50.0);
   EXPECT_DOUBLE_EQ(job.finish, 150.0);
-  EXPECT_DOUBLE_EQ(engine.makespan(), 150.0);
+  EXPECT_DOUBLE_EQ(kernel.makespan(), 150.0);
   EXPECT_EQ(job.attempts, 1u);
   EXPECT_EQ(job.failures, 0u);
   EXPECT_FALSE(job.took_risk);
-  EXPECT_EQ(engine.counters().completed_jobs, 1u);
-  EXPECT_EQ(engine.counters().batch_invocations, 1u);
+  EXPECT_EQ(kernel.counters().completed_jobs, 1u);
+  EXPECT_EQ(kernel.counters().batch_invocations, 1u);
 }
 
 TEST(Engine, JobsAccumulateIntoOneBatch) {
   // Both jobs arrive before the first cycle at t=100 and share one node.
-  Engine engine({{0, 1, 1.0, 1.0}},
-                {make_job(10.0, 20.0, 1, 0.7), make_job(60.0, 30.0, 1, 0.7)},
-                quick_config(100.0));
+  SimKernel kernel({{0, 1, 1.0, 1.0}},
+                   {make_job(10.0, 20.0, 1, 0.7), make_job(60.0, 30.0, 1, 0.7)},
+                   quick_config(100.0));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
-  EXPECT_EQ(engine.counters().batch_invocations, 1u);
+  EXPECT_EQ(kernel.counters().batch_invocations, 1u);
   EXPECT_DOUBLE_EQ(done[0].finish, 120.0);
   EXPECT_DOUBLE_EQ(done[1].finish, 150.0);
 }
 
 TEST(Engine, MultiNodeJobsShareSite) {
   // 2-node site: a 2-node job then a 1-node job queue up, then overlap.
-  Engine engine({{0, 2, 1.0, 1.0}},
-                {make_job(0.0, 40.0, 2, 0.7), make_job(0.0, 10.0, 1, 0.7),
-                 make_job(0.0, 10.0, 1, 0.7)},
-                quick_config(50.0));
+  SimKernel kernel({{0, 2, 1.0, 1.0}},
+                   {make_job(0.0, 40.0, 2, 0.7), make_job(0.0, 10.0, 1, 0.7),
+                    make_job(0.0, 10.0, 1, 0.7)},
+                   quick_config(50.0));
   ScriptedScheduler scheduler({0});
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
   // Dispatch order = batch order: J0 holds both nodes 50..90; J1 90..100;
   // J2 90..100 on the other node.
   EXPECT_DOUBLE_EQ(done[0].finish, 90.0);
   EXPECT_DOUBLE_EQ(done[1].finish, 100.0);
   EXPECT_DOUBLE_EQ(done[2].finish, 100.0);
-  EXPECT_DOUBLE_EQ(engine.makespan(), 100.0);
+  EXPECT_DOUBLE_EQ(kernel.makespan(), 100.0);
 }
 
 TEST(Engine, SpeedScalesExecution) {
-  Engine engine({{0, 1, 4.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.7)},
-                quick_config(10.0));
+  SimKernel kernel({{0, 1, 4.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.7)},
+                   quick_config(10.0));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
   EXPECT_DOUBLE_EQ(done[0].finish, 35.0);  // 10 + 100/4
 }
 
@@ -212,10 +212,10 @@ TEST(Engine, CertainFailureIsRescheduledToSafeSite) {
   // Site 0 is fast but insecure; lambda enormous => P(fail) ~= 1.
   EngineConfig config = quick_config(50.0);
   config.lambda = 1000.0;
-  Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
-                {make_job(0.0, 100.0, 1, 0.9)}, config);
+  SimKernel kernel({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
+                   {make_job(0.0, 100.0, 1, 0.9)}, config);
   ScriptedScheduler scheduler({0, 1});
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
   const Job& job = done[0];
   EXPECT_EQ(job.failures, 1u);
@@ -230,29 +230,29 @@ TEST(Engine, CertainFailureIsRescheduledToSafeSite) {
   EXPECT_DOUBLE_EQ(job.first_start, 50.0);
   EXPECT_DOUBLE_EQ(job.last_start, 150.0);
   EXPECT_DOUBLE_EQ(job.finish, 250.0);
-  EXPECT_EQ(engine.counters().failure_events, 1u);
-  EXPECT_EQ(engine.counters().risky_attempts, 1u);
+  EXPECT_EQ(kernel.counters().failure_events, 1u);
+  EXPECT_EQ(kernel.counters().risky_attempts, 1u);
 }
 
 TEST(Engine, FailStopForbidsSecondRisk) {
   // Scripted scheduler would send the retry to the insecure site again;
-  // the engine must reject that as a protocol violation.
+  // the kernel must reject that as a protocol violation.
   EngineConfig config = quick_config(50.0);
   config.lambda = 1000.0;
-  Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
-                {make_job(0.0, 100.0, 1, 0.9)}, config);
+  SimKernel kernel({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
+                   {make_job(0.0, 100.0, 1, 0.9)}, config);
   ScriptedScheduler scheduler({0, 0});
-  EXPECT_THROW(engine.run(scheduler), std::logic_error);
+  EXPECT_THROW(kernel.run(scheduler), std::logic_error);
 }
 
 TEST(Engine, UniformDetectionFailsBeforePlannedEnd) {
   EngineConfig config = quick_config(50.0);
   config.lambda = 1000.0;
   config.detection = FailureDetection::kUniformFraction;
-  Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
-                {make_job(0.0, 100.0, 1, 0.9)}, config);
+  SimKernel kernel({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
+                   {make_job(0.0, 100.0, 1, 0.9)}, config);
   ScriptedScheduler scheduler({0, 1});
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
   const Job& job = done[0];
   EXPECT_EQ(job.failures, 1u);
   // The retry cycle can only fire after the detection instant, which is
@@ -268,9 +268,9 @@ TEST(Engine, AtMostOneFailurePerJob) {
   for (int i = 0; i < 30; ++i) {
     jobs.push_back(make_job(i * 5.0, 40.0, 1, 0.9));
   }
-  Engine engine({{0, 2, 1.0, 0.4}, {1, 2, 1.0, 0.95}}, jobs, config);
+  SimKernel kernel({{0, 2, 1.0, 0.4}, {1, 2, 1.0, 0.95}}, jobs, config);
   sched::MctScheduler scheduler(security::RiskPolicy::risky());
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
   ASSERT_EQ(done.size(), jobs.size());
   for (const Job& job : done) {
     EXPECT_LE(job.failures, 1u);
@@ -281,11 +281,12 @@ TEST(Engine, AtMostOneFailurePerJob) {
 TEST(Engine, SecurePolicyNeverRisks) {
   std::vector<Job> jobs;
   for (int i = 0; i < 20; ++i) jobs.push_back(make_job(i * 3.0, 25.0, 1, 0.8));
-  Engine engine({{0, 2, 1.0, 0.5}, {1, 2, 1.0, 0.9}}, jobs, quick_config(30.0));
+  SimKernel kernel({{0, 2, 1.0, 0.5}, {1, 2, 1.0, 0.9}}, jobs,
+                   quick_config(30.0));
   sched::MinMinScheduler scheduler(security::RiskPolicy::secure());
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
-  EXPECT_EQ(engine.counters().risky_attempts, 0u);
-  EXPECT_EQ(engine.counters().failure_events, 0u);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
+  EXPECT_EQ(kernel.counters().risky_attempts, 0u);
+  EXPECT_EQ(kernel.counters().failure_events, 0u);
   ASSERT_EQ(done.size(), jobs.size());
   for (const Job& job : done) {
     EXPECT_EQ(job.final_site, 1u);  // only the SL=0.9 site is admissible
@@ -295,45 +296,60 @@ TEST(Engine, SecurePolicyNeverRisks) {
 TEST(Engine, StarvationGuardFires) {
   EngineConfig config = quick_config(10.0);
   config.max_idle_cycles = 5;
-  Engine engine({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)}, config);
+  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)}, config);
   RefusingScheduler scheduler;
-  EXPECT_THROW(engine.run(scheduler), std::runtime_error);
+  EXPECT_THROW(kernel.run(scheduler), std::runtime_error);
 }
 
 TEST(Engine, RunTwiceIsAnError) {
-  Engine engine({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
-                quick_config(10.0));
+  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
+                   quick_config(10.0));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
-  EXPECT_THROW(engine.run(scheduler), std::logic_error);
+  kernel.run(scheduler);
+  EXPECT_THROW(kernel.run(scheduler), std::logic_error);
+
+  // Once-only holds whatever the first run's outcome: a run that threw
+  // cannot be retried over its half-simulated state.
+  SimKernel failed({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
+                   quick_config(10.0));
+  RawScheduler invalid({{0, 9}});
+  EXPECT_THROW(failed.run(invalid), std::logic_error);
+  try {
+    failed.run(scheduler);
+    FAIL() << "a second run() was accepted";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("called twice"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Engine, ProtocolViolationOutOfRangeJob) {
-  Engine engine({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
-                quick_config(10.0));
+  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
+                   quick_config(10.0));
   RawScheduler scheduler({{5, 0}});
-  EXPECT_THROW(engine.run(scheduler), std::logic_error);
+  EXPECT_THROW(kernel.run(scheduler), std::logic_error);
 }
 
 TEST(Engine, ProtocolViolationInvalidSite) {
-  Engine engine({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
-                quick_config(10.0));
+  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
+                   quick_config(10.0));
   RawScheduler scheduler({{0, 9}});
-  EXPECT_THROW(engine.run(scheduler), std::logic_error);
+  EXPECT_THROW(kernel.run(scheduler), std::logic_error);
 }
 
 TEST(Engine, ProtocolViolationDuplicateAssignment) {
-  Engine engine({{0, 2, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
-                quick_config(10.0));
+  SimKernel kernel({{0, 2, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
+                   quick_config(10.0));
   RawScheduler scheduler({{0, 0}, {0, 0}});
-  EXPECT_THROW(engine.run(scheduler), std::logic_error);
+  EXPECT_THROW(kernel.run(scheduler), std::logic_error);
 }
 
 TEST(Engine, ProtocolViolationOversizedPlacement) {
-  Engine engine({{0, 1, 1.0, 1.0}, {1, 4, 1.0, 1.0}},
-                {make_job(0.0, 10.0, 4, 0.5)}, quick_config(10.0));
+  SimKernel kernel({{0, 1, 1.0, 1.0}, {1, 4, 1.0, 1.0}},
+                   {make_job(0.0, 10.0, 4, 0.5)}, quick_config(10.0));
   RawScheduler scheduler({{0, 0}});  // 4-node job onto 1-node site
-  EXPECT_THROW(engine.run(scheduler), std::logic_error);
+  EXPECT_THROW(kernel.run(scheduler), std::logic_error);
 }
 
 TEST(Engine, DeterministicAcrossIdenticalRuns) {
@@ -345,10 +361,10 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
     for (int i = 0; i < 40; ++i) {
       jobs.push_back(make_job(i * 7.0, 15.0 + i, 1, 0.6 + 0.01 * (i % 30)));
     }
-    Engine engine({{0, 2, 1.0, 0.5}, {1, 2, 2.0, 0.7}, {2, 1, 1.0, 0.95}},
-                  jobs, config);
+    SimKernel kernel(
+        {{0, 2, 1.0, 0.5}, {1, 2, 2.0, 0.7}, {2, 1, 1.0, 0.95}}, jobs, config);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
-    const std::vector<Job> done = test::run_recorded(engine, scheduler);
+    const std::vector<Job> done = test::run_recorded(kernel, scheduler);
     std::vector<double> finishes;
     for (const Job& job : done) finishes.push_back(job.finish);
     return finishes;
@@ -364,10 +380,10 @@ TEST(Engine, DifferentSeedsChangeFailureOutcomes) {
     std::vector<Job> jobs;
     for (int i = 0; i < 60; ++i) jobs.push_back(make_job(i * 5.0, 20.0, 1,
                                                          0.85));
-    Engine engine({{0, 4, 1.0, 0.45}, {1, 2, 1.0, 0.95}}, jobs, config);
+    SimKernel kernel({{0, 4, 1.0, 0.45}, {1, 2, 1.0, 0.95}}, jobs, config);
     sched::MctScheduler scheduler(security::RiskPolicy::risky());
-    engine.run(scheduler);
-    return engine.counters().failure_events;
+    kernel.run(scheduler);
+    return kernel.counters().failure_events;
   };
   // Not a tautology: with ~60 risky draws the chance of identical counts
   // for 4 different seeds is negligible.
@@ -388,9 +404,9 @@ TEST(Engine, FailureReleasesReservedCapacity) {
   config.detection = FailureDetection::kImmediate;
   std::vector<Job> jobs = {make_job(0.0, 1000.0, 2, 0.9),
                            make_job(60.0, 10.0, 1, 0.3)};
-  Engine engine({{0, 2, 1.0, 0.4}, {1, 2, 1.0, 1.0}}, jobs, config);
+  SimKernel kernel({{0, 2, 1.0, 0.4}, {1, 2, 1.0, 1.0}}, jobs, config);
   sched::MctScheduler scheduler(security::RiskPolicy::risky());
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
   const Job& a = done[0];
   const Job& b = done[1];
@@ -403,8 +419,8 @@ TEST(Engine, FailureReleasesReservedCapacity) {
   EXPECT_DOUBLE_EQ(b.first_start, 100.0);
   EXPECT_DOUBLE_EQ(b.finish, 110.0);
   // Both of A's reserved node-tails were reclaimed, none silently dropped.
-  EXPECT_EQ(engine.counters().released_nodes, 2u);
-  EXPECT_EQ(engine.counters().unreleased_nodes, 0u);
+  EXPECT_EQ(kernel.counters().released_nodes, 2u);
+  EXPECT_EQ(kernel.counters().unreleased_nodes, 0u);
 }
 
 TEST(Engine, FailureReleaseCountsTailsAlreadyReReserved) {
@@ -419,16 +435,16 @@ TEST(Engine, FailureReleaseCountsTailsAlreadyReReserved) {
   config.detection = FailureDetection::kAtEnd;
   std::vector<Job> jobs = {make_job(0.0, 100.0, 1, 0.9),
                            make_job(60.0, 10.0, 1, 0.3)};
-  Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 0.01, 1.0}}, jobs, config);
+  SimKernel kernel({{0, 1, 1.0, 0.4}, {1, 1, 0.01, 1.0}}, jobs, config);
   sched::MctScheduler scheduler(security::RiskPolicy::risky());
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
   const Job& b = done[1];
   EXPECT_EQ(done[0].failures, 1u);
   EXPECT_EQ(b.final_site, 0u);
   EXPECT_DOUBLE_EQ(b.first_start, 150.0);  // stacked behind A's full window
-  EXPECT_EQ(engine.counters().released_nodes, 0u);
-  EXPECT_EQ(engine.counters().unreleased_nodes, 1u);
+  EXPECT_EQ(kernel.counters().released_nodes, 0u);
+  EXPECT_EQ(kernel.counters().unreleased_nodes, 1u);
 }
 
 TEST(Engine, BatchCycleAtExactMultipleStaysStrictlyAfterNow) {
@@ -437,9 +453,9 @@ TEST(Engine, BatchCycleAtExactMultipleStaysStrictlyAfterNow) {
   // cycle for the t=1.0 arrival AT t=1.0 itself. The integer-index
   // derivation must place it strictly after, at 6 * 0.2.
   EngineConfig config = quick_config(0.2);
-  Engine engine({{0, 1, 1.0, 1.0}}, {make_job(1.0, 1.0, 1, 0.5)}, config);
+  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(1.0, 1.0, 1, 0.5)}, config);
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  const std::vector<Job> done = test::run_recorded(engine, scheduler);
+  const std::vector<Job> done = test::run_recorded(kernel, scheduler);
   const Job& job = done[0];
   EXPECT_GT(job.first_start, 1.0);
   EXPECT_NEAR(job.first_start, 1.2, 1e-9);
@@ -448,11 +464,11 @@ TEST(Engine, BatchCycleAtExactMultipleStaysStrictlyAfterNow) {
 TEST(Engine, SchedulerSecondsAccumulate) {
   std::vector<Job> jobs;
   for (int i = 0; i < 10; ++i) jobs.push_back(make_job(i * 2.0, 5.0, 1, 0.7));
-  Engine engine({{0, 2, 1.0, 1.0}}, jobs, quick_config(10.0));
+  SimKernel kernel({{0, 2, 1.0, 1.0}}, jobs, quick_config(10.0));
   sched::MinMinScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
-  EXPECT_GE(engine.counters().scheduler_seconds, 0.0);
-  EXPECT_GE(engine.counters().batch_invocations, 1u);
+  kernel.run(scheduler);
+  EXPECT_GE(kernel.counters().scheduler_seconds, 0.0);
+  EXPECT_GE(kernel.counters().batch_invocations, 1u);
 }
 
 }  // namespace

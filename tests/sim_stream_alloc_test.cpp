@@ -18,7 +18,7 @@
 #include "metrics/metrics.hpp"
 #include "sched/heuristics.hpp"
 #include "security/security.hpp"
-#include "sim/engine.hpp"
+#include "sim/kernel.hpp"
 #include "sim/scheduling.hpp"
 #include "workload/synth/stream_gen.hpp"
 
@@ -102,25 +102,25 @@ std::vector<std::uint64_t> alloc_samples(sim::BatchScheduler& scheduler,
   sim::EngineConfig engine_config;
   engine_config.batch_interval = 100.0;
   engine_config.seed = 4;
-  std::unique_ptr<sim::Engine> engine;
+  std::unique_ptr<sim::SimKernel> kernel;
   if (probe.streamed) {
-    engine = std::make_unique<sim::Engine>(
+    kernel = std::make_unique<sim::SimKernel>(
         std::move(stream.sites), std::move(stream.jobs), engine_config,
         std::move(stream.exec), std::move(stream.churn));
   } else {
     workload::Workload drained =
         workload::synth::materialize_stream(std::move(stream));
-    engine = std::make_unique<sim::Engine>(
+    kernel = std::make_unique<sim::SimKernel>(
         std::move(drained.sites), std::move(drained.jobs), engine_config,
         std::move(drained.exec), std::move(drained.churn));
   }
   AllocSampleObserver observer;
-  engine->set_observer(&observer);
-  engine->run(scheduler);
+  kernel->set_observer(&observer);
+  kernel->run(scheduler);
 
-  EXPECT_EQ(engine->kernel().retired_jobs(), probe.n_jobs);
+  EXPECT_EQ(kernel->retired_jobs(), probe.n_jobs);
   if (probe.churn) {
-    EXPECT_GT(engine->counters().interrupted_attempts, 0u)
+    EXPECT_GT(kernel->counters().interrupted_attempts, 0u)
         << "churn probe revoked nothing; the victim path went unexercised";
   }
   return std::move(observer.samples);
@@ -171,7 +171,7 @@ TEST(StreamKernelAlloc, MinMinSteadyStateIsAllocationFree) {
 }
 
 TEST(StreamKernelAlloc, MaterializedVectorSteadyStateIsAllocationFree) {
-  // The same guard for a materialized job vector (Engine's vector
+  // The same guard for a materialized job vector (SimKernel's vector
   // overload): only the input source differs from the generator cursor.
   AllocProbe probe;
   probe.n_jobs = 3000;

@@ -19,7 +19,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace_event.hpp"
 #include "sched/heuristics.hpp"
-#include "sim/engine.hpp"
+#include "sim/kernel.hpp"
 #include "workload/stream.hpp"
 #include "workload/synth/stream_gen.hpp"
 
@@ -44,18 +44,18 @@ RunArtifacts run_workload(const workload::Workload& workload,
   tee.add(&trace);
   tee.add(&probe);
 
-  sim::Engine engine(workload.sites, workload.jobs, config, workload.exec,
-                     workload.churn);
-  engine.set_observer(&tee);
+  sim::SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
+                        workload.churn);
+  kernel.set_observer(&tee);
   sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
-  engine.run(scheduler);
+  kernel.run(scheduler);
 
   RunArtifacts artifacts;
-  artifacts.metrics = metrics::compute_metrics(engine);
+  artifacts.metrics = metrics::compute_metrics(kernel);
   artifacts.trace = trace.render();
   artifacts.timeseries = obs::render_timeseries_json(probe.series());
-  artifacts.peak_slots = engine.kernel().peak_slots();
-  artifacts.retired = engine.kernel().retired_jobs();
+  artifacts.peak_slots = kernel.peak_slots();
+  artifacts.retired = kernel.retired_jobs();
   return artifacts;
 }
 
@@ -182,22 +182,22 @@ TEST(StreamKernel, SlotRecyclingHoldsFrontierThroughChurn) {
   const workload::Workload workload = exp::make_workload(scenario, 5);
   sim::EngineConfig config = scenario.engine;
   config.seed = 11;
-  sim::Engine engine(workload.sites, workload.jobs, config, workload.exec,
-                     workload.churn);
+  sim::SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
+                        workload.churn);
   FrontierInvariantObserver invariants;
-  engine.set_observer(&invariants);
+  kernel.set_observer(&invariants);
   sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
-  engine.run(scheduler);
+  kernel.run(scheduler);
 
   EXPECT_GT(invariants.revocations, 0u)
       << "churn scenario produced no interruptions; the frontier "
          "invariant was not exercised — pick another seed";
   EXPECT_EQ(invariants.completions, workload.jobs.size());
-  EXPECT_EQ(engine.kernel().retired_jobs(), workload.jobs.size());
-  EXPECT_EQ(engine.kernel().retirement().jobs(), workload.jobs.size());
+  EXPECT_EQ(kernel.retired_jobs(), workload.jobs.size());
+  EXPECT_EQ(kernel.retirement().jobs(), workload.jobs.size());
   // Arrivals trickle in over the horizon while completed jobs retire, so
   // the slot table's high-water mark stays below the total job count.
-  EXPECT_LT(engine.kernel().peak_slots(), workload.jobs.size());
+  EXPECT_LT(kernel.peak_slots(), workload.jobs.size());
 }
 
 /// Fixed-size scripted stream for the error paths.
@@ -235,19 +235,19 @@ sim::EngineConfig quick_config() {
 }
 
 TEST(StreamKernel, NullStreamIsRejected) {
-  EXPECT_THROW(sim::Engine({{0, 1, 1.0, 1.0}},
-                           std::unique_ptr<workload::JobStream>{},
-                           quick_config()),
+  EXPECT_THROW(sim::SimKernel({{0, 1, 1.0, 1.0}},
+                              std::unique_ptr<workload::JobStream>{},
+                              quick_config()),
                std::invalid_argument);
 }
 
 TEST(StreamKernel, ShortStreamThrowsWithProgressCount) {
   auto stream = std::make_unique<ScriptedStream>(
       std::vector<sim::Job>{stream_job(0.0), stream_job(1.0)}, 5);
-  sim::Engine engine({{0, 4, 1.0, 1.0}}, std::move(stream), quick_config());
+  sim::SimKernel kernel({{0, 4, 1.0, 1.0}}, std::move(stream), quick_config());
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
   try {
-    engine.run(scheduler);
+    kernel.run(scheduler);
     FAIL() << "short stream did not throw";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("job stream ended after 2 of 5"),
@@ -259,9 +259,9 @@ TEST(StreamKernel, ShortStreamThrowsWithProgressCount) {
 TEST(StreamKernel, DescribeUnfinishedCoversUnadmittedJobs) {
   auto stream = std::make_unique<ScriptedStream>(
       std::vector<sim::Job>{stream_job(0.0), stream_job(1.0)}, 2);
-  sim::Engine engine({{0, 4, 1.0, 1.0}}, std::move(stream), quick_config());
+  sim::SimKernel kernel({{0, 4, 1.0, 1.0}}, std::move(stream), quick_config());
   // Before run() nothing is admitted: every job reports as pending.
-  const std::string text = engine.kernel().describe_unfinished(0.0);
+  const std::string text = kernel.describe_unfinished(0.0);
   EXPECT_NE(text.find("2 of 2 job(s) unfinished"), std::string::npos) << text;
   EXPECT_NE(text.find("0 (pending), 1 (pending)"), std::string::npos) << text;
 }
@@ -275,18 +275,19 @@ TEST(StreamKernel, HundredThousandJobStreamStaysSmall) {
                                                                      3);
   sim::EngineConfig config = scenario.engine;
   config.seed = 21;
-  sim::Engine engine(std::move(stream.sites), std::move(stream.jobs), config,
-                     std::move(stream.exec), std::move(stream.churn));
+  sim::SimKernel kernel(std::move(stream.sites), std::move(stream.jobs),
+                        config, std::move(stream.exec),
+                        std::move(stream.churn));
   sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
-  engine.run(scheduler);
+  kernel.run(scheduler);
 
-  const metrics::RunMetrics run = metrics::compute_metrics(engine);
+  const metrics::RunMetrics run = metrics::compute_metrics(kernel);
   EXPECT_EQ(run.n_jobs, 100000u);
-  EXPECT_EQ(engine.kernel().retired_jobs(), 100000u);
+  EXPECT_EQ(kernel.retired_jobs(), 100000u);
   EXPECT_GT(run.makespan, 0.0);
   // ~0.25 jobs/s at ~2.6 ks response keeps a few thousand jobs in flight;
   // anything near 1e5 means slots stopped recycling.
-  EXPECT_LT(engine.kernel().peak_slots(), 16384u);
+  EXPECT_LT(kernel.peak_slots(), 16384u);
 }
 
 TEST(StreamKernel, RunOnceStreamsAndMatchesMaterializedDrain) {
@@ -304,11 +305,11 @@ TEST(StreamKernel, RunOnceStreamsAndMatchesMaterializedDrain) {
                                                         workload_seed);
   sim::EngineConfig config = scenario.engine;
   config.seed = engine_seed;
-  sim::Engine engine(drained.sites, drained.jobs, config, drained.exec,
-                     drained.churn);
+  sim::SimKernel kernel(drained.sites, drained.jobs, config, drained.exec,
+                        drained.churn);
   sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
-  engine.run(scheduler);
-  const metrics::RunMetrics drain = metrics::compute_metrics(engine);
+  kernel.run(scheduler);
+  const metrics::RunMetrics drain = metrics::compute_metrics(kernel);
 
   EXPECT_EQ(streamed.n_jobs, drain.n_jobs);
   EXPECT_EQ(streamed.makespan, drain.makespan);

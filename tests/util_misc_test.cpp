@@ -143,6 +143,16 @@ TEST(Cli, MalformedNumberThrows) {
   EXPECT_THROW(static_cast<void>(cli.get_or("n", std::int64_t{0})),
                std::invalid_argument);
   EXPECT_THROW(static_cast<void>(cli.get_or("n", 0.0)), std::invalid_argument);
+  // A numeric prefix is not a number, nor is an out-of-range value.
+  const auto partial = argv_of(
+      {"prog", "--n=12abc", "--f=0.5x", "--big=99999999999999999999"});
+  Cli strict(static_cast<int>(partial.size()), partial.data());
+  EXPECT_THROW(static_cast<void>(strict.get_or("n", std::int64_t{0})),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(strict.get_or("f", 0.0)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(strict.get_or("big", std::int64_t{0})),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ Log ---

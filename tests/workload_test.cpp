@@ -428,6 +428,17 @@ TEST(TraceIo, MalformedEtcSectionsThrow) {
   // Unknown section version.
   std::stringstream bad_version(job_line + ";etc v9 1 1\n;etc-row 0 1.0\n");
   EXPECT_THROW(read_jobs_trace(bad_version), std::runtime_error);
+  // A huge header shape with no rows is a row-count error, not an
+  // allocation sized by the header.
+  std::stringstream huge(job_line + ";etc v1 1000000000000000 1\n");
+  try {
+    read_jobs_trace(huge);
+    FAIL() << "a header-only ETC section was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("covers 0/1000000000000000 rows"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(TraceIo, WriteRejectsEtcShapeMismatch) {

@@ -403,98 +403,6 @@ void rule_r05(const std::vector<LintFile>& files,
   }
 }
 
-/// GS-R06 — every EventKind enumerator is owned by exactly one SimProcess
-/// (ROADMAP "Kernel invariants": exclusive event routing).
-void rule_r06(const std::vector<LintFile>& files,
-              std::vector<Diagnostic>& out) {
-  const LintFile* enum_file = nullptr;
-  struct Enumerator {
-    std::string name;
-    std::size_t line;
-  };
-  std::vector<Enumerator> kinds;
-  for (const LintFile& f : files) {
-    if (f.src->path != "src/sim/event_queue.hpp") continue;
-    enum_file = &f;
-    const auto& tokens = toks(f);
-    for (std::size_t i = 0; i + 3 < tokens.size(); ++i) {
-      if (!is_ident(tokens[i], "enum") || !is_ident(tokens[i + 1], "class") ||
-          !is_ident(tokens[i + 2], "EventKind")) {
-        continue;
-      }
-      std::size_t j = i + 3;
-      while (j < tokens.size() && !is_punct(tokens[j], "{")) ++j;
-      for (++j; j < tokens.size() && !is_punct(tokens[j], "}"); ++j) {
-        if (tokens[j].kind == TokenKind::kIdentifier &&
-            !ends_with(tokens[j].text, "_")) {  // skip the sentinel
-          kinds.push_back({tokens[j].text, tokens[j].line});
-        }
-      }
-      break;
-    }
-  }
-  if (enum_file == nullptr) return;  // fixture sets without the kernel
-
-  struct Owner {
-    const LintFile* file;
-    std::size_t line;
-  };
-  std::map<std::string, std::vector<Owner>> owners;
-  for (const LintFile& f : files) {
-    if (!starts_with(f.src->path, "src/sim/process/") ||
-        !ends_with(f.src->path, ".cpp")) {
-      continue;
-    }
-    const auto& tokens = toks(f);
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      if (!is_ident(tokens[i], "owned_kinds")) continue;
-      std::size_t j = i + 1;
-      while (j < tokens.size() && !is_punct(tokens[j], "{") &&
-             !is_punct(tokens[j], ";")) {
-        ++j;
-      }
-      if (j >= tokens.size() || is_punct(tokens[j], ";")) continue;
-      std::size_t depth = 1;
-      for (++j; j < tokens.size() && depth > 0; ++j) {
-        if (is_punct(tokens[j], "{")) ++depth;
-        if (is_punct(tokens[j], "}")) --depth;
-        if (j + 2 < tokens.size() && is_ident(tokens[j], "EventKind") &&
-            is_punct(tokens[j + 1], "::") &&
-            tokens[j + 2].kind == TokenKind::kIdentifier) {
-          owners[tokens[j + 2].text].push_back({&f, tokens[j + 2].line});
-        }
-      }
-      i = j;
-    }
-  }
-  for (const Enumerator& kind : kinds) {
-    const auto it = owners.find(kind.name);
-    const std::size_t n = it == owners.end() ? 0 : it->second.size();
-    if (n == 0) {
-      diag(out, *enum_file, kind.line, "GS-R06",
-           "EventKind::" + kind.name +
-               " is owned by no SimProcess (owned_kinds) — routing is "
-               "exclusive and total");
-    } else if (n > 1) {
-      for (const Owner& owner : it->second) {
-        diag(out, *owner.file, owner.line, "GS-R06",
-             "EventKind::" + kind.name + " is owned by " +
-                 std::to_string(n) +
-                 " SimProcesses — routing must be exclusive");
-      }
-    }
-  }
-  for (const auto& [name, sites] : owners) {
-    const auto known = std::find_if(
-        kinds.begin(), kinds.end(),
-        [&name = name](const Enumerator& k) { return k.name == name; });
-    if (known == kinds.end()) {
-      diag(out, *sites[0].file, sites[0].line, "GS-R06",
-           "owned_kinds names unknown EventKind::" + name);
-    }
-  }
-}
-
 /// A heuristically segmented function body: token index range [begin, end).
 struct Body {
   std::size_t begin;
@@ -638,7 +546,6 @@ const std::vector<RuleInfo>& rule_infos() {
       {"GS-R04", "SplitMix64 stays pinned; SeedMix domains unique per "
                  "subsystem"},
       {"GS-R05", "no rand/random_device/::now() outside obs/ allowlist"},
-      {"GS-R06", "every EventKind is owned by exactly one SimProcess"},
       {"GS-R07", "JSON spec parsers reading objects must check_keys"},
       {"GS-R08", "#pragma once headers; sources include own header first"},
   };
@@ -663,7 +570,6 @@ std::vector<Diagnostic> run_rules(const std::vector<SourceFile>& files) {
   rule_r03(lexed, raw);
   rule_r04(lexed, raw);
   rule_r05(lexed, raw);
-  rule_r06(lexed, raw);
   rule_r07(lexed, raw);
   rule_r08(lexed, raw);
 
