@@ -10,12 +10,20 @@
 // tools/benchgate hard-fails when the counts drift, warns on throughput
 // (hardware-dependent), and applies the O(active)-memory advisory to the
 // streaming rows (rss_delta_bytes / n_jobs must stay tiny).
+//
+// A second "builds" array times the workload build layer alone
+// (exp::make_workload of the materialised synth scenarios, median of five
+// builds) next to the built workload's fingerprint (workload_digest.hpp):
+// the digest is exact and hard-gated, build_ms is advisory.
+#include <algorithm>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "workload_digest.hpp"
 
 namespace {
 
@@ -128,6 +136,40 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
   std::printf("%s", table.str().c_str());
+
+  // Workload build layer: the perfbench churn-backlog materialisation
+  // shape and the kernel table's raw-ETC scenario.
+  const std::vector<Shape> build_shapes = {
+      {"synth-churn-hi", 50000, 10000, ""},
+      {"synth-inconsistent-hihi", 2000, 500, ""}};
+  std::vector<std::string> build_rows;
+  util::Table build_table({"scenario", "jobs", "build (ms)", "digest"});
+  for (const Shape& shape : build_shapes) {
+    const std::size_t jobs = args.quick ? shape.quick_jobs : shape.jobs;
+    const exp::Scenario scenario = exp::make_scenario(shape.name, jobs);
+    std::vector<double> build_ms;
+    std::uint64_t digest = 0;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto start = Clock::now();
+      const workload::Workload built = exp::make_workload(scenario, args.seed);
+      build_ms.push_back(
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count());
+      digest = bench::workload_digest(built);
+    }
+    std::sort(build_ms.begin(), build_ms.end());
+    char hex[19];
+    std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, digest);
+    build_rows.push_back(bench::JsonObject()
+                             .text("scenario", shape.name)
+                             .integer("n_jobs", jobs)
+                             .num("build_ms", build_ms[2], 3)
+                             .text("digest", hex)
+                             .str());
+    build_table.row().cell(shape.name).cell(jobs).cell(build_ms[2], 2).cell(
+        hex);
+  }
+  std::printf("%s", build_table.str().c_str());
   std::printf("peak RSS: %.1f MiB\n", bench::peak_rss_mib());
 
   std::vector<std::string> scenario_rows;
@@ -157,6 +199,7 @@ int main(int argc, char** argv) {
           .integer("seed", args.seed)
           .boolean("quick", args.quick)
           .raw("scenarios", bench::json_array(scenario_rows))
+          .raw("builds", bench::json_array(build_rows))
           .integer("peak_rss_bytes", obs::peak_rss_bytes());
   if (!bench::write_bench_json(out_path, document)) return 1;
   std::printf("wrote %s\n", out_path.c_str());

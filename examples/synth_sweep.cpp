@@ -101,15 +101,28 @@ int main(int argc, char** argv) {
 
   // Merge the campaign aggregates with the generator's rank-1 fit
   // diagnostic (a generation byproduct, not a simulation metric). The
-  // residual is computed on the variant's trace at the base --seed: a
+  // residual is computed on the variant's workload at the base --seed: a
   // per-class characteristic, not a property of the exact instances the
   // campaign simulated — cells draw their own workload seeds (and with
-  // --reps>1 there is no single instance to pair with anyway).
+  // --reps>1 there is no single instance to pair with anyway). The fit is
+  // each job's work and each site's speed; the matrix is the scaled ETC
+  // the workload executes.
+  const auto fit_residual = [](const workload::Workload& w) {
+    workload::synth::EtcMatrixData etc;
+    etc.tasks = w.jobs.size();
+    etc.machines = w.sites.size();
+    const auto cells = w.exec.matrix_cells();
+    etc.cells.assign(cells.begin(), cells.end());
+    workload::synth::WorkSpeedFit fit;
+    for (const sim::Job& job : w.jobs) fit.work.push_back(job.work);
+    for (const sim::SiteConfig& site : w.sites) fit.speed.push_back(site.speed);
+    return workload::synth::log_rms_residual(etc, fit);
+  };
   util::Table table({"variant", "fit residual", "makespan (s)", "slowdown",
                      "N_fail", "N_risk"});
   for (std::size_t v = 0; v < variants.size(); ++v) {
-    const workload::synth::SynthTrace trace =
-        workload::synth::synth_trace(variants[v], seed);
+    const double residual =
+        fit_residual(workload::synth::synth_workload(variants[v], seed));
     const exp::campaign::GroupSummary& group = result.groups[v];
     auto metric = [&](std::string_view key) -> const util::Summary& {
       for (const auto& entry : group.metrics) {
@@ -119,7 +132,7 @@ int main(int argc, char** argv) {
     };
     table.row()
         .cell(variants[v].name)
-        .cell(trace.fit.log_rms_residual, 3)
+        .cell(residual, 3)
         .cell(metric("makespan").mean, 0)
         .cell(metric("slowdown").mean, 2)
         .cell(metric("n_fail").mean, 0)

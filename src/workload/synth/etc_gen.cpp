@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace gridsched::workload::synth {
 
@@ -20,6 +20,45 @@ std::string to_string(Heterogeneity heterogeneity) {
   return heterogeneity == Heterogeneity::kHi ? "hi" : "lo";
 }
 
+namespace {
+
+using Network = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// Compare-exchange index pairs of Batcher's odd-even merge sort for rows
+/// of `width` cells (Knuth's iterative form, valid for any width: it is
+/// the next power-of-two network with the comparators that reach past the
+/// row dropped).
+Network merge_network(std::size_t width) {
+  Network pairs;
+  for (std::size_t p = 1; p < width; p *= 2) {
+    for (std::size_t k = p; k >= 1; k /= 2) {
+      for (std::size_t j = k % p; j + k < width; j += 2 * k) {
+        for (std::size_t i = 0; i < k && i + j + k < width; ++i) {
+          if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
+            pairs.emplace_back(static_cast<std::uint32_t>(i + j),
+                               static_cast<std::uint32_t>(i + j + k));
+          }
+        }
+      }
+    }
+  }
+  return pairs;
+}
+
+/// Sort `row` ascending through the network. Cells are finite and > 0, so
+/// equal values have equal bits and the result is byte-identical to
+/// std::sort's.
+void sort_row(double* row, const Network& network) {
+  for (const auto& [a, b] : network) {
+    const double lo = std::min(row[a], row[b]);
+    const double hi = std::max(row[a], row[b]);
+    row[a] = lo;
+    row[b] = hi;
+  }
+}
+
+}  // namespace
+
 EtcMatrixData generate_etc(std::size_t tasks, std::size_t machines,
                            const EtcConfig& config, util::Rng& rng) {
   if (tasks == 0 || machines == 0) {
@@ -33,6 +72,12 @@ EtcMatrixData generate_etc(std::size_t tasks, std::size_t machines,
   etc.machines = machines;
   etc.cells.resize(tasks * machines);
 
+  // The semi-consistent class sorts only the even-indexed cells, gathered
+  // into one buffer reused across rows.
+  const bool semi = config.consistency == EtcConsistency::kSemiConsistent;
+  std::vector<double> even(semi ? (machines + 1) / 2 : 0);
+  const auto network = merge_network(semi ? even.size() : machines);
+
   // A single machine ordering shared by every sorted row keeps the
   // consistent classes meaningful: "machine a beats machine b" must mean
   // the same machines across rows, so we sort rows in place (column index
@@ -45,18 +90,14 @@ EtcMatrixData generate_etc(std::size_t tasks, std::size_t machines,
     }
     switch (config.consistency) {
       case EtcConsistency::kConsistent:
-        std::sort(row, row + machines);
+        sort_row(row, network);
         break;
-      case EtcConsistency::kSemiConsistent: {
-        // Sort the even-indexed cells among themselves; odd columns keep
-        // their unordered draws.
-        std::vector<double> even;
-        even.reserve((machines + 1) / 2);
-        for (std::size_t m = 0; m < machines; m += 2) even.push_back(row[m]);
-        std::sort(even.begin(), even.end());
+      case EtcConsistency::kSemiConsistent:
+        // Odd columns keep their unordered draws.
+        for (std::size_t i = 0; i < even.size(); ++i) even[i] = row[2 * i];
+        sort_row(even.data(), network);
         for (std::size_t i = 0; i < even.size(); ++i) row[2 * i] = even[i];
         break;
-      }
       case EtcConsistency::kInconsistent:
         break;
     }
@@ -117,17 +158,29 @@ WorkSpeedFit fit_work_speed(const EtcMatrixData& etc) {
   for (std::size_t m = 0; m < machines; ++m) {
     fit.speed[m] = std::exp(grand - col_mean[m]);
   }
+  return fit;
+}
 
+double log_rms_residual(const EtcMatrixData& etc, const WorkSpeedFit& fit) {
+  if (etc.tasks == 0 || etc.machines == 0 || fit.work.size() != etc.tasks ||
+      fit.speed.size() != etc.machines) {
+    throw std::invalid_argument(
+        "log_rms_residual: empty matrix or mismatched fit");
+  }
+  std::vector<double> log_speed(etc.machines);
+  for (std::size_t m = 0; m < etc.machines; ++m) {
+    log_speed[m] = std::log(fit.speed[m]);
+  }
   double sq = 0.0;
-  for (std::size_t t = 0; t < tasks; ++t) {
-    for (std::size_t m = 0; m < machines; ++m) {
-      const double predicted = row_mean[t] - (grand - col_mean[m]);
-      const double residual = std::log(etc.at(t, m)) - predicted;
+  for (std::size_t t = 0; t < etc.tasks; ++t) {
+    const double log_work = std::log(fit.work[t]);
+    for (std::size_t m = 0; m < etc.machines; ++m) {
+      const double residual =
+          std::log(etc.at(t, m)) - (log_work - log_speed[m]);
       sq += residual * residual;
     }
   }
-  fit.log_rms_residual = std::sqrt(sq / static_cast<double>(tasks * machines));
-  return fit;
+  return std::sqrt(sq / static_cast<double>(etc.tasks * etc.machines));
 }
 
 }  // namespace gridsched::workload::synth

@@ -5,11 +5,11 @@
 //
 // The raw generated matrix is executed directly by the simulator (it
 // becomes the workload's sim::ExecModel), so every consistency class is
-// exact. The log-domain least-squares rank-1 fit (`fit_work_speed`) is kept
-// for two jobs: deriving the scalar work/speed fields a Workload still
-// carries (trace I/O, fallback model, characterisation), and the
-// log_rms_residual diagnostic quantifying how much cross-site structure a
-// rank-1 projection would discard.
+// exact. The log-domain least-squares rank-1 fit (`fit_work_speed`)
+// derives the scalar work/speed fields a Workload still carries (trace
+// I/O, fallback model, characterisation); the separate `log_rms_residual`
+// diagnostic quantifies how much cross-site structure that rank-1
+// projection would discard.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +66,8 @@ struct EtcMatrixData {
 };
 
 /// Range-based method: cell(t, m) = tau_t * U[1, R_machine] with
-/// tau_t ~ U[1, R_task], then per-class row sorting. Deterministic in
+/// tau_t ~ U[1, R_task], then per-class row sorting (a Batcher odd-even
+/// merge network; byte-identical to std::sort). Deterministic in
 /// (tasks, machines, config, rng state).
 EtcMatrixData generate_etc(std::size_t tasks, std::size_t machines,
                            const EtcConfig& config, util::Rng& rng);
@@ -81,9 +82,13 @@ bool columns_consistent(const EtcMatrixData& etc,
 struct WorkSpeedFit {
   std::vector<double> work;   ///< per task, reference seconds
   std::vector<double> speed;  ///< per machine, relative
-  double log_rms_residual = 0.0;
 };
 
 WorkSpeedFit fit_work_speed(const EtcMatrixData& etc);
+
+/// RMS over all cells of log(cell) - log(work[t] / speed[m]): how far `etc`
+/// is from the rank-1 model `fit` (0 for an exactly rank-1 matrix). Throws
+/// std::invalid_argument when the fit's shape does not match the matrix.
+double log_rms_residual(const EtcMatrixData& etc, const WorkSpeedFit& fit);
 
 }  // namespace gridsched::workload::synth

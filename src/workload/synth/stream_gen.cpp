@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/rng.hpp"
+#include "workload/synth/synth.hpp"
 
 namespace gridsched::workload::synth {
 
@@ -23,20 +24,6 @@ enum StreamIndex : std::uint64_t {
   kWorkStream,
   kChurnStream,
 };
-
-/// Same node-request draw as synth.cpp: pick a power of two by weight,
-/// capped at the largest site.
-unsigned draw_nodes(const std::vector<double>& size_weights, double total,
-                    unsigned max_nodes, util::Rng& rng) {
-  double pick = rng.uniform() * total;
-  unsigned nodes = 1;
-  for (const double weight : size_weights) {
-    pick -= weight;
-    if (pick < 0.0) break;
-    nodes *= 2;
-  }
-  return std::min(nodes, max_nodes);
-}
 
 class SynthJobStream final : public JobStream {
  public:

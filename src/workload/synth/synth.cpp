@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace gridsched::workload::synth {
 
@@ -34,13 +35,13 @@ std::vector<sim::SiteConfig> build_sites(const SynthConfig& config,
   return sites;
 }
 
-unsigned draw_nodes(const SynthConfig& config, unsigned max_nodes,
-                    util::Rng& rng) {
-  const double total = std::accumulate(config.size_weights.begin(),
-                                       config.size_weights.end(), 0.0);
-  double pick = rng.uniform() * total;
+}  // namespace
+
+unsigned draw_nodes(const std::vector<double>& size_weights,
+                    double weight_total, unsigned max_nodes, util::Rng& rng) {
+  double pick = rng.uniform() * weight_total;
   unsigned nodes = 1;
-  for (const double weight : config.size_weights) {
+  for (const double weight : size_weights) {
     pick -= weight;
     if (pick < 0.0) break;
     nodes *= 2;
@@ -48,13 +49,7 @@ unsigned draw_nodes(const SynthConfig& config, unsigned max_nodes,
   return std::min(nodes, max_nodes);
 }
 
-}  // namespace
-
 Workload synth_workload(const SynthConfig& config, std::uint64_t seed) {
-  return synth_trace(config, seed).workload;
-}
-
-SynthTrace synth_trace(const SynthConfig& config, std::uint64_t seed) {
   if (config.n_jobs == 0) {
     throw std::invalid_argument("synth_workload: n_jobs == 0");
   }
@@ -64,40 +59,37 @@ SynthTrace synth_trace(const SynthConfig& config, std::uint64_t seed) {
   if (config.site_node_pattern.empty()) {
     throw std::invalid_argument("synth_workload: empty site_node_pattern");
   }
-  if (config.size_weights.empty() ||
-      std::accumulate(config.size_weights.begin(), config.size_weights.end(),
-                      0.0) <= 0.0) {
+  const double weight_total = std::accumulate(
+      config.size_weights.begin(), config.size_weights.end(), 0.0);
+  if (config.size_weights.empty() || weight_total <= 0.0) {
     throw std::invalid_argument("synth_workload: bad size_weights");
   }
 
-  SynthTrace trace;
-
   // 1. ETC matrix in the requested class. The raw matrix is what the
-  // simulator executes (attached below as the workload's ExecModel); the
-  // rank-1 work/speed fit is kept only to derive site speeds / job work
-  // fields and as a diagnostic (log_rms_residual measures how much
-  // cross-site structure a rank-1 projection *would* discard).
+  // simulator executes (moved below into the workload's ExecModel); the
+  // rank-1 work/speed fit only derives the site speed / job work fields.
   util::Rng etc_rng = util::Rng::child(seed, kEtcStream);
-  trace.etc = generate_etc(config.n_jobs, config.n_sites, config.etc, etc_rng);
-  trace.fit = fit_work_speed(trace.etc);
+  EtcMatrixData etc =
+      generate_etc(config.n_jobs, config.n_sites, config.etc, etc_rng);
+  WorkSpeedFit fit = fit_work_speed(etc);
 
   // Calibrate: mean exec on a geometric-mean-speed site (speed 1 by the
   // fit's gauge) becomes `mean_exec_seconds`. The ETC cells are scaled by
-  // the same factor so the exposed trace stays self-consistent
+  // the same factor so the workload stays self-consistent
   // (etc ~ work / speed with an unchanged log residual).
   if (config.mean_exec_seconds > 0.0) {
     const double mean_work =
-        std::accumulate(trace.fit.work.begin(), trace.fit.work.end(), 0.0) /
-        static_cast<double>(trace.fit.work.size());
+        std::accumulate(fit.work.begin(), fit.work.end(), 0.0) /
+        static_cast<double>(fit.work.size());
     const double scale = config.mean_exec_seconds / mean_work;
-    for (double& w : trace.fit.work) w *= scale;
-    for (double& cell : trace.etc.cells) cell *= scale;
+    for (double& w : fit.work) w *= scale;
+    for (double& cell : etc.cells) cell *= scale;
   }
 
   // 2. Sites: node pattern + fitted speeds + trust levels.
-  Workload& workload = trace.workload;
+  Workload workload;
   workload.name = config.name;
-  workload.sites = build_sites(config, trace.fit.speed);
+  workload.sites = build_sites(config, fit.speed);
   const unsigned max_site_nodes =
       std::max_element(workload.sites.begin(), workload.sites.end(),
                        [](const auto& a, const auto& b) {
@@ -119,8 +111,9 @@ SynthTrace synth_trace(const SynthConfig& config, std::uint64_t seed) {
     sim::Job& job = workload.jobs[j];
     job.id = static_cast<sim::JobId>(j);
     job.arrival = arrivals[j];
-    job.work = trace.fit.work[j];
-    job.nodes = draw_nodes(config, max_site_nodes, size_rng);
+    job.work = fit.work[j];
+    job.nodes = draw_nodes(config.size_weights, weight_total, max_site_nodes,
+                           size_rng);
     job.demand = draw_demand(config.security, demand_rng);
   }
 
@@ -128,13 +121,13 @@ SynthTrace synth_trace(const SynthConfig& config, std::uint64_t seed) {
   // and semi-consistent classes run exactly as generated instead of
   // through the rank-1 projection.
   workload.exec =
-      sim::ExecModel(config.n_jobs, config.n_sites, trace.etc.cells);
+      sim::ExecModel(config.n_jobs, config.n_sites, std::move(etc.cells));
 
   // 5. Optional site churn: per-site MTBF/MTTR parameters on their own
   // stream (enabling churn never perturbs the ETC/arrival/security draws).
   util::Rng churn_rng = util::Rng::child(seed, kChurnStream);
   workload.churn = churn_params(config.n_sites, config.churn, churn_rng);
-  return trace;
+  return workload;
 }
 
 }  // namespace gridsched::workload::synth

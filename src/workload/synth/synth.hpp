@@ -3,9 +3,9 @@
 // ETC matrix is attached to the workload as its sim::ExecModel, so every
 // consistency class — including semi-consistent and inconsistent — is
 // simulated exactly; the rank-1 work/speed fit only supplies the job/site
-// scalar fields and a residual diagnostic. Everything is deterministic in
-// (config, seed) via independent util::Rng child streams, so scenarios are
-// reproducible and shardable across the thread pool.
+// scalar fields. Everything is deterministic in (config, seed) via
+// independent util::Rng child streams, so scenarios are reproducible and
+// shardable across the thread pool.
 #pragma once
 
 #include <cstdint>
@@ -43,18 +43,14 @@ struct SynthConfig {
 };
 
 /// Generate the full workload (sites + jobs). Throws std::invalid_argument
-/// on degenerate configs.
+/// on degenerate configs. The generated matrix is `exec.matrix_cells()`;
+/// the rank-1 fit behind it is each job's `work` and each site's `speed`.
 Workload synth_workload(const SynthConfig& config, std::uint64_t seed);
 
-/// Generation byproducts for analysis/tests: the raw ETC matrix (the same
-/// cells the workload's ExecModel executes) and the rank-1 fit that
-/// produced the job work / site speed scalars.
-struct SynthTrace {
-  Workload workload;
-  EtcMatrixData etc;
-  WorkSpeedFit fit;
-};
-
-SynthTrace synth_trace(const SynthConfig& config, std::uint64_t seed);
+/// Node request: a power of two {1, 2, 4, ...} picked by `size_weights`
+/// (which sum to `weight_total`), capped at `max_nodes`. Shared by the
+/// materialised and streaming generators.
+unsigned draw_nodes(const std::vector<double>& size_weights,
+                    double weight_total, unsigned max_nodes, util::Rng& rng);
 
 }  // namespace gridsched::workload::synth

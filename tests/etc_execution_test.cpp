@@ -24,8 +24,6 @@
 namespace gridsched {
 namespace {
 
-using workload::synth::SynthTrace;
-
 // ------------------------------------------------------------ ExecModel ---
 
 TEST(ExecModel, DefaultIsRankOneFallback) {
@@ -138,8 +136,10 @@ TEST(EtcExecution, SchedulerAndGaConsumeRawCellsNotTheProjection) {
   // for an inconsistent matrix.
   const exp::Scenario scenario =
       exp::make_scenario("synth-inconsistent-hihi", 40);
-  const SynthTrace trace = workload::synth::synth_trace(scenario.synth, 23);
-  const workload::Workload& w = trace.workload;
+  const workload::Workload w =
+      workload::synth::synth_workload(scenario.synth, 23);
+  const auto cells = w.exec.matrix_cells();
+  ASSERT_EQ(cells.size(), w.jobs.size() * w.sites.size());
   const auto context = context_of(w, w.jobs.size(), 0.0);
 
   const sched::EtcMatrix etc(context);
@@ -154,7 +154,7 @@ TEST(EtcExecution, SchedulerAndGaConsumeRawCellsNotTheProjection) {
         EXPECT_TRUE(std::isinf(etc.exec(j, s)));
         continue;
       }
-      const double raw = trace.etc.at(j, s);
+      const double raw = cells[j * w.sites.size() + s];
       EXPECT_EQ(etc.exec(j, s), raw);
       EXPECT_EQ(problem.exec_at(j, s), raw);
       const double projected = w.jobs[j].work / w.sites[s].speed;

@@ -6,7 +6,8 @@
 // index — must perform ZERO heap allocations. Pinned with the same
 // binary-wide counting allocator the decode fast path uses
 // (decode_harness.hpp; this must stay the only translation unit in this
-// binary including it).
+// binary including it). The synthetic ETC generator's per-call allocation
+// count is pinned here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "security/security.hpp"
 #include "sim/kernel.hpp"
 #include "sim/scheduling.hpp"
+#include "workload/synth/etc_gen.hpp"
 #include "workload/synth/stream_gen.hpp"
 
 namespace gridsched {
@@ -198,6 +200,29 @@ TEST(StreamKernelAlloc, ChurnedMaterializedMctSteadyStateIsAllocationFree) {
   probe.churn = true;
   sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
   expect_steady_state_allocation_free(alloc_samples(scheduler, probe));
+}
+
+// The ETC generator allocates per call (cells, sorting network, row
+// buffer), never per row: 100 and 10 000 tasks cost the same number of
+// heap allocations in every consistency class.
+TEST(EtcGenAlloc, AllocationCountIsIndependentOfTaskCount) {
+  const auto allocations = [](std::size_t tasks,
+                              workload::synth::EtcConsistency consistency) {
+    workload::synth::EtcConfig config;
+    config.consistency = consistency;
+    util::Rng rng(5);
+    const std::uint64_t before = allocation_count();
+    const workload::synth::EtcMatrixData etc =
+        workload::synth::generate_etc(tasks, 16, config, rng);
+    return allocation_count() - before;
+  };
+  for (const auto consistency :
+       {workload::synth::EtcConsistency::kConsistent,
+        workload::synth::EtcConsistency::kSemiConsistent,
+        workload::synth::EtcConsistency::kInconsistent}) {
+    SCOPED_TRACE(workload::synth::to_string(consistency));
+    EXPECT_EQ(allocations(100, consistency), allocations(10000, consistency));
+  }
 }
 
 }  // namespace

@@ -5,14 +5,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "exp/scenario_registry.hpp"
 #include "workload/synth/arrival.hpp"
 #include "workload/synth/etc_gen.hpp"
 #include "workload/synth/synth.hpp"
 #include "workload/trace_io.hpp"
+#include "workload_digest.hpp"
 
 namespace gridsched::workload::synth {
 namespace {
@@ -65,6 +71,66 @@ TEST(SynthWorkload, SameConfigAndSeedIsByteIdentical) {
     EXPECT_EQ(a.sites[s].speed, b.sites[s].speed);
     EXPECT_EQ(a.sites[s].security, b.sites[s].security);
   }
+}
+
+// Golden fingerprints (bench::workload_digest) of every materialised
+// synth registry scenario at 200 jobs and two seeds, plus the perfbench
+// churn-backlog shape (synth-churn-hi, 50 000 jobs, arrival rate 0.02),
+// captured before the generator's row sort, fit and ExecModel hand-off
+// were reworked. A deliberate generator change re-captures them; say so
+// when it happens.
+TEST(SynthWorkload, RegistryBuildsReproduceGoldenDigests) {
+  struct Golden {
+    const char* scenario;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  static const Golden kGolden[] = {
+      {"synth-batch", 17, 0x8f3cc4be883f9f71ULL},
+      {"synth-batch", 20050419, 0x7725fde7192d3237ULL},
+      {"synth-bursty", 17, 0x11704d80cf271155ULL},
+      {"synth-bursty", 20050419, 0xa4c07396932480b5ULL},
+      {"synth-churn-hi", 17, 0x570a7664ebf0a232ULL},
+      {"synth-churn-hi", 20050419, 0x64cc07fb6d2b36a2ULL},
+      {"synth-churn-lo", 17, 0x269d607e2c3a4a2cULL},
+      {"synth-churn-lo", 20050419, 0x2499845ad0993bafULL},
+      {"synth-consistent-hihi", 17, 0x1c0ceb28301a181cULL},
+      {"synth-consistent-hihi", 20050419, 0xa0161dbaffa27c9cULL},
+      {"synth-consistent-lolo", 17, 0x78ccd84d7d55fb59ULL},
+      {"synth-consistent-lolo", 20050419, 0x8e1bc5caddccdfd2ULL},
+      {"synth-inconsistent-hihi", 17, 0x6d801028db5e2db2ULL},
+      {"synth-inconsistent-hihi", 20050419, 0x56118d43438b9163ULL},
+      {"synth-inconsistent-lolo", 17, 0x44d9026e294253a3ULL},
+      {"synth-inconsistent-lolo", 20050419, 0xd47efd164da06ee0ULL},
+      {"synth-risky", 17, 0x43acbf342ae01f2bULL},
+      {"synth-risky", 20050419, 0xc64650417790901eULL},
+      {"synth-secure", 17, 0x365ab7583a4571f8ULL},
+      {"synth-secure", 20050419, 0x3f49e424ae032d08ULL},
+      {"synth-semi-hihi", 17, 0x3a2b055c2f5d4d83ULL},
+      {"synth-semi-hihi", 20050419, 0xa9621ddcdaf22766ULL},
+      {"synth-semi-lolo", 17, 0x846accb468870f3dULL},
+      {"synth-semi-lolo", 20050419, 0x2b39de0bb012f196ULL},
+  };
+  std::size_t synth_scenarios = 0;
+  for (const std::string& name : exp::scenario_names()) {
+    if (exp::make_scenario(name, 200).kind == exp::ScenarioKind::kSynth) {
+      ++synth_scenarios;
+    }
+  }
+  EXPECT_EQ(2 * synth_scenarios, std::size(kGolden))
+      << "a synth scenario was added or removed; capture or drop its digest";
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(std::string(golden.scenario) + " seed " +
+                 std::to_string(golden.seed));
+    const exp::Scenario scenario = exp::make_scenario(golden.scenario, 200);
+    EXPECT_EQ(bench::workload_digest(exp::make_workload(scenario, golden.seed)),
+              golden.digest);
+  }
+
+  exp::Scenario backlog = exp::make_scenario("synth-churn-hi", 50000);
+  backlog.synth.arrival.rate = 0.02;
+  EXPECT_EQ(bench::workload_digest(exp::make_workload(backlog, 20050419)),
+            0xfa87b229ce3c313bULL);
 }
 
 TEST(SynthWorkload, DifferentSeedsDiverge) {
@@ -178,6 +244,64 @@ TEST(EtcGen, HiTaskHeterogeneitySpreadsRowMeans) {
   EXPECT_GT(spread(hi), spread(lo));
 }
 
+TEST(EtcGen, RowSortMatchesStdSortReference) {
+  // The generator's sorting network must give std::sort's bytes. The
+  // reference makes the same draws and sorts each row (or its even
+  // columns) with std::sort. A machine range of 1 + 2^-50 leaves only a
+  // few distinct multipliers near 1, so rows there are full of duplicate
+  // cells; a range of 1 makes every cell of a row equal.
+  const auto reference = [](std::size_t tasks, std::size_t machines,
+                            const EtcConfig& config, util::Rng& rng) {
+    std::vector<double> cells(tasks * machines);
+    for (std::size_t t = 0; t < tasks; ++t) {
+      const double tau = rng.uniform(1.0, config.task_range());
+      double* row = cells.data() + t * machines;
+      for (std::size_t m = 0; m < machines; ++m) {
+        row[m] = tau * rng.uniform(1.0, config.machine_range());
+      }
+      if (config.consistency == EtcConsistency::kConsistent) {
+        std::sort(row, row + machines);
+      } else if (config.consistency == EtcConsistency::kSemiConsistent) {
+        std::vector<double> even;
+        for (std::size_t m = 0; m < machines; m += 2) even.push_back(row[m]);
+        std::sort(even.begin(), even.end());
+        for (std::size_t i = 0; i < even.size(); ++i) row[2 * i] = even[i];
+      }
+    }
+    return cells;
+  };
+  for (const auto consistency :
+       {EtcConsistency::kConsistent, EtcConsistency::kSemiConsistent,
+        EtcConsistency::kInconsistent}) {
+    for (const std::size_t machines :
+         {1u, 2u, 3u, 5u, 8u, 16u, 17u, 33u, 64u, 100u}) {
+      for (const double machine_range : {1000.0, 1.0 + 0x1p-50, 1.0}) {
+        SCOPED_TRACE(to_string(consistency) + " x" +
+                     std::to_string(machines) + " range 1 + " +
+                     std::to_string(machine_range - 1.0));
+        EtcConfig config = etc_config(consistency, Heterogeneity::kHi,
+                                      Heterogeneity::kHi);
+        config.machine_range_hi = machine_range;
+        util::Rng rng(machines);
+        util::Rng reference_rng(machines);
+        const EtcMatrixData etc = generate_etc(40, machines, config, rng);
+        const std::vector<double> expected =
+            reference(40, machines, config, reference_rng);
+        EXPECT_TRUE(etc.cells == expected);
+        if (machine_range != 1000.0 && machines > 1) {
+          bool duplicates = false;
+          for (std::size_t t = 0; t < etc.tasks; ++t) {
+            const auto row = etc.cells.begin() + t * machines;
+            duplicates |=
+                std::set<double>(row, row + machines).size() < machines;
+          }
+          EXPECT_TRUE(duplicates) << "no row with duplicate cells";
+        }
+      }
+    }
+  }
+}
+
 TEST(EtcGen, RejectsDegenerateRequests) {
   util::Rng rng(1);
   EXPECT_THROW(generate_etc(0, 4, {}, rng), std::invalid_argument);
@@ -196,7 +320,7 @@ TEST(EtcGen, FitRecoversExactRankOneMatrix) {
     for (const double s : speed) etc.cells.push_back(w / s);
   }
   const WorkSpeedFit fit = fit_work_speed(etc);
-  EXPECT_NEAR(fit.log_rms_residual, 0.0, 1e-12);
+  EXPECT_NEAR(log_rms_residual(etc, fit), 0.0, 1e-12);
   // Speeds are recovered up to the gauge (geometric mean 1): ratio exact.
   EXPECT_NEAR(fit.speed[1] / fit.speed[0], 4.0, 1e-9);
   EXPECT_NEAR(fit.work[1] / fit.work[0], 3.0, 1e-9);
@@ -213,8 +337,16 @@ TEST(EtcGen, FitResidualGrowsWithInconsistency) {
       200, 12, etc_config(EtcConsistency::kInconsistent, Heterogeneity::kHi,
                           Heterogeneity::kHi),
       rng_i);
-  EXPECT_LT(fit_work_speed(consistent).log_rms_residual,
-            fit_work_speed(inconsistent).log_rms_residual);
+  EXPECT_LT(log_rms_residual(consistent, fit_work_speed(consistent)),
+            log_rms_residual(inconsistent, fit_work_speed(inconsistent)));
+}
+
+TEST(EtcGen, ResidualRejectsMismatchedFit) {
+  util::Rng rng(2);
+  const EtcMatrixData etc = generate_etc(5, 3, {}, rng);
+  WorkSpeedFit fit = fit_work_speed(etc);
+  fit.speed.pop_back();
+  EXPECT_THROW(log_rms_residual(etc, fit), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- arrivals ---

@@ -14,6 +14,9 @@
 //              extra advisory: resident growth per streamed job
 //              (rss_delta_bytes / n_jobs) beyond --stream-bytes-per-job
 //              suggests the kernel stopped holding O(active) job state.
+//              Its "builds" rows fingerprint the built synth workloads:
+//              a digest drift, or a row present on only one side, is a
+//              hard failure; build_ms is advisory.
 //
 //   ga_decode  hard-fail when the fresh run reports any steady-state
 //              allocation on the decode fast path (fast_allocs_per_decode
@@ -89,11 +92,18 @@ const json::Value* find_row(const json::Value& rows, const json::Value& like,
 void check_exact(Gate& gate, const std::string& where,
                  const json::Value& baseline, const json::Value& fresh,
                  const char* key) {
-  const double expect = baseline.at(key).as_number();
-  const double got = fresh.at(key).as_number();
-  if (got != expect) {
+  const json::Value& expect = baseline.at(key);
+  const json::Value& got = fresh.at(key);
+  const auto text = [](const json::Value& value) {
+    return value.is_string() ? value.as_string() : fmt(value.as_number());
+  };
+  const bool equal =
+      expect.is_string()
+          ? got.is_string() && got.as_string() == expect.as_string()
+          : got.as_number() == expect.as_number();
+  if (!equal) {
     gate.fail(where + ": deterministic field \"" + key + "\" drifted (" +
-              fmt(expect) + " -> " + fmt(got) +
+              text(expect) + " -> " + text(got) +
               ") — review the change and regenerate the baseline");
   }
 }
@@ -142,6 +152,40 @@ void gate_kernel(Gate& gate, const json::Value& baseline,
     }
     advise_rate(gate, where, row, *match, "events_per_sec", band);
     advise_rate(gate, where, row, *match, "dispatches_per_sec", band);
+  }
+  // Build rows: the baseline and the fresh artifact must hold the same
+  // scenarios, each with an unchanged workload digest.
+  const json::Value* base_builds = baseline.find("builds");
+  const json::Value* fresh_builds = fresh.find("builds");
+  if (base_builds == nullptr || fresh_builds == nullptr) {
+    gate.fail("kernel: \"builds\" array missing from the " +
+              std::string(base_builds == nullptr ? "baseline" : "fresh") +
+              " artifact");
+  } else {
+    for (const json::Value& row : base_builds->items()) {
+      const std::string where =
+          "kernel/build/" + row.at("scenario").as_string();
+      const json::Value* match = find_row(*fresh_builds, row, kRowKey);
+      if (match == nullptr) {
+        gate.fail(where + ": in the baseline but not in the fresh artifact");
+        continue;
+      }
+      check_exact(gate, where, row, *match, "n_jobs");
+      check_exact(gate, where, row, *match, "digest");
+      const double expect = row.at("build_ms").as_number();
+      const double got = match->at("build_ms").as_number();
+      if (expect > 0.0 && got > (1.0 + band) * expect) {
+        gate.warn(where + ": build_ms slowed " + fmt(got / expect) +
+                  "x over baseline (" + fmt(expect) + " -> " + fmt(got) +
+                  ") — advisory; hardware-dependent");
+      }
+    }
+    for (const json::Value& row : fresh_builds->items()) {
+      if (find_row(*base_builds, row, kRowKey) == nullptr) {
+        gate.fail("kernel/build/" + row.at("scenario").as_string() +
+                  ": no baseline row — regenerate the baseline");
+      }
+    }
   }
   // Streaming rows carry the O(active)-memory claim: resident growth per
   // job must stay far below the footprint of a materialised job record.
