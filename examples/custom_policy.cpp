@@ -1,11 +1,11 @@
 // Extending the library: plug a user-defined scheduling policy into the
-// simulation engine, and derive site security levels from observable
-// attributes with the composite trust index.
+// simulation engine.
 //
 // The custom policy below is a security-aware variant of MCT that scores
 // each candidate site by its *expected* completion time, expecting a
-// fail-stop restart with probability P(fail) (Eq. 1) -- a middle ground
-// between the paper's f-risky cutoff and the fully risky mode.
+// fail-stop restart with probability P(fail) (Eq. 1, at the run's lambda
+// from the scheduler context) -- a middle ground between the paper's
+// f-risky cutoff and the fully risky mode.
 //
 //   ./custom_policy [--jobs=300] [--seed=11]
 #include <cstdio>
@@ -19,8 +19,6 @@ namespace {
 /// Expected-completion MCT: completion + P(fail) * exec as the score.
 class ExpectedCompletionScheduler final : public sim::BatchScheduler {
  public:
-  explicit ExpectedCompletionScheduler(double lambda) : lambda_(lambda) {}
-
   [[nodiscard]] std::string name() const override { return "Expected-MCT"; }
 
   void schedule_into(const sim::SchedulerContext& context,
@@ -44,8 +42,8 @@ class ExpectedCompletionScheduler final : public sim::BatchScheduler {
         const double exec = context.exec_time(job, s);
         const double completion =
             avail[s].preview(job.nodes, exec, context.now).end;
-        const double p_fail =
-            security::failure_probability(job.demand, site.security, lambda_);
+        const double p_fail = security::failure_probability(
+            job.demand, site.security, context.lambda);
         const double score = completion + p_fail * exec;
         if (best_site == sim::kInvalidSite || score < best_score) {
           best_score = score;
@@ -58,9 +56,6 @@ class ExpectedCompletionScheduler final : public sim::BatchScheduler {
       out.push_back({j, best_site});
     }
   }
-
- private:
-  double lambda_;
 };
 
 }  // namespace
@@ -72,26 +67,8 @@ int main(int argc, char** argv) {
   const auto seed =
       static_cast<std::uint64_t>(cli.get_or("seed", std::int64_t{11}));
 
-  // Derive site security levels from observable attributes instead of
-  // drawing them uniformly: the trust-index extension of the paper's
-  // Section 1 discussion.
-  util::Rng rng(seed);
-  workload::Workload workload =
+  const workload::Workload workload =
       workload::psa_workload(workload::PsaConfig{.n_jobs = n_jobs}, seed);
-  for (auto& site : workload.sites) {
-    security::SiteSecurityAttributes attrs;
-    attrs.defense_capability = rng.uniform(0.2, 1.0);
-    attrs.prior_success_rate = rng.uniform(0.5, 1.0);
-    attrs.authentication_strength = rng.uniform(0.3, 1.0);
-    attrs.isolation_quality = rng.uniform(0.3, 1.0);
-    // Map the [0,1] index onto the paper's SL range.
-    site.security = security::kSiteSecurityLo +
-                    (security::kSiteSecurityHi - security::kSiteSecurityLo) *
-                        security::trust_index(attrs);
-  }
-  util::Rng guard_rng = util::SeedMix(seed).mix("safe-home").rng();
-  workload::ensure_safe_home(workload.sites, 1, security::kJobDemandHi,
-                             guard_rng);
 
   sim::EngineConfig engine_config;
   engine_config.batch_interval = 2000.0;
@@ -113,7 +90,7 @@ int main(int argc, char** argv) {
   {
     sim::SimKernel kernel(workload.sites, workload.jobs, engine_config,
                           workload.exec);
-    ExpectedCompletionScheduler scheduler(engine_config.lambda);
+    ExpectedCompletionScheduler scheduler;
     kernel.run(scheduler);
     const auto run = metrics::compute_metrics(kernel);
     table.row().cell(scheduler.name()).cell(run.makespan, 0)

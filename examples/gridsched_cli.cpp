@@ -16,7 +16,11 @@
 //             Simulate and print the paper's metrics, including the
 //             per-site utilization (paper Fig. 9). --algo is one of the
 //             registry heuristics ("min-min", "sufferage", "max-min",
-//             "mct", "met", "olb"), "stga" or "ga". --trace-events writes
+//             "mct", "met", "olb"), "stga" or "ga". --lambda sets the
+//             run's single Eq. 1 coefficient (default 2.5): the kernel
+//             draws failures with it and hands it to the scheduler, so
+//             the f-risky cutoff and both GAs' pfail matrix use the same
+//             value. --trace-events writes
 //             a Chrome trace_event JSON timeline (chrome://tracing /
 //             Perfetto), --metrics a kernel metric snapshot, --ga-profile
 //             per-generation GA convergence profiles (GA algos only).
@@ -115,11 +119,9 @@ security::RiskPolicy policy_from(const util::Cli& cli) {
   const std::string mode =
       cli.get_choice("mode", std::string("f-risky"), modes);
   const double f = cli.get_or("f", 0.5);
-  const double lambda =
-      cli.get_or("lambda", security::kDefaultLambda);
-  if (mode == "secure") return security::RiskPolicy::secure(lambda);
-  if (mode == "risky") return security::RiskPolicy::risky(lambda);
-  return security::RiskPolicy::f_risky(f, lambda);
+  if (mode == "secure") return security::RiskPolicy::secure();
+  if (mode == "risky") return security::RiskPolicy::risky();
+  return security::RiskPolicy::f_risky(f);
 }
 
 /// --algo choices: every registry heuristic plus the two GAs.

@@ -54,7 +54,7 @@ GaProblem build_problem(const sim::SchedulerContext& context,
     for (std::size_t s = 0; s < n_sites; ++s) {
       problem.exec[j * n_sites + s] = etc.exec(problem.batch_index[j], s);
       problem.pfail[j * n_sites + s] = security::failure_probability(
-          problem.jobs[j].demand, problem.sites[s].security, policy.lambda());
+          problem.jobs[j].demand, problem.sites[s].security, context.lambda);
     }
   }
   return problem;

@@ -205,7 +205,7 @@ void decode_into(DecodeScratch& scratch, const GaProblem& problem,
 /// Build the GA subproblem from a scheduler context. Jobs whose admissible
 /// set under `policy` is empty are dropped (they stay pending in the
 /// engine). The fail-stop rule for secure_only jobs is enforced by the
-/// admissibility filter regardless of `policy`. `policy.lambda()` feeds the
+/// admissibility filter regardless of `policy`. `context.lambda` feeds the
 /// failure-probability matrix.
 GaProblem build_problem(const sim::SchedulerContext& context,
                         const security::RiskPolicy& policy);

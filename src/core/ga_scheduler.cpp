@@ -105,8 +105,7 @@ void GaScheduler::schedule_into(const sim::SchedulerContext& context,
   out.clear();
   // STGA places jobs anywhere (the paper's STGA takes the most risk); the
   // fail-stop rule for secure_only retries is enforced by build_problem.
-  GaProblem problem =
-      build_problem(context, security::RiskPolicy::risky(config_.lambda));
+  GaProblem problem = build_problem(context, security::RiskPolicy::risky());
   if (problem.n_jobs() == 0) return;
   scratch_.bind(problem);  // history rescoring + dispatch decode below
 
@@ -140,8 +139,7 @@ void GaScheduler::schedule_into(const sim::SchedulerContext& context,
 void GaScheduler::record_external(
     const sim::SchedulerContext& context,
     const std::vector<sim::Assignment>& assignments) {
-  GaProblem problem =
-      build_problem(context, security::RiskPolicy::risky(config_.lambda));
+  GaProblem problem = build_problem(context, security::RiskPolicy::risky());
   if (problem.n_jobs() == 0 || assignments.empty()) return;
 
   // Map original batch indices to problem gene positions.

@@ -5,7 +5,7 @@
 //     "traditional GA" the paper argues is too slow online).
 // Plus RecordingScheduler, which wraps any heuristic and feeds its
 // solutions into an STGA history table (the paper's 500-training-job
-// bootstrap, DESIGN.md S8).
+// bootstrap, README "Model parameters").
 #pragma once
 
 #include <memory>
@@ -14,7 +14,6 @@
 
 #include "core/ga_engine.hpp"
 #include "core/history.hpp"
-#include "security/security.hpp"
 #include "sim/scheduling.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -33,8 +32,6 @@ struct StgaConfig {
   bool heuristic_seeds = true;
   /// false = classic cold-start GA (no table, no heuristic seeds).
   bool use_history = true;
-  /// Eq. 1 coefficient used for the expected-rework fitness term.
-  double lambda = security::kDefaultLambda;
   std::uint64_t seed = 7;
 };
 

@@ -1,8 +1,8 @@
 // The "time" dimension of the STGA (paper Section 3): an LRU lookup table
 // mapping batch signatures — (site availability, ETC matrix, security
 // demands), each flattened to a vector — to the best schedule previously
-// found for a similar batch. Similarity follows Eq. 2, normalised per
-// DESIGN.md S3.
+// found for a similar batch. Similarity follows Eq. 2, normalised as
+// README "Model parameters" records.
 #pragma once
 
 #include <cstdint>

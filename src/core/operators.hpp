@@ -58,7 +58,7 @@ void mutate(Chromosome& chromosome, const GaProblem& problem, double per_gene,
 void repair(Chromosome& chromosome, const GaProblem& problem, util::Rng& rng);
 
 /// Nearest-neighbour resampling of a gene array to a new length (used when
-/// a historical batch had a different size; DESIGN.md S9).
+/// a historical batch had a different size; README "Model parameters").
 Chromosome resample_genes(const Chromosome& source, std::size_t target_size);
 
 }  // namespace gridsched::core

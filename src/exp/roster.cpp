@@ -38,26 +38,4 @@ AlgorithmSpec classic_ga_spec(core::StgaConfig config) {
   return spec;
 }
 
-std::vector<AlgorithmSpec> paper_roster(double f, core::StgaConfig stga) {
-  std::vector<AlgorithmSpec> roster;
-  roster.push_back(heuristic_spec("min-min", security::RiskPolicy::secure()));
-  roster.push_back(heuristic_spec("min-min", security::RiskPolicy::f_risky(f)));
-  roster.push_back(heuristic_spec("min-min", security::RiskPolicy::risky()));
-  roster.push_back(heuristic_spec("sufferage", security::RiskPolicy::secure()));
-  roster.push_back(heuristic_spec("sufferage",
-                                  security::RiskPolicy::f_risky(f)));
-  roster.push_back(heuristic_spec("sufferage", security::RiskPolicy::risky()));
-  roster.push_back(stga_spec(stga));
-  return roster;
-}
-
-std::vector<AlgorithmSpec> scaling_roster(double f, core::StgaConfig stga) {
-  std::vector<AlgorithmSpec> roster;
-  roster.push_back(heuristic_spec("min-min", security::RiskPolicy::f_risky(f)));
-  roster.push_back(heuristic_spec("sufferage",
-                                  security::RiskPolicy::f_risky(f)));
-  roster.push_back(stga_spec(stga));
-  return roster;
-}
-
 }  // namespace gridsched::exp

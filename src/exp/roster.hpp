@@ -1,14 +1,15 @@
-// The paper's algorithm roster: Min-Min and Sufferage under the three risk
-// modes, plus the STGA (7 algorithms), with optional extras (classic GA,
-// Max-Min/MCT/MET/OLB baselines).
+// Algorithm specs: a named factory for one scheduler per run. The paper's
+// rosters (Table 2's seven algorithms, Fig. 10's three) are data, the
+// policy lists of examples/campaigns/paper/*.json, resolved through
+// campaign::PolicyRef.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/ga_scheduler.hpp"
+#include "security/security.hpp"
 #include "sim/scheduling.hpp"
 #include "util/thread_pool.hpp"
 
@@ -24,16 +25,6 @@ struct AlgorithmSpec {
   /// True for STGA-style schedulers that want the 500-job training phase.
   bool wants_training = false;
 };
-
-/// The 7 algorithms of Figures 8-9 / Table 2, in the paper's order:
-/// Min-Min secure / f-risky / risky, Sufferage secure / f-risky / risky,
-/// STGA. `f` defaults to the paper's 0.5.
-std::vector<AlgorithmSpec> paper_roster(double f = 0.5,
-                                        core::StgaConfig stga = {});
-
-/// The three best performers used in the Fig. 10 scaling study.
-std::vector<AlgorithmSpec> scaling_roster(double f = 0.5,
-                                          core::StgaConfig stga = {});
 
 /// Single-algorithm specs, composable in custom experiments.
 AlgorithmSpec heuristic_spec(const std::string& heuristic_name,

@@ -7,9 +7,9 @@ namespace gridsched::exp {
 
 namespace {
 
-/// Paper bootstrap (DESIGN.md S8): schedule training jobs with Min-Min and
-/// Sufferage (half each), recording every batch solution into the STGA's
-/// history table.
+/// Paper bootstrap (README "Model parameters"): schedule training jobs with
+/// Min-Min and Sufferage (half each), recording every batch solution into
+/// the STGA's history table.
 void train_stga(const Scenario& scenario, const workload::Workload& main,
                 core::GaScheduler& stga, std::uint64_t seed,
                 const util::CancelToken* cancel) {

@@ -1,5 +1,5 @@
 // End-to-end experiment scenarios matching the paper's two testbeds
-// (Table 1), with the batch intervals of DESIGN.md S5.
+// (Table 1), with the batch intervals README "Model parameters" lists.
 #pragma once
 
 #include <cstdint>

@@ -31,7 +31,6 @@
 #include "sched/registry.hpp"       // IWYU pragma: export
 #include "sched/risk_filter.hpp"    // IWYU pragma: export
 #include "security/security.hpp"    // IWYU pragma: export
-#include "security/trust_index.hpp" // IWYU pragma: export
 #include "sim/kernel.hpp"           // IWYU pragma: export
 #include "sim/observer.hpp"         // IWYU pragma: export
 #include "sim/process/arrival_process.hpp"          // IWYU pragma: export

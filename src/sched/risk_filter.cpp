@@ -2,33 +2,16 @@
 
 namespace gridsched::sched {
 
-bool admissible(const sim::BatchJob& job, const sim::SiteConfig& site,
-                const security::RiskPolicy& policy) noexcept {
-  if (job.nodes > site.nodes) return false;
+bool admissible(const sim::SchedulerContext& context, const sim::BatchJob& job,
+                std::size_t s, const security::RiskPolicy& policy) noexcept {
+  const sim::SiteConfig& site = context.sites[s];
+  if (!context.site_usable(s) || job.nodes > site.nodes) return false;
   if (job.secure_only) {
     // Fail-stop rule: a previously failed job may only run where it is
     // absolutely safe, regardless of the scheduler's mode.
     return security::is_safe(job.demand, site.security);
   }
-  return policy.admissible(job.demand, site.security);
-}
-
-bool admissible(const sim::SchedulerContext& context, const sim::BatchJob& job,
-                std::size_t s, const security::RiskPolicy& policy) noexcept {
-  return context.site_usable(s) && admissible(job, context.sites[s], policy);
-}
-
-std::vector<sim::SiteId> admissible_sites(
-    const sim::BatchJob& job, const std::vector<sim::SiteConfig>& sites,
-    const security::RiskPolicy& policy) {
-  std::vector<sim::SiteId> result;
-  result.reserve(sites.size());
-  for (std::size_t s = 0; s < sites.size(); ++s) {
-    if (admissible(job, sites[s], policy)) {
-      result.push_back(static_cast<sim::SiteId>(s));
-    }
-  }
-  return result;
+  return policy.admissible(job.demand, site.security, context.lambda);
 }
 
 std::vector<sim::SiteId> admissible_sites(const sim::SchedulerContext& context,

@@ -1,6 +1,7 @@
 // Candidate-site filtering shared by every scheduling algorithm: combines
-// the configured risk mode with structural feasibility (node count) and the
-// fail-stop rule (secure_only retries go to safe sites in every mode).
+// the configured risk mode with structural feasibility (node count, the
+// availability mask) and the fail-stop rule (secure_only retries go to safe
+// sites in every mode).
 #pragma once
 
 #include <vector>
@@ -10,26 +11,15 @@
 
 namespace gridsched::sched {
 
-/// True iff `job` may be placed on `site` under `policy`. This overload
-/// sees only the static site description — it cannot know about the
-/// context's availability mask, so schedulers use the context overload
-/// below.
-bool admissible(const sim::BatchJob& job, const sim::SiteConfig& site,
-                const security::RiskPolicy& policy) noexcept;
-
 /// True iff `job` may be placed on the context's site `s` under `policy`:
-/// the static filter above AND the site is not masked out (a churned-down
-/// site is never admissible, whatever the risk mode). The one admissibility
-/// predicate every scheduler must use.
+/// the job fits, the site is not masked out (a churned-down site is never
+/// admissible, whatever the risk mode), and the risk mode admits the pair
+/// at the context's lambda. The one admissibility predicate every
+/// scheduler must use.
 bool admissible(const sim::SchedulerContext& context, const sim::BatchJob& job,
                 std::size_t s, const security::RiskPolicy& policy) noexcept;
 
-/// Indices (into `sites`) of every admissible site, in site order.
-std::vector<sim::SiteId> admissible_sites(
-    const sim::BatchJob& job, const std::vector<sim::SiteConfig>& sites,
-    const security::RiskPolicy& policy);
-
-/// Mask-aware admissible set over the context's sites, in site order.
+/// Admissible set over the context's sites, in site order.
 std::vector<sim::SiteId> admissible_sites(const sim::SchedulerContext& context,
                                           const sim::BatchJob& job,
                                           const security::RiskPolicy& policy);

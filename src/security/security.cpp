@@ -18,14 +18,15 @@ std::string to_string(RiskMode mode) {
   return "?";
 }
 
-bool RiskPolicy::admissible(double sd, double sl) const noexcept {
+bool RiskPolicy::admissible(double sd, double sl,
+                            double lambda) const noexcept {
   switch (mode_) {
     case RiskMode::kSecure:
       return is_safe(sd, sl);
     case RiskMode::kRisky:
       return true;
     case RiskMode::kFRisky:
-      return failure_probability(sd, sl, lambda_) <= f_;
+      return failure_probability(sd, sl, lambda) <= f_;
   }
   return false;
 }

@@ -17,10 +17,11 @@ inline constexpr double kSiteSecurityHi = 1.0;
 inline constexpr double kJobDemandLo = 0.6;
 inline constexpr double kJobDemandHi = 0.9;
 
-/// Exponential failure-probability coefficient. The paper leaves lambda
-/// unspecified; 2.5 reproduces the reported N_fail magnitudes (~30% of NAS
-/// jobs fail under risky scheduling) while keeping the f = 0.5 cutoff
-/// meaningful (DESIGN.md S2).
+/// Default Eq. 1 coefficient, a repo choice: the paper leaves lambda open.
+/// At 2.5 the committed risky NAS cells (results/paper/nas.json) fail
+/// 2150-4128 of 16000 jobs (13-26%), and f = 0.5 still binds: it bars
+/// SD - SL > ln 2 / 2.5 ~ 0.28. A run's one lambda is EngineConfig::lambda
+/// (README "Model parameters").
 inline constexpr double kDefaultLambda = 2.5;
 
 /// Eq. 1: probability that a job with demand `sd` fails on a site with
@@ -41,37 +42,36 @@ enum class RiskMode {
 
 std::string to_string(RiskMode mode);
 
-/// Admission policy bundling a mode with its parameters. `secure` is
-/// equivalent to f-risky with f = 0 and `risky` to f-risky with f = 1
-/// (verified by property tests).
+/// Admission policy: a mode and its risk bound f. `secure` is equivalent to
+/// f-risky with f = 0 and `risky` to f-risky with f = 1 (verified by
+/// property tests). The Eq. 1 coefficient is the run's, which
+/// sched::admissible passes in from the scheduler context.
 class RiskPolicy {
  public:
-  constexpr RiskPolicy(RiskMode mode, double f = 0.5,
-                       double lambda = kDefaultLambda) noexcept
-      : mode_(mode), f_(f), lambda_(lambda) {}
+  constexpr RiskPolicy(RiskMode mode, double f = 0.5) noexcept
+      : mode_(mode), f_(f) {}
 
-  static constexpr RiskPolicy secure(double lambda = kDefaultLambda) noexcept {
-    return {RiskMode::kSecure, 0.0, lambda};
+  static constexpr RiskPolicy secure() noexcept {
+    return {RiskMode::kSecure, 0.0};
   }
-  static constexpr RiskPolicy risky(double lambda = kDefaultLambda) noexcept {
-    return {RiskMode::kRisky, 1.0, lambda};
+  static constexpr RiskPolicy risky() noexcept {
+    return {RiskMode::kRisky, 1.0};
   }
-  static constexpr RiskPolicy f_risky(double f,
-                                      double lambda = kDefaultLambda) noexcept {
-    return {RiskMode::kFRisky, f, lambda};
+  static constexpr RiskPolicy f_risky(double f) noexcept {
+    return {RiskMode::kFRisky, f};
   }
 
   [[nodiscard]] constexpr RiskMode mode() const noexcept { return mode_; }
   [[nodiscard]] constexpr double f() const noexcept { return f_; }
-  [[nodiscard]] constexpr double lambda() const noexcept { return lambda_; }
 
-  /// Would this policy let a job of demand `sd` run at level `sl`?
-  [[nodiscard]] bool admissible(double sd, double sl) const noexcept;
+  /// Would this policy let a job of demand `sd` run at level `sl` when
+  /// failures follow Eq. 1 at `lambda`?
+  [[nodiscard]] bool admissible(double sd, double sl,
+                                double lambda) const noexcept;
 
  private:
   RiskMode mode_;
   double f_;
-  double lambda_;
 };
 
 }  // namespace gridsched::security

@@ -43,7 +43,8 @@
 
 namespace gridsched::sim {
 
-/// When a doomed risky run is detected as failed (DESIGN.md S4).
+/// When a doomed risky run is detected as failed (README "Model
+/// parameters").
 enum class FailureDetection {
   kAtEnd,            ///< after the full execution window
   kUniformFraction,  ///< after U(0,1) of the execution window
@@ -53,7 +54,9 @@ enum class FailureDetection {
 struct EngineConfig {
   /// Scheduling-cycle period (seconds). Jobs accumulate between cycles.
   Time batch_interval = 2000.0;
-  /// Eq. 1 coefficient used for the *actual* failure draws.
+  /// Eq. 1 coefficient of the run: the failure draws use it, and the
+  /// batch cycle hands it to every scheduler as SchedulerContext::lambda
+  /// (the f-risky cutoff, the GA's pfail matrix). The only stored lambda.
   double lambda = security::kDefaultLambda;
   FailureDetection detection = FailureDetection::kUniformFraction;
   /// Seed for failure draws, detection fractions and churn timelines.

@@ -20,15 +20,16 @@ void BatchCycleProcess::run_cycle(SimKernel& kernel, BatchScheduler& scheduler,
                                   Time now) {
   if (kernel.pending().empty()) return;
 
-  // Refresh the persistent context snapshot in place. Site configs and the
-  // execution model never change mid-run, so they are captured once; the
-  // per-cycle fields (availability profiles, site mask, batch) copy-assign
-  // into buffers that already hold their high-water capacity.
+  // Refresh the persistent context snapshot in place. Site configs, the
+  // execution model and lambda never change mid-run, so they are captured
+  // once; the per-cycle fields (availability profiles, site mask, batch)
+  // copy-assign into buffers that already hold their high-water capacity.
   const std::vector<GridSite>& sites = kernel.sites();
   SchedulerContext& context = context_;
   context.now = now;
   if (!context_static_ready_) {
     context.exec = kernel.exec_model();
+    context.lambda = kernel.config().lambda;
     context.sites.reserve(sites.size());
     for (const GridSite& site : sites) context.sites.push_back(site.config());
     context.avail.resize(sites.size(), NodeAvailability(1, 0.0));

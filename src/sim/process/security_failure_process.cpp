@@ -30,7 +30,7 @@ void SecurityFailureProcess::dispatch(SimKernel& kernel, JobId job_id,
   // hash of (seed, job, attempt), independent of everything the scheduler
   // did before. Identical placements therefore fail identically under every
   // algorithm, which removes a large cross-algorithm noise term from the
-  // paired comparisons the paper makes (DESIGN.md §5.5).
+  // paired comparisons the paper makes (README "Model parameters").
   util::SplitMix64 draw(config.seed ^
                         0x9e3779b97f4a7c15ULL *
                             (static_cast<std::uint64_t>(job_id) + 1) ^

@@ -4,7 +4,8 @@
 // completing jobs or releasing the failed reservation's tail and re-queuing
 // the job as a secure_only retry.
 //
-// RNG contract (common random numbers, DESIGN.md §5.5): the failure draw
+// RNG contract (common random numbers, README "Model
+// parameters"): the failure draw
 // for (job, attempt) is a pure hash of (config seed, job id, attempt
 // number), independent of everything the scheduler did before, so
 // identical placements fail identically under every algorithm. The process

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "security/security.hpp"
 #include "sim/exec_model.hpp"
 #include "sim/job.hpp"
 #include "sim/site.hpp"
@@ -44,6 +45,10 @@ struct SchedulerContext {
   /// (authoritative — schedulers must resolve exec times through it, never
   /// recompute work/speed themselves); rank-1 fallback otherwise.
   ExecModel exec;
+  /// Eq. 1 coefficient of the run: the kernel's copy of
+  /// EngineConfig::lambda, the one lambda every risk cutoff and GA rework
+  /// term reads. Hand-assembled contexts get the default.
+  double lambda = security::kDefaultLambda;
 
   [[nodiscard]] bool site_usable(std::size_t s) const noexcept {
     return site_up.empty() || site_up[s] != 0;

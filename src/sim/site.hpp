@@ -4,7 +4,7 @@
 // times at which each node becomes free. Reserving k nodes for a job fixes
 // its start at max(now, k-th earliest free time) — reservation-based space
 // sharing, so the completion times the heuristics/GA optimise are exactly
-// the ones the simulator realises (DESIGN.md §5.2/S10).
+// the ones the simulator realises (README "Model parameters").
 #pragma once
 
 #include <variant>

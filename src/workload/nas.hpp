@@ -1,4 +1,4 @@
-// Synthetic NAS iPSC/860 trace generator (DESIGN.md S1).
+// Synthetic NAS iPSC/860 trace generator (README "Model parameters").
 //
 // The paper replays 46 days (16 000 jobs) of the 1993 NASA Ames iPSC/860
 // accounting trace. The trace itself is not redistributable here, so this
@@ -26,7 +26,7 @@ struct NasTraceConfig {
   /// Offered load: sum(work*nodes) / (capacity*horizon). 0 disables scaling.
   double target_load = 0.55;
   /// Node-request distribution over powers of two {1,2,4,8,16}; sizes are
-  /// capped at the largest site (DESIGN.md S7).
+  /// capped at the largest site (README "Model parameters").
   std::vector<double> size_weights = {0.25, 0.20, 0.20, 0.20, 0.15};
   /// Short-job mixture component (interactive/debug runs).
   double short_fraction = 0.3;

@@ -33,7 +33,8 @@ std::vector<sim::SiteConfig> psa_sites(util::Rng& rng, std::size_t count) {
   std::vector<sim::SiteConfig> sites;
   sites.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    // Speed level 1..10; x10 work-units/s calibration (DESIGN.md S6).
+    // Speed level 1..10; x10 work-units/s calibration (README "Model
+    // parameters").
     const double speed = 10.0 * static_cast<double>(rng.uniform_int(1, 10));
     sites.push_back(
         {static_cast<sim::SiteId>(i), 1u, speed, draw_security(rng)});

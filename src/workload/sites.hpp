@@ -15,12 +15,13 @@ namespace gridsched::workload {
 std::vector<sim::SiteConfig> nas_sites(util::Rng& rng);
 
 /// Paper Table 1, PSA row: `count` single-node sites with speed level
-/// 1..10 (x10 work-units/s, DESIGN.md S6). Security levels U[0.4, 1.0].
+/// 1..10 (x10 work-units/s, README "Model parameters"). Security levels
+/// U[0.4, 1.0].
 std::vector<sim::SiteConfig> psa_sites(util::Rng& rng, std::size_t count = 20);
 
 /// Guarantee the fail-stop rule can always be honoured: at least one site
 /// that fits `max_nodes` has SL >= demand_hi. Bumps the highest-SL fitting
-/// site if needed (DESIGN.md, secure-home guard).
+/// site if needed (README "Model parameters", secure home).
 void ensure_safe_home(std::vector<sim::SiteConfig>& sites, unsigned max_nodes,
                       double demand_hi, util::Rng& rng);
 

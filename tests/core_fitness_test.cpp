@@ -57,14 +57,21 @@ TEST(BuildProblem, RejectsSiteMaskOfWrongLength) {
 }
 
 TEST(BuildProblem, ComputesExecAndPfail) {
-  const auto context = small_context();
+  auto context = small_context();
+  context.lambda = 6.0;  // pfail follows the context's lambda, not a default
   const GaProblem problem =
-      build_problem(context, security::RiskPolicy::risky(2.0));
+      build_problem(context, security::RiskPolicy::risky());
   EXPECT_DOUBLE_EQ(problem.exec_at(0, 0), 10.0);
   EXPECT_DOUBLE_EQ(problem.exec_at(0, 1), 5.0);  // speed 2
   EXPECT_DOUBLE_EQ(problem.pfail_at(0, 0), 0.0);  // SL 0.9 >= SD 0.8
-  EXPECT_NEAR(problem.pfail_at(0, 1),
-              security::failure_probability(0.8, 0.5, 2.0), 1e-12);
+  EXPECT_GT(problem.pfail_at(0, 1), 0.0);           // SL 0.5 <  SD 0.8
+  for (std::size_t j = 0; j < problem.n_jobs(); ++j) {
+    for (std::size_t s = 0; s < problem.sites.size(); ++s) {
+      EXPECT_EQ(problem.pfail_at(j, s),
+                security::failure_probability(problem.jobs[j].demand,
+                                              problem.sites[s].security, 6.0));
+    }
+  }
 }
 
 TEST(DecodeOrder, ShortestExecutionFirst) {

@@ -179,7 +179,7 @@ TEST(Evolve, HonoursEliteCountZero) {
 
 /// Pass-through Min-Min scheduler that keeps the GA problem of the first
 /// batch it sees with at least one schedulable job (built as GaScheduler
-/// builds it: risky policy at the default Eq. 1 lambda).
+/// builds it: risky policy at the kernel's Eq. 1 lambda).
 class FirstProblemScheduler final : public sim::BatchScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "first-problem"; }
@@ -187,8 +187,8 @@ class FirstProblemScheduler final : public sim::BatchScheduler {
   void schedule_into(const sim::SchedulerContext& context,
                      std::vector<sim::Assignment>& out) override {
     if (!problem) {
-      GaProblem built = build_problem(
-          context, security::RiskPolicy::risky(security::kDefaultLambda));
+      GaProblem built =
+          build_problem(context, security::RiskPolicy::risky());
       if (built.n_jobs() > 0) problem = std::move(built);
     }
     inner_.schedule_into(context, out);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "gridsched.hpp"
 
@@ -16,16 +18,42 @@ core::StgaConfig tiny_stga() {
   return config;
 }
 
-exp::Scenario tiny_psa(std::size_t n_jobs = 80) {
-  exp::Scenario scenario = exp::psa_scenario(n_jobs);
+/// A committed paper campaign (examples/campaigns/paper/`file`): the same
+/// scenarios and policy list CI runs and compares.
+exp::campaign::CampaignSpec paper_spec(const std::string& file) {
+  return exp::campaign::load_spec(std::string(GRIDSCHED_SOURCE_DIR) +
+                                  "/examples/campaigns/paper/" + file);
+}
+
+/// The spec's policies resolved in order, GA policies at tiny_stga() size.
+std::vector<exp::AlgorithmSpec> tiny_policies(
+    const exp::campaign::CampaignSpec& spec) {
+  const core::GaParams tiny = tiny_stga().ga;
+  std::vector<exp::AlgorithmSpec> algorithms;
+  for (exp::campaign::PolicyRef policy : spec.policies) {
+    policy.stga.ga.population = tiny.population;
+    policy.stga.ga.generations = tiny.generations;
+    algorithms.push_back(policy.resolve());
+  }
+  return algorithms;
+}
+
+/// The spec's first scenario at `n_jobs` jobs with a short STGA training.
+exp::Scenario tiny_scenario(const exp::campaign::CampaignSpec& spec,
+                            std::size_t n_jobs) {
+  exp::campaign::ScenarioRef ref = spec.scenarios.at(0);
+  ref.n_jobs = n_jobs;
+  exp::Scenario scenario = ref.resolve();
   scenario.training_jobs = 30;
   return scenario;
 }
 
+exp::Scenario tiny_psa(std::size_t n_jobs = 80) {
+  return tiny_scenario(paper_spec("fig10.json"), n_jobs);
+}
+
 exp::Scenario tiny_nas(std::size_t n_jobs = 150) {
-  exp::Scenario scenario = exp::nas_scenario(n_jobs);
-  scenario.training_jobs = 30;
-  return scenario;
+  return tiny_scenario(paper_spec("nas.json"), n_jobs);
 }
 
 void check_invariants(const metrics::RunMetrics& run, std::size_t n_jobs,
@@ -44,8 +72,15 @@ void check_invariants(const metrics::RunMetrics& run, std::size_t n_jobs,
   }
 }
 
-TEST(Integration, PaperRosterHasSevenAlgorithmsInOrder) {
-  const auto roster = exp::paper_roster();
+TEST(Integration, PaperNasSpecListsSevenAlgorithmsInOrder) {
+  const auto spec = paper_spec("nas.json");
+  std::vector<std::string> labels;
+  for (const auto& policy : spec.policies) labels.push_back(policy.display());
+  EXPECT_EQ(labels, (std::vector<std::string>{
+                        "min-min-secure", "min-min-f-risky", "min-min-risky",
+                        "sufferage-secure", "sufferage-f-risky",
+                        "sufferage-risky", "stga"}));
+  const auto roster = tiny_policies(spec);
   ASSERT_EQ(roster.size(), 7u);
   EXPECT_EQ(roster[0].name, "Min-Min secure");
   EXPECT_EQ(roster[1].name, "Min-Min f-risky");
@@ -56,19 +91,24 @@ TEST(Integration, PaperRosterHasSevenAlgorithmsInOrder) {
   EXPECT_EQ(roster[6].name, "STGA");
   EXPECT_TRUE(roster[6].wants_training);
   EXPECT_FALSE(roster[0].wants_training);
+  EXPECT_DOUBLE_EQ(spec.policies[1].f, 0.5);
+  EXPECT_DOUBLE_EQ(spec.policies[4].f, 0.5);
 }
 
-TEST(Integration, ScalingRosterIsTheFigTenTrio) {
-  const auto roster = exp::scaling_roster();
+TEST(Integration, FigTenSpecIsTheScalingTrio) {
+  const auto spec = paper_spec("fig10.json");
+  const auto roster = tiny_policies(spec);
   ASSERT_EQ(roster.size(), 3u);
   EXPECT_EQ(roster[0].name, "Min-Min f-risky");
   EXPECT_EQ(roster[1].name, "Sufferage f-risky");
   EXPECT_EQ(roster[2].name, "STGA");
+  EXPECT_DOUBLE_EQ(spec.policies[0].f, 0.5);
+  EXPECT_DOUBLE_EQ(spec.policies[1].f, 0.5);
 }
 
 TEST(Integration, AllAlgorithmsCompleteTinyPsa) {
   const auto scenario = tiny_psa();
-  for (const auto& spec : exp::paper_roster(0.5, tiny_stga())) {
+  for (const auto& spec : tiny_policies(paper_spec("nas.json"))) {
     const auto run = exp::run_once(scenario, spec, 4242);
     check_invariants(run, 80, spec.name);
   }
@@ -76,7 +116,7 @@ TEST(Integration, AllAlgorithmsCompleteTinyPsa) {
 
 TEST(Integration, AllAlgorithmsCompleteTinyNas) {
   const auto scenario = tiny_nas();
-  for (const auto& spec : exp::paper_roster(0.5, tiny_stga())) {
+  for (const auto& spec : tiny_policies(paper_spec("nas.json"))) {
     const auto run = exp::run_once(scenario, spec, 999);
     check_invariants(run, 150, spec.name);
   }

@@ -10,18 +10,23 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "exp/scenario.hpp"
+#include "exp/scenario_registry.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/registry.hpp"
 #include "sched/site_tree.hpp"
 #include "sched_reference.hpp"
 #include "security/security.hpp"
+#include "sim/kernel.hpp"
 #include "sim/scheduling.hpp"
 #include "util/rng.hpp"
 
@@ -258,6 +263,90 @@ TEST(SchedDifferential, MalformedContextIsRejected) {
           << name;
     }
   }
+}
+
+/// Pass-through risky Min-Min that keeps the first non-empty batch context
+/// the kernel hands it.
+class FirstContextScheduler final : public sim::BatchScheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "first-context"; }
+
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override {
+    if (!first && !context.jobs.empty()) first = context;
+    inner_.schedule_into(context, out);
+  }
+
+  std::optional<sim::SchedulerContext> first;
+
+ private:
+  MinMinScheduler inner_{RiskPolicy::risky()};
+};
+
+TEST(SchedDifferential, FRiskyAboveTheDeficitCutoffIsRisky) {
+  // Under Table 1's ranges SD - SL <= 0.9 - 0.4 = 0.5, so P_fail <=
+  // 1 - e^(-lambda / 2) and f-risky at any f above that excludes no pair:
+  // it must produce exactly risky's assignments (at lambda = 2.5 the cutoff
+  // is ~0.7135, the ROADMAP's "every f >= 0.72 is risky"). Lambda is set
+  // only through the context. Registry scenarios whose first batch leaves
+  // Table 1's ranges (synth-secure and synth-risky) are skipped.
+  using security::kJobDemandHi;
+  using security::kJobDemandLo;
+  using security::kSiteSecurityHi;
+  using security::kSiteSecurityLo;
+  const auto in_table1 = [](const sim::SchedulerContext& context) {
+    for (const sim::BatchJob& job : context.jobs) {
+      if (job.demand < kJobDemandLo || job.demand > kJobDemandHi) return false;
+    }
+    for (const sim::SiteConfig& site : context.sites) {
+      if (site.security < kSiteSecurityLo || site.security > kSiteSecurityHi) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::size_t scenarios = 0;
+  std::size_t compared = 0;
+  std::size_t above_half = 0;  // risky placements f-risky(0.5) would bar
+  for (const std::string& name : exp::scenario_names()) {
+    const exp::Scenario scenario = exp::make_scenario(name, 60);
+    const workload::Workload workload = exp::make_workload(scenario, 17);
+    sim::EngineConfig config = scenario.engine;
+    config.seed = 9;
+    sim::SimKernel kernel(workload.sites, workload.jobs, config,
+                          workload.exec, workload.churn);
+    FirstContextScheduler recorder;
+    kernel.run(recorder);
+    ASSERT_TRUE(recorder.first.has_value()) << name;
+    sim::SchedulerContext context = std::move(*recorder.first);
+    if (!in_table1(context)) continue;
+    ++scenarios;
+    for (const double lambda : {1.5, 2.5, 4.0}) {
+      context.lambda = lambda;
+      const double f = 1.0 - std::exp(-lambda / 2.0) + 1e-9;
+      for (const std::string heuristic : {"min-min", "sufferage", "mct"}) {
+        const auto risky =
+            make_heuristic(heuristic, RiskPolicy::risky())->schedule(context);
+        const auto f_risky = make_heuristic(heuristic, RiskPolicy::f_risky(f))
+                                 ->schedule(context);
+        ASSERT_EQ(f_risky, risky)
+            << heuristic << " on " << name << " at lambda " << lambda;
+        ++compared;
+        for (const sim::Assignment& assignment : risky) {
+          if (security::failure_probability(
+                  context.jobs[assignment.job_index].demand,
+                  context.sites[assignment.site].security, lambda) > 0.5) {
+            ++above_half;
+          }
+        }
+      }
+    }
+  }
+  // All but those two registry scenarios draw Table 1's ranges, and the
+  // comparison has teeth: risky takes pairs that f = 0.5 would exclude.
+  EXPECT_EQ(scenarios, exp::scenario_names().size() - 2);
+  EXPECT_EQ(compared, scenarios * 3 * 3);
+  EXPECT_GT(above_half, 0u);
 }
 
 }  // namespace

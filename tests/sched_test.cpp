@@ -85,29 +85,29 @@ TEST(EtcMatrix, ContextConstructorUsesTheRawExecModel) {
 // --------------------------------------------------------- risk filter ---
 
 TEST(RiskFilter, CombinesFitAndPolicy) {
-  const sim::SiteConfig small_safe{0, 1, 1.0, 0.95};
-  const sim::SiteConfig big_risky{1, 8, 1.0, 0.45};
-  const auto job = batch_job(10.0, 4, 0.8);
+  const auto context = make_context({{0, 1, 1.0, 0.95}, {1, 8, 1.0, 0.45}},
+                                    {batch_job(10.0, 4, 0.8)});
+  const auto& job = context.jobs[0];
   const security::RiskPolicy secure = security::RiskPolicy::secure();
-  EXPECT_FALSE(admissible(job, small_safe, secure));  // does not fit
-  EXPECT_FALSE(admissible(job, big_risky, secure));   // not safe
-  EXPECT_TRUE(admissible(job, big_risky, security::RiskPolicy::risky()));
+  EXPECT_FALSE(admissible(context, job, 0, secure));  // does not fit
+  EXPECT_FALSE(admissible(context, job, 1, secure));  // not safe
+  EXPECT_TRUE(admissible(context, job, 1, security::RiskPolicy::risky()));
 }
 
 TEST(RiskFilter, SecureOnlyOverridesRiskyPolicy) {
-  const sim::SiteConfig risky_site{0, 4, 1.0, 0.5};
-  const sim::SiteConfig safe_site{1, 4, 1.0, 0.9};
-  const auto retry = batch_job(10.0, 1, 0.8, /*secure_only=*/true);
+  const auto context =
+      make_context({{0, 4, 1.0, 0.5}, {1, 4, 1.0, 0.9}},
+                   {batch_job(10.0, 1, 0.8, /*secure_only=*/true)});
   const security::RiskPolicy risky = security::RiskPolicy::risky();
-  EXPECT_FALSE(admissible(retry, risky_site, risky));
-  EXPECT_TRUE(admissible(retry, safe_site, risky));
+  EXPECT_FALSE(admissible(context, context.jobs[0], 0, risky));
+  EXPECT_TRUE(admissible(context, context.jobs[0], 1, risky));
 }
 
 TEST(RiskFilter, AdmissibleSitesOrdered) {
   const auto context = make_context(
       {{0, 1, 1.0, 0.9}, {1, 1, 1.0, 0.4}, {2, 1, 1.0, 0.95}},
       {batch_job(1.0, 1, 0.85)});
-  const auto sites = admissible_sites(context.jobs[0], context.sites,
+  const auto sites = admissible_sites(context, context.jobs[0],
                                       security::RiskPolicy::secure());
   EXPECT_EQ(sites, (std::vector<sim::SiteId>{0, 2}));
 }
@@ -234,12 +234,13 @@ TEST(Heuristics, NamesIncludeMode) {
 
 /// Property suite: on random instances every heuristic returns a valid
 /// partial assignment (unique jobs, admissible + fitting sites), and the
-/// f-risky bound holds for every placement.
-class HeuristicProperty
-    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
+/// f-risky bound holds for every placement at the context's lambda.
+// (heuristic name, f, lambda)
+using HeuristicParam = std::tuple<std::string, double, double>;
+class HeuristicProperty : public ::testing::TestWithParam<HeuristicParam> {};
 
 TEST_P(HeuristicProperty, AssignmentsAreValidAndRiskBounded) {
-  const auto& [name, f] = GetParam();
+  const auto& [name, f, lambda] = GetParam();
   util::Rng rng(std::hash<std::string>{}(name) + static_cast<std::uint64_t>(f *
       100));
   for (int instance = 0; instance < 20; ++instance) {
@@ -258,6 +259,7 @@ TEST_P(HeuristicProperty, AssignmentsAreValidAndRiskBounded) {
                                rng.uniform(0.6, 0.9), rng.bernoulli(0.1)));
     }
     auto context = make_context(sites, jobs, rng.uniform(0.0, 100.0));
+    context.lambda = lambda;
 
     const security::RiskPolicy policy = security::RiskPolicy::f_risky(f);
     const auto scheduler = make_heuristic(name, policy);
@@ -272,11 +274,11 @@ TEST_P(HeuristicProperty, AssignmentsAreValidAndRiskBounded) {
       const auto& job = context.jobs[assignment.job_index];
       const auto& site = context.sites[assignment.site];
       ASSERT_LE(job.nodes, site.nodes);
-      ASSERT_TRUE(admissible(job, site, policy));
+      ASSERT_TRUE(admissible(context, job, assignment.site, policy));
       if (!job.secure_only) {
-        ASSERT_LE(security::failure_probability(job.demand, site.security,
-                                                policy.lambda()),
-                  f + 1e-12);
+        ASSERT_LE(
+            security::failure_probability(job.demand, site.security, lambda),
+            f + 1e-12);
       }
     }
   }
@@ -286,7 +288,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllHeuristicsAndRiskLevels, HeuristicProperty,
     ::testing::Combine(::testing::Values("min-min", "max-min", "sufferage",
                                          "mct", "met", "olb"),
-                       ::testing::Values(0.0, 0.3, 0.5, 1.0)));
+                       ::testing::Values(0.0, 0.3, 0.5, 1.0),
+                       ::testing::Values(1.5, security::kDefaultLambda, 6.0)));
 
 // ------------------------------------------------------------- registry ---
 

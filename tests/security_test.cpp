@@ -1,5 +1,4 @@
 #include "security/security.hpp"
-#include "security/trust_index.hpp"
 
 #include <gtest/gtest.h>
 
@@ -66,26 +65,28 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RiskPolicy, SecureAdmitsOnlySafeSites) {
   const RiskPolicy policy = RiskPolicy::secure();
-  EXPECT_TRUE(policy.admissible(0.7, 0.7));
-  EXPECT_TRUE(policy.admissible(0.7, 0.9));
-  EXPECT_FALSE(policy.admissible(0.7, 0.69));
+  EXPECT_TRUE(policy.admissible(0.7, 0.7, kDefaultLambda));
+  EXPECT_TRUE(policy.admissible(0.7, 0.9, kDefaultLambda));
+  EXPECT_FALSE(policy.admissible(0.7, 0.69, kDefaultLambda));
 }
 
 TEST(RiskPolicy, RiskyAdmitsEverything) {
   const RiskPolicy policy = RiskPolicy::risky();
-  EXPECT_TRUE(policy.admissible(0.9, 0.4));
-  EXPECT_TRUE(policy.admissible(0.9, 1.0));
+  EXPECT_TRUE(policy.admissible(0.9, 0.4, kDefaultLambda));
+  EXPECT_TRUE(policy.admissible(0.9, 1.0, kDefaultLambda));
 }
 
 TEST(RiskPolicy, FRiskyBoundsFailureProbability) {
   const double f = 0.5;
   const RiskPolicy policy = RiskPolicy::f_risky(f);
-  for (double sd = 0.6; sd <= 0.9; sd += 0.05) {
-    for (double sl = 0.4; sl <= 1.0; sl += 0.05) {
-      if (policy.admissible(sd, sl)) {
-        EXPECT_LE(failure_probability(sd, sl, policy.lambda()), f);
-      } else {
-        EXPECT_GT(failure_probability(sd, sl, policy.lambda()), f);
+  for (const double lambda : {1.5, kDefaultLambda, 4.0, 6.0}) {
+    for (double sd = 0.6; sd <= 0.9; sd += 0.05) {
+      for (double sl = 0.4; sl <= 1.0; sl += 0.05) {
+        if (policy.admissible(sd, sl, lambda)) {
+          EXPECT_LE(failure_probability(sd, sl, lambda), f) << lambda;
+        } else {
+          EXPECT_GT(failure_probability(sd, sl, lambda), f) << lambda;
+        }
       }
     }
   }
@@ -96,7 +97,8 @@ TEST(RiskPolicy, FZeroEquivalentToSecure) {
   const RiskPolicy secure = RiskPolicy::secure();
   for (double sd = 0.6; sd <= 0.9; sd += 0.03) {
     for (double sl = 0.4; sl <= 1.0; sl += 0.03) {
-      EXPECT_EQ(f0.admissible(sd, sl), secure.admissible(sd, sl))
+      EXPECT_EQ(f0.admissible(sd, sl, kDefaultLambda),
+                secure.admissible(sd, sl, kDefaultLambda))
           << "sd=" << sd << " sl=" << sl;
     }
   }
@@ -107,7 +109,8 @@ TEST(RiskPolicy, FOneEquivalentToRisky) {
   const RiskPolicy risky = RiskPolicy::risky();
   for (double sd = 0.6; sd <= 0.9; sd += 0.03) {
     for (double sl = 0.4; sl <= 1.0; sl += 0.03) {
-      EXPECT_EQ(f1.admissible(sd, sl), risky.admissible(sd, sl));
+      EXPECT_EQ(f1.admissible(sd, sl, kDefaultLambda),
+                risky.admissible(sd, sl, kDefaultLambda));
     }
   }
 }
@@ -121,8 +124,8 @@ TEST_P(RiskMonotonicity, LargerFAdmitsSuperset) {
   const RiskPolicy larger = RiskPolicy::f_risky(f + 0.2);
   for (double sd = 0.6; sd <= 0.9; sd += 0.02) {
     for (double sl = 0.4; sl <= 1.0; sl += 0.02) {
-      if (smaller.admissible(sd, sl)) {
-        EXPECT_TRUE(larger.admissible(sd, sl));
+      if (smaller.admissible(sd, sl, kDefaultLambda)) {
+        EXPECT_TRUE(larger.admissible(sd, sl, kDefaultLambda));
       }
     }
   }
@@ -138,75 +141,9 @@ TEST(RiskPolicy, ModeNames) {
 }
 
 TEST(RiskPolicy, AccessorsRoundTrip) {
-  const RiskPolicy policy = RiskPolicy::f_risky(0.25, 2.0);
+  const RiskPolicy policy = RiskPolicy::f_risky(0.25);
   EXPECT_EQ(policy.mode(), RiskMode::kFRisky);
   EXPECT_DOUBLE_EQ(policy.f(), 0.25);
-  EXPECT_DOUBLE_EQ(policy.lambda(), 2.0);
-}
-
-// ----------------------------------------------------------- Trust index ---
-
-TEST(TrustIndex, EqualAttributesYieldThatValue) {
-  SiteSecurityAttributes attrs;
-  attrs.defense_capability = 0.8;
-  attrs.prior_success_rate = 0.8;
-  attrs.authentication_strength = 0.8;
-  attrs.isolation_quality = 0.8;
-  EXPECT_NEAR(trust_index(attrs), 0.8, 1e-12);
-}
-
-TEST(TrustIndex, WeightsBias) {
-  SiteSecurityAttributes attrs;
-  attrs.defense_capability = 1.0;
-  attrs.prior_success_rate = 0.0;
-  attrs.authentication_strength = 0.0;
-  attrs.isolation_quality = 0.0;
-  TrustWeights weights;
-  weights.defense = 1.0;
-  weights.history = weights.authentication = weights.isolation = 0.0;
-  EXPECT_DOUBLE_EQ(trust_index(attrs, weights), 1.0);
-}
-
-TEST(TrustIndex, ClampsOutOfRangeAttributes) {
-  SiteSecurityAttributes attrs;
-  attrs.defense_capability = 42.0;
-  attrs.prior_success_rate = -5.0;
-  attrs.authentication_strength = 1.0;
-  attrs.isolation_quality = 1.0;
-  const double index = trust_index(attrs);
-  EXPECT_GE(index, 0.0);
-  EXPECT_LE(index, 1.0);
-}
-
-TEST(TrustIndex, ZeroWeightsGiveZero) {
-  EXPECT_DOUBLE_EQ(trust_index({}, {0.0, 0.0, 0.0, 0.0}), 0.0);
-}
-
-TEST(SuccessHistory, StartsAtInitial) {
-  SuccessHistory history(0.1, 0.5);
-  EXPECT_DOUBLE_EQ(history.rate(), 0.5);
-  EXPECT_EQ(history.observations(), 0u);
-}
-
-TEST(SuccessHistory, ConvergesUpOnSuccesses) {
-  SuccessHistory history(0.2, 0.5);
-  for (int i = 0; i < 100; ++i) history.record(true);
-  EXPECT_GT(history.rate(), 0.99);
-  EXPECT_EQ(history.observations(), 100u);
-}
-
-TEST(SuccessHistory, ConvergesDownOnFailures) {
-  SuccessHistory history(0.2, 0.5);
-  for (int i = 0; i < 100; ++i) history.record(false);
-  EXPECT_LT(history.rate(), 0.01);
-}
-
-TEST(SuccessHistory, SingleObservationMovesByAlpha) {
-  SuccessHistory history(0.1, 0.5);
-  history.record(true);
-  EXPECT_NEAR(history.rate(), 0.55, 1e-12);
-  history.record(false);
-  EXPECT_NEAR(history.rate(), 0.495, 1e-12);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/ga_problem.hpp"
+#include "exp/scenario.hpp"
 #include "job_recorder.hpp"
 #include "sched/heuristics.hpp"
 
@@ -469,6 +471,77 @@ TEST(Engine, SchedulerSecondsAccumulate) {
   kernel.run(scheduler);
   EXPECT_GE(kernel.counters().scheduler_seconds, 0.0);
   EXPECT_GE(kernel.counters().batch_invocations, 1u);
+}
+
+/// Pass-through probe for the one-lambda contract: on every batch the GA
+/// problem built from the kernel's context carries Eq. 1 at `lambda` in
+/// its pfail matrix, and each placement of a fresh (not secure_only) job
+/// stays inside the f-risky cutoff at `lambda`.
+class LambdaProbe final : public BatchScheduler {
+ public:
+  LambdaProbe(BatchScheduler& inner, double lambda, double f)
+      : inner_(inner), lambda_(lambda), f_(f) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  void schedule_into(const SchedulerContext& context,
+                     std::vector<Assignment>& out) override {
+    const core::GaProblem problem =
+        core::build_problem(context, security::RiskPolicy::risky());
+    for (std::size_t j = 0; j < problem.n_jobs(); ++j) {
+      for (std::size_t s = 0; s < problem.sites.size(); ++s) {
+        ++pfail_cells;
+        if (problem.pfail_at(j, s) !=
+            security::failure_probability(problem.jobs[j].demand,
+                                          problem.sites[s].security, lambda_)) {
+          ++pfail_mismatches;
+        }
+      }
+    }
+    inner_.schedule_into(context, out);
+    for (const Assignment& assignment : out) {
+      const BatchJob& job = context.jobs[assignment.job_index];
+      if (job.secure_only) continue;
+      const double p_fail = security::failure_probability(
+          job.demand, context.sites[assignment.site].security, lambda_);
+      if (p_fail > 0.0) ++risky_placements;
+      if (p_fail > f_) ++cutoff_violations;
+    }
+  }
+
+  std::size_t pfail_cells = 0;
+  std::size_t pfail_mismatches = 0;
+  std::size_t risky_placements = 0;
+  std::size_t cutoff_violations = 0;
+
+ private:
+  BatchScheduler& inner_;
+  double lambda_;
+  double f_;
+};
+
+TEST(Engine, LambdaReachesEveryScheduler) {
+  // EngineConfig::lambda is the run's only lambda: the f-risky heuristics
+  // and the GA problem must see the kernel's 6, not the 2.5 default.
+  constexpr double kLambda = 6.0;
+  constexpr double kF = 0.5;
+  const exp::Scenario scenario = exp::nas_scenario(200);
+  const workload::Workload workload = exp::make_workload(scenario, 31);
+  EngineConfig config = scenario.engine;
+  config.lambda = kLambda;
+  config.seed = 5;
+  sched::MinMinScheduler min_min(security::RiskPolicy::f_risky(kF));
+  sched::SufferageScheduler sufferage(security::RiskPolicy::f_risky(kF));
+  for (BatchScheduler* inner : {static_cast<BatchScheduler*>(&min_min),
+                                static_cast<BatchScheduler*>(&sufferage)}) {
+    SimKernel kernel(workload.sites, workload.jobs, config, workload.exec);
+    LambdaProbe probe(*inner, kLambda, kF);
+    kernel.run(probe);
+    EXPECT_GT(probe.pfail_cells, 0u) << inner->name();
+    EXPECT_EQ(probe.pfail_mismatches, 0u) << inner->name();
+    EXPECT_GT(probe.risky_placements, 0u) << inner->name();
+    EXPECT_EQ(probe.cutoff_violations, 0u) << inner->name();
+  }
 }
 
 }  // namespace
