@@ -16,7 +16,10 @@
 //             Simulate and print the paper's metrics, including the
 //             per-site utilization (paper Fig. 9). --algo is one of the
 //             registry heuristics ("min-min", "sufferage", "max-min",
-//             "mct", "met", "olb"), "stga" or "ga". --lambda sets the
+//             "mct", "met", "olb"), "stga" or "ga". --algo/--mode/--f
+//             form one campaign-spec policy entry and are checked like
+//             one: --mode and --f are errors with the GAs, --f with
+//             secure or risky, and f must lie in [0, 1]. --lambda sets the
 //             run's single Eq. 1 coefficient (default 2.5): the kernel
 //             draws failures with it and hands it to the scheduler, so
 //             the f-risky cutoff and both GAs' pfail matrix use the same
@@ -114,22 +117,18 @@ int cmd_scenarios() {
   return 0;
 }
 
-security::RiskPolicy policy_from(const util::Cli& cli) {
-  static const std::vector<std::string> modes = {"secure", "f-risky", "risky"};
-  const std::string mode =
-      cli.get_choice("mode", std::string("f-risky"), modes);
-  const double f = cli.get_or("f", 0.5);
-  if (mode == "secure") return security::RiskPolicy::secure();
-  if (mode == "risky") return security::RiskPolicy::risky();
-  return security::RiskPolicy::f_risky(f);
-}
-
-/// --algo choices: every registry heuristic plus the two GAs.
-std::vector<std::string> algo_choices() {
-  std::vector<std::string> names = sched::heuristic_names();
-  names.push_back("stga");
-  names.push_back("ga");
-  return names;
+/// The policy of `run`: an entry built from the --algo/--mode/--f flags
+/// that were given, parsed and checked exactly like a campaign spec's.
+exp::AlgorithmSpec policy_from(const util::Cli& cli) {
+  namespace json = util::json;
+  json::Members entry;
+  entry.emplace_back("algo",
+                     json::Value(cli.get_or("algo", std::string("min-min"))));
+  if (const auto mode = cli.get("mode")) {
+    entry.emplace_back("mode", json::Value(*mode));
+  }
+  if (cli.has("f")) entry.emplace_back("f", json::Value(cli.get_or("f", 0.5)));
+  return exp::campaign::parse_policy(json::Value(std::move(entry))).resolve();
 }
 
 int cmd_generate(const util::Cli& cli) {
@@ -199,19 +198,8 @@ void print_metrics(const std::string& name, const metrics::RunMetrics& run,
 int cmd_run(const util::Cli& cli) {
   const auto seed =
       static_cast<std::uint64_t>(cli.get_or("seed", std::int64_t{1}));
-  const std::string algo =
-      cli.get_choice("algo", std::string("min-min"), algo_choices());
   const bool csv = cli.get_or("csv", false);
-
-  // Resolve the scheduler.
-  exp::AlgorithmSpec spec;
-  if (algo == "stga") {
-    spec = exp::stga_spec();
-  } else if (algo == "ga") {
-    spec = exp::classic_ga_spec();
-  } else {
-    spec = exp::heuristic_spec(algo, policy_from(cli));
-  }
+  const exp::AlgorithmSpec spec = policy_from(cli);
 
   // Optional observability sinks, shared by both modes. The trace
   // recorder and metric collector ride the kernel's single observer slot

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "exp/campaign/campaign_aggregator.hpp"
 #include "exp/scenario_registry.hpp"
@@ -27,6 +28,32 @@ security::RiskPolicy policy_for(const PolicyRef& ref) {
 
 [[noreturn]] void spec_error(const std::string& what) {
   throw std::invalid_argument("campaign spec: " + what);
+}
+
+[[noreturn]] void policy_error(const std::string& what) {
+  throw std::invalid_argument("policy entry: " + what);
+}
+
+/// The per-policy checks, shared by parse_policy and CampaignSpec::validate
+/// (which also sees programmatically built refs).
+void check_policy(const PolicyRef& ref) {
+  const std::vector<std::string> heuristics = sched::heuristic_names();
+  if (ref.algo != "stga" && ref.algo != "ga" &&
+      std::find(heuristics.begin(), heuristics.end(), ref.algo) ==
+          heuristics.end()) {
+    std::string known = "stga ga";
+    for (const std::string& name : heuristics) known += " " + name;
+    policy_error("unknown algo \"" + ref.algo + "\" (valid: " + known + ")");
+  }
+  if (std::find(mode_names().begin(), mode_names().end(), ref.mode) ==
+      mode_names().end()) {
+    policy_error("unknown mode \"" + ref.mode +
+                 "\" (valid: secure f-risky risky)");
+  }
+  // Negated so a NaN f fails too.
+  if (!(ref.f >= 0.0 && ref.f <= 1.0)) {
+    policy_error("f must be in [0, 1], got " + std::to_string(ref.f));
+  }
 }
 
 /// Strict key check — the shared util::json helper — so spec typos fail
@@ -69,18 +96,18 @@ PolicyRef parse_policy_ref(const Value& entry) {
   // f-risky mode reads f.
   const bool is_ga = ref.algo == "stga" || ref.algo == "ga";
   if (is_ga && (entry.find("mode") != nullptr || entry.find("f") != nullptr)) {
-    spec_error("\"mode\"/\"f\" have no effect on policy algo \"" + ref.algo +
-               "\" (the GA handles risk internally)");
+    policy_error("\"mode\"/\"f\" have no effect on policy algo \"" +
+                 ref.algo + "\" (the GA handles risk internally)");
   }
   if (!is_ga && entry.find("ga") != nullptr) {
-    spec_error("\"ga\" config only applies to the stga/ga algos, not \"" +
-               ref.algo + "\"");
+    policy_error("\"ga\" config only applies to the stga/ga algos, not \"" +
+                 ref.algo + "\"");
   }
   if (const Value* mode = entry.find("mode")) ref.mode = mode->as_string();
   if (entry.find("f") != nullptr &&
       (ref.mode == "secure" || ref.mode == "risky")) {
-    spec_error("\"f\" has no effect on mode \"" + ref.mode +
-               "\" (only f-risky reads the risk bound)");
+    policy_error("\"f\" has no effect on mode \"" + ref.mode +
+                 "\" (only f-risky reads the risk bound)");
   }
   if (const Value* f = entry.find("f")) ref.f = f->as_number();
   if (const Value* label = entry.find("label")) ref.label = label->as_string();
@@ -150,6 +177,12 @@ Scenario ScenarioRef::resolve() const {
   return scenario;
 }
 
+PolicyRef parse_policy(const Value& entry) {
+  PolicyRef ref = parse_policy_ref(entry);
+  check_policy(ref);
+  return ref;
+}
+
 AlgorithmSpec PolicyRef::resolve() const {
   if (algo == "stga") return stga_spec(stga);
   if (algo == "ga") return classic_ga_spec(stga);
@@ -182,23 +215,9 @@ void CampaignSpec::validate() const {
     }
   }
 
-  const std::vector<std::string> heuristics = sched::heuristic_names();
   std::set<std::string> seen_policies;
   for (const PolicyRef& ref : policies) {
-    if (ref.algo != "stga" && ref.algo != "ga" &&
-        std::find(heuristics.begin(), heuristics.end(), ref.algo) ==
-            heuristics.end()) {
-      std::string known = "stga ga";
-      for (const std::string& name : heuristics) known += " " + name;
-      spec_error("unknown policy algo \"" + ref.algo + "\" (valid: " + known +
-                 ")");
-    }
-    if (std::find(mode_names().begin(), mode_names().end(), ref.mode) ==
-        mode_names().end()) {
-      spec_error("unknown mode \"" + ref.mode +
-                 "\" (valid: secure f-risky risky)");
-    }
-    if (ref.f < 0.0 || ref.f > 1.0) spec_error("f must be in [0, 1]");
+    check_policy(ref);
     if (!seen_policies.insert(ref.display()).second) {
       spec_error("duplicate policy label \"" + ref.display() +
                  "\" (set \"label\" to disambiguate)");

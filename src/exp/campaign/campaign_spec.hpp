@@ -57,6 +57,14 @@ struct PolicyRef {
   [[nodiscard]] std::string display() const;
 };
 
+/// Parse and check one policy entry (a bare algo name or an object as
+/// above): known algo and mode, f in [0, 1], and no key without effect on
+/// the algo or mode. Throws std::invalid_argument ("policy entry: ...")
+/// naming the field. `gridsched_cli run` feeds it an object built from its
+/// --algo/--mode/--f flags; parse_spec runs the same parser and checks,
+/// so a policy is accepted or rejected the same way in both.
+PolicyRef parse_policy(const util::json::Value& entry);
+
 struct CampaignSpec {
   std::string name = "campaign";
   std::uint64_t seed = 1;

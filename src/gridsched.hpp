@@ -33,10 +33,6 @@
 #include "security/security.hpp"    // IWYU pragma: export
 #include "sim/kernel.hpp"           // IWYU pragma: export
 #include "sim/observer.hpp"         // IWYU pragma: export
-#include "sim/process/arrival_process.hpp"          // IWYU pragma: export
-#include "sim/process/batch_cycle_process.hpp"      // IWYU pragma: export
-#include "sim/process/security_failure_process.hpp" // IWYU pragma: export
-#include "sim/process/site_churn_process.hpp"       // IWYU pragma: export
 #include "sim/scheduling.hpp"       // IWYU pragma: export
 #include "util/cancel.hpp"          // IWYU pragma: export
 #include "util/cli.hpp"             // IWYU pragma: export

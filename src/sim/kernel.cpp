@@ -1,9 +1,11 @@
 #include "sim/kernel.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace gridsched::sim {
 
@@ -28,8 +30,16 @@ SimKernel::SimKernel(std::vector<SiteConfig> sites,
     throw std::invalid_argument("SimKernel: null job stream");
   }
   if (sites.empty()) throw std::invalid_argument("SimKernel: no sites");
-  if (config_.batch_interval <= 0.0) {
-    throw std::invalid_argument("SimKernel: batch_interval must be > 0");
+  // Negated positive tests, so NaN fails them too: an infinite interval
+  // would spin request_cycle's integer cycle search forever, and a
+  // negative or NaN lambda would silently switch Eq. 1 off.
+  if (!(std::isfinite(config_.batch_interval) &&
+        config_.batch_interval > 0.0)) {
+    throw std::invalid_argument(
+        "SimKernel: batch_interval must be finite and > 0");
+  }
+  if (!(std::isfinite(config_.lambda) && config_.lambda >= 0.0)) {
+    throw std::invalid_argument("SimKernel: lambda must be finite and >= 0");
   }
   total_jobs_ = stream_->size();
   sites_.reserve(sites.size());
@@ -61,7 +71,43 @@ SimKernel::SimKernel(std::vector<SiteConfig> sites,
   for (std::size_t k = max_nodes; k-- > 1;) {
     best_security_[k] = std::max(best_security_[k], best_security_[k + 1]);
   }
-  churn_ = SiteChurnProcess(std::move(churn), config_.seed, sites_.size());
+  if (auto* params = std::get_if<std::vector<SiteChurnParams>>(&churn)) {
+    churn_params_ = std::move(*params);
+    if (churn_params_.size() > sites_.size()) {
+      churn_params_.resize(sites_.size());
+    }
+    return;
+  }
+  churn_script_ = std::get<std::vector<SiteOutage>>(std::move(churn));
+  churn_scripted_ = true;
+  for (const SiteOutage& outage : churn_script_) {
+    if (!(outage.up > outage.down) || outage.down < 0.0) {
+      throw std::invalid_argument(
+          "SimKernel: outage must satisfy 0 <= down < up");
+    }
+    // The mask and the live-attempt index are sized to the grid.
+    if (outage.site >= sites_.size()) {
+      throw std::invalid_argument(
+          "SimKernel: outage names site " + std::to_string(outage.site) +
+          " but the grid has " + std::to_string(sites_.size()) + " site(s)");
+    }
+  }
+  // The availability mask is a boolean, so overlapping outages for one
+  // site would let the first kSiteUp re-enable a site a second outage
+  // still holds down. Reject them instead of mis-simulating.
+  std::vector<SiteOutage> sorted = churn_script_;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const SiteOutage& a, const SiteOutage& b) {
+                     if (a.site != b.site) return a.site < b.site;
+                     return a.down < b.down;
+                   });
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i].site == sorted[i - 1].site &&
+        sorted[i].down < sorted[i - 1].up) {
+      throw std::invalid_argument(
+          "SimKernel: overlapping outages for one site");
+    }
+  }
 }
 
 SimKernel::SimKernel(std::vector<SiteConfig> sites, std::vector<Job> jobs,
@@ -148,8 +194,7 @@ void SimKernel::retire_completed() {
   // every lower id has retired, so the accumulator always sums in id order
   // (deterministic floating-point sums).
   while (retire_frontier_ < admitted_) {
-    const std::uint32_t slot =
-        slot_of_[static_cast<JobId>(retire_frontier_) & slot_mask_];
+    const std::uint32_t slot = slot_of(static_cast<JobId>(retire_frontier_));
     if (jobs_[slot].state != JobState::kCompleted) break;
     retired_.add(jobs_[slot]);
     free_slots_.push_back(slot);
@@ -222,7 +267,7 @@ void SimKernel::grow_live_list(LiveList& list) {
 const Attempt& SimKernel::start_attempt(
     JobId job_id, const NodeAvailability::Window& window, double exec,
     SiteId site, unsigned serial) {
-  const std::uint32_t slot = slot_of_[job_id & slot_mask_];
+  const std::uint32_t slot = slot_of(job_id);
   LiveList& list = live_[site];
   if (list.size == list.capacity) grow_live_list(list);
   live_pool_[list.begin + list.size] = slot;
@@ -233,7 +278,7 @@ const Attempt& SimKernel::start_attempt(
 }
 
 void SimKernel::stop_attempt(JobId job_id) noexcept {
-  Attempt& the_attempt = attempts_[slot_of_[job_id & slot_mask_]];
+  Attempt& the_attempt = attempts_[slot_of(job_id)];
   LiveList& list = live_[the_attempt.site];
   std::uint32_t* const slots = live_pool_.data() + list.begin;
   const std::uint32_t moved = slots[--list.size];
@@ -244,7 +289,7 @@ void SimKernel::stop_attempt(JobId job_id) noexcept {
 }
 
 unsigned SimKernel::revoke_attempt(JobId job_id, Time now) {
-  Job& the_job = job(job_id);
+  Job& the_job = jobs_[slot_of(job_id)];
   const Attempt& the_attempt = attempt(job_id);
   if (observer_) observer_->on_revoke(*this, job_id, the_attempt.site, now);
   stop_attempt(job_id);
@@ -259,6 +304,306 @@ unsigned SimKernel::revoke_attempt(JobId job_id, Time now) {
   return released;
 }
 
+void SimKernel::on_arrival(const Event& event) {
+  --arrivals_remaining_;
+  pending_.push_back(event.job);
+  // Pull the next job. Its arrival is >= this one (sorted-stream contract,
+  // checked at admission) and its reserved seq is larger, so pushing it
+  // now cannot perturb the pop order.
+  Event next;
+  if (admit_next(next)) events_.push_reserved(next, next.job);
+  request_cycle(event.time);
+}
+
+void SimKernel::on_batch_cycle(BatchScheduler& scheduler, Time now) {
+  cycle_scheduled_ = false;
+  if (!pending_.empty()) schedule_batch(scheduler, now);
+  if (work_remains()) request_cycle(now);
+}
+
+void SimKernel::schedule_batch(BatchScheduler& scheduler, Time now) {
+  // Refresh the persistent context snapshot in place. The per-cycle
+  // fields (availability profiles, site mask, batch) copy-assign into
+  // buffers that already hold their high-water capacity.
+  SchedulerContext& context = context_;
+  context.now = now;
+  if (!context_static_ready_) {
+    context.exec = exec_model_;
+    context.lambda = config_.lambda;
+    context.sites.reserve(sites_.size());
+    for (const GridSite& site : sites_) context.sites.push_back(site.config());
+    context.avail.resize(sites_.size(), NodeAvailability(1, 0.0));
+    context_static_ready_ = true;
+  }
+  context.site_up = site_up_;
+  for (std::size_t s = 0; s < sites_.size(); ++s) {
+    context.avail[s] = sites_[s].availability();
+  }
+  context.jobs.clear();
+  context.jobs.reserve(pending_.size());
+  for (const JobId id : pending_) {
+    const Job& job = jobs_[slot_of(id)];
+    context.jobs.push_back(
+        {job.id, job.work, job.nodes, job.demand, job.arrival,
+         job.secure_only});
+  }
+
+  ++counters_.batch_invocations;
+  // Scheduler wall seconds feed the observer hook, the profile sidecar and
+  // the kernel.scheduler_seconds gauge only — never a byte-stable artifact.
+  // NOLINTNEXTLINE(GS-R05): wall-clock is observability-only here
+  const auto wall_start = std::chrono::steady_clock::now();
+  scheduler.schedule_into(context, assignments_);
+  const double wall =
+      // NOLINTNEXTLINE(GS-R05): wall-clock is observability-only here
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count();
+  counters_.scheduler_seconds += wall;
+  if (observer_) {
+    observer_->on_cycle(*this, now, context.jobs.size(), assignments_.size(),
+                        wall);
+  }
+
+  // Validate and apply in the order the scheduler chose.
+  assigned_.assign(context.jobs.size(), 0);
+  for (const Assignment& assignment : assignments_) {
+    if (assignment.job_index >= context.jobs.size()) {
+      throw std::logic_error("scheduler returned an out-of-range job index");
+    }
+    if (assignment.site >= sites_.size()) {
+      throw std::logic_error("scheduler returned an invalid site id");
+    }
+    if (assigned_[assignment.job_index]) {
+      throw std::logic_error("scheduler assigned the same job twice");
+    }
+    assigned_[assignment.job_index] = 1;
+    const JobId job_id = context.jobs[assignment.job_index].id;
+    const Job& job = jobs_[slot_of(job_id)];
+    const GridSite& site = sites_[assignment.site];
+    if (!site_usable(assignment.site)) {
+      throw std::logic_error(
+          "scheduler placed a job on a site that is currently down");
+    }
+    if (!site.fits(job.nodes)) {
+      throw std::logic_error(
+          "scheduler placed a job on a site it does not fit");
+    }
+    if (job.secure_only && !security::is_safe(job.demand, site.security())) {
+      throw std::logic_error(
+          "scheduler violated the fail-stop rule (secure_only job on "
+          "risky site)");
+    }
+    dispatch(job_id, assignment.site, now);
+  }
+
+  // Compact dispatched jobs out of the pending queue in place, preserving
+  // order (nothing was appended during the cycle, so pending index ==
+  // batch index).
+  if (!assignments_.empty()) {
+    std::size_t write = 0;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      if (!assigned_[i]) pending_[write++] = pending_[i];
+    }
+    pending_.resize(write);
+    idle_cycles_ = 0;
+  } else if (++idle_cycles_ > config_.max_idle_cycles) {
+    throw std::runtime_error("SimKernel: scheduler starved " +
+                             std::to_string(pending_.size()) +
+                             " pending job(s) for too many cycles");
+  }
+}
+
+void SimKernel::dispatch(JobId job_id, SiteId site_id, Time now) {
+  Job& job = jobs_[slot_of(job_id)];
+  GridSite& site = sites_[site_id];
+
+  const double exec = exec_model_.exec(job.id, job.work, site_id, site.speed());
+  const NodeAvailability::Window window = site.dispatch(job.nodes, exec, now);
+
+  ++job.attempts;
+  const Attempt& attempt =
+      start_attempt(job_id, window, exec, site_id, job.attempts);
+  job.state = JobState::kDispatched;
+  if (job.first_start < 0.0) job.first_start = window.start;
+  job.last_start = window.start;
+
+  const double p_fail =
+      security::failure_probability(job.demand, site.security(), config_.lambda);
+  // Common random numbers: the failure draw for (job, attempt) is a pure
+  // hash of (seed, job, attempt), independent of everything the scheduler
+  // did before. Identical placements therefore fail identically under every
+  // algorithm, which removes a large cross-algorithm noise term from the
+  // paired comparisons the paper makes (README "Model parameters").
+  util::SplitMix64 draw(config_.seed ^
+                        0x9e3779b97f4a7c15ULL *
+                            (static_cast<std::uint64_t>(job_id) + 1) ^
+                        0xc2b2ae3d27d4eb4fULL * (job.attempts + 1ULL));
+  const double failure_ticket = static_cast<double>(draw.next() >> 11) *
+      0x1.0p-53;
+  bool will_fail = false;
+  if (p_fail > 0.0) {
+    ++counters_.risky_attempts;
+    job.took_risk = true;
+    will_fail = failure_ticket < p_fail;
+  }
+
+  Event end;
+  end.kind = EventKind::kJobEnd;
+  end.job = job_id;
+  end.site = site_id;
+  end.attempt = attempt.serial;
+  if (will_fail) {
+    double fraction = 1.0;
+    if (config_.detection == FailureDetection::kUniformFraction) {
+      fraction = static_cast<double>(draw.next() >> 11) * 0x1.0p-53;
+    } else if (config_.detection == FailureDetection::kImmediate) {
+      fraction = 0.0;
+    }
+    // Avoid a zero-length attempt so failure times are strictly after start.
+    fraction = std::max(fraction, 1e-6);
+    end.time = window.start + exec * fraction;
+    end.is_failure = true;
+  } else {
+    end.time = window.end;
+    end.is_failure = false;
+  }
+  events_.push(end);
+  if (observer_) {
+    observer_->on_dispatch(*this, job_id, site_id, window, exec,
+                           attempt.serial);
+  }
+}
+
+void SimKernel::on_job_end(const Event& event) {
+  // A retired job's slot may already belong to another job; an end event
+  // for it is necessarily stale — the job completed
+  // elsewhere after the attempt this end belongs to was revoked.
+  if (is_retired(event.job)) return;
+  const std::uint32_t slot = slot_of(event.job);
+  Job& job = jobs_[slot];
+  const Attempt& attempt = attempts_[slot];
+  // A site-down revocation deactivates the attempt (and a re-dispatch bumps
+  // the serial) but cannot remove the already-queued end event; drop it.
+  if (!attempt.active || attempt.serial != event.attempt) return;
+  if (event.is_failure) {
+    ++counters_.failure_events;
+    ++job.failures;
+    job.secure_only = true;  // fail-stop: never risk again
+    if (observer_) {
+      observer_->on_attempt_failure(*this, event.job, attempt.site,
+                                    event.time);
+    }
+    // Give the unused tail of the reservation back to the site, keyed by
+    // the exact stored window end (recomputing start + exec would rely on
+    // bitwise float equality against the profile; see revoke_attempt). A
+    // node is unreclaimable only when a later batch cycle already stacked
+    // the next reservation onto it; count both outcomes so a zero-node
+    // release is visible instead of silently dropped.
+    const unsigned released = revoke_attempt(event.job, event.time);
+    counters_.released_nodes += released;
+    counters_.unreleased_nodes += job.nodes - released;
+    request_cycle(event.time);
+  } else {
+    stop_attempt(event.job);
+    job.state = JobState::kCompleted;
+    job.finish = event.time;
+    job.final_site = attempt.site;
+    sites_[attempt.site].account_busy(job.nodes, attempt.exec);
+    makespan_ = makespan_ < event.time ? event.time : makespan_;
+    ++counters_.completed_jobs;
+    if (observer_) {
+      observer_->on_job_complete(*this, event.job, attempt.site, event.time);
+    }
+    // Fold newly-retirable jobs into the metric accumulator (recycling
+    // their slots) after observers saw the
+    // completion — observers address jobs by id and must see live state.
+    retire_completed();
+  }
+}
+
+void SimKernel::push_site_event(EventKind kind, SiteId site, Time time) {
+  Event event;
+  event.time = time;
+  event.kind = kind;
+  event.site = site;
+  events_.push(event);
+}
+
+void SimKernel::start_churn() {
+  if (churn_scripted_) {
+    // Script order fixes the FIFO tie-break among same-time churn events.
+    for (const SiteOutage& outage : churn_script_) {
+      push_site_event(EventKind::kSiteDown, outage.site, outage.down);
+      push_site_event(EventKind::kSiteUp, outage.site, outage.up);
+    }
+    return;
+  }
+  churn_streams_.reserve(churn_params_.size());
+  for (std::size_t s = 0; s < churn_params_.size(); ++s) {
+    churn_streams_.push_back(util::SeedMix(config_.seed)
+                                 .mix("site-churn")
+                                 .mix(static_cast<std::uint64_t>(s))
+                                 .rng());
+    if (churn_params_[s].churns()) {
+      push_site_event(EventKind::kSiteDown, static_cast<SiteId>(s),
+                      churn_streams_[s].exponential(1.0 / churn_params_[s].mtbf));
+    }
+  }
+}
+
+void SimKernel::on_site_event(const Event& event) {
+  const auto site = static_cast<std::size_t>(event.site);
+  const bool down = event.kind == EventKind::kSiteDown;
+  site_up_[site] = down ? 0 : 1;
+  if (down) {
+    // Victim attempts, latest stored window end first: a node's free time
+    // equals the *last* reservation stacked onto it, so releasing in
+    // descending end order reclaims every tail that is reclaimable at
+    // all. Victims come from the per-site live index (O(victims), not
+    // O(slots)) and are copied out as job ids because revoking mutates
+    // the index. The sort key (end descending, id ascending) is a strict
+    // total order, so the index's internal order never shows.
+    victims_.clear();
+    // Victims hold distinct slots: sizing the buffer to the slot table
+    // means it grows only when the table does, never on a late outage
+    // that merely hits more attempts than any earlier one.
+    victims_.reserve(jobs_.size());
+    for (const std::uint32_t slot : live_attempts(event.site)) {
+      victims_.push_back(jobs_[slot].id);
+    }
+    std::sort(victims_.begin(), victims_.end(), [&](JobId a, JobId b) {
+      const Time end_a = attempt(a).window.end;
+      const Time end_b = attempt(b).window.end;
+      if (end_a != end_b) return end_a > end_b;
+      return a < b;  // deterministic tie-break
+    });
+    for (const JobId job_id : victims_) {
+      Job& job = jobs_[slot_of(job_id)];
+      ++job.interruptions;
+      ++counters_.interrupted_attempts;
+      // Reclaim through the stored window — the same revocation primitive
+      // failure releases use. An unreclaimable node here means an earlier
+      // revoked reservation was stacked behind a later one we already
+      // reset; the capacity is free either way, but the shortfall is
+      // surfaced instead of silently ignored. The interrupted job
+      // re-enters the batch queue with its flags intact: a secure_only
+      // retry stays secure_only.
+      const unsigned released = revoke_attempt(job_id, event.time);
+      counters_.churn_released_nodes += released;
+      counters_.churn_unreleased_nodes += job.nodes - released;
+    }
+    if (!victims_.empty()) request_cycle(event.time);
+  }
+  if (!churn_scripted_) {
+    const SiteChurnParams& params = churn_params_[site];
+    push_site_event(down ? EventKind::kSiteUp : EventKind::kSiteDown,
+                    event.site,
+                    event.time + churn_streams_[site].exponential(
+                                     1.0 / (down ? params.mttr : params.mtbf)));
+  }
+}
+
 void SimKernel::run(BatchScheduler& scheduler) {
   if (ran_) throw std::logic_error("SimKernel::run called twice");
   ran_ = true;
@@ -271,9 +616,12 @@ void SimKernel::run(BatchScheduler& scheduler) {
   // Capacity hint: the queue holds O(active) events.
   events_.reserve(std::min<std::size_t>(total_jobs_, 1024) + 64);
   // Start order fixes the FIFO tie-break among the initial events:
-  // arrivals first, churn timelines last.
-  ArrivalProcess::start(*this);
-  churn_.start(*this);
+  // arrivals first, churn timelines last. Only the first job is admitted
+  // here; each arrival admits its successor (on_arrival), so at most one
+  // un-arrived job is ever resident. Arrivals use their reserved seq.
+  Event first;
+  if (admit_next(first)) events_.push_reserved(first, first.job);
+  start_churn();
   if (observer_) observer_->on_run_start(*this);
 
   // The loop ends when every job has completed, not when the queue drains:
@@ -296,17 +644,17 @@ void SimKernel::run(BatchScheduler& scheduler) {
     // error.
     switch (event.kind) {
       case EventKind::kJobArrival:
-        ArrivalProcess::handle(*this, event);
+        on_arrival(event);
         break;
       case EventKind::kBatchCycle:
-        batch_.handle(*this, scheduler, event);
+        on_batch_cycle(scheduler, event.time);
         break;
       case EventKind::kJobEnd:
-        SecurityFailureProcess::handle(*this, event);
+        on_job_end(event);
         break;
       case EventKind::kSiteDown:
       case EventKind::kSiteUp:
-        churn_.handle(*this, event);
+        on_site_event(event);
         break;
       case EventKind::kKindCount_:  // sentinel, never queued
         break;

@@ -1,11 +1,13 @@
 // Event-driven simulation kernel: the paper's online model (Fig. 1) as one
-// fixed set of processes — job arrivals, the periodic batch scheduler,
-// Eq. 1 security failures with fail-stop re-scheduling — plus site churn.
-// SimKernel owns the event queue, clock, deterministic FIFO tie-breaking,
-// the shared run state (job slots, sites, attempts, pending queue,
-// counters, site-availability mask) and the two stateful processes (batch
-// cycle, site churn); run() sends each popped event to its process
-// (sim/process/) through one switch over EventKind.
+// class. SimKernel owns the event queue, clock, deterministic FIFO
+// tie-breaking and all run state (job slots, sites, attempts, pending
+// queue, counters, site-availability mask, batch-cycle scratch, churn
+// timelines); run() sends each popped event to a private handler through
+// one switch over EventKind: job arrivals, the periodic batch scheduler,
+// Eq. 1 security failures with fail-stop re-scheduling, and site churn.
+// The scheduler handed to run() is the only extension point. Every
+// mutator is private and observers receive the kernel by const reference,
+// so nothing outside the kernel can steer a run.
 //
 // Jobs come from a workload::JobStream cursor (a job vector is wrapped in
 // workload::MaterializedStream). They are admitted lazily, one arrival
@@ -32,13 +34,10 @@
 #include "sim/exec_model.hpp"
 #include "sim/job.hpp"
 #include "sim/observer.hpp"
-#include "sim/process/arrival_process.hpp"
-#include "sim/process/batch_cycle_process.hpp"
-#include "sim/process/security_failure_process.hpp"
-#include "sim/process/site_churn_process.hpp"
 #include "sim/scheduling.hpp"
 #include "sim/site.hpp"
 #include "util/cancel.hpp"
+#include "util/rng.hpp"
 #include "workload/stream.hpp"
 
 namespace gridsched::sim {
@@ -93,7 +92,7 @@ struct EngineCounters {
   /// is committed to the next job — but surfaced so a zero-node release
   /// is visible instead of silently ignored.
   std::size_t unreleased_nodes = 0;
-  // --- site-churn process ---
+  // --- site churn ---
   /// Attempts revoked because their site went down (per-job counts live in
   /// Job::interruptions).
   std::size_t interrupted_attempts = 0;
@@ -132,9 +131,10 @@ struct Attempt {
 static_assert(sizeof(Attempt) == 40,
               "Attempt must stay 40 bytes (live_pos sits in tail padding)");
 
-/// The kernel: event queue + clock + shared state + the process set.
+/// The kernel: event queue + clock + run state + the event handlers.
 /// Construction validates the grid, the config and the churn script; the
-/// caller attaches an observer (optional) and calls run() once.
+/// caller attaches an observer (optional) and calls run() once. The public
+/// surface beyond that is read-only.
 class SimKernel {
  public:
   /// Pull jobs from `stream` on demand and recycle slots as jobs retire;
@@ -143,11 +143,16 @@ class SimKernel {
   /// nondecreasing, work finite and > 0, nodes > 0, and some site must be
   /// able to run the job safely (O(1) via a precomputed best-security-
   /// per-node-count table). A violation throws std::invalid_argument
-  /// naming the job. `exec_model`: per-(job, site) execution times; a raw
-  /// ETC matrix (rows keyed by stream position) is authoritative, the
+  /// naming the job. `config.batch_interval` must be finite and > 0 and
+  /// `config.lambda` finite and >= 0 (std::invalid_argument naming the
+  /// field otherwise). `exec_model`: per-(job, site) execution times; a
+  /// raw ETC matrix (rows keyed by stream position) is authoritative, the
   /// default is the rank-1 work/speed fallback. `churn`: per-site up/down
-  /// parameters drawn from config.seed (empty, or every entry with
-  /// mtbf/mttr <= 0, queues no churn event) or a scripted outage list.
+  /// parameters drawn from config.seed (entries beyond the site count are
+  /// ignored; an empty list, or entries with mtbf/mttr <= 0, queue no
+  /// churn event) or a scripted outage list, queued in the given order;
+  /// a script with a non-positive-length outage, overlapping outages of
+  /// one site, or a site outside the grid throws std::invalid_argument.
   SimKernel(std::vector<SiteConfig> sites,
             std::unique_ptr<workload::JobStream> stream,
             EngineConfig config = {}, ExecModel exec_model = {},
@@ -165,27 +170,32 @@ class SimKernel {
   /// May be called once (a second call throws std::logic_error).
   void run(BatchScheduler& scheduler);
 
-  // --- shared state, mutable for processes ---
+  /// Attach a passive observer (nullptr detaches). Observers are
+  /// non-owning and must outlive run(). With none attached every notify
+  /// point is a single branch on a null pointer, and observed runs stay
+  /// bit-identical to unobserved ones (observers see a const kernel).
+  void set_observer(KernelObserver* observer) noexcept {
+    observer_ = observer;
+  }
+  [[nodiscard]] KernelObserver* observer() const noexcept { return observer_; }
+
+  // --- run state (read-only) ---
   /// The job slot table: live slots only (recycled slots hold stale
-  /// retired data until reused). Processes address jobs by id via
-  /// job()/attempt(), and per-site scans (churn victims, timeseries busy
-  /// profile) reach slots through live_attempts(site), never by sweeping
-  /// the table.
+  /// retired data until reused). Readers address jobs by id via
+  /// job()/attempt(), and per-site scans (timeseries busy profile) reach
+  /// slots through live_attempts(site), never by sweeping the table.
   [[nodiscard]] const std::vector<Job>& jobs() const noexcept { return jobs_; }
-  [[nodiscard]] std::vector<GridSite>& sites() noexcept { return sites_; }
   [[nodiscard]] const std::vector<GridSite>& sites() const noexcept {
     return sites_;
   }
-  /// Per-slot current attempts, parallel to jobs(). Read-only: attempts
-  /// change only through start_attempt / stop_attempt / revoke_attempt.
+  /// Per-slot current attempts, parallel to jobs(). Attempts change only
+  /// through the private start_attempt / stop_attempt / revoke_attempt.
   [[nodiscard]] const std::vector<Attempt>& attempts() const noexcept {
     return attempts_;
   }
-  [[nodiscard]] std::vector<JobId>& pending() noexcept { return pending_; }
   [[nodiscard]] const std::vector<JobId>& pending() const noexcept {
     return pending_;
   }
-  [[nodiscard]] EngineCounters& counters() noexcept { return counters_; }
   [[nodiscard]] const EngineCounters& counters() const noexcept {
     return counters_;
   }
@@ -199,14 +209,11 @@ class SimKernel {
   [[nodiscard]] std::size_t total_jobs() const noexcept { return total_jobs_; }
   /// Job / attempt by id. Valid for live ids only: admitted and not yet
   /// retired.
-  [[nodiscard]] Job& job(JobId id) noexcept {
-    return jobs_[slot_of_[id & slot_mask_]];
-  }
   [[nodiscard]] const Job& job(JobId id) const noexcept {
-    return jobs_[slot_of_[id & slot_mask_]];
+    return jobs_[slot_of(id)];
   }
   [[nodiscard]] const Attempt& attempt(JobId id) const noexcept {
-    return attempts_[slot_of_[id & slot_mask_]];
+    return attempts_[slot_of(id)];
   }
   /// True once `id` has been folded into the retirement accumulator (its
   /// slot may already belong to another job). Guards stale end events.
@@ -226,16 +233,6 @@ class SimKernel {
   /// scale tests pin this.
   [[nodiscard]] std::size_t peak_slots() const noexcept { return jobs_.size(); }
 
-  /// Admit the next job from the cursor into a slot (validating it) and
-  /// fill `arrival` with its kJobArrival event; false when exhausted.
-  /// Called by ArrivalProcess, one arrival ahead.
-  bool admit_next(Event& arrival);
-
-  /// Advance the retirement frontier over completed jobs (in id order),
-  /// folding each into the accumulator and freeing its slot. Called after
-  /// every completion.
-  void retire_completed();
-
   /// Diagnostic text for runs that end with incomplete jobs: names the
   /// unfinished count, the first few job ids (with their states) and the
   /// simulation time. Shared by the kernel's terminal error and
@@ -245,44 +242,8 @@ class SimKernel {
 
   /// max over jobs of finish time (0 before run / for empty workloads).
   [[nodiscard]] Time makespan() const noexcept { return makespan_; }
-  void observe_finish(Time time) noexcept {
-    makespan_ = makespan_ < time ? time : makespan_;
-  }
-
-  // --- event machinery ---
-  void push_event(Event event) { events_.push(event); }
-  /// Push with a reserved sequence number (arrival events use seq == job
-  /// id; see EventQueue::reserve_seqs).
-  void push_event_reserved(Event event, std::uint64_t seq) {
-    events_.push_reserved(event, seq);
-  }
-
-  /// Schedule the next batch cycle strictly after `now` if none is queued.
-  /// Cycle times derive from an integer cycle index (index *
-  /// batch_interval), never from accumulated floats, so a cycle can never
-  /// land at or before the current time.
-  void request_cycle(Time now);
-  /// BatchCycleProcess acknowledges a fired cycle (clears the queued flag).
-  void cycle_fired() noexcept { cycle_scheduled_ = false; }
-
-  // --- run-state bookkeeping ---
-  [[nodiscard]] bool work_remains() const noexcept {
-    return !pending_.empty() || arrivals_remaining_ > 0 || running_ > 0;
-  }
-  void note_arrival() noexcept { --arrivals_remaining_; }
 
   // --- live-attempt index ---
-  /// Commit `job`'s new attempt and mark it active: the only way an
-  /// attempt becomes active. Links the job's slot into the per-site live
-  /// index (amortised O(1), heap-free once every site's list has reached
-  /// its high-water mark) and returns the stored attempt.
-  const Attempt& start_attempt(JobId job,
-                               const NodeAvailability::Window& window,
-                               double exec, SiteId site, unsigned serial);
-  /// Deactivate `job`'s active attempt (any queued kJobEnd for it becomes
-  /// stale) and unlink it from its site's live list by swap-remove, O(1).
-  /// The only way an attempt stops being active.
-  void stop_attempt(JobId job) noexcept;
   /// Slots (indices into jobs() / attempts()) of the active attempts on
   /// `site`, in no meaningful order — callers that need a deterministic
   /// order must sort by attempt data, never rely on index order.
@@ -296,57 +257,13 @@ class SimKernel {
     return running_;
   }
 
-  /// Deactivate `job`'s current attempt at `now` and return it to the
-  /// pending queue: account the node-seconds actually burned (none for a
-  /// reservation whose window had not started), release the reservation
-  /// tail against the *stored* window end, and mark the job pending. The
-  /// one revocation primitive shared by failure releases and site-down
-  /// revocations — their release accounting must never diverge. Returns
-  /// the reclaimed node count (the caller bumps its own
-  /// released/unreleased counters and requests a cycle).
-  unsigned revoke_attempt(JobId job, Time now);
-
-  // --- site availability mask (owned by the churn process) ---
+  // --- site availability mask (written by the churn handlers) ---
   [[nodiscard]] bool site_usable(std::size_t site) const noexcept {
     return site_up_[site] != 0;
-  }
-  void set_site_up(std::size_t site, bool up) noexcept {
-    site_up_[site] = up ? 1 : 0;
   }
   /// The mask as handed to SchedulerContext (1 = usable).
   [[nodiscard]] const std::vector<std::uint8_t>& site_mask() const noexcept {
     return site_up_;
-  }
-
-  // --- observation (null observer = zero-cost fast path) ---
-  /// Attach a passive observer (nullptr detaches). Observers are
-  /// non-owning and must outlive run(). With none attached every notify
-  /// point is a single branch on a null pointer, and observed runs must
-  /// stay bit-identical to unobserved ones (observers are read-only).
-  void set_observer(KernelObserver* observer) noexcept {
-    observer_ = observer;
-  }
-  [[nodiscard]] KernelObserver* observer() const noexcept { return observer_; }
-
-  /// Notification helpers for processes (null-checked, inline).
-  void notify_dispatch(JobId job, SiteId site,
-                       const NodeAvailability::Window& window, double exec,
-                       unsigned serial) const {
-    if (observer_) observer_->on_dispatch(*this, job, site, window, exec,
-                                          serial);
-  }
-  void notify_job_complete(JobId job, SiteId site, Time time) const {
-    if (observer_) observer_->on_job_complete(*this, job, site, time);
-  }
-  void notify_attempt_failure(JobId job, SiteId site, Time time) const {
-    if (observer_) observer_->on_attempt_failure(*this, job, site, time);
-  }
-  void notify_cycle(Time now, std::size_t batch_jobs, std::size_t assigned,
-                    double scheduler_wall_seconds) const {
-    if (observer_) {
-      observer_->on_cycle(*this, now, batch_jobs, assigned,
-                          scheduler_wall_seconds);
-    }
   }
 
  private:
@@ -357,10 +274,79 @@ class SimKernel {
     std::uint32_t size = 0;
     std::uint32_t capacity = 0;
   };
-  void grow_live_list(LiveList& list);
 
+  [[nodiscard]] std::uint32_t slot_of(JobId id) const noexcept {
+    return slot_of_[id & slot_mask_];
+  }
+  [[nodiscard]] bool work_remains() const noexcept {
+    return !pending_.empty() || arrivals_remaining_ > 0 || running_ > 0;
+  }
+
+  // --- event handlers, one group per EventKind (run() switches) ---
+  /// kJobArrival: queue the job for the next batch cycle and admit its
+  /// successor. Arrival times come from the workload, so no draw here.
+  void on_arrival(const Event& event);
+  /// kBatchCycle: schedule the pending batch (if any) and request the
+  /// next cycle while work remains.
+  void on_batch_cycle(BatchScheduler& scheduler, Time now);
+  /// Snapshot the pending batch, committed availability profiles and site
+  /// mask into the SchedulerContext, invoke the scheduler, validate its
+  /// assignments against the protocol (range, duplicates, site mask, node
+  /// fit, fail-stop rule) and dispatch each.
+  void schedule_batch(BatchScheduler& scheduler, Time now);
+  /// Reserve `site` for `job` no earlier than `now`, draw the Eq. 1
+  /// failure outcome and push the kJobEnd (success at the window end, or
+  /// a failure detection inside it).
+  void dispatch(JobId job, SiteId site, Time now);
+  /// kJobEnd: complete the job, or release the failed reservation and
+  /// re-queue the job as a secure_only retry. Stale ends are dropped.
+  void on_job_end(const Event& event);
+  /// Queue the initial kSiteDown events (none when no site churns).
+  void start_churn();
+  /// kSiteDown / kSiteUp: flip the site mask; a down revokes the site's
+  /// active attempts, and drawn timelines queue the next transition.
+  void on_site_event(const Event& event);
+  void push_site_event(EventKind kind, SiteId site, Time time);
+
+  // --- job admission and retirement ---
+  /// Admit the next job from the cursor into a slot (validating it) and
+  /// fill `arrival` with its kJobArrival event; false when exhausted.
+  bool admit_next(Event& arrival);
   void validate_admitted(const Job& job) const;
   void grow_slot_ring();
+  /// Advance the retirement frontier over completed jobs (in id order),
+  /// folding each into the accumulator and freeing its slot. Called after
+  /// every completion.
+  void retire_completed();
+
+  /// Schedule the next batch cycle strictly after `now` if none is queued.
+  /// Cycle times derive from an integer cycle index (index *
+  /// batch_interval), never from accumulated floats, so a cycle can never
+  /// land at or before the current time.
+  void request_cycle(Time now);
+
+  // --- attempts and the live-attempt index ---
+  /// Commit `job`'s new attempt and mark it active: the only way an
+  /// attempt becomes active. Links the job's slot into the per-site live
+  /// index (amortised O(1), heap-free once every site's list has reached
+  /// its high-water mark) and returns the stored attempt.
+  const Attempt& start_attempt(JobId job,
+                               const NodeAvailability::Window& window,
+                               double exec, SiteId site, unsigned serial);
+  /// Deactivate `job`'s active attempt (any queued kJobEnd for it becomes
+  /// stale) and unlink it from its site's live list by swap-remove, O(1).
+  /// The only way an attempt stops being active.
+  void stop_attempt(JobId job) noexcept;
+  void grow_live_list(LiveList& list);
+  /// Deactivate `job`'s current attempt at `now` and return it to the
+  /// pending queue: account the node-seconds actually burned (none for a
+  /// reservation whose window had not started), release the reservation
+  /// tail against the *stored* window end, and mark the job pending. The
+  /// one revocation primitive shared by failure releases and site-down
+  /// revocations — their release accounting must never diverge. Returns
+  /// the reclaimed node count (the caller bumps its own
+  /// released/unreleased counters and requests a cycle).
+  unsigned revoke_attempt(JobId job, Time now);
 
   std::vector<GridSite> sites_;
   std::vector<Job> jobs_;  ///< slot table (live jobs)
@@ -384,10 +370,35 @@ class SimKernel {
   bool cycle_scheduled_ = false;
   /// 1 + index of the last scheduled batch cycle (see request_cycle).
   std::uint64_t next_cycle_index_ = 0;
-  BatchCycleProcess batch_;
-  SiteChurnProcess churn_;
   KernelObserver* observer_ = nullptr;
   bool ran_ = false;
+
+  // --- batch cycle ---
+  /// Consecutive non-empty cycles that assigned nothing.
+  std::size_t idle_cycles_ = 0;
+  // Persistent cycle scratch: the context snapshot, assignment list and
+  // per-batch-index marks are rebuilt every cycle but keep their heap
+  // buffers, so a steady-state cycle performs no allocations (the
+  // invariants tests pin this with a counting allocator). Site configs,
+  // the execution model and lambda never change mid-run, so the context
+  // captures them once, at the first cycle.
+  SchedulerContext context_;
+  std::vector<Assignment> assignments_;
+  std::vector<std::uint8_t> assigned_;
+  bool context_static_ready_ = false;
+
+  // --- site churn ---
+  std::vector<SiteChurnParams> churn_params_;  ///< drawn mode, per site
+  /// Per-site streams SeedMix(seed).mix("site-churn").mix(site), drawn
+  /// mode only: one site's draws never perturb another's, and nothing
+  /// shares state with the per-(job, attempt) failure hash.
+  std::vector<util::Rng> churn_streams_;
+  std::vector<SiteOutage> churn_script_;  ///< scripted mode, in order
+  bool churn_scripted_ = false;
+  /// Persistent victim scratch (rebuilt per outage; capacity tracks the
+  /// slot table so site-down handling stays heap-free in the steady-state
+  /// loop).
+  std::vector<JobId> victims_;
 
   // --- job identity / streaming state ---
   std::unique_ptr<workload::JobStream> stream_;

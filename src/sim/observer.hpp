@@ -27,7 +27,8 @@ class KernelObserver {
  public:
   virtual ~KernelObserver() = default;
 
-  /// Before the first event is popped (processes already started).
+  /// Before the first event is popped (initial arrival and churn events
+  /// already queued).
   virtual void on_run_start(const SimKernel& kernel) { (void)kernel; }
 
   /// Every event popped from the queue, before it is routed. Stale

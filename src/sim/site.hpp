@@ -28,7 +28,7 @@ struct SiteConfig {
 
 /// Per-site churn-process parameters (exponential up/down alternation).
 /// A site with either field <= 0 never churns; workloads carry one entry
-/// per site (or none at all) and SiteChurnProcess draws the timeline.
+/// per site (or none at all) and SimKernel draws the timeline.
 struct SiteChurnParams {
   double mtbf = 0.0;  ///< mean up-time between failures (seconds)
   double mttr = 0.0;  ///< mean outage duration (seconds)

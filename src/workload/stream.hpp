@@ -1,6 +1,6 @@
 // Streaming workload cursor: pull the next job arrival on demand instead
 // of materialising the whole workload up front. SimKernel drives one of
-// these through ArrivalProcess, holding O(active) job state however many
+// these from its arrival handler, holding O(active) job state however many
 // jobs the stream will eventually yield; the MaterializedStream adapter
 // wraps a pre-built job vector (every non-streaming generator, trace
 // replay) in the same interface.

@@ -1,7 +1,8 @@
 // Synthetic site-churn parameter generation: per-site MTBF/MTTR pairs for
-// the exponential up/down churn process (sim::SiteChurnProcess). Site
-// reliability is heterogeneous in real grids, so each site's means are the
-// configured grid-wide means scaled by an independent uniform factor.
+// the exponential up/down churn process (drawn by sim::SimKernel's churn
+// handlers). Site reliability is heterogeneous in real grids, so each
+// site's means are the configured grid-wide means scaled by an independent
+// uniform factor.
 // Deterministic in (config, rng state) like every other synth component.
 #pragma once
 

@@ -29,7 +29,7 @@ struct SynthConfig {
   SecurityProfile security = SecurityProfile::paper();
   /// Site up/down churn process (disabled by default). When enabled the
   /// generated workload carries per-site MTBF/MTTR parameters and the
-  /// kernel's SiteChurnProcess draws their timelines.
+  /// kernel's churn handlers draw their timelines.
   ChurnConfig churn;
   /// Node counts cycled over the sites ({16, 8, 8} -> site 0 has 16 nodes,
   /// sites 1-2 have 8, site 3 has 16 again, ...). Must be non-empty.

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -114,6 +115,28 @@ TEST(CampaignSpec, ErrorPaths) {
                std::invalid_argument);
   EXPECT_THROW(parse_spec_text(R"({"scenarios": ["psa"],
         "policies": [{"algo": "sufferage", "mode": "risky", "f": 1.0}]})"),
+               std::invalid_argument);
+  // f outside [0, 1]; a NaN f (no JSON spelling, so built in code) fails
+  // both the spec check and the shared entry parser that `gridsched_cli
+  // run` feeds its flags through.
+  EXPECT_THROW(parse_spec_text(R"({"scenarios": ["psa"],
+        "policies": [{"algo": "min-min", "f": 2}]})"),
+               std::invalid_argument);
+  CampaignSpec nan_f = mini_spec();
+  nan_f.policies[0].f = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(nan_f.validate(), std::invalid_argument);
+  using util::json::Members;
+  using util::json::Value;
+  const auto entry = [](double f) {
+    return Value(Members{{"algo", Value(std::string("min-min"))},
+                         {"f", Value(f)}});
+  };
+  EXPECT_DOUBLE_EQ(parse_policy(entry(0.25)).f, 0.25);
+  EXPECT_THROW(parse_policy(entry(std::numeric_limits<double>::quiet_NaN())),
+               std::invalid_argument);
+  EXPECT_THROW(parse_policy(entry(2.0)), std::invalid_argument);
+  EXPECT_THROW(parse_policy(Value(Members{{"algo", Value(std::string("stga"))},
+                                          {"mode", Value(std::string("secure"))}})),
                std::invalid_argument);
   // Duplicate labels need explicit disambiguation.
   EXPECT_THROW(parse_spec_text(R"({"scenarios": ["psa", "psa"],

@@ -272,10 +272,8 @@ TEST(LintR04, SplitMix64OutsidePinnedFilesFires) {
 TEST(LintR04, PinnedFilesAndTestsPass) {
   EXPECT_TRUE(lint_one("src/util/rng.cpp", "SplitMix64 mix(seed);\n")
                   .empty());
-  EXPECT_TRUE(
-      lint_one("src/sim/process/security_failure_process.cpp",
-               "util::SplitMix64 draw(s);\n")
-          .empty());
+  EXPECT_TRUE(lint_one("src/sim/kernel.cpp", "util::SplitMix64 draw(s);\n")
+                  .empty());
   EXPECT_TRUE(lint_one("tests/util_rng_test.cpp",
                        "SplitMix64 a(1); a.mix(\"dup\"); a.mix(\"dup\");\n")
                   .empty());

@@ -100,12 +100,83 @@ TEST(Engine, RejectsEmptySiteList) {
                std::invalid_argument);
 }
 
-TEST(Engine, RejectsNonPositiveInterval) {
-  EngineConfig config;
-  config.batch_interval = 0.0;
-  EXPECT_THROW(SimKernel({{0, 1, 1.0, 1.0}}, std::vector<Job>{}, config),
-               std::invalid_argument);
+// Non-finite fields: an infinite arrival would spin request_cycle's
+// integer cycle search forever, a NaN arrival would leak into the metrics,
+// and non-finite work would surface only as scheduler starvation.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Constructing a kernel with `config` must throw std::invalid_argument
+/// whose text names `field`.
+void expect_config_rejected(const EngineConfig& config,
+                            const std::string& field) {
+  try {
+    SimKernel kernel({{0, 1, 1.0, 1.0}}, std::vector<Job>{}, config);
+    ADD_FAILURE() << "kernel accepted " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
 }
+
+TEST(Engine, RejectsNonPositiveInterval) {
+  // An infinite interval hung request_cycle; NaN surfaced as "scheduler
+  // starved".
+  for (const double interval : {0.0, -1.0, kInf, kNaN}) {
+    EngineConfig config;
+    config.batch_interval = interval;
+    expect_config_rejected(config, "batch_interval");
+  }
+}
+
+TEST(Engine, RejectsNegativeOrNonFiniteLambda) {
+  // A negative or NaN lambda silently switched Eq. 1 off.
+  for (const double lambda : {-1.0, kInf, kNaN}) {
+    EngineConfig config;
+    config.lambda = lambda;
+    expect_config_rejected(config, "lambda");
+  }
+  EngineConfig zero_lambda;
+  zero_lambda.lambda = 0.0;  // no failures at all is a valid model
+  EXPECT_NO_THROW(
+      SimKernel({{0, 1, 1.0, 1.0}}, std::vector<Job>{}, zero_lambda));
+}
+
+// The kernel API is closed: every mutator is private, so only the kernel's
+// own handlers can queue events, activate or revoke attempts, flip the
+// site mask or admit jobs, and an observer holding the kernel cannot
+// steer a run. A requires-expression is unsatisfied by an inaccessible
+// member, so each concept below reads false from outside the class.
+template <class K>
+concept CanPushEvent = requires(K& k, Event e) { k.push_event(e); };
+template <class K>
+concept CanRequestCycle = requires(K& k) { k.request_cycle(Time{}); };
+template <class K>
+concept CanRevokeAttempt = requires(K& k) { k.revoke_attempt(JobId{}, Time{}); };
+template <class K>
+concept CanStartAttempt =
+    requires(K& k, const NodeAvailability::Window& window) {
+      k.start_attempt(JobId{}, window, 1.0, SiteId{}, 1u);
+    };
+template <class K>
+concept CanSetSiteUp = requires(K& k) { k.set_site_up(std::size_t{}, true); };
+template <class K>
+concept CanAdmitNext = requires(K& k, Event e) { k.admit_next(e); };
+template <class K>
+concept CanRun = requires(K& k, BatchScheduler& s) { k.run(s); };
+template <class K>
+concept CanSetObserver = requires(K& k) { k.set_observer(nullptr); };
+
+static_assert(!CanPushEvent<SimKernel>);
+static_assert(!CanRequestCycle<SimKernel>);
+static_assert(!CanRevokeAttempt<SimKernel>);
+static_assert(!CanStartAttempt<SimKernel>);
+static_assert(!CanSetSiteUp<SimKernel>);
+static_assert(!CanAdmitNext<SimKernel>);
+// The concepts are not vacuous: the public entry points satisfy the same
+// form.
+static_assert(CanRun<SimKernel>);
+static_assert(CanSetObserver<SimKernel>);
 
 TEST(Engine, RejectsJobWithoutSafeHome) {
   // Only site has SL 0.7 < demand 0.9: a failure could never be recovered.
@@ -123,12 +194,6 @@ TEST(Engine, RejectsBadJobFields) {
   expect_rejected({make_job(0, 10, 0, 0.5)}, "job 0 nodes");
   expect_rejected({make_job(-1, 10, 1, 0.5)}, "job 0 arrival");
 }
-
-// Non-finite fields: an infinite arrival would spin request_cycle's
-// integer cycle search forever, a NaN arrival would leak into the metrics,
-// and non-finite work would surface only as scheduler starvation.
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(Engine, RejectsInfiniteArrival) {
   expect_rejected({make_job(kInf, 10, 1, 0.5)}, "job 0 arrival");

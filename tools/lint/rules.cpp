@@ -315,8 +315,7 @@ void rule_r04(const std::vector<LintFile>& files,
   static constexpr std::string_view kSplitMixAllowed[] = {
       "src/util/rng.hpp",
       "src/util/rng.cpp",
-      "src/sim/process/security_failure_process.cpp",
-      "src/sim/process/security_failure_process.hpp",
+      "src/sim/kernel.cpp",
   };
   struct Use {
     const LintFile* file;
