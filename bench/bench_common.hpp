@@ -1,5 +1,5 @@
 // Shared plumbing for the bench binaries: flag parsing, the banner and the
-// BENCH_*.json emission helpers (one ordered-key writer instead of
+// BENCH_*.json rendering helpers (one ordered-key writer instead of
 // per-binary fprintf blocks). Every binary runs with no arguments; flags
 // let you scale the experiment (--reps, --seed, --f, --quick, ...). The
 // paper's tables and figures are campaign specs, not binaries: see
@@ -113,26 +113,6 @@ inline std::string json_array(const std::vector<std::string>& items) {
   }
   out += items.empty() ? "]" : "\n]";
   return out;
-}
-
-/// Write a top-level bench document (JsonObject::document() layout).
-/// Returns false (after printing to stderr) when the file cannot be
-/// written — bench mains exit nonzero on it.
-inline bool write_bench_json(const std::string& path,
-                             const JsonObject& document) {
-  const std::string body = document.document();
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const std::size_t written = std::fwrite(body.data(), 1, body.size(), out);
-  std::fclose(out);
-  if (written != body.size()) {
-    std::fprintf(stderr, "short write to %s\n", path.c_str());
-    return false;
-  }
-  return true;
 }
 
 /// Peak resident set size in MiB — the footer figure bench_decode and

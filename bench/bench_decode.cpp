@@ -339,7 +339,12 @@ int main(int argc, char** argv) {
                    .num("profile_overhead_pct", overhead_pct, 2)
                    .integer("peak_rss_bytes", obs::peak_rss_bytes())
                    .str());
-  if (!bench::write_bench_json(out_path, document)) return 1;
+  try {
+    util::write_file(out_path, document.document());
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
+  }
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -201,7 +201,12 @@ int main(int argc, char** argv) {
           .raw("scenarios", bench::json_array(scenario_rows))
           .raw("builds", bench::json_array(build_rows))
           .integer("peak_rss_bytes", obs::peak_rss_bytes());
-  if (!bench::write_bench_json(out_path, document)) return 1;
+  try {
+    util::write_file(out_path, document.document());
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
+  }
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -75,13 +75,18 @@ int main(int argc, char** argv) {
   // is byte-stable); they live on the human-facing footer only.
   std::printf("peak RSS: %.1f MiB\n", bench::peak_rss_mib());
 
-  if (const auto path = cli.get("out-json")) {
-    exp::campaign::write_file(*path, exp::campaign::render_json(result));
-    std::printf("wrote %s\n", path->c_str());
-  }
-  if (const auto path = cli.get("profile")) {
-    exp::campaign::write_file(*path, exp::campaign::render_profile(result));
-    std::printf("wrote %s\n", path->c_str());
+  try {
+    if (const auto path = cli.get("out-json")) {
+      util::write_file(*path, exp::campaign::render_json(result));
+      std::printf("wrote %s\n", path->c_str());
+    }
+    if (const auto path = cli.get("profile")) {
+      util::write_file(*path, exp::campaign::render_profile(result));
+      std::printf("wrote %s\n", path->c_str());
+    }
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
   }
   return 0;
 }

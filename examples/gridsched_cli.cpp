@@ -25,7 +25,8 @@
 //             the f-risky cutoff and both GAs' pfail matrix use the same
 //             value. --trace-events writes
 //             a Chrome trace_event JSON timeline (chrome://tracing /
-//             Perfetto), --metrics a kernel metric snapshot, --ga-profile
+//             Perfetto), --metrics the kernel metric snapshot
+//             (README "Kernel metrics"), --ga-profile
 //             per-generation GA convergence profiles (GA algos only).
 //             --timeseries samples deterministic sim-time telemetry
 //             (queue depth, in-flight attempts, busy fractions, outcome
@@ -61,7 +62,10 @@
 // --scenario accepts any name from exp::scenario_names() ("nas", "psa",
 // "synth-inconsistent-hihi", ...). The older --kind=nas|psa spelling is
 // kept as an alias. The global --log-level=debug|info|warn|error|off flag
-// (default: info) controls stderr diagnostics.
+// (default: info) controls stderr diagnostics. Every file written here
+// (traces, snapshots, series, profiles, campaign artifacts) goes through
+// util::write_file: one that cannot be written in full exits 1 naming
+// the path.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -213,15 +217,11 @@ int cmd_run(const util::Cli& cli) {
   const double timeseries_interval =
       cli.get_or("timeseries-interval", 1000.0);
   obs::SimTraceRecorder trace_recorder;
-  obs::MetricRegistry registry;
-  std::unique_ptr<obs::KernelMetricsObserver> metrics_observer;
+  obs::KernelMetricsObserver metrics_observer;
   std::unique_ptr<obs::TimeSeriesProbe> timeseries_probe;
   sim::KernelObserverTee tee;
   if (trace_events_path) tee.add(&trace_recorder);
-  if (metrics_path) {
-    metrics_observer = std::make_unique<obs::KernelMetricsObserver>(registry);
-    tee.add(metrics_observer.get());
-  }
+  if (metrics_path) tee.add(&metrics_observer);
   if (timeseries_path || timeseries_csv_path) {
     timeseries_probe =
         std::make_unique<obs::TimeSeriesProbe>(timeseries_interval);
@@ -231,17 +231,15 @@ int cmd_run(const util::Cli& cli) {
   std::vector<core::GaProfile> ga_profiles;
   const auto write_observability = [&] {
     if (timeseries_path) {
-      obs::write_timeseries_file(
-          *timeseries_path,
-          obs::render_timeseries_json(timeseries_probe->series()));
+      util::write_file(*timeseries_path, obs::render_timeseries_json(
+                                             timeseries_probe->series()));
       GS_LOG_INFO("wrote %zu telemetry samples to %s",
                   timeseries_probe->series().samples.size(),
                   timeseries_path->c_str());
     }
     if (timeseries_csv_path) {
-      obs::write_timeseries_file(
-          *timeseries_csv_path,
-          obs::render_timeseries_csv(timeseries_probe->series()));
+      util::write_file(*timeseries_csv_path, obs::render_timeseries_csv(
+                                                 timeseries_probe->series()));
       GS_LOG_INFO("wrote telemetry CSV to %s", timeseries_csv_path->c_str());
     }
     if (trace_events_path) {
@@ -250,16 +248,16 @@ int cmd_run(const util::Cli& cli) {
       if (timeseries_probe != nullptr) {
         trace_recorder.merge_counters(timeseries_probe->series());
       }
-      trace_recorder.write_file(*trace_events_path);
+      util::write_file(*trace_events_path, trace_recorder.render() + "\n");
       GS_LOG_INFO("wrote %zu trace events to %s", trace_recorder.size(),
                   trace_events_path->c_str());
     }
     if (metrics_path) {
-      registry.write_snapshot(*metrics_path);
+      util::write_file(*metrics_path, metrics_observer.snapshot_json() + "\n");
       GS_LOG_INFO("wrote metric snapshot to %s", metrics_path->c_str());
     }
     if (ga_profile_path) {
-      obs::write_ga_profiles(*ga_profile_path, ga_profiles);
+      util::write_file(*ga_profile_path, obs::render_ga_profiles(ga_profiles));
       GS_LOG_INFO("wrote %zu GA profile(s) to %s", ga_profiles.size(),
                   ga_profile_path->c_str());
     }
@@ -418,16 +416,15 @@ int cmd_campaign(const util::Cli& cli) {
   // BENCH_ga_decode.json); --out-json= overrides the path.
   const std::string out_json =
       cli.get_or("out-json", spec.name + "_campaign.json");
-  exp::campaign::write_file(out_json, exp::campaign::render_json(result));
+  util::write_file(out_json, exp::campaign::render_json(result));
   if (const auto csv_path = cli.get("out-csv")) {
-    exp::campaign::write_file(*csv_path, exp::campaign::render_csv(result));
+    util::write_file(*csv_path, exp::campaign::render_csv(result));
   }
   // The wall-clock profile is a deliberately separate artifact: the
   // aggregate above stays byte-stable, the sidecar carries timing.
   const auto profile_path = cli.get("profile");
   if (profile_path) {
-    exp::campaign::write_file(*profile_path,
-                              exp::campaign::render_profile(result));
+    util::write_file(*profile_path, exp::campaign::render_profile(result));
   }
   GS_LOG_INFO("wrote %s", out_json.c_str());
   if (profile_path) GS_LOG_INFO("wrote %s", profile_path->c_str());

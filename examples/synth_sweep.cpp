@@ -13,7 +13,6 @@
 //   ./synth_sweep [--jobs=400] [--sites=16] [--algo=min-min] [--seed=11]
 //                 [--reps=1] [--threads=0] [--csv=synth_sweep.csv]
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -141,8 +140,12 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.str().c_str());
 
   if (const auto path = cli.get("csv")) {
-    std::ofstream out(*path);
-    out << table.csv();
+    try {
+      util::write_file(*path, table.csv());
+    } catch (const std::runtime_error& error) {
+      std::fprintf(stderr, "error: %s\n", error.what());
+      return 1;
+    }
     std::printf("wrote %s\n", path->c_str());
   }
   return 0;

@@ -2,13 +2,13 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
 
 #include "obs/timeseries.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -300,19 +300,11 @@ void write_timeseries_dir(const CampaignResult& result,
   }
   for (const CellResult& cell : result.cells) {
     if (cell.series == nullptr) continue;
-    obs::write_timeseries_file(
-        dir + "/" + timeseries_cell_filename(result, cell),
-        obs::render_timeseries_json(*cell.series));
+    util::write_file(dir + "/" + timeseries_cell_filename(result, cell),
+                     obs::render_timeseries_json(*cell.series));
   }
-  write_file(dir + "/aggregate.json",
-             render_series_aggregate_json(result));
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot create file: " + path);
-  out << text;
-  if (!out.good()) throw std::runtime_error("failed writing file: " + path);
+  util::write_file(dir + "/aggregate.json",
+                   render_series_aggregate_json(result));
 }
 
 }  // namespace gridsched::exp::campaign

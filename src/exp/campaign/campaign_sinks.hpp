@@ -2,7 +2,7 @@
 // CSV (one row per group x metric — tidy data for plotting), and a
 // byte-stable JSON artifact suitable for committing next to the bench
 // JSON. The renderers are pure functions of the result; callers print
-// them or put them on disk with write_file.
+// them or put them on disk with util::write_file.
 //
 // Stability contract: render_json() emits only deterministic fields —
 // spec echo, per-group aggregates of deterministic metrics, per-cell
@@ -52,9 +52,5 @@ std::string render_series_aggregate_json(const CampaignResult& result);
 /// series and are skipped. Throws std::runtime_error on I/O failure.
 void write_timeseries_dir(const CampaignResult& result,
                           const std::string& dir);
-
-/// Write `text` to `path` (created/truncated). Throws std::runtime_error
-/// when the file cannot be written.
-void write_file(const std::string& path, const std::string& text);
 
 }  // namespace gridsched::exp::campaign

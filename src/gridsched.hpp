@@ -22,7 +22,6 @@
 #include "metrics/metrics.hpp"      // IWYU pragma: export
 #include "obs/ga_profile_json.hpp"  // IWYU pragma: export
 #include "obs/kernel_metrics.hpp"   // IWYU pragma: export
-#include "obs/metric_registry.hpp"  // IWYU pragma: export
 #include "obs/proc_stats.hpp"       // IWYU pragma: export
 #include "obs/timeseries.hpp"       // IWYU pragma: export
 #include "obs/trace_event.hpp"      // IWYU pragma: export
@@ -36,6 +35,7 @@
 #include "sim/scheduling.hpp"       // IWYU pragma: export
 #include "util/cancel.hpp"          // IWYU pragma: export
 #include "util/cli.hpp"             // IWYU pragma: export
+#include "util/file.hpp"            // IWYU pragma: export
 #include "util/json.hpp"            // IWYU pragma: export
 #include "util/log.hpp"             // IWYU pragma: export
 #include "util/rng.hpp"             // IWYU pragma: export

@@ -1,8 +1,6 @@
 #include "obs/ga_profile_json.hpp"
 
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "util/json.hpp"
 
@@ -32,14 +30,6 @@ std::string render_ga_profiles(const std::vector<core::GaProfile>& profiles) {
   out << "  ]\n";
   out << "}\n";
   return out.str();
-}
-
-void write_ga_profiles(const std::string& path,
-                       const std::vector<core::GaProfile>& profiles) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot create file: " + path);
-  out << render_ga_profiles(profiles);
-  if (!out.good()) throw std::runtime_error("failed writing file: " + path);
 }
 
 }  // namespace gridsched::obs

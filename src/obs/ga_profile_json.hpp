@@ -17,9 +17,4 @@ namespace gridsched::obs {
 /// with a trailing newline.
 std::string render_ga_profiles(const std::vector<core::GaProfile>& profiles);
 
-/// render_ga_profiles() written to `path`; throws std::runtime_error on
-/// I/O failure.
-void write_ga_profiles(const std::string& path,
-                       const std::vector<core::GaProfile>& profiles);
-
 }  // namespace gridsched::obs

@@ -1,8 +1,11 @@
 #include "obs/kernel_metrics.hpp"
 
-#include <array>
+#include <algorithm>
+#include <string_view>
+#include <utility>
 
 #include "sim/kernel.hpp"
+#include "util/json.hpp"
 
 namespace gridsched::obs {
 
@@ -10,7 +13,7 @@ namespace {
 
 /// A `kernel.*` counter and the kernel tally it reports.
 struct CounterSource {
-  const char* name;
+  std::string_view name;
   std::size_t (*read)(const sim::SimKernel& kernel);
 };
 
@@ -19,21 +22,27 @@ std::size_t popped(const sim::SimKernel& kernel) {
   return kernel.counters().events_of(kKind);
 }
 
+// Sorted by name: the snapshot lists the counters in table order.
 constexpr std::array<CounterSource, 10> kCounterSources = {{
-    {"kernel.events.arrival", popped<sim::EventKind::kJobArrival>},
-    {"kernel.events.batch_cycle", popped<sim::EventKind::kBatchCycle>},
-    {"kernel.events.job_end", popped<sim::EventKind::kJobEnd>},
-    {"kernel.events.site_down", popped<sim::EventKind::kSiteDown>},
-    {"kernel.events.site_up", popped<sim::EventKind::kSiteUp>},
+    {"kernel.completions",
+     [](const sim::SimKernel& kernel) {
+       return kernel.counters().completed_jobs;
+     }},
+    // Scheduler calls: one per non-empty batch cycle.
+    {"kernel.cycles",
+     [](const sim::SimKernel& kernel) {
+       return kernel.counters().batch_invocations;
+     }},
     // Every dispatch is one attempt of a job that has since retired.
     {"kernel.dispatches",
      [](const sim::SimKernel& kernel) {
        return kernel.retirement().total_attempts();
      }},
-    {"kernel.completions",
-     [](const sim::SimKernel& kernel) {
-       return kernel.counters().completed_jobs;
-     }},
+    {"kernel.events.arrival", popped<sim::EventKind::kJobArrival>},
+    {"kernel.events.batch_cycle", popped<sim::EventKind::kBatchCycle>},
+    {"kernel.events.job_end", popped<sim::EventKind::kJobEnd>},
+    {"kernel.events.site_down", popped<sim::EventKind::kSiteDown>},
+    {"kernel.events.site_up", popped<sim::EventKind::kSiteUp>},
     {"kernel.failures",
      [](const sim::SimKernel& kernel) {
        return kernel.counters().failure_events;
@@ -44,30 +53,11 @@ constexpr std::array<CounterSource, 10> kCounterSources = {{
        return kernel.counters().failure_events +
               kernel.counters().interrupted_attempts;
      }},
-    // Scheduler calls: one per non-empty batch cycle.
-    {"kernel.cycles",
-     [](const sim::SimKernel& kernel) {
-       return kernel.counters().batch_invocations;
-     }},
 }};
+static_assert(std::ranges::is_sorted(kCounterSources, {},
+                                     &CounterSource::name));
 
 }  // namespace
-
-KernelMetricsObserver::KernelMetricsObserver(MetricRegistry& registry)
-    : registry_(registry),
-      batch_jobs_(registry.histogram("kernel.batch_jobs", 0.0, 256.0, 32)),
-      batch_assigned_(
-          registry.histogram("kernel.batch_assigned", 0.0, 256.0, 32)),
-      attempt_exec_seconds_(
-          registry.histogram("kernel.attempt_exec_seconds", 0.0, 50000.0, 50)),
-      job_response_seconds_(registry.histogram("kernel.job_response_seconds",
-                                               0.0, 100000.0, 50)),
-      makespan_(registry.gauge("kernel.makespan")),
-      scheduler_seconds_(registry.gauge("kernel.scheduler_seconds")) {
-  for (const CounterSource& source : kCounterSources) {
-    registry.counter(source.name);
-  }
-}
 
 void KernelMetricsObserver::on_dispatch(
     const sim::SimKernel& kernel, sim::JobId job, sim::SiteId site,
@@ -100,13 +90,67 @@ void KernelMetricsObserver::on_cycle(const sim::SimKernel& kernel,
 }
 
 void KernelMetricsObserver::on_run_end(const sim::SimKernel& kernel) {
-  for (const CounterSource& source : kCounterSources) {
-    registry_.counter(source.name).inc(source.read(kernel));
+  static_assert(kCounterSources.size() == kCounters);
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    counters_[i] += kCounterSources[i].read(kernel);
   }
-  makespan_.set(kernel.makespan());
-  // The one wall-clock (non-deterministic) value in the registry; see the
+  makespan_ = kernel.makespan();
+  // The one wall-clock (non-deterministic) value in the snapshot; see the
   // README determinism note.
-  scheduler_seconds_.set(kernel.counters().scheduler_seconds);
+  scheduler_seconds_ = kernel.counters().scheduler_seconds;
+}
+
+std::string KernelMetricsObserver::snapshot_json() const {
+  using util::json::number;
+  using util::json::quote;
+
+  std::string out = "{\n  \"counters\": {";
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    out += i == 0 ? "\n" : ",\n";
+    out += "    " + quote(kCounterSources[i].name) + ": " +
+           std::to_string(counters_[i]);
+  }
+  out += "\n  },\n";
+
+  out += "  \"gauges\": {\n";
+  out += "    \"kernel.makespan\": " + number(makespan_) + ",\n";
+  out += "    \"kernel.scheduler_seconds\": " + number(scheduler_seconds_);
+  out += "\n  },\n";
+
+  out += "  \"histograms\": {";
+  const std::pair<std::string_view, const Distribution*> histograms[] = {
+      {"kernel.attempt_exec_seconds", &attempt_exec_seconds_},
+      {"kernel.batch_assigned", &batch_assigned_},
+      {"kernel.batch_jobs", &batch_jobs_},
+      {"kernel.job_response_seconds", &job_response_seconds_},
+  };
+  bool first = true;
+  for (const auto& [name, distribution] : histograms) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    const util::Histogram& h = distribution->histogram;
+    const util::RunningStats& s = distribution->stats;
+    out += "    " + quote(name) + ": {";
+    out += "\"lo\": " + number(h.lo());
+    out += ", \"hi\": " + number(h.hi());
+    out += ", \"count\": " + std::to_string(h.total());
+    out += ", \"underflow\": " + std::to_string(h.underflow());
+    out += ", \"overflow\": " + std::to_string(h.overflow());
+    if (s.count() > 0) {
+      out += ", \"mean\": " + number(s.mean());
+      out += ", \"min\": " + number(s.min());
+      out += ", \"max\": " + number(s.max());
+      out += ", \"stddev\": " + number(s.stddev());
+    }
+    out += ", \"buckets\": [";
+    for (std::size_t b = 0; b < h.bucket_count(); ++b) {
+      if (b != 0) out += ", ";
+      out += std::to_string(h.count(b));
+    }
+    out += "]}";
+  }
+  out += "\n  }\n}";
+  return out;
 }
 
 }  // namespace gridsched::obs

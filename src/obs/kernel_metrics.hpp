@@ -1,27 +1,28 @@
-// KernelObserver that feeds a MetricRegistry: per-event-kind counters,
-// dispatch/completion/failure/revocation counts, batch-size and latency
-// histograms, end-of-run gauges. The counters are read from the kernel's
-// own tallies (EngineCounters and the retirement accumulator) when the
-// run ends; only the four histograms observe per callback. Metric names
-// are part of the public observability surface — see the README
-// "Observability" table before renaming any.
+// KernelObserver that collects the kernel metric snapshot: per-event-kind
+// counters, dispatch/completion/failure/revocation counts, batch-size and
+// latency histograms, end-of-run gauges. The counters are read from the
+// kernel's own tallies (EngineCounters and the retirement accumulator)
+// when the run ends; only the four histograms observe per callback.
+// Metric names are part of the public observability surface — see the
+// README "Kernel metrics" table before renaming any.
 #pragma once
 
-#include "obs/metric_registry.hpp"
+#include <array>
+#include <cstdint>
+#include <string>
+
 #include "sim/observer.hpp"
+#include "util/histogram.hpp"
+#include "util/stats.hpp"
 
 namespace gridsched::obs {
 
-/// Collects kernel metrics into a caller-owned registry. Every name is
-/// registered at construction, so a snapshot lists all of them even
-/// before a run ends. Every recorded value except the
-/// `kernel.scheduler_seconds` gauge is a pure function of the simulation
-/// — snapshots of deterministic runs are byte-stable apart from that one
-/// gauge.
+/// Collects the fixed set of kernel metrics: 10 counters, 2 gauges and 4
+/// histograms. Every recorded value except the `kernel.scheduler_seconds`
+/// gauge is a pure function of the simulation — snapshots of
+/// deterministic runs are byte-stable apart from that one gauge.
 class KernelMetricsObserver final : public sim::KernelObserver {
  public:
-  explicit KernelMetricsObserver(MetricRegistry& registry);
-
   void on_dispatch(const sim::SimKernel& kernel, sim::JobId job,
                    sim::SiteId site,
                    const sim::NodeAvailability::Window& window, double exec,
@@ -33,14 +34,36 @@ class KernelMetricsObserver final : public sim::KernelObserver {
                 double scheduler_wall_seconds) override;
   void on_run_end(const sim::SimKernel& kernel) override;
 
+  /// Deterministic JSON snapshot (no trailing newline): one object with
+  /// "counters", "gauges" and "histograms" members, metric names in
+  /// lexicographic order, numbers in util::json::number form. Lists every
+  /// metric even before a run ends.
+  [[nodiscard]] std::string snapshot_json() const;
+
  private:
-  MetricRegistry& registry_;
-  HistogramMetric& batch_jobs_;
-  HistogramMetric& batch_assigned_;
-  HistogramMetric& attempt_exec_seconds_;
-  HistogramMetric& job_response_seconds_;
-  Gauge& makespan_;
-  Gauge& scheduler_seconds_;
+  /// Fixed-range distribution: bucketed counts plus exact streaming
+  /// moments, so the snapshot reports both shape and mean/min/max/stddev
+  /// without retaining samples.
+  struct Distribution {
+    util::Histogram histogram;
+    util::RunningStats stats;
+
+    void observe(double x) noexcept {
+      histogram.add(x);
+      stats.add(x);
+    }
+  };
+
+  static constexpr std::size_t kCounters = 10;
+
+  std::array<std::uint64_t, kCounters> counters_{};  ///< sorted by name
+  double makespan_ = 0.0;
+  double scheduler_seconds_ = 0.0;
+  Distribution attempt_exec_seconds_{util::Histogram(0.0, 50000.0, 50), {}};
+  Distribution batch_assigned_{util::Histogram(0.0, 256.0, 32), {}};
+  Distribution batch_jobs_{util::Histogram(0.0, 256.0, 32), {}};
+  Distribution job_response_seconds_{util::Histogram(0.0, 100000.0, 50),
+                                     {}};
 };
 
 }  // namespace gridsched::obs

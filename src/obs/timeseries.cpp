@@ -1,7 +1,6 @@
 #include "obs/timeseries.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "sim/kernel.hpp"
@@ -146,20 +145,6 @@ std::string render_timeseries_csv(const TimeSeries& series) {
     out += "\n";
   }
   return out;
-}
-
-void write_timeseries_file(const std::string& path,
-                           const std::string& content) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw std::runtime_error("timeseries: cannot write " + path);
-  }
-  const std::size_t written =
-      std::fwrite(content.data(), 1, content.size(), file);
-  std::fclose(file);
-  if (written != content.size()) {
-    throw std::runtime_error("timeseries: short write to " + path);
-  }
 }
 
 }  // namespace gridsched::obs

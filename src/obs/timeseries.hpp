@@ -88,9 +88,4 @@ std::string render_timeseries_json(const TimeSeries& series);
 /// CSV with a header row matching timeseries_columns(). Byte-stable.
 std::string render_timeseries_csv(const TimeSeries& series);
 
-/// Write `content` rendered by one of the exporters above; throws
-/// std::runtime_error on I/O failure.
-void write_timeseries_file(const std::string& path,
-                           const std::string& content);
-
 }  // namespace gridsched::obs

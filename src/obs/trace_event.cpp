@@ -1,7 +1,5 @@
 #include "obs/trace_event.hpp"
 
-#include <cstdio>
-#include <stdexcept>
 
 #include "obs/timeseries.hpp"
 #include "sim/kernel.hpp"
@@ -216,19 +214,6 @@ std::string SimTraceRecorder::render() const {
   }
   out += events_.empty() ? "]}" : "\n]}";
   return out;
-}
-
-void SimTraceRecorder::write_file(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw std::runtime_error("SimTraceRecorder: cannot write " + path);
-  }
-  const std::string body = render() + "\n";
-  const std::size_t written = std::fwrite(body.data(), 1, body.size(), file);
-  std::fclose(file);
-  if (written != body.size()) {
-    throw std::runtime_error("SimTraceRecorder: short write to " + path);
-  }
 }
 
 }  // namespace gridsched::obs

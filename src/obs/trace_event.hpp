@@ -52,16 +52,12 @@ class SimTraceRecorder final : public sim::KernelObserver {
   /// Perfetto draws load curves ("kernel load", "sites up", "outcomes")
   /// under the span tracks. The series carries simulated time only, so
   /// the merged trace stays byte-deterministic. Call once, after the run
-  /// and before render()/write_file().
+  /// and before render().
   void merge_counters(const TimeSeries& series);
 
   /// The complete trace document:
   /// {"displayTimeUnit": "ms", "traceEvents": [...]}.
   [[nodiscard]] std::string render() const;
-
-  /// render() + trailing newline to `path`; throws std::runtime_error on
-  /// I/O failure.
-  void write_file(const std::string& path) const;
 
  private:
   struct OpenAttempt {

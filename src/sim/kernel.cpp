@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -233,9 +234,19 @@ void SimKernel::request_cycle(Time now) {
   // floor(now/interval) + 1 can round to a cycle at (or before) `now`
   // itself, so the index is corrected against the derived times and kept
   // monotone across calls before any event is pushed.
-  std::uint64_t index = static_cast<std::uint64_t>(std::max(
-                            0.0, std::floor(now / config_.batch_interval))) +
-                        1;
+  const double quotient =
+      std::max(0.0, std::floor(now / config_.batch_interval));
+  // Below 2^53 every cycle index is exact in a double. Past it the search
+  // cannot step to a later cycle, and past 2^64 the cast is undefined.
+  if (!(quotient < 0x1p53)) {
+    char text[160];
+    std::snprintf(text, sizeof text,
+                  "SimKernel: batch_interval %g is too small at sim time now "
+                  "= %g (now / batch_interval must stay below 2^53)",
+                  config_.batch_interval, now);
+    throw std::invalid_argument(text);
+  }
+  std::uint64_t index = static_cast<std::uint64_t>(quotient) + 1;
   while (index > 1 && static_cast<double>(index - 1) * config_.batch_interval >
                           now) {
     --index;

@@ -1,7 +1,6 @@
 #include "util/histogram.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 namespace gridsched::util {
@@ -25,32 +24,6 @@ void Histogram::add(double x) noexcept {
     bucket = std::min(bucket, counts_.size() - 1);  // FP edge at hi boundary
     ++counts_[bucket];
   }
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  if (bucket >= counts_.size()) throw std::out_of_range("Histogram::bucket_lo");
-  return lo_ + bucket_width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return bucket_lo(bucket) + bucket_width_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  const std::size_t peak = counts_.empty()
-      ? 0
-      : *std::max_element(counts_.begin(), counts_.end());
-  std::string out;
-  char line[160];
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const std::size_t bar = peak ? counts_[b] * width / peak : 0;
-    std::snprintf(line, sizeof(line), "[%12.4g, %12.4g) %8zu ",
-                  bucket_lo(b), bucket_hi(b), counts_[b]);
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace gridsched::util

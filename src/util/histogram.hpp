@@ -1,8 +1,8 @@
-// Fixed-range linear histogram, used for workload validation and reports.
+// Fixed-range linear histogram: the bucketed shape behind the kernel
+// metric snapshot's distributions.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace gridsched::util {
@@ -14,6 +14,8 @@ class Histogram {
 
   void add(double x) noexcept;
 
+  [[nodiscard]] double lo() const noexcept { return lo_; }
+  [[nodiscard]] double hi() const noexcept { return hi_; }
   [[nodiscard]] std::size_t bucket_count() const noexcept {
     return counts_.size();
   }
@@ -23,11 +25,6 @@ class Histogram {
   [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
   [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bucket_lo(std::size_t bucket) const;
-  [[nodiscard]] double bucket_hi(std::size_t bucket) const;
-
-  /// ASCII bar rendering, one bucket per line.
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
 
  private:
   double lo_;

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/file.hpp"
+
 namespace gridsched::workload {
 
 namespace {
@@ -15,12 +17,6 @@ std::ifstream open_input(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open trace file: " + path);
   return in;
-}
-
-std::ofstream open_output(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot create trace file: " + path);
-  return out;
 }
 
 [[noreturn]] void parse_error(std::size_t line_no, const std::string& line) {
@@ -68,8 +64,9 @@ void write_jobs(std::ostream& out, const std::vector<sim::Job>& jobs,
 
 void write_jobs_file(const std::string& path, const std::vector<sim::Job>& jobs,
                      const sim::ExecModel& exec) {
-  auto out = open_output(path);
+  std::ostringstream out;
   write_jobs(out, jobs, exec);
+  util::write_file(path, out.str());
 }
 
 JobsTrace read_jobs_trace(std::istream& in) {
@@ -169,8 +166,9 @@ void write_sites(std::ostream& out, const std::vector<sim::SiteConfig>& sites) {
 
 void write_sites_file(const std::string& path,
                       const std::vector<sim::SiteConfig>& sites) {
-  auto out = open_output(path);
+  std::ostringstream out;
   write_sites(out, sites);
+  util::write_file(path, out.str());
 }
 
 std::vector<sim::SiteConfig> read_sites(std::istream& in) {

@@ -4,6 +4,7 @@
 #include "exp/campaign/campaign_spec.hpp"
 #include "exp/scenario.hpp"
 #include "obs/timeseries.hpp"
+#include "util/file.hpp"
 #include "workload/synth/synth.hpp"
 
 #include <gtest/gtest.h>
@@ -506,8 +507,8 @@ TEST(CampaignSinks, WriteFileWritesRenderedArtifacts) {
   const CampaignResult result = CampaignRunner(options).run(mini_spec());
   const std::string json_path = testing::TempDir() + "campaign_sink.json";
   const std::string csv_path = testing::TempDir() + "campaign_sink.csv";
-  write_file(json_path, render_json(result));
-  write_file(csv_path, render_csv(result));
+  util::write_file(json_path, render_json(result));
+  util::write_file(csv_path, render_csv(result));
   const auto read = [](const std::string& path) {
     std::ifstream in(path);
     return std::string(std::istreambuf_iterator<char>(in), {});
@@ -519,8 +520,6 @@ TEST(CampaignSinks, WriteFileWritesRenderedArtifacts) {
             "scenario,policy,metric,count,mean,stddev,ci95");
   EXPECT_EQ(util::json::parse_file(json_path).at("campaign").as_string(),
             "mini");
-  EXPECT_THROW(write_file(testing::TempDir() + "no-such-dir/x.json", "{}"),
-               std::runtime_error);
 }
 
 // ------------------------------------------------------------- timeseries ---

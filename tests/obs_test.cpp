@@ -1,5 +1,5 @@
-// Observability-layer tests: metric registry snapshot stability and
-// collision rules, kernel observer callback order against a hand-checked
+// Observability-layer tests: kernel metric snapshot stability and
+// order, kernel observer callback order against a hand-checked
 // churn timeline, trace-JSON byte determinism, the null-observer /
 // attached-observer bit-identity guarantee, GA convergence-profile
 // invariants, the observer tee, and the kernel's counts against an
@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <utility>
 #include <string>
 #include <vector>
@@ -22,12 +23,12 @@
 #include "exp/scenario_registry.hpp"
 #include "obs/ga_profile_json.hpp"
 #include "obs/kernel_metrics.hpp"
-#include "obs/metric_registry.hpp"
 #include "obs/proc_stats.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace_event.hpp"
 #include "sim/kernel.hpp"
 #include "sim/observer.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "workload/stream.hpp"
 
@@ -113,52 +114,55 @@ SimKernel churn_timeline_kernel() {
                    std::vector<sim::SiteOutage>{{0, 100.0, 120.0}});
 }
 
-// ------------------------------------------------------------- registry ---
+// -------------------------------------------------------------- metrics ---
 
-TEST(MetricRegistry, SnapshotIsStableAndSorted) {
-  const auto drive = [](obs::MetricRegistry& registry) {
-    registry.counter("b.count").inc(3);
-    registry.counter("a.count").inc();
-    registry.gauge("z.gauge").set(2.5);
-    auto& histogram = registry.histogram("m.hist", 0.0, 10.0, 4);
-    histogram.observe(1.0);
-    histogram.observe(9.5);
-    histogram.observe(42.0);  // overflow bucket
-  };
-  obs::MetricRegistry first;
-  obs::MetricRegistry second;
-  drive(first);
-  drive(second);
-  EXPECT_EQ(first.snapshot_json(), second.snapshot_json());
-
-  const std::string snapshot = first.snapshot_json();
-  // Lexicographic member order inside each section.
-  EXPECT_LT(snapshot.find("a.count"), snapshot.find("b.count"));
-  EXPECT_NE(snapshot.find("\"z.gauge\": 2.5"), std::string::npos);
-  EXPECT_NE(snapshot.find("\"overflow\": 1"), std::string::npos);
-  EXPECT_NE(snapshot.find("\"count\": 3"), std::string::npos);
+/// A psa/min-min run with a KernelMetricsObserver attached; returns its
+/// snapshot.
+std::string observed_snapshot() {
+  obs::KernelMetricsObserver metrics_observer;
+  exp::RunHooks hooks;
+  hooks.observer = &metrics_observer;
+  exp::run_once(exp::psa_scenario(40),
+                exp::heuristic_spec("min-min",
+                                    security::RiskPolicy::f_risky(0.5)),
+                7, nullptr, hooks);
+  return metrics_observer.snapshot_json();
 }
 
-TEST(MetricRegistry, HandlesAreStableAndFindOrCreate) {
-  obs::MetricRegistry registry;
-  EXPECT_TRUE(registry.empty());
-  obs::Counter& counter = registry.counter("kernel.dispatches");
-  counter.inc(7);
-  // Re-requesting the same name returns the same metric.
-  EXPECT_EQ(&registry.counter("kernel.dispatches"), &counter);
-  EXPECT_EQ(registry.counter("kernel.dispatches").value(), 7u);
-  EXPECT_FALSE(registry.empty());
+/// The snapshot without its one wall-clock line.
+std::string drop_scheduler_seconds(const std::string& snapshot) {
+  std::istringstream in(snapshot);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("kernel.scheduler_seconds") == std::string::npos) {
+      out += line + "\n";
+    }
+  }
+  return out;
 }
 
-TEST(MetricRegistry, KindCollisionsAndBoundsMismatchesThrow) {
-  obs::MetricRegistry registry;
-  registry.counter("x");
-  EXPECT_THROW(registry.gauge("x"), std::logic_error);
-  EXPECT_THROW(registry.histogram("x", 0.0, 1.0, 2), std::logic_error);
-  registry.histogram("h", 0.0, 10.0, 4);
-  EXPECT_THROW(registry.histogram("h", 0.0, 20.0, 4), std::logic_error);
-  EXPECT_THROW(registry.histogram("h", 0.0, 10.0, 8), std::logic_error);
-  EXPECT_NO_THROW(registry.histogram("h", 0.0, 10.0, 4));
+TEST(KernelMetricsObserver, SnapshotIsStableAndSorted) {
+  const std::string first = observed_snapshot();
+  EXPECT_EQ(drop_scheduler_seconds(first),
+            drop_scheduler_seconds(observed_snapshot()));
+
+  // Every section lists its names in lexicographic order, and every
+  // metric is present.
+  const util::json::Value root = util::json::parse(first);
+  std::size_t metrics = 0;
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    SCOPED_TRACE(section);
+    const util::json::Members& members = root.at(section).members();
+    EXPECT_TRUE(std::is_sorted(
+        members.begin(), members.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; }));
+    metrics += members.size();
+  }
+  EXPECT_EQ(metrics, 16u);
+  const util::json::Value& exec =
+      root.at("histograms").at("kernel.attempt_exec_seconds");
+  EXPECT_EQ(exec.at("buckets").items().size(), 50u);
+  EXPECT_GT(exec.at("count").as_uint(), 0u);
 }
 
 // ------------------------------------------------------------- observer ---
@@ -217,8 +221,7 @@ TEST(KernelObserver, AttachedObserverLeavesRunBitIdentical) {
       exp::heuristic_spec("min-min", security::RiskPolicy::f_risky(0.5));
   const metrics::RunMetrics plain = exp::run_once(scenario, spec, 7);
 
-  obs::MetricRegistry registry;
-  obs::KernelMetricsObserver metrics_observer(registry);
+  obs::KernelMetricsObserver metrics_observer;
   obs::SimTraceRecorder trace;
   sim::KernelObserverTee tee;
   tee.add(&metrics_observer);
@@ -242,7 +245,11 @@ TEST(KernelObserver, AttachedObserverLeavesRunBitIdentical) {
   EXPECT_EQ(plain.interruptions, observed.interruptions);
 
   // And the observers saw a consistent run.
-  EXPECT_EQ(registry.counter("kernel.completions").value(), plain.n_jobs);
+  EXPECT_EQ(util::json::parse(metrics_observer.snapshot_json())
+                .at("counters")
+                .at("kernel.completions")
+                .as_uint(),
+            plain.n_jobs);
   EXPECT_GT(trace.size(), 0u);
 }
 
@@ -310,8 +317,7 @@ TEST(KernelCounts, EveryCountHasOneSourceThatMatchesAnIndependentTally) {
   for (const std::string& name : exp::scenario_names()) {
     for (const auto& [algo, policy] : algos) {
       SCOPED_TRACE(name + " / " + algo);
-      obs::MetricRegistry registry;
-      obs::KernelMetricsObserver metrics_observer(registry);
+      obs::KernelMetricsObserver metrics_observer;
       TallyObserver tally;
       sim::KernelObserverTee tee;
       tee.add(&tally);
@@ -322,8 +328,10 @@ TEST(KernelCounts, EveryCountHasOneSourceThatMatchesAnIndependentTally) {
       const exp::AlgorithmSpec spec = exp::heuristic_spec(algo, policy);
       const metrics::RunMetrics run =
           exp::run_once(scenario, spec, 7, nullptr, hooks);
-      const auto counter = [&registry](const char* metric) {
-        return registry.counter(metric).value();
+      const util::json::Value counters =
+          util::json::parse(metrics_observer.snapshot_json()).at("counters");
+      const auto counter = [&counters](const char* metric) {
+        return counters.at(metric).as_uint();
       };
 
       std::size_t events = 0;

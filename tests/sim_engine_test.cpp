@@ -83,8 +83,9 @@ EngineConfig quick_config(Time interval = 50.0) {
 /// kernel over `jobs` must throw std::invalid_argument whose text
 /// contains `problem` (the job and the field).
 void expect_rejected(std::vector<Job> jobs, const std::string& problem,
-                     std::vector<SiteConfig> sites = {{0, 1, 1.0, 1.0}}) {
-  SimKernel kernel(std::move(sites), std::move(jobs), quick_config());
+                     std::vector<SiteConfig> sites = {{0, 1, 1.0, 1.0}},
+                     Time interval = 50.0) {
+  SimKernel kernel(std::move(sites), std::move(jobs), quick_config(interval));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
   try {
     kernel.run(scheduler);
@@ -127,6 +128,14 @@ TEST(Engine, RejectsNonPositiveInterval) {
     config.batch_interval = interval;
     expect_config_rejected(config, "batch_interval");
   }
+}
+
+TEST(Engine, RejectsIntervalTooSmallForTheSimTime) {
+  // now / batch_interval = 1e302 overflowed the integer cycle index and
+  // the run never ended; past 2^53 the index is no longer exact.
+  expect_rejected({make_job(100, 10, 1, 0.5)},
+                  "batch_interval 1e-300 is too small at sim time now = 100",
+                  {{0, 1, 1.0, 1.0}}, 1e-300);
 }
 
 TEST(Engine, RejectsNegativeOrNonFiniteLambda) {

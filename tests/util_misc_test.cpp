@@ -1,8 +1,13 @@
 #include "util/cli.hpp"
+#include "util/file.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <stdexcept>
+#include <string>
 
 namespace gridsched::util {
 namespace {
@@ -153,6 +158,25 @@ TEST(Cli, MalformedNumberThrows) {
                std::invalid_argument);
   EXPECT_THROW(static_cast<void>(strict.get_or("big", std::int64_t{0})),
                std::invalid_argument);
+}
+
+// ----------------------------------------------------------- write_file ---
+
+TEST(WriteFile, MissingDirectoryThrows) {
+  EXPECT_THROW(write_file(testing::TempDir() + "no-such-dir/x.json", "{}"),
+               std::runtime_error);
+}
+
+TEST(WriteFile, FullDeviceThrowsNamingThePath) {
+  // A small write only fails when fclose flushes the stdio buffer.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  try {
+    write_file("/dev/full", "{}\n");
+    ADD_FAILURE() << "write to /dev/full succeeded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("/dev/full"), std::string::npos)
+        << error.what();
+  }
 }
 
 // ------------------------------------------------------------------ Log ---

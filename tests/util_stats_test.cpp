@@ -147,24 +147,6 @@ TEST(Histogram, CountsBucketsAndOverflow) {
   EXPECT_EQ(h.count(4), 1u);  // 9.999
 }
 
-TEST(Histogram, BucketBoundaries) {
-  Histogram h(10.0, 20.0, 4);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 12.5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 17.5);
-  EXPECT_THROW(static_cast<void>(h.bucket_lo(4)), std::out_of_range);
-}
-
-TEST(Histogram, RenderContainsBars) {
-  Histogram h(0.0, 4.0, 2);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(3.0);
-  const std::string render = h.render(10);
-  EXPECT_NE(render.find('#'), std::string::npos);
-  EXPECT_EQ(std::count(render.begin(), render.end(), '\n'), 2);
-}
-
 // ----------------------------------------------------- t-distribution CI ---
 
 TEST(TCritical95, MatchesStandardTables) {
