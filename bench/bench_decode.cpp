@@ -127,6 +127,7 @@ struct GaBatchRow {
   double evolve_ms = 0.0;
   std::uint64_t evaluations = 0;
   std::uint64_t memo_hits = 0;
+  std::uint64_t decodes = 0;
   double best_fitness = 0.0;
 };
 
@@ -158,6 +159,7 @@ GaBatchRow measure_ga_batch(const core::GaProblem& problem,
     wall_ms.push_back(elapsed_ms(start));
     row.evaluations = result.evaluations;
     row.memo_hits = result.memo_hits;
+    row.decodes = result.decodes;
     row.best_fitness = result.best_fitness;
   }
   row.evolve_ms = *std::min_element(wall_ms.begin(), wall_ms.end());
@@ -169,13 +171,15 @@ void print_ga_batch(const GaBatchRow& row, const core::GaParams& ga) {
   std::printf(
       "per-batch GA @ %zu jobs x %zu sites (pop %zu, gens %zu):\n"
       "  reference evaluation bill : %.1f ms (%zu reference decodes)\n"
-      "  evolve() end-to-end       : %.1f ms (%llu decodes, %llu memo hits)\n"
+      "  evolve() end-to-end       : %.1f ms (%llu evaluations, %llu memo "
+      "hits, %llu decodes)\n"
       "  per-batch speedup         : %.2fx (vs the seed's evaluation bill "
       "alone)\n",
       row.n_jobs, row.n_sites, ga.population, ga.generations,
       row.reference_bill_ms, ga.population * (ga.generations + 1),
       row.evolve_ms, static_cast<unsigned long long>(row.evaluations),
       static_cast<unsigned long long>(row.memo_hits),
+      static_cast<unsigned long long>(row.decodes),
       row.reference_bill_ms / row.evolve_ms);
 }
 
@@ -190,6 +194,7 @@ std::string ga_batch_json(const GaBatchRow& row, const core::GaParams& ga) {
       .num("per_batch_speedup", row.reference_bill_ms / row.evolve_ms, 3)
       .integer("evaluations", row.evaluations)
       .integer("memo_hits", row.memo_hits)
+      .integer("decodes", row.decodes)
       .str();
 }
 

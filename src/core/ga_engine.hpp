@@ -40,7 +40,9 @@ struct GaResult {
   /// Best fitness seen up to and including each generation (length =
   /// generations + 1, entry 0 = initial population). Drives Fig. 7(b).
   std::vector<double> best_per_generation;
-  /// Chromosomes actually decoded. Without memoization this would be
+  /// Chromosomes that needed a score: the individuals of each generation
+  /// that are neither carried elites nor duplicates of an earlier
+  /// individual of the same generation. Without memoization this would be
   /// population * (generations + 1); elites carry their fitness across
   /// generations and duplicate children reuse an identical chromosome's
   /// score, so evaluations + memo_hits <= population * (generations + 1).
@@ -48,20 +50,24 @@ struct GaResult {
   /// Fitness lookups served without a decode (elite carry-over is not
   /// counted here: carried elites are simply never re-enqueued).
   std::uint64_t memo_hits = 0;
+  /// Evaluations that actually ran a decode (<= evaluations): the rest
+  /// took the score of an identical chromosome of the previous generation.
+  std::uint64_t decodes = 0;
 };
 
 /// Per-generation instrumentation row of one evolve() run.
 struct GaGenerationProfile {
   double wall_ms = 0.0;          ///< host wall time (non-deterministic)
-  std::uint64_t evaluations = 0; ///< decodes performed this generation
+  std::uint64_t evaluations = 0; ///< chromosomes needing a score (GaResult)
   std::uint64_t memo_hits = 0;   ///< memo lookups served this generation
+  std::uint64_t decodes = 0;     ///< evaluations that ran a decode
   double best = 0.0;             ///< best fitness so far (== best series)
   double mean = 0.0;             ///< mean population fitness
 };
 
 /// Optional convergence profile: one entry per fitness evaluation round
 /// (generations + 1; entry 0 covers the initial population). Sums of the
-/// per-generation evaluations/memo_hits equal the GaResult totals.
+/// per-generation evaluations/memo_hits/decodes equal the GaResult totals.
 /// Collecting a profile must not change the GaResult — the profile only
 /// reads state the engine already computes (plus one mean reduction).
 struct GaProfile {

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
+#include <bit>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -73,28 +74,28 @@ void DecodeScratch::bind(const GaProblem& problem) {
     binding->nodes[j] = problem.jobs[j].nodes;
   }
 
-  // Rank the exec matrix once per problem: dense integers whose unsigned
-  // order is exactly the doubles' order (equal execs share a rank, and
-  // there is no NaN: exec is work/speed or infinity). Each decode then
-  // sorts narrow integer keys instead of 64-bit double mappings.
-  std::vector<double> distinct = problem.exec;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  binding->cells.resize(problem.exec.size());
-  for (std::size_t i = 0; i < problem.exec.size(); ++i) {
-    binding->cells[i] = {problem.exec[i], problem.pfail[i],
-                         static_cast<std::uint32_t>(
-                             std::lower_bound(distinct.begin(),
-                                              distinct.end(),
-                                              problem.exec[i]) -
-                             distinct.begin())};
+  // Rank every cell once per problem by (exec, cell index), i.e. by
+  // (exec, job, site): unique ranks whose order is exactly the doubles'
+  // order with ties on the job (there is no NaN: exec is work/speed or
+  // infinity). Each decode then orders genes by setting and scanning bits.
+  const std::size_t n_cells = problem.exec.size();
+  if (n_cells > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("DecodeScratch::bind: jobs x sites too large");
   }
-  const std::size_t max_rank = distinct.empty() ? 0 : distinct.size() - 1;
-  binding->rank_bytes = 1;
-  while (binding->rank_bytes < 4 &&
-         (max_rank >> (8 * binding->rank_bytes)) != 0) {
-    ++binding->rank_bytes;
+  std::vector<std::uint32_t> by_rank(n_cells);
+  std::iota(by_rank.begin(), by_rank.end(), std::uint32_t{0});
+  std::sort(by_rank.begin(), by_rank.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return problem.exec[a] < problem.exec[b] ||
+                     (problem.exec[a] == problem.exec[b] && a < b);
+            });
+  binding->cells.resize(n_cells);
+  binding->rank_job.resize(n_cells);
+  const std::size_t n_sites = problem.n_sites();
+  for (std::uint32_t rank = 0; rank < n_cells; ++rank) {
+    const std::uint32_t cell = by_rank[rank];
+    binding->cells[cell] = {problem.exec[cell], problem.pfail[cell], rank};
+    binding->rank_job[rank] = static_cast<std::uint32_t>(cell / n_sites);
   }
 
   binding->offset.resize(problem.n_sites() + 1);
@@ -111,21 +112,20 @@ void DecodeScratch::bind(const GaProblem& problem) {
     }
   }
   binding_ = std::move(binding);
-  working_.resize(binding_->pristine.size());
-  sort_a_.reserve(binding_->n_jobs);
-  sort_b_.reserve(binding_->n_jobs);
-  order_.reserve(binding_->n_jobs);
-  exec_gather_.reserve(binding_->n_jobs);
-  pfail_gather_.reserve(binding_->n_jobs);
+  size_buffers();
 }
 
 void DecodeScratch::bind_from(const DecodeScratch& other) {
   assert(other.binding_ != nullptr && "bind_from: source scratch not bound");
   if (binding_ == other.binding_) return;
   binding_ = other.binding_;
+  size_buffers();
+}
+
+void DecodeScratch::size_buffers() {
   working_.resize(binding_->pristine.size());
-  sort_a_.reserve(binding_->n_jobs);
-  sort_b_.reserve(binding_->n_jobs);
+  bits_.assign((binding_->cells.size() + 63) / 64, 0);
+  genes_.reserve(binding_->n_jobs);
   order_.reserve(binding_->n_jobs);
   exec_gather_.reserve(binding_->n_jobs);
   pfail_gather_.reserve(binding_->n_jobs);
@@ -134,87 +134,49 @@ void DecodeScratch::bind_from(const DecodeScratch& other) {
 // GS-FASTPATH-BEGIN: per-decode hot path — zero steady-state
 // allocations (ROADMAP "Decode fast-path invariants"; gridsched_lint
 // GS-R01 rejects stable_sort/inplace_merge/vector/new in this region).
-std::span<const DecodeScratch::SortedGene> DecodeScratch::prepare(
+std::span<const std::uint32_t> DecodeScratch::prepare(
     const GaProblem& problem, const Chromosome& chromosome) noexcept {
   assert(binding_ != nullptr && chromosome.size() == binding_->n_jobs &&
          "DecodeScratch::prepare: bind() the problem first");
   std::copy(binding_->pristine.begin(), binding_->pristine.end(),
             working_.begin());
   const std::size_t n = chromosome.size();
-  sort_a_.resize(n);
   exec_gather_.resize(n);
   pfail_gather_.resize(n);
   // Single sequential pass: the per-row cell reads prefetch well here, and
   // the decode loop below then only touches these dense gathers.
   const std::size_t n_sites = problem.n_sites();
   const Cell* cells = binding_->cells.data();
+  std::uint64_t* bits = bits_.data();
   for (std::size_t j = 0; j < n; ++j) {
     const Cell& cell = cells[j * n_sites + chromosome[j]];
     exec_gather_[j] = cell.exec;
     pfail_gather_[j] = cell.pfail;
-    sort_a_[j] = (static_cast<std::uint64_t>(cell.rank) << 32) |
-                 static_cast<std::uint64_t>(j);
+    bits[cell.rank / 64] |= std::uint64_t{1} << (cell.rank % 64);
   }
   return sort_genes(n);
 }
 
-std::span<const DecodeScratch::SortedGene> DecodeScratch::sort_genes(
+std::span<const std::uint32_t> DecodeScratch::sort_genes(
     std::size_t n) noexcept {
-  // Packed (rank << 32 | index) integers order genes by exec with ties on
-  // the original position — exactly stable_sort's order. The keys are
-  // unique, so any correct sort yields that order; below the threshold an
-  // inline insertion sort beats both the radix passes and a std::sort call.
-  constexpr std::size_t kRadixThreshold = 64;
-  if (n < kRadixThreshold) {
-    SortedGene* keys = sort_a_.data();
-    for (std::size_t i = 1; i < n; ++i) {
-      const SortedGene key = keys[i];
-      std::size_t j = i;
-      for (; j > 0 && keys[j - 1] > key; --j) keys[j] = keys[j - 1];
-      keys[j] = key;
+  // The n genes set n distinct bits (one cell per job, unique ranks), so
+  // the set bits in ascending rank order are the genes by (exec, index) —
+  // exactly stable_sort's order. The scan stops at the word holding the
+  // last set bit and clears every word it reads, so the bitmap is all-zero
+  // again for the next prepare().
+  genes_.resize(n);
+  std::uint32_t* out = genes_.data();
+  const std::uint32_t* const end = out + n;
+  const std::uint32_t* rank_job = binding_->rank_job.data();
+  for (std::uint64_t* word = bits_.data(); out != end; ++word) {
+    std::uint64_t set = *word;
+    *word = 0;
+    for (; set != 0; set &= set - 1) {
+      *out++ = rank_job[std::countr_zero(set)];
     }
-    return {keys, n};
+    rank_job += 64;
   }
-  // Stable LSD radix over the rank bytes only (bytes 4..4+rank_bytes of
-  // the packed key; the index bytes need no passes — stability plus the
-  // ascending initial order already gives the tie order). Trivial digits
-  // (all keys share the byte) are skipped.
-  const unsigned rank_bytes = binding_->rank_bytes;
-  sort_b_.resize(n);
-  std::memset(hist_, 0, rank_bytes * sizeof(hist_[0]));
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t key = sort_a_[i];
-    for (unsigned d = 0; d < rank_bytes; ++d) {
-      ++hist_[d][(key >> (32 + 8 * d)) & 0xffU];
-    }
-  }
-  SortedGene* cur = sort_a_.data();
-  SortedGene* nxt = sort_b_.data();
-  for (unsigned d = 0; d < rank_bytes; ++d) {
-    std::uint32_t* counts = hist_[d];
-    bool trivial = false;
-    for (unsigned b = 0; b < 256; ++b) {
-      if (counts[b] == n) {
-        trivial = true;
-        break;
-      }
-      if (counts[b] != 0) break;  // first non-empty bucket decides
-    }
-    if (trivial) continue;
-    std::uint32_t running = 0;
-    for (unsigned b = 0; b < 256; ++b) {
-      const std::uint32_t count = counts[b];
-      counts[b] = running;
-      running += count;
-    }
-    const unsigned shift = 32 + 8 * d;
-    for (std::size_t i = 0; i < n; ++i) {
-      const SortedGene gene = cur[i];
-      nxt[counts[(gene >> shift) & 0xffU]++] = gene;
-    }
-    std::swap(cur, nxt);
-  }
-  return {cur, n};
+  return {genes_.data(), n};
 }
 
 sim::NodeAvailability::Window DecodeScratch::reserve(sim::SiteId s, unsigned k,
@@ -321,10 +283,7 @@ std::span<const std::size_t> decode_order_into(
     DecodeScratch& scratch, const GaProblem& problem,
     const Chromosome& chromosome) noexcept {
   const auto sorted = scratch.prepare(problem, chromosome);
-  scratch.order_.resize(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    scratch.order_[i] = DecodeScratch::gene_index(sorted[i]);
-  }
+  scratch.order_.assign(sorted.begin(), sorted.end());
   return scratch.order_;
 }
 // GS-FASTPATH-END

@@ -80,7 +80,7 @@ struct GaProblem {
   }
 };
 
-/// Reusable decode workspace: per-gene sort keys, a gather of the exec/
+/// Reusable decode workspace: a gene-order bitmap, a gather of the exec/
 /// pfail/node-count columns the decode loop touches (dense per-job arrays,
 /// so the loop never random-accesses the jobs x sites matrices), and a flat
 /// copy-on-decode availability arena (all sites' free times in one
@@ -88,28 +88,22 @@ struct GaProblem {
 /// committed profiles is an O(total nodes) copy instead of a
 /// vector-of-vectors deep copy).
 ///
-/// Sorting exploits that the exec matrix is fixed per problem: bind() ranks
-/// the distinct exec values once (order-isomorphic dense integers, ties
-/// mapped to equal ranks), so each decode sorts small packed
-/// (rank << 32 | gene index) integers — a two-pass LSD radix for typical
-/// rank widths, an insertion sort below a size threshold. The packed keys
-/// are unique (the gene index breaks ties), so both reproduce stable_sort's
-/// order exactly. After bind() the steady-state decode path performs zero
-/// heap allocations; the GA engine keeps one scratch per thread-pool chunk,
-/// so ~20k evaluations per batch reuse the same buffers.
+/// Ordering exploits that the exec matrix is fixed per problem: bind()
+/// ranks every (job, site) cell by (exec, job, site), giving each cell a
+/// unique rank and a rank -> job table. prepare() sets one bit per gene in
+/// a jobs x sites-bit bitmap, and the decode order is the set bits read in
+/// ascending order. A chromosome holds exactly one cell per job, so that
+/// is stable_sort's order by exec with ties on the gene index. After
+/// bind() the steady-state decode path performs zero heap allocations; the
+/// GA engine keeps one scratch per thread-pool chunk, so ~20k evaluations
+/// per batch reuse the same buffers.
 class DecodeScratch {
  public:
-  /// Packed sort element: exec rank in the high 32 bits, gene index below.
-  using SortedGene = std::uint64_t;
-
-  [[nodiscard]] static constexpr std::uint32_t gene_index(
-      SortedGene packed) noexcept {
-    return static_cast<std::uint32_t>(packed);
-  }
-
   /// Capture `problem`'s committed availability profiles, rank its exec
   /// matrix, and size every buffer for its job/site counts. Binding again
   /// with the same built problem (matching GaProblem::epoch) is a no-op.
+  /// Throws std::length_error when jobs x sites exceeds the 32-bit rank
+  /// range.
   void bind(const GaProblem& problem);
 
   /// Share `other`'s problem binding (the immutable rank/cell/profile
@@ -119,12 +113,12 @@ class DecodeScratch {
 
   /// Reset the arena to the bound profiles, gather the chromosome's exec/
   /// pfail columns, and compute the shortest-execution-first decode order
-  /// (stable for ties, bit-identical to decode_order). The span is valid
-  /// until the next prepare()/bind(). Preconditions (enforced by evolve's
-  /// seed validation, not re-checked here): bind(problem) was called and
-  /// chromosome.size() == problem.n_jobs().
-  std::span<const SortedGene> prepare(const GaProblem& problem,
-                                      const Chromosome& chromosome) noexcept;
+  /// (stable for ties, bit-identical to decode_order) as gene indices.
+  /// The span is valid until the next prepare()/bind(). Preconditions
+  /// (enforced by evolve's seed validation, not re-checked here):
+  /// bind(problem) was called and chromosome.size() == problem.n_jobs().
+  std::span<const std::uint32_t> prepare(const GaProblem& problem,
+                                         const Chromosome& chromosome) noexcept;
 
   /// Gathered columns for gene j, valid after prepare().
   [[nodiscard]] double exec_of(std::uint32_t j) const noexcept {
@@ -149,7 +143,7 @@ class DecodeScratch {
   struct Cell {
     double exec = 0.0;
     double pfail = 0.0;
-    std::uint32_t rank = 0;
+    std::uint32_t rank = 0;  ///< unique: position in (exec, job, site)
   };
 
   /// Everything derived from the (immutable) problem, shared between the
@@ -157,24 +151,25 @@ class DecodeScratch {
   /// evolve, not once per thread.
   struct ProblemBinding {
     std::vector<Cell> cells;            ///< exec/pfail/rank, jobs x sites
+    std::vector<std::uint32_t> rank_job;  ///< cell rank -> job index
     std::vector<unsigned> nodes;        ///< jobs[j].nodes
     std::vector<sim::Time> pristine;    ///< flattened committed free times
     std::vector<std::size_t> offset;    ///< per-site start, n_sites + 1
     std::size_t n_jobs = 0;
     std::uint64_t epoch = 0;            ///< GaProblem::epoch (0 = unstamped)
-    unsigned rank_bytes = 1;            ///< radix passes the ranks need
   };
 
-  std::span<const SortedGene> sort_genes(std::size_t n) noexcept;
+  /// Size the per-scratch buffers for binding_ (shared by both binds).
+  void size_buffers();
+  std::span<const std::uint32_t> sort_genes(std::size_t n) noexcept;
 
   std::shared_ptr<const ProblemBinding> binding_;
-  std::vector<SortedGene> sort_a_;        ///< sort input / radix ping
-  std::vector<SortedGene> sort_b_;        ///< radix pong
+  std::vector<std::uint64_t> bits_;       ///< one bit per cell rank; 0 at rest
+  std::vector<std::uint32_t> genes_;      ///< sort_genes output
   std::vector<std::size_t> order_;        ///< decode_order_into output
   std::vector<double> exec_gather_;       ///< exec_at(j, chromosome[j])
   std::vector<double> pfail_gather_;      ///< pfail_at(j, chromosome[j])
   std::vector<sim::Time> working_;        ///< decode-mutable profile copy
-  std::uint32_t hist_[4][256];            ///< radix digit histograms
 
   friend std::span<const std::size_t> decode_order_into(
       DecodeScratch& scratch, const GaProblem& problem,
@@ -191,9 +186,7 @@ template <typename Consume>
 void decode_into(DecodeScratch& scratch, const GaProblem& problem,
                  const Chromosome& chromosome, double risk_penalty,
                  Consume&& consume) {
-  for (const DecodeScratch::SortedGene packed :
-       scratch.prepare(problem, chromosome)) {
-    const std::uint32_t j = DecodeScratch::gene_index(packed);
+  for (const std::uint32_t j : scratch.prepare(problem, chromosome)) {
     const double exec = scratch.exec_of(j);
     const auto window = scratch.reserve(chromosome[j], scratch.nodes_of(j),
                                         exec, problem.now);

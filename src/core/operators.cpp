@@ -36,10 +36,17 @@ void RouletteWheel::rebuild(std::span<const double> fitness) {
 std::size_t RouletteWheel::select(util::Rng& rng) const noexcept {
   if (uniform_) return rng.index(n_);
   const double ticket = rng.uniform() * prefix_[n_ - 1];
-  const auto it = std::lower_bound(prefix_.begin(), prefix_.begin() +
-                                       static_cast<std::ptrdiff_t>(n_),
-                                   ticket);
-  const auto index = static_cast<std::size_t>(it - prefix_.begin());
+  // std::lower_bound's result without its data-dependent branch: each
+  // halving step is a conditional move, which the random tickets would
+  // otherwise mispredict about once per level.
+  const double* base = prefix_.data();
+  for (std::size_t len = n_; len > 1;) {
+    const std::size_t half = len / 2;
+    base = base[half] < ticket ? base + half : base;
+    len -= half;
+  }
+  const auto index = static_cast<std::size_t>(base - prefix_.data()) +
+                     static_cast<std::size_t>(*base < ticket);
   return std::min(index, n_ - 1);  // numeric edge
 }
 

@@ -21,6 +21,7 @@ std::string render_ga_profiles(const std::vector<core::GaProfile>& profiles) {
       out << "      {\"wall_ms\": " << number(gen.wall_ms)
           << ", \"evaluations\": " << gen.evaluations
           << ", \"memo_hits\": " << gen.memo_hits
+          << ", \"decodes\": " << gen.decodes
           << ", \"best\": " << number(gen.best)
           << ", \"mean\": " << number(gen.mean) << "}"
           << (g + 1 < profile.generations.size() ? "," : "") << "\n";

@@ -1,6 +1,7 @@
 // JSON rendering for GA convergence profiles (core::GaProfile). One
 // document per run: an array of scheduler invocations, each with its
-// per-generation series {wall_ms, evaluations, memo_hits, best, mean}.
+// per-generation series {wall_ms, evaluations, memo_hits, decodes,
+// best, mean}.
 // Wall-clock fields are non-deterministic by nature — this artifact is a
 // profile sidecar, never a byte-stable aggregate (same contract as the
 // campaign profile JSON).

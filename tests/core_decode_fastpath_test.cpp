@@ -1,4 +1,4 @@
-// Regression suite for the DecodeScratch fitness fast path (PR 2): the
+// Regression suite for the DecodeScratch fitness fast path: the
 // scratch-based decode must be bit-identical to the retained reference
 // implementation across every registry scenario, and its steady state must
 // perform zero heap allocations (counted by replacing global new/delete).
@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/ga_engine.hpp"
 #include "core/operators.hpp"
@@ -59,6 +62,85 @@ TEST(DecodeFastPath, BitIdenticalToReferenceAcrossRegistry) {
         }
         // The validating public entry points ride the same fast path.
         EXPECT_EQ(ref_fitness, decode_fitness(problem, chromosome, params));
+      }
+    }
+  }
+}
+
+/// A hand-built problem whose exec cells take only a few values, so equal
+/// cells recur across jobs and sites, and whose every job has two
+/// infinite (inadmissible) cells outside its domain. `all_equal` makes
+/// every finite cell 1.0.
+GaProblem tied_problem(std::size_t n_jobs, std::size_t n_sites,
+                       std::uint64_t seed, bool all_equal) {
+  util::Rng rng(seed);
+  GaProblem problem;
+  problem.now = 10.0;
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    const auto nodes = static_cast<unsigned>(4 + s % 3);
+    problem.sites.push_back(
+        {static_cast<sim::SiteId>(s), nodes, 1.0, 1.0});
+    problem.avail.emplace_back(nodes, static_cast<double>(s % 2));
+  }
+  problem.exec.assign(n_jobs * n_sites, 0.0);
+  problem.pfail.assign(n_jobs * n_sites, 0.0);
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    sim::BatchJob job;
+    job.id = static_cast<sim::JobId>(j);
+    job.nodes = static_cast<unsigned>(1 + rng.index(4));
+    problem.jobs.push_back(job);
+    problem.batch_index.push_back(j);
+    const std::size_t blocked = rng.index(n_sites);
+    std::vector<sim::SiteId> domain;
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      const std::size_t cell = j * n_sites + s;
+      if (s == blocked || s == (blocked + 1) % n_sites) {
+        problem.exec[cell] = std::numeric_limits<double>::infinity();
+        continue;
+      }
+      problem.exec[cell] =
+          all_equal ? 1.0 : static_cast<double>(1 + rng.index(3));
+      problem.pfail[cell] = 0.25 * static_cast<double>(rng.index(3));
+      domain.push_back(static_cast<sim::SiteId>(s));
+    }
+    problem.domains.push_back(std::move(domain));
+  }
+  return problem;
+}
+
+TEST(DecodeFastPath, OrderMatchesReferenceWithTiesAndWideBatches) {
+  // jobs x sites from 60 to 2080 bits: the gene bitmap crosses 64-bit word
+  // boundaries at every shape but 5 x 12, and 64/65/130 jobs exceed what
+  // one word of genes could hold.
+  const FitnessParams params{0.6, 2.0};
+  DecodeScratch scratch;  // one scratch rebinds across every shape
+  for (const std::size_t n_sites : {12u, 16u}) {
+    for (const std::size_t n_jobs : {5u, 63u, 64u, 65u, 130u}) {
+      for (const bool all_equal : {false, true}) {
+        const GaProblem problem =
+            tied_problem(n_jobs, n_sites, n_jobs * 31 + n_sites, all_equal);
+        scratch.bind(problem);
+        util::Rng rng(n_jobs + n_sites);
+        for (int trial = 0; trial < 6; ++trial) {
+          const Chromosome chromosome = random_chromosome(problem, rng);
+          const std::string where =
+              std::to_string(n_jobs) + "x" + std::to_string(n_sites) +
+              (all_equal ? " all-equal" : "") + " trial " +
+              std::to_string(trial);
+          const auto ref_order = decode_order_reference(problem, chromosome);
+          const auto fast_order =
+              decode_order_into(scratch, problem, chromosome);
+          ASSERT_EQ(std::vector<std::size_t>(fast_order.begin(),
+                                             fast_order.end()),
+                    ref_order)
+              << where;
+          EXPECT_EQ(decode_fitness(problem, chromosome, params, scratch),
+                    decode_fitness_reference(problem, chromosome, params))
+              << where;
+          EXPECT_EQ(batch_makespan(problem, chromosome, scratch),
+                    batch_makespan_reference(problem, chromosome))
+              << where;
+        }
       }
     }
   }
@@ -210,6 +292,35 @@ TEST(EvolveMemo, SteadyStateGenerationsAreAllocationFree) {
   params.generations = 60;
   const GaResult result = evolve(crowded, {}, params, rng);
   EXPECT_GT(result.memo_hits, 0u);  // the probes did find duplicates
+}
+
+TEST(EvolveMemo, PreviousGenerationScoresSkipDecodes) {
+  // The crowded two-site NAS problem: survivors of selection recur from
+  // one generation to the next, so last generation's memo serves them.
+  const auto context = scenario_batch("nas", 17, 3);
+  GaProblem crowded = build_problem(context, security::RiskPolicy::risky());
+  for (auto& domain : crowded.domains) {
+    ASSERT_GE(domain.size(), 2u);
+    domain.resize(2);
+  }
+  GaParams params;
+  params.population = 200;
+  params.generations = 60;
+  util::Rng rng(21);
+  const GaResult result = evolve(crowded, {}, params, rng);
+  EXPECT_GT(result.decodes, 0u);
+  EXPECT_LT(result.decodes, result.evaluations);
+  // Evaluations and memo hits keep their per-generation meaning.
+  EXPECT_EQ(result.evaluations + result.memo_hits,
+            params.population * (params.generations + 1) -
+                params.generations * params.elite_count);
+
+  // With no earlier generation every evaluation is a decode.
+  params.generations = 0;
+  util::Rng initial_rng(21);
+  const GaResult initial = evolve(crowded, {}, params, initial_rng);
+  EXPECT_GT(initial.evaluations, 0u);
+  EXPECT_EQ(initial.decodes, initial.evaluations);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "core/ga_problem.hpp"
 
@@ -111,6 +113,41 @@ TEST(RouletteWheel, SharesMatchTheRouletteSelectWheel) {
   EXPECT_GT(counts[1], counts[2]);
   EXPECT_NEAR(static_cast<double>(counts[0]) / counts[1], 11.0 / 6.0, 0.3);
   EXPECT_GT(counts[2], 0);  // the floor keeps the worst selectable
+}
+
+TEST(RouletteWheel, SelectIsTheLowerBoundOfTheTicket) {
+  // The wheel's search must return std::lower_bound's index over the same
+  // prefix sums for every ticket, at even and odd sizes and with ties.
+  util::Rng fitness_rng(15);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 64u, 200u, 201u}) {
+    std::vector<double> fitness(n);
+    for (double& f : fitness) {
+      f = static_cast<double>(fitness_rng.index(20));
+    }
+    fitness[0] = 25.0;  // never all equal: the prefix-sum path runs
+    const double worst = *std::max_element(fitness.begin(), fitness.end());
+    const double floor =
+        0.1 * (worst - *std::min_element(fitness.begin(), fitness.end()));
+    std::vector<double> prefix;
+    double total = 0.0;
+    for (const double f : fitness) {
+      total += (worst - f) + floor;
+      prefix.push_back(total);
+    }
+    RouletteWheel wheel;
+    wheel.rebuild(fitness);
+    util::Rng rng(n);
+    for (int draw = 0; draw < 500; ++draw) {
+      util::Rng ticket_rng = rng;
+      const double ticket = ticket_rng.uniform() * prefix.back();
+      const auto expected = std::min<std::size_t>(
+          static_cast<std::size_t>(
+              std::lower_bound(prefix.begin(), prefix.end(), ticket) -
+              prefix.begin()),
+          n - 1);
+      ASSERT_EQ(wheel.select(rng), expected) << "n " << n << " draw " << draw;
+    }
+  }
 }
 
 TEST(RouletteWheel, RebuildResizesAcrossGenerations) {

@@ -546,20 +546,26 @@ TEST(GaProfile, ProfilingIsObservationOnly) {
   EXPECT_EQ(plain.best_per_generation, profiled.best_per_generation);
   EXPECT_EQ(plain.evaluations, profiled.evaluations);
   EXPECT_EQ(plain.memo_hits, profiled.memo_hits);
+  EXPECT_EQ(plain.decodes, profiled.decodes);
 
   // One row per evaluation round; per-generation deltas sum to the
   // totals; the best series mirrors the result's.
   ASSERT_EQ(profile.generations.size(), params.generations + 1);
   std::uint64_t evaluations = 0;
   std::uint64_t memo_hits = 0;
+  std::uint64_t decodes = 0;
   for (std::size_t g = 0; g < profile.generations.size(); ++g) {
     evaluations += profile.generations[g].evaluations;
     memo_hits += profile.generations[g].memo_hits;
+    decodes += profile.generations[g].decodes;
+    EXPECT_LE(profile.generations[g].decodes,
+              profile.generations[g].evaluations);
     EXPECT_EQ(profile.generations[g].best, profiled.best_per_generation[g]);
     EXPECT_GE(profile.generations[g].wall_ms, 0.0);
   }
   EXPECT_EQ(evaluations, profiled.evaluations);
   EXPECT_EQ(memo_hits, profiled.memo_hits);
+  EXPECT_EQ(decodes, profiled.decodes);
   EXPECT_GE(profile.total_wall_ms, 0.0);
 }
 
@@ -576,6 +582,7 @@ TEST(GaProfile, JsonRenderIsWellFormed) {
   EXPECT_NE(json.find("\"invocations\""), std::string::npos);
   EXPECT_NE(json.find("\"generations\""), std::string::npos);
   EXPECT_NE(json.find("\"memo_hits\""), std::string::npos);
+  EXPECT_NE(json.find("\"decodes\""), std::string::npos);
   // 5 generation rows render.
   std::size_t rows = 0;
   for (std::size_t at = json.find("\"wall_ms\""); at != std::string::npos;
