@@ -64,9 +64,29 @@ struct DecodeRow {
   std::uint64_t fast_allocs = 0;
 };
 
+/// ns per call of `decode` in the fastest pass over `chromosomes`, passes
+/// repeated until at least `min_ms` of wall time has passed. A fixed wall
+/// time, not a fixed call count, gives a tiny decode as many chances as a
+/// large one, and the fastest pass drops preemptions and load spikes (host
+/// noise only ever adds time).
+template <class Decode>
+double time_decodes(const std::vector<core::Chromosome>& chromosomes,
+                    double min_ms, Decode&& decode) {
+  double fastest_ms = 0.0;
+  const auto start = Clock::now();
+  do {
+    const auto pass = Clock::now();
+    for (const core::Chromosome& chromosome : chromosomes) decode(chromosome);
+    const double ms = elapsed_ms(pass);
+    if (fastest_ms == 0.0 || ms < fastest_ms) fastest_ms = ms;
+  } while (elapsed_ms(start) < min_ms);
+  return fastest_ms * 1e6 / static_cast<double>(chromosomes.size());
+}
+
+/// Times each path for `min_ms` after a warm-up of a quarter of that.
 DecodeRow measure_decode(const std::string& label,
-                         const sim::SchedulerContext& context,
-                         std::size_t repeats, std::uint64_t seed) {
+                         const sim::SchedulerContext& context, double min_ms,
+                         std::uint64_t seed) {
   const core::GaProblem problem =
       core::build_problem(context, security::RiskPolicy::risky());
   const core::FitnessParams params{0.6, 2.0};
@@ -94,22 +114,16 @@ DecodeRow measure_decode(const std::string& label,
   sink += core::decode_fitness(problem, chromosomes[0], params, scratch);
   row.fast_allocs = allocation_count() - mark;
 
-  const std::size_t calls = repeats * chromosomes.size();
-  auto start = Clock::now();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    for (const core::Chromosome& chromosome : chromosomes) {
-      sink += core::decode_fitness_reference(problem, chromosome, params);
-    }
-  }
-  row.reference_ns = elapsed_ms(start) * 1e6 / static_cast<double>(calls);
-
-  start = Clock::now();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    for (const core::Chromosome& chromosome : chromosomes) {
-      sink += core::decode_fitness(problem, chromosome, params, scratch);
-    }
-  }
-  row.fast_ns = elapsed_ms(start) * 1e6 / static_cast<double>(calls);
+  const auto reference = [&](const core::Chromosome& chromosome) {
+    sink += core::decode_fitness_reference(problem, chromosome, params);
+  };
+  const auto fast = [&](const core::Chromosome& chromosome) {
+    sink += core::decode_fitness(problem, chromosome, params, scratch);
+  };
+  time_decodes(chromosomes, min_ms / 4, reference);
+  row.reference_ns = time_decodes(chromosomes, min_ms, reference);
+  time_decodes(chromosomes, min_ms / 4, fast);
+  row.fast_ns = time_decodes(chromosomes, min_ms, fast);
   if (sink == 42.0) std::printf("#");  // defeat dead-code elimination
   return row;
 }
@@ -218,7 +232,8 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> sizes =
       args.quick ? std::vector<std::size_t>{64, 256}
                  : std::vector<std::size_t>{64, 256, 1024};
-  const std::size_t repeats = args.quick ? 8 : 64;
+  // Wall time per path and row (plus a quarter of it to warm up).
+  const double min_ms = args.quick ? 25.0 : 200.0;
 
   std::vector<DecodeRow> rows;
   util::Table table({"scenario", "jobs", "sites", "ref ns/decode",
@@ -239,17 +254,17 @@ int main(int argc, char** argv) {
     for (const std::size_t n_jobs : sizes) {
       const auto context = scenario_batch(name, n_jobs, args.seed);
       add_row(measure_decode(
-          name, context, repeats,
+          name, context, min_ms,
           util::SeedMix(args.seed).mix(name).mix(n_jobs).seed()));
     }
   }
   // The headline 512 x 16 shape, measured with the same harness.
   add_row(measure_decode("target-512x16", target_batch(512, 16, args.seed),
-                         repeats, args.seed));
+                         min_ms, args.seed));
   // The paper's NAS batch shape (stga-nas p50): 17 jobs over 4 x 16-node
-  // and 8 x 8-node sites. Tiny decodes need more calls for a stable ns.
+  // and 8 x 8-node sites.
   add_row(measure_decode("nas-17x12", scenario_batch("nas", 17, args.seed),
-                         repeats * 16, args.seed));
+                         min_ms, args.seed));
   std::printf("%s\n", table.str().c_str());
 
   // --- per-batch GA latency at 512 jobs x 16 sites --------------------------

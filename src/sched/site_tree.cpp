@@ -46,33 +46,31 @@ struct SiteTree::Search {
   }
 
   /// Depth-first, the child with the better (bound, smallest index) first.
-  /// `bound` is node i's lower bound start[i] + `exec`, where `exec` is the
-  /// job's exec time on the node's fastest site. At a leaf both are the
-  /// site's own values, so the bound is the leaf's exact completion time
-  /// (scan::completion).
-  void visit(std::size_t i, double bound, double exec) {
+  /// `bound` is node i's lower bound start[i] + work * inv_lo. A leaf is
+  /// then priced exactly (scan::completion) and accepted under the same
+  /// test plus admissible().
+  void visit(std::size_t i, double bound) {
     if (!before(bound, nodes[i].min_index, best, best_site)) return;
     if (i >= leaves) {
       const std::uint32_t s = nodes[i].fastest;
-      if (admissible(context, job, s, policy)) {
-        best = bound;
+      const double completion = start[i] + context.exec_time(job, s);
+      if (before(completion, s, best, best_site) &&
+          admissible(context, job, s, policy)) {
+        best = completion;
         best_site = s;
       }
       return;
     }
-    // The left child shares this node's fastest site, hence its exec time.
     const std::size_t l = 2 * i;
     const std::size_t r = l + 1;
-    const double exec_r =
-        start[r] == kInf ? kInf : context.exec_time(job, nodes[r].fastest);
-    const double bound_l = start[l] + exec;
-    const double bound_r = start[r] + exec_r;
+    const double bound_l = start[l] + job.work * nodes[l].inv_lo;
+    const double bound_r = start[r] + job.work * nodes[r].inv_lo;
     if (before(bound_r, nodes[r].min_index, bound_l, nodes[l].min_index)) {
-      visit(r, bound_r, exec_r);
-      visit(l, bound_l, exec);
+      visit(r, bound_r);
+      visit(l, bound_l);
     } else {
-      visit(l, bound_l, exec);
-      visit(r, bound_r, exec_r);
+      visit(l, bound_l);
+      visit(r, bound_r);
     }
   }
 };
@@ -108,17 +106,20 @@ void SiteTree::build(const sim::SchedulerContext& context) {
             });
 
   // Padding leaves (right of the real ones) never bound anything: their
-  // start is infinity. Their fastest site 0 only keeps lookups in range.
-  nodes_.assign(2 * leaves_, Node{0, sim::kInvalidSite});
+  // start is infinity and their reciprocal 0. Their fastest site 0 only
+  // keeps lookups in range.
+  nodes_.assign(2 * leaves_, Node{0.0, 0, sim::kInvalidSite});
   leaf_of_site_.resize(n_sites);
   for (std::size_t p = 0; p < n_sites; ++p) {
-    nodes_[leaves_ + p] = Node{order_[p], order_[p]};
+    nodes_[leaves_ + p] = Node{inv_lo(context.sites[order_[p]].speed),
+                               order_[p], order_[p]};
     leaf_of_site_[order_[p]] = leaves_ + p;
   }
   for (std::size_t i = leaves_ - 1; i >= 1; --i) {
     const Node& left = nodes_[2 * i];
     const Node& right = nodes_[2 * i + 1];
-    nodes_[i] = Node{left.fastest, std::min(left.min_index, right.min_index)};
+    nodes_[i] = Node{left.inv_lo, left.fastest,
+                     std::min(left.min_index, right.min_index)};
   }
 
   // One tree per node count the batch requests that some site can hold.
@@ -159,9 +160,7 @@ sim::SiteId SiteTree::best_site(const sim::SchedulerContext& context,
   const double* tree =
       start_.data() + std::size_t{tree_of_[job.nodes]} * 2 * leaves_;
   Search search{context, policy, job, leaves_, nodes_.data(), tree};
-  const double exec =
-      tree[1] == kInf ? kInf : context.exec_time(job, nodes_[1].fastest);
-  search.visit(1, tree[1] + exec, exec);
+  search.visit(1, tree[1] + job.work * nodes_[1].inv_lo);
   return search.best < kInf ? search.best_site : sim::kInvalidSite;
 }
 

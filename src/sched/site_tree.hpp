@@ -4,15 +4,20 @@
 // speed descending (ties by site index). A leaf holds the site's earliest
 // start for that node count, or infinity when the job cannot fit or the
 // site is masked out; every node also knows its fastest site (its leftmost
-// leaf) and its smallest site index. With exec = work / speed and work >= 0,
-// a subtree's `min start + exec on its fastest site` never exceeds any of
-// its leaves' completion times (rounding is monotone), so a query can skip
-// every subtree whose (bound, smallest index) is not lexicographically
-// below the running (best completion, best site). That is exactly the
-// linear scan's strict-<, lowest-index-wins rule, so the answer is the
-// scan's answer.
+// leaf), that site's reciprocal speed rounded one ulp down (inv_lo), and
+// its smallest site index. A subtree's bound is `min start + work *
+// inv_lo`: inv_lo is strictly below the real 1 / speed, so with work >= 0
+// and monotone rounding the product never exceeds fl(work / speed) on the
+// fastest site, hence never exceeds any leaf's completion time, and the
+// bound costs a multiply where the exact exec time costs a divide. A query
+// skips every subtree whose (bound, smallest index) is not
+// lexicographically below the running (best completion, best site), then
+// prices each leaf it reaches exactly through context.exec_time and
+// accepts it under the same test. That is exactly the linear scan's
+// strict-<, lowest-index-wins rule, so the answer is the scan's answer.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -30,10 +35,19 @@ class SiteTree {
   static constexpr std::size_t kMinSites = 64;
 
   /// True when the tree is worth building for `context` (kMinSites or
-  /// more sites) and its subtree bound is exact: a rank-1 execution model
+  /// more sites) and its subtree bound is sound: a rank-1 execution model
   /// (no ETC matrix), every site speed > 0 and every job's work >= 0, so a
-  /// job's exec time never decreases as speed falls.
+  /// job's exec time never decreases as speed falls and work * inv_lo
+  /// never exceeds it.
   [[nodiscard]] static bool applies(const sim::SchedulerContext& context);
+
+  /// std::nextafter(1 / speed, 0), a node's reciprocal: strictly below the
+  /// real 1 / speed for any speed > 0 (fl(1 / speed) is within half an ulp
+  /// of it; 0 when it underflows), so for work >= 0 and monotone rounding
+  /// work * inv_lo(speed) <= fl(work / speed).
+  [[nodiscard]] static double inv_lo(double speed) noexcept {
+    return std::nextafter(1.0 / speed, 0.0);
+  }
 
   /// Rebuild over `context`'s sites and its availability profiles.
   /// Requires applies(context) and scan::check_context(context).
@@ -53,6 +67,7 @@ class SiteTree {
  private:
   /// Static per-node data, shared by every tree of one build.
   struct Node {
+    double inv_lo = 0.0;          ///< SiteTree::inv_lo of `fastest`'s speed
     std::uint32_t fastest = 0;    ///< site of the subtree's leftmost leaf
     std::uint32_t min_index = 0;  ///< smallest site index in the subtree
   };

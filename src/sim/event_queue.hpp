@@ -7,13 +7,11 @@
 // push never allocates: the hot event loop's queue traffic is heap-free
 // once the backing vector has grown to the run's high-water mark.
 //
-// Sequence numbers: push() assigns the next counter value, matching the
-// old queue exactly. The kernel admits arrivals lazily rather than pushing
-// them all up front, so it reserves the arrival block instead —
-// reserve_seqs(n) starts the counter at n and push_reserved(event, seq)
-// pushes with an explicit seq from the reserved [0, n) block. Lazy
-// injection therefore pops in the same (time, seq) total order as eager
-// injection would.
+// Sequence numbers: push() assigns the next counter value, so
+// same-timestamp events pop in push order. Job arrivals never enter the
+// queue: the kernel holds the one admitted-but-not-yet-arrived job in a
+// slot of its own and pops it ahead of any queued event at the same time
+// (SimKernel::run).
 #pragma once
 
 #include <cstdint>
@@ -38,17 +36,20 @@ inline constexpr std::size_t kEventKindCount =
 
 struct Event {
   Time time = 0.0;
-  EventKind kind = EventKind::kBatchCycle;
+  std::uint64_t seq = 0;  ///< assigned by the queue; breaks time ties FIFO
   JobId job = kInvalidJob;
   SiteId site = kInvalidSite;
-  /// True when this JobEnd is a security failure detection.
-  bool is_failure = false;
   /// For kJobEnd: the attempt serial this end belongs to (the job's
   /// `attempts` count at dispatch). A site-down revocation leaves the old
   /// end event queued; the serial lets the consumer drop it as stale.
   unsigned attempt = 0;
-  std::uint64_t seq = 0;  ///< assigned by the queue; breaks time ties FIFO
+  EventKind kind = EventKind::kBatchCycle;
+  /// True when this JobEnd is a security failure detection.
+  bool is_failure = false;
 };
+// Every heap sift moves whole events: the two one-byte fields share the
+// tail word instead of each padding out a word of their own.
+static_assert(sizeof(Event) == 32, "Event must stay 32 bytes");
 
 class EventQueue {
  public:
@@ -60,19 +61,6 @@ class EventQueue {
   void push(Event event) {
     event.seq = next_seq_++;
     sift_in(event);
-  }
-
-  /// Push with an explicit sequence number from a block previously set
-  /// aside by reserve_seqs(). Does not advance the auto counter.
-  void push_reserved(Event event, std::uint64_t seq) {
-    event.seq = seq;
-    sift_in(event);
-  }
-
-  /// Start auto-assigned sequence numbers at `first` (never moves the
-  /// counter backwards), leaving [0, first) for push_reserved callers.
-  void reserve_seqs(std::uint64_t first) noexcept {
-    if (next_seq_ < first) next_seq_ = first;
   }
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }

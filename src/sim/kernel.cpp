@@ -318,11 +318,10 @@ unsigned SimKernel::revoke_attempt(JobId job_id, Time now) {
 void SimKernel::on_arrival(const Event& event) {
   --arrivals_remaining_;
   pending_.push_back(event.job);
-  // Pull the next job. Its arrival is >= this one (sorted-stream contract,
-  // checked at admission) and its reserved seq is larger, so pushing it
-  // now cannot perturb the pop order.
-  Event next;
-  if (admit_next(next)) events_.push_reserved(next, next.job);
+  // Pull the next job into the arrival slot. Its arrival is >= this one
+  // (sorted-stream contract, checked at admission), so the slot always
+  // holds the earliest arrival still to come.
+  arrival_waiting_ = admit_next(next_arrival_);
   request_cycle(event.time);
 }
 
@@ -620,18 +619,12 @@ void SimKernel::run(BatchScheduler& scheduler) {
   ran_ = true;
 
   arrivals_remaining_ = total_jobs_;
-  // Arrival events carry reserved sequence numbers (seq == job id), so
-  // lazy injection pops in the same (time, seq) total order as pushing
-  // every arrival up front would; dynamic events number from total_jobs_.
-  events_.reserve_seqs(total_jobs_);
   // Capacity hint: the queue holds O(active) events.
   events_.reserve(std::min<std::size_t>(total_jobs_, 1024) + 64);
-  // Start order fixes the FIFO tie-break among the initial events:
-  // arrivals first, churn timelines last. Only the first job is admitted
-  // here; each arrival admits its successor (on_arrival), so at most one
-  // un-arrived job is ever resident. Arrivals use their reserved seq.
-  Event first;
-  if (admit_next(first)) events_.push_reserved(first, first.job);
+  // Only the first job is admitted here; each arrival admits its successor
+  // (on_arrival), so at most one un-arrived job is ever resident, and it
+  // waits in the arrival slot, never in the queue.
+  arrival_waiting_ = admit_next(next_arrival_);
   start_churn();
   if (observer_) observer_->on_run_start(*this);
 
@@ -639,9 +632,18 @@ void SimKernel::run(BatchScheduler& scheduler) {
   // an open-ended process (site churn) keeps future events queued for as
   // long as the simulation could need them.
   Time now = 0.0;
-  while (!events_.empty()) {
+  while (arrival_waiting_ || !events_.empty()) {
     if (counters_.completed_jobs == total_jobs_) break;
-    const Event event = events_.pop();
+    // The arrival slot wins time ties: every queued event at the same
+    // instant pops after the arriving job (see kernel.hpp).
+    Event event;
+    if (arrival_waiting_ &&
+        (events_.empty() || next_arrival_.time <= events_.top().time)) {
+      event = next_arrival_;
+      arrival_waiting_ = false;
+    } else {
+      event = events_.pop();
+    }
     now = event.time;
     // Watchdog checkpoint: batch cycles are the kernel's natural pause
     // points (bounded work between them), so a cancelled/expired token

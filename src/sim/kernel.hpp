@@ -17,8 +17,14 @@
 // retirement frontier), freeing its slot: resident job state is
 // O(active jobs), not O(total), which is what opens million-job
 // workloads. Retiring in id order keeps metrics::compute_metrics' sums in
-// a fixed order, and arrival events carry reserved sequence numbers
-// (seq == job id), so the pop order is a pure function of the workload.
+// a fixed order.
+//
+// Pop order is a pure function of the workload: queued events pop by
+// (time, push order), and the one admitted-but-not-yet-arrived job waits
+// in an arrival slot outside the queue, popping ahead of every queued
+// event at the same time. That is the order eager injection gives (all
+// arrivals pushed first, so their sequence numbers precede every dynamic
+// event's), without a heap push and pop per arrival.
 #pragma once
 
 #include <array>
@@ -284,7 +290,8 @@ class SimKernel {
 
   // --- event handlers, one group per EventKind (run() switches) ---
   /// kJobArrival: queue the job for the next batch cycle and admit its
-  /// successor. Arrival times come from the workload, so no draw here.
+  /// successor into the arrival slot. Arrival times come from the
+  /// workload, so no draw here.
   void on_arrival(const Event& event);
   /// kBatchCycle: schedule the pending batch (if any) and request the
   /// next cycle while work remains.
@@ -354,6 +361,11 @@ class SimKernel {
   ExecModel exec_model_;
 
   EventQueue events_;
+  /// The admitted job whose arrival has not popped yet (valid while
+  /// arrival_waiting_). run() pops it ahead of events_.top() at equal
+  /// times; on_arrival refills it with the successor.
+  Event next_arrival_;
+  bool arrival_waiting_ = false;
   std::vector<JobId> pending_;
   std::vector<Attempt> attempts_;  ///< per slot, current attempt
   /// Per-site live-attempt index: live_[s] lists the slot of every active

@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -65,12 +66,16 @@ double grid(util::Rng& rng, double step, std::int64_t max_steps) {
   return step * static_cast<double>(rng.uniform_int(1, max_steps));
 }
 
-/// Random context with `n_jobs` jobs on `min_sites`..`max_sites` sites;
-/// half of them carry a raw ETC matrix unless `rank_one`.
-sim::SchedulerContext random_context(util::Rng& rng, std::size_t n_jobs,
-                                     std::int64_t min_sites,
-                                     std::int64_t max_sites,
-                                     bool rank_one = false) {
+/// The default site speed grid.
+constexpr std::array kSpeedGrid = {1.0, 2.0, 4.0};
+
+/// Random context with `n_jobs` jobs on `min_sites`..`max_sites` sites,
+/// speeds drawn from `speeds`; half of them carry a raw ETC matrix unless
+/// `rank_one`.
+sim::SchedulerContext random_context(
+    util::Rng& rng, std::size_t n_jobs, std::int64_t min_sites,
+    std::int64_t max_sites, bool rank_one = false,
+    std::span<const double> speeds = kSpeedGrid) {
   sim::SchedulerContext context;
   context.now = rng.bernoulli(0.5) ? 0.0 : grid(rng, 5.0, 4);
   const std::size_t n_sites =
@@ -79,7 +84,7 @@ sim::SchedulerContext random_context(util::Rng& rng, std::size_t n_jobs,
     sim::SiteConfig site;
     site.id = static_cast<sim::SiteId>(s);
     site.nodes = static_cast<unsigned>(rng.uniform_int(1, 4));
-    site.speed = std::array{1.0, 2.0, 4.0}[rng.index(3)];
+    site.speed = speeds[rng.index(speeds.size())];
     site.security = 0.4 + 0.1 * static_cast<double>(rng.uniform_int(0, 6));
     sim::NodeAvailability avail(site.nodes, 0.0);
     // Pre-existing reservations on the integer grid: profiles with busy
@@ -172,11 +177,19 @@ TEST(SchedDifferential, WideRankOneMctMatchesReference) {
   // free times from an integer grid, so equal-speed leaves and exact
   // completion ties across sites are the common case; masks, secure_only
   // jobs, jobs that fit no site and several node counts per batch ride
-  // along. One scheduler per policy serves every context, so the trees are
-  // rebuilt across growing and shrinking site counts.
+  // along. Every other context draws speeds from a grid of values one ulp
+  // apart instead, so neighbouring leaves' exec times are equal or one ulp
+  // apart and the reciprocal bounds of sibling subtrees tie or straddle
+  // exact completions. One scheduler per policy serves every context, so
+  // the trees are rebuilt across growing and shrinking site counts.
   constexpr std::uint64_t kMasterSeed = 0x3c7ee5ULL;
-  constexpr std::size_t kContexts = 120;
+  constexpr std::size_t kContexts = 160;
   const std::array kFirstSites = {1100, 17, 64, 65, 1000, 63, 128, 129, 33};
+  const double third = std::nextafter(3.0, 4.0);
+  const std::array ulp_speeds = {
+      3.0, third, std::nextafter(3.0, 2.0), std::nextafter(third, 4.0),
+      1.5, std::nextafter(1.5, 2.0), std::nextafter(1.5, 1.0),
+      0.75, std::nextafter(0.75, 1.0)};
   std::vector<std::unique_ptr<sim::BatchScheduler>> schedulers;
   for (const RiskPolicy& policy : kPolicies) {
     schedulers.push_back(make_heuristic("mct", policy));
@@ -191,7 +204,10 @@ TEST(SchedDifferential, WideRankOneMctMatchesReference) {
         i < kFirstSites.size() ? kFirstSites[i] : rng.uniform_int(17, 1100);
     const auto n_jobs = static_cast<std::size_t>(rng.uniform_int(1, 120));
     const sim::SchedulerContext context =
-        random_context(rng, n_jobs, n_sites, n_sites, /*rank_one=*/true);
+        i % 2 == 0
+            ? random_context(rng, n_jobs, n_sites, n_sites, /*rank_one=*/true)
+            : random_context(rng, n_jobs, n_sites, n_sites, /*rank_one=*/true,
+                             ulp_speeds);
     if (SiteTree::applies(context)) ++tree_contexts;
 
     for (std::size_t p = 0; p < kPolicies.size(); ++p) {

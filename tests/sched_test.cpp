@@ -2,11 +2,15 @@
 #include "sched/heuristics.hpp"
 #include "sched/registry.hpp"
 #include "sched/risk_filter.hpp"
+#include "sched/site_tree.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -210,6 +214,63 @@ TEST(Olb, BalancesByAvailabilityOnly) {
   std::set<sim::SiteId> used;
   for (const auto& assignment : assignments) used.insert(assignment.site);
   EXPECT_EQ(used.size(), 2u);
+}
+
+// ------------------------------------------------------------- SiteTree ---
+
+/// `work * SiteTree::inv_lo(speed)` must never exceed `work / speed`, and
+/// inv_lo must sit strictly below the real reciprocal wherever
+/// 1 / speed neither overflows nor underflows (fma rounds once, so the
+/// sign of inv_lo * speed - 1 is exact).
+void expect_bound_holds(double work, double speed) {
+  const double inv_lo = SiteTree::inv_lo(speed);
+  EXPECT_LE(work * inv_lo, work / speed) << "work " << work << " speed "
+                                         << speed;
+  const double reciprocal = 1.0 / speed;
+  if (std::isnormal(reciprocal) && reciprocal < 0x1p1023) {
+    EXPECT_LT(std::fma(inv_lo, speed, -1.0), 0.0) << "speed " << speed;
+  }
+}
+
+TEST(SiteTree, InvLoNeverExceedsTheQuotient) {
+  // Adversarial: powers of two (exact reciprocals), speeds one ulp apart
+  // around values whose reciprocals round up, down or exactly, and work
+  // from 1e-300 to 1e300 (products overflow to infinity together with the
+  // quotient).
+  std::vector<double> speeds;
+  for (const double base :
+       {1.0, 1.5, 2.0, 3.0, 0.1, 0.3, 7.0, 10.0, 1e-300, 1e300, 0x1p-1000,
+        0x1p1000, std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max()}) {
+    speeds.push_back(base);
+    speeds.push_back(std::nextafter(base, 0.0));
+    speeds.push_back(std::nextafter(base, 2.0 * base));
+  }
+  for (int e = -1070; e <= 1020; e += 10) {
+    speeds.push_back(std::ldexp(1.0, e));
+  }
+  std::vector<double> works = {0.0, std::numeric_limits<double>::denorm_min(),
+                               std::numeric_limits<double>::max()};
+  for (double work = 1e-300; work <= 1e300; work *= 10.0) {
+    works.push_back(work);
+    works.push_back(std::nextafter(work, 0.0));
+  }
+  for (int e = -1074; e <= 1023; e += 7) works.push_back(std::ldexp(1.0, e));
+  for (const double speed : speeds) {
+    for (const double work : works) expect_bound_holds(work, speed);
+  }
+
+  // Random: mantissas and exponents over the whole normal range, and the
+  // realistic band the scenarios use.
+  util::Rng rng(0x1b0d);
+  for (int i = 0; i < 200000; ++i) {
+    const auto speed_exp = static_cast<int>(rng.uniform_int(-1000, 1000));
+    const auto work_exp = static_cast<int>(rng.uniform_int(-996, 996));
+    const double speed = std::ldexp(rng.uniform(1.0, 2.0), speed_exp);
+    const double work = std::ldexp(rng.uniform(1.0, 2.0), work_exp);
+    expect_bound_holds(work, speed);
+    expect_bound_holds(rng.uniform(1.0, 5e6), rng.uniform(0.5, 4.0));
+  }
 }
 
 // ------------------------------------------------------- mode behaviour ---

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -535,6 +536,63 @@ TEST(Engine, BatchCycleAtExactMultipleStaysStrictlyAfterNow) {
   const Job& job = done[0];
   EXPECT_GT(job.first_start, 1.0);
   EXPECT_NEAR(job.first_start, 1.2, 1e-9);
+}
+
+/// Records every popped event as (kind, time, job) through on_event.
+class EventOrderRecorder final : public KernelObserver {
+ public:
+  struct Popped {
+    EventKind kind;
+    Time time;
+    JobId job;
+    friend bool operator==(const Popped&, const Popped&) = default;
+  };
+
+  void on_event(const SimKernel&, const Event& event) override {
+    popped.push_back({event.kind, event.time, event.job});
+  }
+
+  std::vector<Popped> popped;
+};
+
+void PrintTo(const EventOrderRecorder::Popped& event, std::ostream* os) {
+  *os << "(kind " << static_cast<int>(event.kind) << ", t " << event.time
+      << ", job " << event.job << ")";
+}
+
+TEST(Engine, ArrivalPopsBeforeEveryQueuedEventAtTheSameTime) {
+  // Job B arrives exactly at the t=100 batch cycle, C at A's t=150 job
+  // end and D at site 1's scripted t=300 outage. Each arrival must pop
+  // before the queued event it ties with, so B and D are in the batch the
+  // tied cycle schedules. The cycle at 200 ties with B's end, which was
+  // pushed first.
+  const std::vector<Job> jobs = {
+      make_job(0.0, 50.0, 1, 0.5), make_job(100.0, 50.0, 1, 0.5),
+      make_job(150.0, 10.0, 1, 0.5), make_job(300.0, 10.0, 1, 0.5)};
+  const std::vector<SiteOutage> outages = {{1, 300.0, 400.0}};
+  SimKernel kernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, jobs,
+                   quick_config(100.0), {}, outages);
+  EventOrderRecorder recorder;
+  kernel.set_observer(&recorder);
+  ScriptedScheduler scheduler({0});
+  kernel.run(scheduler);
+
+  using P = EventOrderRecorder::Popped;
+  constexpr JobId kNone = kInvalidJob;
+  const std::vector<P> expected = {
+      {EventKind::kJobArrival, 0.0, 0},
+      {EventKind::kJobArrival, 100.0, 1},
+      {EventKind::kBatchCycle, 100.0, kNone},
+      {EventKind::kJobArrival, 150.0, 2},
+      {EventKind::kJobEnd, 150.0, 0},
+      {EventKind::kJobEnd, 200.0, 1},
+      {EventKind::kBatchCycle, 200.0, kNone},
+      {EventKind::kJobEnd, 210.0, 2},
+      {EventKind::kJobArrival, 300.0, 3},
+      {EventKind::kSiteDown, 300.0, kNone},
+      {EventKind::kBatchCycle, 300.0, kNone},
+      {EventKind::kJobEnd, 310.0, 3}};
+  EXPECT_EQ(recorder.popped, expected);
 }
 
 TEST(Engine, SchedulerSecondsAccumulate) {
