@@ -98,18 +98,17 @@ void DecodeScratch::bind(const GaProblem& problem) {
     binding->rank_job[rank] = static_cast<std::uint32_t>(cell / n_sites);
   }
 
-  binding->offset.resize(problem.n_sites() + 1);
-  binding->offset[0] = 0;
-  for (std::size_t s = 0; s < problem.n_sites(); ++s) {
-    binding->offset[s + 1] =
-        binding->offset[s] + problem.avail[s].free_times().size();
-  }
-  binding->pristine.resize(binding->offset.back());
-  std::size_t cursor = 0;
+  // reserve() merges whole 4-lane steps and reads up to index
+  // lanes - 1 + k <= lanes - 1 + n, so each segment is padded to n + lanes.
+  auto& pristine = binding->pristine;
   for (const auto& profile : problem.avail) {
-    for (const sim::Time t : profile.free_times()) {
-      binding->pristine[cursor++] = t;
-    }
+    const auto nodes = static_cast<unsigned>(profile.free_times().size());
+    const unsigned lanes = (nodes + 3) / 4 * 4;
+    binding->segments.push_back({pristine.size(), nodes, lanes});
+    pristine.insert(pristine.end(), profile.free_times().begin(),
+                    profile.free_times().end());
+    pristine.insert(pristine.end(), lanes,
+                    std::numeric_limits<sim::Time>::infinity());
   }
   binding_ = std::move(binding);
   size_buffers();
@@ -177,26 +176,6 @@ std::span<const std::uint32_t> DecodeScratch::sort_genes(
     rank_job += 64;
   }
   return {genes_.data(), n};
-}
-
-sim::NodeAvailability::Window DecodeScratch::reserve(sim::SiteId s, unsigned k,
-                                                     double exec,
-                                                     sim::Time now) noexcept {
-  sim::Time* free_times = working_.data() + binding_->offset[s];
-  const std::size_t n = binding_->offset[s + 1] - binding_->offset[s];
-  assert(k >= 1 && k <= n && "DecodeScratch::reserve: bad node count");
-  const sim::Time start = std::max(now, free_times[k - 1]);
-  const sim::Time end = start + exec;
-  // The k earliest-free nodes become free at `end`. Restore sorted order
-  // without inplace_merge (which heap-allocates a temporary buffer on
-  // every call): entries in [k, p) are < end and slide down k places as
-  // the scan finds them (no separate memmove call); the k reserved nodes —
-  // all equal to `end` — land just before p. The linear scan beats a
-  // binary search on these <= O(site nodes) profiles.
-  std::size_t p = k;
-  for (; p < n && free_times[p] < end; ++p) free_times[p - k] = free_times[p];
-  for (std::size_t i = p - k; i < p; ++i) free_times[i] = end;
-  return {start, end};
 }
 // GS-FASTPATH-END
 

@@ -4,9 +4,11 @@
 // Fig. 4: an array with one site gene per batch job.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -86,7 +88,10 @@ struct GaProblem {
 /// copy-on-decode availability arena (all sites' free times in one
 /// contiguous buffer with a pristine snapshot, so resetting to the
 /// committed profiles is an O(total nodes) copy instead of a
-/// vector-of-vectors deep copy).
+/// vector-of-vectors deep copy). Each site's segment holds its n free
+/// times followed by +inf up to n + lanes entries, lanes = n rounded up to
+/// 4, so reserve() can merge whole 4-lane steps without a data-dependent
+/// branch.
 ///
 /// Ordering exploits that the exec matrix is fixed per problem: bind()
 /// ranks every (job, site) cell by (exec, job, site), giving each cell a
@@ -133,7 +138,9 @@ class DecodeScratch {
 
   /// Arena equivalent of NodeAvailability::reserve on site `s`: occupy the
   /// k earliest-free nodes for `exec` seconds starting no earlier than
-  /// `now`, keeping the profile sorted. Requires 1 <= k <= nodes(s).
+  /// `now`, keeping the profile sorted: one fixed-width min/max merge over
+  /// the padded segment, bit-identical to NodeAvailability::reserve.
+  /// Requires 1 <= k <= nodes(s).
   sim::NodeAvailability::Window reserve(sim::SiteId s, unsigned k, double exec,
                                         sim::Time now) noexcept;
 
@@ -146,6 +153,14 @@ class DecodeScratch {
     std::uint32_t rank = 0;  ///< unique: position in (exec, job, site)
   };
 
+  /// One site's slice of the arena: `nodes` free times from `offset`, then
+  /// +inf up to offset + nodes + lanes, lanes = nodes rounded up to 4.
+  struct Segment {
+    std::size_t offset = 0;
+    unsigned nodes = 0;
+    unsigned lanes = 0;
+  };
+
   /// Everything derived from the (immutable) problem, shared between the
   /// engine's per-chunk scratches so the rank table is built once per
   /// evolve, not once per thread.
@@ -153,11 +168,30 @@ class DecodeScratch {
     std::vector<Cell> cells;            ///< exec/pfail/rank, jobs x sites
     std::vector<std::uint32_t> rank_job;  ///< cell rank -> job index
     std::vector<unsigned> nodes;        ///< jobs[j].nodes
-    std::vector<sim::Time> pristine;    ///< flattened committed free times
-    std::vector<std::size_t> offset;    ///< per-site start, n_sites + 1
+    std::vector<sim::Time> pristine;    ///< padded committed free times
+    std::vector<Segment> segments;      ///< per-site arena slice
     std::size_t n_jobs = 0;
     std::uint64_t epoch = 0;            ///< GaProblem::epoch (0 = unstamped)
   };
+
+  /// Two free times in one SSE2 register. The selects in merge_pair lower
+  /// to minpd/maxpd with no -march flag and no intrinsics header.
+  using TimePair = sim::Time __attribute__((vector_size(16)));
+
+  static TimePair load_pair(const sim::Time* at) noexcept {
+    TimePair pair;
+    std::memcpy(&pair, at, sizeof pair);
+    return pair;
+  }
+  static void store_pair(sim::Time* at, TimePair pair) noexcept {
+    std::memcpy(at, &pair, sizeof pair);
+  }
+  /// max(own, min(next, end)) per lane, operands ordered as minpd/maxpd.
+  static TimePair merge_pair(TimePair own, TimePair next,
+                             TimePair end) noexcept {
+    const TimePair low = next < end ? next : end;
+    return own > low ? own : low;
+  }
 
   /// Size the per-scratch buffers for binding_ (shared by both binds).
   void size_buffers();
@@ -176,12 +210,41 @@ class DecodeScratch {
       const Chromosome& chromosome) noexcept;
 };
 
+// GS-FASTPATH-BEGIN: the inlined per-gene reserve and per-evaluation loop
+// (GS-R01 no-alloc).
+inline sim::NodeAvailability::Window DecodeScratch::reserve(
+    sim::SiteId s, unsigned k, double exec, sim::Time now) noexcept {
+  const Segment segment = binding_->segments[s];
+  sim::Time* free_times = working_.data() + segment.offset;
+  assert(k >= 1 && k <= segment.nodes &&
+         "DecodeScratch::reserve: bad node count");
+  const sim::Time start = std::max(now, free_times[k - 1]);
+  const sim::Time end = start + exec;
+  // The k earliest-free nodes become free at `end`; restore sorted order
+  // as one fixed-width merge with no data-dependent branch. If c entries
+  // of [k, n) are below `end`, lane i < c takes free_times[i + k], lanes
+  // [c, c + k) take `end` and the rest keep their own value, which is
+  // exactly max(own, min(free_times[i + k], end)). The +inf padding keeps
+  // lanes [n, lanes) at +inf and bounds the reads past n. Each step loads
+  // its lanes before storing them, and later steps read only lanes above
+  // the ones stored, so the merge runs in place.
+  const TimePair ends = {end, end};
+  for (std::size_t i = 0; i < segment.lanes; i += 4) {
+    const TimePair own_lo = load_pair(free_times + i);
+    const TimePair own_hi = load_pair(free_times + i + 2);
+    const TimePair next_lo = load_pair(free_times + i + k);
+    const TimePair next_hi = load_pair(free_times + i + k + 2);
+    store_pair(free_times + i, merge_pair(own_lo, next_lo, ends));
+    store_pair(free_times + i + 2, merge_pair(own_hi, next_hi, ends));
+  }
+  return {start, end};
+}
+
 /// Decode `chromosome` with zero steady-state allocations: reserve
 /// shortest-first in the scratch arena and feed each job's expected
 /// completion to `consume(job_index, expected_completion)`. This is the hot
 /// primitive under decode_fitness/batch_makespan; the chromosome must be
 /// feasible (validated once by evolve, not per call).
-// GS-FASTPATH-BEGIN: the inlined per-evaluation loop (GS-R01 no-alloc).
 template <typename Consume>
 void decode_into(DecodeScratch& scratch, const GaProblem& problem,
                  const Chromosome& chromosome, double risk_penalty,

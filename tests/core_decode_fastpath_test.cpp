@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -202,6 +204,93 @@ TEST(DecodeFastPath, RebindingToAnotherProblemIsCorrect) {
       const Chromosome chromosome = random_chromosome(problem, rng);
       EXPECT_EQ(decode_fitness_reference(problem, chromosome, params),
                 decode_fitness(problem, chromosome, params, scratch));
+    }
+  }
+}
+
+/// A hand-built problem over sites of the given node counts, in order, so
+/// the arena holds segments whose lanes round up (n % 4 != 0) or span
+/// several 4-lane steps (n > 16). Every committed profile, exec cell and
+/// `now` is a whole number, so free times tie each other and reserve ends
+/// land exactly on later committed entries.
+GaProblem odd_site_problem(const std::vector<unsigned>& site_nodes,
+                           std::size_t n_jobs, sim::Time now,
+                           std::uint64_t seed) {
+  util::Rng rng(seed);
+  GaProblem problem;
+  problem.now = now;
+  const std::size_t n_sites = site_nodes.size();
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    const unsigned nodes = site_nodes[s];
+    problem.sites.push_back(
+        {static_cast<sim::SiteId>(s), nodes, 1.0, 1.0});
+    sim::NodeAvailability profile(nodes, 2.0);
+    for (int r = 0; r < 6; ++r) {
+      const auto k = static_cast<unsigned>(1 + rng.index(nodes));
+      const auto exec = static_cast<double>(1 + rng.index(5));
+      const sim::Time end = profile.reserve(k, exec, 2.0).end;
+      if (r % 3 == 2) profile.release(1, end, end - 1.0);
+    }
+    problem.avail.push_back(std::move(profile));
+  }
+  problem.exec.assign(n_jobs * n_sites, 0.0);
+  problem.pfail.assign(n_jobs * n_sites, 0.0);
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    sim::BatchJob job;
+    job.id = static_cast<sim::JobId>(j);
+    // Up to the widest site, so some jobs fill a whole segment.
+    job.nodes = static_cast<unsigned>(1 + rng.index(j % 4 == 0 ? 33 : 4));
+    problem.jobs.push_back(job);
+    problem.batch_index.push_back(j);
+    std::vector<sim::SiteId> domain;
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      const std::size_t cell = j * n_sites + s;
+      if (job.nodes > site_nodes[s]) {
+        problem.exec[cell] = std::numeric_limits<double>::infinity();
+        continue;
+      }
+      problem.exec[cell] = static_cast<double>(1 + rng.index(6));
+      problem.pfail[cell] = 0.125 * static_cast<double>(rng.index(3));
+      domain.push_back(static_cast<sim::SiteId>(s));
+    }
+    problem.domains.push_back(std::move(domain));
+  }
+  return problem;
+}
+
+TEST(DecodeFastPath, PaddedReserveMatchesReferenceOnOddSites) {
+  // Registry sites have 1, 4, 8 or 16 nodes; these add partial 4-lane
+  // steps and segments past 16. `now` sits below every committed free
+  // time (all >= 2), inside the profiles, and above all of them.
+  const std::vector<unsigned> site_nodes = {1, 2, 3, 5, 7, 9, 16, 17, 33};
+  const FitnessParams params{0.6, 2.0};
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  DecodeScratch scratch;
+  for (const sim::Time now : {0.0, 4.0, 100.0}) {
+    for (const std::uint64_t seed : {5ULL, 6ULL, 7ULL}) {
+      const GaProblem problem = odd_site_problem(site_nodes, 48, now, seed);
+      scratch.bind(problem);
+      util::Rng rng(seed * 13);
+      for (int trial = 0; trial < 12; ++trial) {
+        const Chromosome chromosome = random_chromosome(problem, rng);
+        const std::string where = "now " + std::to_string(now) + " seed " +
+                                  std::to_string(seed) + " trial " +
+                                  std::to_string(trial);
+        EXPECT_EQ(bits(decode_fitness(problem, chromosome, params, scratch)),
+                  bits(decode_fitness_reference(problem, chromosome, params)))
+            << where;
+        EXPECT_EQ(bits(batch_makespan(problem, chromosome, scratch)),
+                  bits(batch_makespan_reference(problem, chromosome)))
+            << where;
+        const auto fast_order =
+            decode_order_into(scratch, problem, chromosome);
+        EXPECT_EQ(
+            std::vector<std::size_t>(fast_order.begin(), fast_order.end()),
+            decode_order_reference(problem, chromosome))
+            << where;
+      }
     }
   }
 }

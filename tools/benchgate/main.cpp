@@ -23,9 +23,13 @@
 //              != 0; ROADMAP "Decode fast-path invariants") or when the
 //              paper-shaped target-512x16 speedup falls below the floor
 //              (--speedup-floor, default 1.5 — well under the committed
-//              ~3.7x, so only a real fast-path regression trips it).
-//              ns-per-decode comparisons against the baseline are
-//              advisory.
+//              ~6.9x, so only a real fast-path regression trips it).
+//              The ga_batch / ga_batch_nas work counters (evaluations,
+//              memo_hits, decodes) are pure functions of the batch shape
+//              and seed: when the fresh batch has the baseline's seed,
+//              n_jobs, n_sites, population and generations, any drift is
+//              a hard failure. ns-per-decode comparisons against the
+//              baseline are advisory.
 //
 // Exit codes: 0 pass (warnings allowed), 1 hard failure, 2 usage/IO
 // error. The gate never launches the benches itself — CI runs them and
@@ -249,6 +253,21 @@ void gate_ga_decode(Gate& gate, const json::Value& baseline,
                   fmt(got / expect) + "x over baseline (" + fmt(expect) +
                   " -> " + fmt(got) + ") — advisory; hardware-dependent");
       }
+    }
+  }
+  for (const char* batch : {"ga_batch", "ga_batch_nas"}) {
+    const json::Value& expect = baseline.at(batch);
+    const json::Value& got = fresh.at(batch);
+    const auto differs = [&](const char* key) {
+      return expect.at(key).as_number() != got.at(key).as_number();
+    };
+    if (baseline.at("seed").as_number() != fresh.at("seed").as_number() ||
+        differs("n_jobs") || differs("n_sites") || differs("population") ||
+        differs("generations")) {
+      continue;  // another batch: its counters are not comparable
+    }
+    for (const char* key : {"evaluations", "memo_hits", "decodes"}) {
+      check_exact(gate, std::string("ga_decode/") + batch, expect, got, key);
     }
   }
   if (!target_speedup.has_value()) {
