@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -293,30 +294,49 @@ int main(int argc, char** argv) {
 
   // --- observability overhead -----------------------------------------------
   // The same evolve with a GaProfile attached: the per-generation clock
-  // reads and profile rows are the only extra work, and the GaResult must
-  // stay bit-identical. --check-overhead=PCT turns the measurement into
-  // an exit-code assertion so CI can gate regressions.
-  util::Rng profiled_rng = util::SeedMix(args.seed).mix("ga").rng();
-  core::GaProfile profile;
-  const auto start = Clock::now();
-  const core::GaResult profiled =
-      core::evolve(problem, {}, ga, profiled_rng, nullptr, &profile);
-  const double profiled_ms = elapsed_ms(start);
-  if (profiled.best_fitness != batch.best_fitness ||
-      profiled.evaluations != batch.evaluations) {
-    std::fprintf(stderr,
-                 "FAIL: profiled evolve() diverged from the unprofiled "
-                 "run (profiling must be observation-only)\n");
-    return 1;
+  // reads and profile rows are the only extra work, and every profiled
+  // GaResult must stay bit-identical. One run of each side is too noisy to
+  // compare (single pairs ranged from +1% to +37% on one binary), so the
+  // overhead compares the fastest of kOverheadPairs alternating unprofiled
+  // and profiled runs; host noise only ever adds time. --check-overhead=PCT
+  // turns the measurement into an exit-code assertion so CI can gate
+  // regressions.
+  constexpr int kOverheadPairs = 5;
+  double unprofiled_ms = std::numeric_limits<double>::infinity();
+  double profiled_ms = std::numeric_limits<double>::infinity();
+  std::size_t profile_rows = 0;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    util::Rng unprofiled_rng = util::SeedMix(args.seed).mix("ga").rng();
+    auto start = Clock::now();
+    const core::GaResult unprofiled =
+        core::evolve(problem, {}, ga, unprofiled_rng);
+    unprofiled_ms = std::min(unprofiled_ms, elapsed_ms(start));
+
+    util::Rng profiled_rng = util::SeedMix(args.seed).mix("ga").rng();
+    core::GaProfile profile;
+    start = Clock::now();
+    const core::GaResult profiled =
+        core::evolve(problem, {}, ga, profiled_rng, nullptr, &profile);
+    profiled_ms = std::min(profiled_ms, elapsed_ms(start));
+    profile_rows = profile.generations.size();
+    if (profiled.best_fitness != batch.best_fitness ||
+        profiled.evaluations != batch.evaluations ||
+        unprofiled.best_fitness != batch.best_fitness) {
+      std::fprintf(stderr,
+                   "FAIL: profiled evolve() diverged from the unprofiled "
+                   "run (profiling must be observation-only)\n");
+      return 1;
+    }
   }
-  const double evolve_ms = batch.evolve_ms;
   const double overhead_pct =
-      evolve_ms > 0.0 ? (profiled_ms - evolve_ms) / evolve_ms * 100.0 : 0.0;
+      unprofiled_ms > 0.0
+          ? (profiled_ms - unprofiled_ms) / unprofiled_ms * 100.0
+          : 0.0;
   std::printf(
-      "  evolve() with GaProfile   : %.1f ms (%zu generation rows, "
-      "%+.2f%% overhead)\n"
+      "  evolve() with GaProfile   : %.1f ms vs %.1f ms without (fastest of "
+      "%d alternating pairs; %zu generation rows, %+.2f%% overhead)\n"
       "  peak RSS                  : %.1f MiB\n",
-      profiled_ms, profile.generations.size(), overhead_pct,
+      profiled_ms, unprofiled_ms, kOverheadPairs, profile_rows, overhead_pct,
       bench::peak_rss_mib());
   if (const auto limit = cli.get("check-overhead")) {
     const double max_pct = std::stod(*limit);
@@ -355,6 +375,7 @@ int main(int argc, char** argv) {
           .raw("ga_batch_nas", ga_batch_json(nas_batch, nas_ga))
           .raw("observability",
                bench::JsonObject()
+                   .num("unprofiled_evolve_ms", unprofiled_ms, 2)
                    .num("profiled_evolve_ms", profiled_ms, 2)
                    .num("profile_overhead_pct", overhead_pct, 2)
                    .integer("peak_rss_bytes", obs::peak_rss_bytes())

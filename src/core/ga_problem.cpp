@@ -5,6 +5,7 @@
 #include <bit>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "sched/etc_matrix.hpp"
@@ -61,6 +62,38 @@ GaProblem build_problem(const sim::SchedulerContext& context,
   return problem;
 }
 
+namespace {
+
+/// Each job's exec time when every cell a gene can name holds it bit for
+/// bit, or nullopt. A gene can name any site whose profile fits the job
+/// (what validate_decode_args admits), not only the job's domain; a job
+/// that fits no site has no value, so the order falls back to the ranks.
+std::optional<std::vector<double>> uniform_job_exec(
+    const GaProblem& problem) {
+  if (problem.avail.size() != problem.n_sites()) return std::nullopt;
+  std::vector<double> job_exec(problem.n_jobs());
+  for (std::size_t j = 0; j < problem.n_jobs(); ++j) {
+    bool seen = false;
+    for (std::size_t s = 0; s < problem.n_sites(); ++s) {
+      if (problem.jobs[j].nodes > problem.avail[s].free_times().size()) {
+        continue;
+      }
+      const double exec = problem.exec_at(j, s);
+      if (!seen) {
+        job_exec[j] = exec;
+        seen = true;
+      } else if (std::bit_cast<std::uint64_t>(exec) !=
+                 std::bit_cast<std::uint64_t>(job_exec[j])) {
+        return std::nullopt;
+      }
+    }
+    if (!seen) return std::nullopt;
+  }
+  return job_exec;
+}
+
+}  // namespace
+
 void DecodeScratch::bind(const GaProblem& problem) {
   if (binding_ != nullptr && problem.epoch != 0 &&
       problem.epoch == binding_->epoch) {
@@ -74,28 +107,45 @@ void DecodeScratch::bind(const GaProblem& problem) {
     binding->nodes[j] = problem.jobs[j].nodes;
   }
 
-  // Rank every cell once per problem by (exec, cell index), i.e. by
-  // (exec, job, site): unique ranks whose order is exactly the doubles'
-  // order with ties on the job (there is no NaN: exec is work/speed or
-  // infinity). Each decode then orders genes by setting and scanning bits.
   const std::size_t n_cells = problem.exec.size();
   if (n_cells > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("DecodeScratch::bind: jobs x sites too large");
   }
-  std::vector<std::uint32_t> by_rank(n_cells);
-  std::iota(by_rank.begin(), by_rank.end(), std::uint32_t{0});
-  std::sort(by_rank.begin(), by_rank.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return problem.exec[a] < problem.exec[b] ||
-                     (problem.exec[a] == problem.exec[b] && a < b);
-            });
   binding->cells.resize(n_cells);
-  binding->rank_job.resize(n_cells);
-  const std::size_t n_sites = problem.n_sites();
-  for (std::uint32_t rank = 0; rank < n_cells; ++rank) {
-    const std::uint32_t cell = by_rank[rank];
-    binding->cells[cell] = {problem.exec[cell], problem.pfail[cell], rank};
-    binding->rank_job[rank] = static_cast<std::uint32_t>(cell / n_sites);
+  for (std::size_t cell = 0; cell < n_cells; ++cell) {
+    binding->cells[cell] = {problem.exec[cell], problem.pfail[cell], 0};
+  }
+  // The order compares doubles with ties on the index; there is no NaN:
+  // exec is work/speed or infinity.
+  const auto by_exec = [](const auto& exec) {
+    return [&exec](std::uint32_t a, std::uint32_t b) {
+      return exec[a] < exec[b] || (exec[a] == exec[b] && a < b);
+    };
+  };
+  if (const auto job_exec = uniform_job_exec(problem)) {
+    // Every gene of job j names a cell holding job_exec[j], so sorting the
+    // jobs by (exec, job) once is every chromosome's decode order.
+    binding->per_batch_order = true;
+    binding->batch_order.resize(binding->n_jobs);
+    std::iota(binding->batch_order.begin(), binding->batch_order.end(),
+              std::uint32_t{0});
+    std::sort(binding->batch_order.begin(), binding->batch_order.end(),
+              by_exec(*job_exec));
+  } else {
+    // Rank every cell once per problem by (exec, cell index), i.e. by
+    // (exec, job, site): unique ranks whose order is exactly the doubles'
+    // order with ties on the job. Each decode then orders genes by setting
+    // and scanning bits.
+    std::vector<std::uint32_t> by_rank(n_cells);
+    std::iota(by_rank.begin(), by_rank.end(), std::uint32_t{0});
+    std::sort(by_rank.begin(), by_rank.end(), by_exec(problem.exec));
+    binding->rank_job.resize(n_cells);
+    const std::size_t n_sites = problem.n_sites();
+    for (std::uint32_t rank = 0; rank < n_cells; ++rank) {
+      const std::uint32_t cell = by_rank[rank];
+      binding->cells[cell].rank = rank;
+      binding->rank_job[rank] = static_cast<std::uint32_t>(cell / n_sites);
+    }
   }
 
   // reserve() merges whole 4-lane steps and reads up to index
@@ -123,7 +173,7 @@ void DecodeScratch::bind_from(const DecodeScratch& other) {
 
 void DecodeScratch::size_buffers() {
   working_.resize(binding_->pristine.size());
-  bits_.assign((binding_->cells.size() + 63) / 64, 0);
+  bits_.assign((binding_->rank_job.size() + 63) / 64, 0);
   genes_.reserve(binding_->n_jobs);
   order_.reserve(binding_->n_jobs);
   exec_gather_.reserve(binding_->n_jobs);
@@ -146,6 +196,14 @@ std::span<const std::uint32_t> DecodeScratch::prepare(
   // the decode loop below then only touches these dense gathers.
   const std::size_t n_sites = problem.n_sites();
   const Cell* cells = binding_->cells.data();
+  if (binding_->per_batch_order) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const Cell& cell = cells[j * n_sites + chromosome[j]];
+      exec_gather_[j] = cell.exec;
+      pfail_gather_[j] = cell.pfail;
+    }
+    return binding_->batch_order;
+  }
   std::uint64_t* bits = bits_.data();
   for (std::size_t j = 0; j < n; ++j) {
     const Cell& cell = cells[j * n_sites + chromosome[j]];

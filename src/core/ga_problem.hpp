@@ -93,22 +93,27 @@ struct GaProblem {
 /// 4, so reserve() can merge whole 4-lane steps without a data-dependent
 /// branch.
 ///
-/// Ordering exploits that the exec matrix is fixed per problem: bind()
-/// ranks every (job, site) cell by (exec, job, site), giving each cell a
-/// unique rank and a rank -> job table. prepare() sets one bit per gene in
-/// a jobs x sites-bit bitmap, and the decode order is the set bits read in
-/// ascending order. A chromosome holds exactly one cell per job, so that
-/// is stable_sort's order by exec with ties on the gene index. After
-/// bind() the steady-state decode path performs zero heap allocations; the
-/// GA engine keeps one scratch per thread-pool chunk, so ~20k evaluations
-/// per batch reuse the same buffers.
+/// Ordering exploits that the exec matrix is fixed per problem. When every
+/// cell a gene can name holds one exec value per job (bit for bit; every
+/// site whose profile fits the job counts, in the job's domain or not), the
+/// order by (exec, job) is the same for every chromosome: bind() computes
+/// it once and prepare() returns it. Uniform-speed grids such as the NAS
+/// testbed take this per-batch order. Otherwise bind() ranks every
+/// (job, site) cell by (exec, job, site), giving each cell a unique rank
+/// and a rank -> job table; prepare() sets one bit per gene in a jobs x
+/// sites-bit bitmap, and the decode order is the set bits read in
+/// ascending order. A chromosome holds exactly one cell per job, so either
+/// way that is stable_sort's order by exec with ties on the gene index.
+/// After bind() the steady-state decode path performs zero heap
+/// allocations; the GA engine keeps one scratch per thread-pool chunk, so
+/// ~20k evaluations per batch reuse the same buffers.
 class DecodeScratch {
  public:
-  /// Capture `problem`'s committed availability profiles, rank its exec
-  /// matrix, and size every buffer for its job/site counts. Binding again
-  /// with the same built problem (matching GaProblem::epoch) is a no-op.
-  /// Throws std::length_error when jobs x sites exceeds the 32-bit rank
-  /// range.
+  /// Capture `problem`'s committed availability profiles, derive its
+  /// decode order (per batch, or else the cell ranks), and size every
+  /// buffer for its job/site counts. Binding again with the same built
+  /// problem (matching GaProblem::epoch) is a no-op. Throws
+  /// std::length_error when jobs x sites exceeds the 32-bit rank range.
   void bind(const GaProblem& problem);
 
   /// Share `other`'s problem binding (the immutable rank/cell/profile
@@ -116,8 +121,14 @@ class DecodeScratch {
   /// evolve and fans the binding out to its per-chunk siblings.
   void bind_from(const DecodeScratch& other);
 
+  /// True when the bound problem's decode order is the same for every
+  /// chromosome, so prepare() returns it without sorting (see above).
+  [[nodiscard]] bool per_batch_order() const noexcept {
+    return binding_ != nullptr && binding_->per_batch_order;
+  }
+
   /// Reset the arena to the bound profiles, gather the chromosome's exec/
-  /// pfail columns, and compute the shortest-execution-first decode order
+  /// pfail columns, and return the shortest-execution-first decode order
   /// (stable for ties, bit-identical to decode_order) as gene indices.
   /// The span is valid until the next prepare()/bind(). Preconditions
   /// (enforced by evolve's seed validation, not re-checked here):
@@ -166,12 +177,16 @@ class DecodeScratch {
   /// evolve, not once per thread.
   struct ProblemBinding {
     std::vector<Cell> cells;            ///< exec/pfail/rank, jobs x sites
-    std::vector<std::uint32_t> rank_job;  ///< cell rank -> job index
+    /// Jobs by (exec, job) when per_batch_order; else empty.
+    std::vector<std::uint32_t> batch_order;
+    /// Cell rank -> job index; empty when per_batch_order (no ranks).
+    std::vector<std::uint32_t> rank_job;
     std::vector<unsigned> nodes;        ///< jobs[j].nodes
     std::vector<sim::Time> pristine;    ///< padded committed free times
     std::vector<Segment> segments;      ///< per-site arena slice
     std::size_t n_jobs = 0;
     std::uint64_t epoch = 0;            ///< GaProblem::epoch (0 = unstamped)
+    bool per_batch_order = false;
   };
 
   /// Two free times in one SSE2 register. The selects in merge_pair lower
@@ -199,6 +214,7 @@ class DecodeScratch {
 
   std::shared_ptr<const ProblemBinding> binding_;
   std::vector<std::uint64_t> bits_;       ///< one bit per cell rank; 0 at rest
+                                          ///< (empty under per_batch_order)
   std::vector<std::uint32_t> genes_;      ///< sort_genes output
   std::vector<std::size_t> order_;        ///< decode_order_into output
   std::vector<double> exec_gather_;       ///< exec_at(j, chromosome[j])

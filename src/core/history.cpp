@@ -14,12 +14,6 @@ double max_abs_entry(std::span<const double> v) {
   return peak;
 }
 
-/// Nearest-neighbour resample of `v` to length n (n >= v.size() > 0),
-/// read on the fly: element i is v[i * v.size() / n].
-double resampled(std::span<const double> v, std::size_t i, std::size_t n) {
-  return v[i * v.size() / n];
-}
-
 }  // namespace
 
 double similarity_raw(std::span<const double> a, std::span<const double> b) {
@@ -37,19 +31,35 @@ double vector_similarity(std::span<const double> a, std::span<const double> b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   // Unequal lengths compare both vectors nearest-neighbour resampled to the
-  // longer length, indexed on the fly instead of copied. Upsampling visits
-  // every source element, so the peaks of the originals are the peaks of
-  // the resampled vectors, and the distance sums in the same order.
-  const std::size_t n = std::max(a.size(), b.size());
+  // longer length n: element i of the shorter one (length m) is
+  // v[floor(i * m / n)], read on the fly instead of copied. The index steps
+  // by an add-and-compare on the remainder i * m mod n; m <= n, so it moves
+  // by at most one per step and stays < m. Upsampling visits every source
+  // element, so the peaks of the originals, taken in the same pass, are
+  // the peaks of the resampled vectors, and the distance sums in the same
+  // order (|x - y| and |y - x| are the same double).
+  const std::span<const double> longer = a.size() >= b.size() ? a : b;
+  const std::span<const double> shorter = a.size() >= b.size() ? b : a;
+  const std::size_t n = longer.size();
+  const std::size_t m = shorter.size();
   double distance = 0.0;
-  if (a.size() == b.size()) {
-    for (std::size_t i = 0; i < n; ++i) distance += std::abs(a[i] - b[i]);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      distance += std::abs(resampled(a, i, n) - resampled(b, i, n));
+  double peak_long = 0.0;
+  double peak_short = 0.0;
+  std::size_t k = 0;          // floor(i * m / n)
+  std::size_t remainder = 0;  // i * m mod n
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = longer[i];
+    const double y = shorter[k];
+    distance += std::abs(x - y);
+    peak_long = std::max(peak_long, std::abs(x));
+    peak_short = std::max(peak_short, std::abs(y));
+    remainder += m;
+    if (remainder >= n) {
+      remainder -= n;
+      ++k;
     }
   }
-  const double denom = std::max(max_abs_entry(a), max_abs_entry(b));
+  const double denom = std::max(peak_long, peak_short);
   if (denom == 0.0) return 1.0;
   const double mean_distance = distance / static_cast<double>(n);
   return 1.0 - mean_distance / denom;

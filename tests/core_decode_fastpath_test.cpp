@@ -149,30 +149,36 @@ TEST(DecodeFastPath, OrderMatchesReferenceWithTiesAndWideBatches) {
 }
 
 TEST(DecodeFastPath, SteadyStateIsAllocationFree) {
-  const auto context = scenario_batch("synth-inconsistent-hihi", 64, 3);
-  const GaProblem problem =
-      build_problem(context, security::RiskPolicy::risky());
-  ASSERT_GT(problem.n_jobs(), 0u);
-  const FitnessParams params{0.6, 2.0};
-  util::Rng rng(17);
-  std::vector<Chromosome> chromosomes;
-  for (int i = 0; i < 32; ++i) {
-    chromosomes.push_back(random_chromosome(problem, rng));
-  }
-  DecodeScratch scratch;
-  scratch.bind(problem);
-  decode_fitness(problem, chromosomes[0], params, scratch);  // warm buffers
+  // The bitmap order (heterogeneous synth ETC) and the per-batch order
+  // (uniform-speed NAS sites).
+  for (const std::string& name :
+       {std::string("synth-inconsistent-hihi"), std::string("nas")}) {
+    const auto context = scenario_batch(name, 64, 3);
+    const GaProblem problem =
+        build_problem(context, security::RiskPolicy::risky());
+    ASSERT_GT(problem.n_jobs(), 0u);
+    const FitnessParams params{0.6, 2.0};
+    util::Rng rng(17);
+    std::vector<Chromosome> chromosomes;
+    for (int i = 0; i < 32; ++i) {
+      chromosomes.push_back(random_chromosome(problem, rng));
+    }
+    DecodeScratch scratch;
+    scratch.bind(problem);
+    decode_fitness(problem, chromosomes[0], params, scratch);  // warm buffers
 
-  const std::uint64_t before = allocation_count();
-  double sink = 0.0;
-  for (const Chromosome& chromosome : chromosomes) {
-    sink += decode_fitness(problem, chromosome, params, scratch);
-    sink += batch_makespan(problem, chromosome, scratch);
-    sink += static_cast<double>(
-        decode_order_into(scratch, problem, chromosome).front());
+    const std::uint64_t before = allocation_count();
+    double sink = 0.0;
+    for (const Chromosome& chromosome : chromosomes) {
+      sink += decode_fitness(problem, chromosome, params, scratch);
+      sink += batch_makespan(problem, chromosome, scratch);
+      sink += static_cast<double>(
+          decode_order_into(scratch, problem, chromosome).front());
+    }
+    EXPECT_EQ(allocation_count(), before)
+        << name << ": fast-path decode allocated";
+    EXPECT_GT(sink, 0.0) << name;
   }
-  EXPECT_EQ(allocation_count(), before) << "fast-path decode allocated";
-  EXPECT_GT(sink, 0.0);
 }
 
 TEST(DecodeFastPath, ReferenceDecodeAllocatesManyTimesMore) {
@@ -292,6 +298,147 @@ TEST(DecodeFastPath, PaddedReserveMatchesReferenceOnOddSites) {
             << where;
       }
     }
+  }
+}
+
+/// A hand-built round on a uniform-speed grid: every site runs at speed
+/// 1.0, work takes three values so exec ties across jobs, sites 2 and 5 are
+/// masked down, sites of 1 node leave the 2-node jobs fewer sites, and the
+/// secure policy keeps each job's domain to the sites trusted enough for
+/// it. Site 6 (16 nodes, fully trusted, up) keeps every domain non-empty.
+sim::SchedulerContext uniform_speed_context(std::size_t n_jobs,
+                                            std::uint64_t seed) {
+  util::Rng rng(seed);
+  sim::SchedulerContext context;
+  context.now = 50.0;
+  const std::vector<unsigned> site_nodes = {1, 4, 2, 8, 1, 4, 16, 2};
+  for (std::size_t s = 0; s < site_nodes.size(); ++s) {
+    const double security = s == 6 ? 1.0 : rng.uniform(0.4, 1.0);
+    context.sites.push_back(
+        {static_cast<sim::SiteId>(s), site_nodes[s], 1.0, security});
+    sim::NodeAvailability avail(site_nodes[s], 0.0);
+    avail.reserve(1, static_cast<double>(rng.index(4)) * 25.0, 0.0);
+    context.avail.push_back(avail);
+    context.site_up.push_back(s == 2 || s == 5 ? 0 : 1);
+  }
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    sim::BatchJob job;
+    job.id = static_cast<sim::JobId>(j);
+    job.work = 100.0 * static_cast<double>(1 + rng.index(3));
+    job.nodes = j % 5 == 0 ? 2u : 1u;
+    job.demand = rng.uniform(0.6, 0.9);
+    context.jobs.push_back(job);
+  }
+  return context;
+}
+
+/// Every order and score the scratch path gives `problem` equals the
+/// reference's, bit for bit, over random feasible chromosomes.
+void expect_decodes_match_reference(const GaProblem& problem,
+                                    DecodeScratch& scratch,
+                                    std::uint64_t seed,
+                                    const std::string& where) {
+  const FitnessParams params{0.6, 2.0};
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  util::Rng rng(seed);
+  for (int trial = 0; trial < 8; ++trial) {
+    const Chromosome chromosome = random_chromosome(problem, rng);
+    const auto fast_order = decode_order_into(scratch, problem, chromosome);
+    EXPECT_EQ(std::vector<std::size_t>(fast_order.begin(), fast_order.end()),
+              decode_order_reference(problem, chromosome))
+        << where << " trial " << trial;
+    EXPECT_EQ(bits(decode_fitness(problem, chromosome, params, scratch)),
+              bits(decode_fitness_reference(problem, chromosome, params)))
+        << where << " trial " << trial;
+    EXPECT_EQ(bits(batch_makespan(problem, chromosome, scratch)),
+              bits(batch_makespan_reference(problem, chromosome)))
+        << where << " trial " << trial;
+  }
+}
+
+TEST(DecodeFastPath, UniformSpeedTakesThePerBatchOrder) {
+  DecodeScratch scratch;
+  for (const std::size_t n_jobs : {1u, 17u, 70u}) {
+    for (const std::uint64_t seed : {3ULL, 4ULL}) {
+      const GaProblem problem = build_problem(
+          uniform_speed_context(n_jobs, seed), security::RiskPolicy::secure());
+      ASSERT_EQ(problem.n_jobs(), n_jobs);
+      scratch.bind(problem);
+      const std::string where =
+          std::to_string(n_jobs) + " jobs seed " + std::to_string(seed);
+      EXPECT_TRUE(scratch.per_batch_order()) << where;
+      expect_decodes_match_reference(problem, scratch, seed * 7, where);
+    }
+  }
+}
+
+TEST(DecodeFastPath, OneDifferingReachableCellFallsBackToTheBitmap) {
+  const FitnessParams params{0.6, 2.0};
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  const GaProblem uniform = build_problem(uniform_speed_context(17, 5),
+                                          security::RiskPolicy::secure());
+  DecodeScratch scratch;
+  scratch.bind(uniform);
+  ASSERT_TRUE(scratch.per_batch_order());
+
+  // A cell no gene can name (site 0 has 1 node, job 0 needs 2) may differ.
+  GaProblem unreachable = uniform;
+  ASSERT_EQ(unreachable.jobs[0].nodes, 2u);
+  unreachable.exec[0] = 1.0;
+  scratch.bind(unreachable);
+  EXPECT_TRUE(scratch.per_batch_order());
+  expect_decodes_match_reference(unreachable, scratch, 11, "unreachable");
+
+  // A masked-down site is outside every domain, yet a validated gene may
+  // still name it: one such cell with another exec forces the bitmap.
+  const std::size_t n_sites = uniform.n_sites();
+  for (const std::size_t job : {1u, 3u}) {
+    GaProblem outside = uniform;
+    const std::size_t cell = job * n_sites + 5;  // site 5 is masked down
+    outside.exec[cell] = outside.exec[cell] * 0.25;
+    scratch.bind(outside);
+    const std::string where = "outside-domain cell of job " +
+                              std::to_string(job);
+    EXPECT_FALSE(scratch.per_batch_order()) << where;
+    expect_decodes_match_reference(outside, scratch, 13, where);
+    // Put the job's gene on that cell: outside its domain, so only the
+    // validating overloads take the chromosome.
+    util::Rng rng(17);
+    for (int trial = 0; trial < 8; ++trial) {
+      Chromosome chromosome = random_chromosome(outside, rng);
+      chromosome[job] = 5;
+      EXPECT_EQ(bits(decode_fitness(outside, chromosome, params)),
+                bits(decode_fitness_reference(outside, chromosome, params)))
+          << where << " trial " << trial;
+      EXPECT_EQ(bits(batch_makespan(outside, chromosome)),
+                bits(batch_makespan_reference(outside, chromosome)))
+          << where << " trial " << trial;
+    }
+  }
+
+  // One in-domain cell with another exec also forces the bitmap.
+  GaProblem inside = uniform;
+  const sim::SiteId site = inside.domains[4].front();
+  inside.exec[4 * n_sites + site] += 1.0;
+  scratch.bind(inside);
+  EXPECT_FALSE(scratch.per_batch_order());
+  expect_decodes_match_reference(inside, scratch, 19, "in-domain cell");
+}
+
+TEST(DecodeFastPath, RegistryPerBatchOrderOnlyOnTheNasTestbed) {
+  // NAS sites all run at speed 1.0; PSA draws ten speed levels and the
+  // synth classes carry heterogeneous raw ETC or speeds.
+  for (const std::string& name : exp::scenario_names()) {
+    const GaProblem problem = build_problem(scenario_batch(name, 24, 11),
+                                            security::RiskPolicy::risky());
+    if (problem.n_jobs() == 0) continue;
+    DecodeScratch scratch;
+    scratch.bind(problem);
+    EXPECT_EQ(scratch.per_batch_order(), name == "nas") << name;
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -109,6 +111,54 @@ TEST(VectorSimilarity, UnequalLengthsMatchAnExplicitResample) {
     }
     EXPECT_EQ(vector_similarity(a, b), vector_similarity(a_n, b_n))
         << na << " vs " << nb;
+  }
+}
+
+TEST(VectorSimilarity, SteppedResampleMatchesTheDivisionFormula) {
+  // Reference: the resample index floor(i * m / n) by division per
+  // element and separate peak passes, summing in the same order. Every
+  // length pair and both argument orders must agree bit for bit.
+  const auto reference = [](std::span<const double> a,
+                            std::span<const double> b) {
+    if (a.empty() && b.empty()) return 1.0;
+    if (a.empty() || b.empty()) return 0.0;
+    const std::size_t n = std::max(a.size(), b.size());
+    double distance = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      distance +=
+          std::abs(a[i * a.size() / n] - b[i * b.size() / n]);
+    }
+    double peak = 0.0;
+    for (const double x : a) peak = std::max(peak, std::abs(x));
+    for (const double x : b) peak = std::max(peak, std::abs(x));
+    if (peak == 0.0) return 1.0;
+    return 1.0 - distance / static_cast<double>(n) / peak;
+  };
+  util::Rng rng(2005);
+  // Random, tied (few distinct values), all-zero and negative entries.
+  const auto fill = [&](std::size_t length, int kind) {
+    std::vector<double> v(length);
+    for (double& x : v) {
+      switch (kind) {
+        case 0: x = rng.uniform(0.0, 900.0); break;
+        case 1: x = static_cast<double>(rng.index(3)); break;
+        case 2: x = 0.0; break;
+        default: x = rng.uniform(-900.0, 50.0); break;
+      }
+    }
+    return v;
+  };
+  for (std::size_t na = 1; na <= 64; ++na) {
+    for (std::size_t nb = 1; nb <= 64; ++nb) {
+      for (int kind = 0; kind < 4; ++kind) {
+        const std::vector<double> a = fill(na, kind);
+        const std::vector<double> b = fill(nb, (kind + na + nb) % 4);
+        EXPECT_EQ(vector_similarity(a, b), reference(a, b))
+            << na << " vs " << nb << " kind " << kind;
+        EXPECT_EQ(vector_similarity(b, a), reference(b, a))
+            << nb << " vs " << na << " kind " << kind;
+      }
+    }
   }
 }
 

@@ -23,7 +23,7 @@
 //              != 0; ROADMAP "Decode fast-path invariants") or when the
 //              paper-shaped target-512x16 speedup falls below the floor
 //              (--speedup-floor, default 1.5 — well under the committed
-//              ~6.9x, so only a real fast-path regression trips it).
+//              ~6.5x, so only a real fast-path regression trips it).
 //              The ga_batch / ga_batch_nas work counters (evaluations,
 //              memo_hits, decodes) are pure functions of the batch shape
 //              and seed: when the fresh batch has the baseline's seed,
