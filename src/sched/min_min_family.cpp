@@ -30,10 +30,11 @@ JobBest scan_job(const sim::SchedulerContext& context,
                  const std::vector<sim::NodeAvailability>& avail,
                  const sim::BatchJob& job) {
   JobBest b;
+  const sim::JobExecRow exec = context.exec_row(job);
   for (std::size_t s = 0; s < context.sites.size(); ++s) {
     if (!scan::fits(context, job, s)) continue;
-    const double completion = scan::completion(
-        avail[s], job, context.exec_time(job, s), context.now);
+    const double completion =
+        scan::completion(avail[s], job, exec[s], context.now);
     const auto site = static_cast<sim::SiteId>(s);
     if constexpr (kSecond) {
       if (!(completion < b.second) || !admissible(context, job, s, policy)) {

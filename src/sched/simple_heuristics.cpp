@@ -37,8 +37,9 @@ void single_pass(const sim::SchedulerContext& context,
   }
 }
 
-/// The admissible site minimising `score` for a structurally feasible
-/// (job, site) pair given the current availability, first site index among
+/// The admissible site minimising `score(exec, s, avail[s])` over the
+/// structurally feasible sites, given the current availability and the
+/// job's exec row (fetched once, not per site), first site index among
 /// ties; admissibility is checked only for strict improvements.
 template <typename ScoreFn>
 sim::SiteId scan_best(const sim::SchedulerContext& context,
@@ -47,9 +48,10 @@ sim::SiteId scan_best(const sim::SchedulerContext& context,
                       const sim::BatchJob& job, ScoreFn&& score) {
   sim::SiteId best_site = sim::kInvalidSite;
   double best_score = std::numeric_limits<double>::infinity();
+  const sim::JobExecRow exec = context.exec_row(job);
   for (std::size_t s = 0; s < context.sites.size(); ++s) {
     if (!scan::fits(context, job, s)) continue;
-    const double value = score(job, s, avail[s]);
+    const double value = score(job, exec, s, avail[s]);
     if (value < best_score && admissible(context, job, s, policy)) {
       best_score = value;
       best_site = static_cast<sim::SiteId>(s);
@@ -79,10 +81,9 @@ void MctScheduler::schedule_into(const sim::SchedulerContext& context,
     // A small grid, or no exact subtree bound (a raw ETC matrix bounds
     // nothing per subtree): scan every site.
     scan_pass(context, policy_, scratch_.avail, out,
-              [&](const sim::BatchJob& job, std::size_t s,
-                  const sim::NodeAvailability& avail) {
-                return scan::completion(avail, job, context.exec_time(job, s),
-                                        context.now);
+              [&](const sim::BatchJob& job, const sim::JobExecRow& exec,
+                  std::size_t s, const sim::NodeAvailability& avail) {
+                return scan::completion(avail, job, exec[s], context.now);
               });
     return;
   }
@@ -101,17 +102,17 @@ void MctScheduler::schedule_into(const sim::SchedulerContext& context,
 void MetScheduler::schedule_into(const sim::SchedulerContext& context,
                                  std::vector<sim::Assignment>& out) {
   scan_pass(context, policy_, scratch_.avail, out,
-            [&](const sim::BatchJob& job, std::size_t s,
-                const sim::NodeAvailability&) {
-              return context.exec_time(job, s);
+            [](const sim::BatchJob&, const sim::JobExecRow& exec,
+               std::size_t s, const sim::NodeAvailability&) {
+              return exec[s];
             });
 }
 
 void OlbScheduler::schedule_into(const sim::SchedulerContext& context,
                                  std::vector<sim::Assignment>& out) {
   scan_pass(context, policy_, scratch_.avail, out,
-            [&](const sim::BatchJob& job, std::size_t,
-                const sim::NodeAvailability& avail) {
+            [&](const sim::BatchJob& job, const sim::JobExecRow&,
+                std::size_t, const sim::NodeAvailability& avail) {
               return scan::start_time(avail, job, context.now);
             });
 }

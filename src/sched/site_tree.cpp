@@ -32,6 +32,7 @@ struct SiteTree::Search {
   const sim::SchedulerContext& context;
   const security::RiskPolicy& policy;
   const sim::BatchJob& job;
+  const sim::JobExecRow exec;
   const std::size_t leaves;
   const Node* nodes;
   const double* start;
@@ -53,7 +54,7 @@ struct SiteTree::Search {
     if (!before(bound, nodes[i].min_index, best, best_site)) return;
     if (i >= leaves) {
       const std::uint32_t s = nodes[i].fastest;
-      const double completion = start[i] + context.exec_time(job, s);
+      const double completion = start[i] + exec[s];
       if (before(completion, s, best, best_site) &&
           admissible(context, job, s, policy)) {
         best = completion;
@@ -88,20 +89,34 @@ bool SiteTree::applies(const sim::SchedulerContext& context) {
   return true;
 }
 
-void SiteTree::build(const sim::SchedulerContext& context) {
-  const std::size_t n_sites = context.sites.size();
+bool SiteTree::speeds_match(
+    const std::vector<sim::SiteConfig>& sites) const noexcept {
+  if (sites.size() != speeds_.size()) return false;
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    if (std::bit_cast<std::uint64_t>(sites[s].speed) !=
+        std::bit_cast<std::uint64_t>(speeds_[s])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void SiteTree::build_order(const std::vector<sim::SiteConfig>& sites) {
+  const std::size_t n_sites = sites.size();
   leaves_ = std::bit_ceil(std::max<std::size_t>(n_sites, 1));
+  speeds_.resize(n_sites);
+  for (std::size_t s = 0; s < n_sites; ++s) speeds_[s] = sites[s].speed;
 
   order_.resize(n_sites);
   for (std::size_t s = 0; s < n_sites; ++s) {
     order_[s] = static_cast<std::uint32_t>(s);
   }
   // A total order, so std::sort is deterministic; std::stable_sort would
-  // allocate a buffer on every call.
+  // allocate a buffer.
   std::sort(order_.begin(), order_.end(),
             [&](std::uint32_t a, std::uint32_t b) {
-              const double speed_a = context.sites[a].speed;
-              const double speed_b = context.sites[b].speed;
+              const double speed_a = speeds_[a];
+              const double speed_b = speeds_[b];
               return speed_a > speed_b || (speed_a == speed_b && a < b);
             });
 
@@ -111,8 +126,8 @@ void SiteTree::build(const sim::SchedulerContext& context) {
   nodes_.assign(2 * leaves_, Node{0.0, 0, sim::kInvalidSite});
   leaf_of_site_.resize(n_sites);
   for (std::size_t p = 0; p < n_sites; ++p) {
-    nodes_[leaves_ + p] = Node{inv_lo(context.sites[order_[p]].speed),
-                               order_[p], order_[p]};
+    nodes_[leaves_ + p] =
+        Node{inv_lo(speeds_[order_[p]]), order_[p], order_[p]};
     leaf_of_site_[order_[p]] = leaves_ + p;
   }
   for (std::size_t i = leaves_ - 1; i >= 1; --i) {
@@ -121,6 +136,14 @@ void SiteTree::build(const sim::SchedulerContext& context) {
     nodes_[i] = Node{left.inv_lo, left.fastest,
                      std::min(left.min_index, right.min_index)};
   }
+}
+
+void SiteTree::build(const sim::SchedulerContext& context) {
+  // The speed order and its per-node data depend on the site speeds
+  // alone, which a run never changes: rebuild them only when the speeds
+  // differ from the ones they were built from.
+  if (!speeds_match(context.sites)) build_order(context.sites);
+  const std::size_t n_sites = context.sites.size();
 
   // One tree per node count the batch requests that some site can hold.
   unsigned max_nodes = 0;
@@ -159,7 +182,8 @@ sim::SiteId SiteTree::best_site(const sim::SchedulerContext& context,
   }
   const double* tree =
       start_.data() + std::size_t{tree_of_[job.nodes]} * 2 * leaves_;
-  Search search{context, policy, job, leaves_, nodes_.data(), tree};
+  Search search{context, policy, job, context.exec_row(job),
+                leaves_, nodes_.data(), tree};
   search.visit(1, tree[1] + job.work * nodes_[1].inv_lo);
   return search.best < kInf ? search.best_site : sim::kInvalidSite;
 }

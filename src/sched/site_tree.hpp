@@ -12,9 +12,15 @@
 // bound costs a multiply where the exact exec time costs a divide. A query
 // skips every subtree whose (bound, smallest index) is not
 // lexicographically below the running (best completion, best site), then
-// prices each leaf it reaches exactly through context.exec_time and
-// accepts it under the same test. That is exactly the linear scan's
-// strict-<, lowest-index-wins rule, so the answer is the scan's answer.
+// prices each leaf it reaches exactly through the job's exec row
+// (context.exec_row) and accepts it under the same test. That is exactly
+// the linear scan's strict-<, lowest-index-wins rule, so the answer is the
+// scan's answer.
+//
+// The speed order and the per-node inv_lo / fastest / min_index are the
+// static half: they depend on the site speeds alone, so build() keeps
+// them across cycles and refills only the start trees while the speeds
+// stay bit-equal to the ones they were built from.
 #pragma once
 
 #include <cmath>
@@ -49,8 +55,12 @@ class SiteTree {
     return std::nextafter(1.0 / speed, 0.0);
   }
 
-  /// Rebuild over `context`'s sites and its availability profiles.
-  /// Requires applies(context) and scan::check_context(context).
+  /// Rebuild over `context`'s sites and its availability profiles: refill
+  /// the start trees, and rebuild the static half (the speed order and the
+  /// per-node data) only when the site speeds differ from the ones it was
+  /// built from, in count or in any value's bits. Allocates only then or
+  /// when the batch outgrows the trees. Requires applies(context) and
+  /// scan::check_context(context).
   void build(const sim::SchedulerContext& context);
 
   /// The admissible site with the least completion time for `job` on the
@@ -65,7 +75,7 @@ class SiteTree {
               const std::vector<sim::NodeAvailability>& avail, std::size_t s);
 
  private:
-  /// Static per-node data, shared by every tree of one build.
+  /// Static per-node data, shared by every tree.
   struct Node {
     double inv_lo = 0.0;          ///< SiteTree::inv_lo of `fastest`'s speed
     std::uint32_t fastest = 0;    ///< site of the subtree's leftmost leaf
@@ -73,6 +83,16 @@ class SiteTree {
   };
   struct Search;
 
+  /// True when `sites` has exactly the speeds the static half was built
+  /// from, bit for bit.
+  [[nodiscard]] bool speeds_match(
+      const std::vector<sim::SiteConfig>& sites) const noexcept;
+  /// Build the static half (speeds_, leaves_, order_, leaf_of_site_,
+  /// nodes_) from `sites`' speeds.
+  void build_order(const std::vector<sim::SiteConfig>& sites);
+
+  /// Site speeds the static half was built from (its rebuild key).
+  std::vector<double> speeds_;
   /// Leaves in the heap layout (a power of two >= the site count); node i
   /// has children 2i and 2i+1, the root is node 1, leaf p is node leaves_+p.
   std::size_t leaves_ = 0;

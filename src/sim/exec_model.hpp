@@ -46,13 +46,42 @@ class ExecModel {
                    : std::span<const double>();
   }
 
+  /// One job's execution times across the sites: the job's matrix row when
+  /// a matrix is attached, otherwise the rank-1 `work / speed`. Resolving
+  /// the row once per job keeps the per-site lookup to one load (or one
+  /// divide). Valid while the model it came from (or a copy) is alive.
+  class Row {
+   public:
+    /// Execution time on `site`; `speed` feeds the rank-1 fallback and is
+    /// ignored when the row comes from a matrix.
+    [[nodiscard]] double operator()(SiteId site, double speed) const noexcept {
+      if (cells_ == nullptr) return work_ / speed;
+      return cells_[static_cast<std::size_t>(site)];
+    }
+
+   private:
+    friend class ExecModel;
+    Row(const double* cells, double work) noexcept
+        : cells_(cells), work_(work) {}
+
+    const double* cells_;
+    double work_;
+  };
+
+  /// The row of `job`; `work` feeds the rank-1 fallback and is ignored
+  /// when a matrix is attached.
+  [[nodiscard]] Row row(JobId job, double work) const noexcept {
+    if (matrix_ == nullptr) return {nullptr, work};
+    return {matrix_->cells.data() +
+                static_cast<std::size_t>(job) * matrix_->n_sites,
+            work};
+  }
+
   /// Execution time of `job` on `site`. `work` and `speed` feed the rank-1
   /// fallback and are ignored when a matrix is attached.
   [[nodiscard]] double exec(JobId job, double work, SiteId site,
                             double speed) const noexcept {
-    if (matrix_ == nullptr) return work / speed;
-    return matrix_->cells[static_cast<std::size_t>(job) * matrix_->n_sites +
-                          static_cast<std::size_t>(site)];
+    return row(job, work)(site, speed);
   }
 
   /// Throws std::invalid_argument when a matrix is attached and its shape

@@ -27,6 +27,17 @@ struct BatchJob {
   bool secure_only = false;
 };
 
+/// One batch job's execution times by site index: the execution model's
+/// row, plus the site configs whose speeds feed the rank-1 fallback.
+struct JobExecRow {
+  ExecModel::Row row;
+  const SiteConfig* sites;
+
+  [[nodiscard]] double operator[](std::size_t s) const noexcept {
+    return row(static_cast<SiteId>(s), sites[s].speed);
+  }
+};
+
 /// Immutable snapshot handed to BatchScheduler::schedule_into. Site
 /// availability profiles reflect every reservation committed so far.
 struct SchedulerContext {
@@ -54,11 +65,18 @@ struct SchedulerContext {
     return site_up.empty() || site_up[s] != 0;
   }
 
-  /// Execution time of batch job `job` on site index `s`, resolved through
-  /// the execution model (matrix rows are keyed by the job's global id).
+  /// Batch job `job`'s execution times by site index, resolved through the
+  /// execution model once per job (matrix rows are keyed by the job's
+  /// global id). Scans fetch the row before their site loop. Valid while
+  /// the context is alive and its sites unchanged.
+  [[nodiscard]] JobExecRow exec_row(const BatchJob& job) const noexcept {
+    return {exec.row(job.id, job.work), sites.data()};
+  }
+
+  /// Execution time of batch job `job` on site index `s`.
   [[nodiscard]] double exec_time(const BatchJob& job,
                                  std::size_t s) const noexcept {
-    return exec.exec(job.id, job.work, static_cast<SiteId>(s), sites[s].speed);
+    return exec_row(job)[s];
   }
 };
 

@@ -29,16 +29,24 @@ NodeAvailability::Window NodeAvailability::preview(unsigned k, double exec,
 NodeAvailability::Window NodeAvailability::reserve(unsigned k, double exec,
                                                    Time now) {
   const Window window = preview(k, exec, now);
-  // The k earliest-free nodes are all idle by window.start; occupy them.
-  for (unsigned i = 0; i < k; ++i) free_[i] = window.end;
-  // Restore sorted order. The k changed entries are all equal to
-  // window.end, so rotating them as one block to just before the first
-  // strictly-larger tail entry yields the same profile a stable merge
-  // would — without std::inplace_merge's temporary-buffer allocation
-  // (the reserve path must stay heap-free in the steady-state event loop).
-  const auto middle = free_.begin() + k;
-  const auto insert_at = std::lower_bound(middle, free_.end(), window.end);
-  std::rotate(free_.begin(), middle, insert_at);
+  // The k earliest-free nodes are all idle by window.start and become free
+  // at window.end; restore sorted order as a merge with no data-dependent
+  // branch. If c entries of [k, n) are below end, entry i < c takes
+  // free[i + k], entries [c, c + k) take end and the rest keep their own
+  // value: max(own, min(free[i + k], end)) for i < n - k. The last k
+  // entries have no free[i + k]; the same rule with +inf there is
+  // max(own, end). Iteration i reads free[i + k] before iteration i + k
+  // writes it, so the merge runs in place. Exact because free times are
+  // never NaN or -0.0.
+  Time* const free_times = free_.data();
+  const std::size_t head = free_.size() - k;
+  const Time end = window.end;
+  for (std::size_t i = 0; i < head; ++i) {
+    free_times[i] = std::max(free_times[i], std::min(free_times[i + k], end));
+  }
+  for (std::size_t i = head; i < free_.size(); ++i) {
+    free_times[i] = std::max(free_times[i], end);
+  }
   return window;
 }
 

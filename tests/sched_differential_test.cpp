@@ -224,6 +224,108 @@ TEST(SchedDifferential, WideRankOneMctMatchesReference) {
   EXPECT_GT(assigned, kContexts * kPolicies.size() * 10);
 }
 
+/// A wide rank-1 context whose one-ulp speed changes move MCT's answer.
+/// Site 0 (speed 2, one node free at 0.5 - 2^-53) completes job 0 (one
+/// node, work 1) at 1 - 2^-53. The other sites run at speed 1 and are
+/// idle, except the last, which runs at `last_speed`: at 1 + 2^-52 it
+/// completes job 0 at fl(1 / (1 + 2^-52)) = 1 - 2^-52 and wins, but a
+/// tree still bounding it with the reciprocal of speed 1 (1 - 2^-53)
+/// prunes it behind site 0's tie. Random jobs follow job 0.
+sim::SchedulerContext cache_context(util::Rng& rng, std::size_t n_sites,
+                                    double last_speed) {
+  sim::SchedulerContext context;
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    const bool first = s == 0;
+    const bool last = s + 1 == n_sites;
+    const unsigned nodes =
+        first || last ? 1u : static_cast<unsigned>(rng.uniform_int(1, 4));
+    const double speed = first ? 2.0 : last ? last_speed : 1.0;
+    context.sites.push_back({static_cast<sim::SiteId>(s), nodes, speed, 1.0});
+    context.avail.emplace_back(nodes, first ? 0.5 - 0x1p-53 : 0.0);
+  }
+  context.jobs.push_back({0, 1.0, 1, 0.5, 0.0, false});
+  for (std::size_t j = 1; j < 40; ++j) {
+    context.jobs.push_back({static_cast<sim::JobId>(j), grid(rng, 4.0, 4),
+                            static_cast<unsigned>(rng.uniform_int(1, 4)), 0.5,
+                            0.0, rng.bernoulli(0.15)});
+  }
+  return context;
+}
+
+TEST(SchedDifferential, SiteTreeKeepsItsSpeedOrderOnlyWhileSpeedsMatch) {
+  // One scheduler per policy serves a run of wide rank-1 contexts: the
+  // same speeds twice, one speed one ulp faster, the old speed back, then
+  // other site counts. SiteTree keeps its speed order across calls, so a
+  // stale order (one rebuilt on a count change only, or never) prices
+  // job 0 against the wrong reciprocal and differs from the reference.
+  const double ulp_faster = std::nextafter(1.0, 2.0);
+  ASSERT_EQ(1.0 / ulp_faster, 1.0 - 0x1p-52);
+  struct Step {
+    std::size_t sites;
+    double last_speed;
+  };
+  const std::array<Step, 8> steps = {{{1000, 1.0},
+                                      {1000, 1.0},
+                                      {1000, ulp_faster},
+                                      {1000, 1.0},
+                                      {64, ulp_faster},
+                                      {100, ulp_faster},
+                                      {1000, ulp_faster},
+                                      {100, 1.0}}};
+  std::vector<std::unique_ptr<sim::BatchScheduler>> schedulers;
+  for (const RiskPolicy& policy : kPolicies) {
+    schedulers.push_back(make_heuristic("mct", policy));
+  }
+  std::vector<sim::Assignment> out;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    util::Rng rng = util::Rng::child(0x5eedca11ULL, i);
+    const sim::SchedulerContext context =
+        cache_context(rng, steps[i].sites, steps[i].last_speed);
+    ASSERT_TRUE(SiteTree::applies(context));
+    const auto winner = static_cast<sim::SiteId>(
+        steps[i].last_speed == 1.0 ? 0 : steps[i].sites - 1);
+    for (std::size_t p = 0; p < kPolicies.size(); ++p) {
+      const auto expected = reference::mct(context, kPolicies[p]);
+      ASSERT_FALSE(expected.empty());
+      ASSERT_EQ(expected.front(), (sim::Assignment{0, winner}));
+      schedulers[p]->schedule_into(context, out);
+      ASSERT_EQ(out, expected) << "policy " << p << " step " << i;
+    }
+  }
+}
+
+TEST(SchedDifferential, ExecRowMatchesExecOnEveryCell) {
+  // The per-job row the scans hoist out of their site loops: with a raw
+  // ETC matrix it is the matrix row, without one work / speed, and either
+  // way it agrees with ExecModel::exec on every (job, site).
+  util::Rng rng = util::Rng::child(0xe7ec0ULL, 0);
+  std::size_t with_matrix = 0;
+  std::size_t without = 0;
+  for (int i = 0; i < 40; ++i) {
+    const sim::SchedulerContext context = random_context(rng, 9, 1, 12);
+    const std::size_t n_sites = context.sites.size();
+    const auto cells = context.exec.matrix_cells();
+    for (const sim::BatchJob& job : context.jobs) {
+      const sim::JobExecRow row = context.exec_row(job);
+      for (std::size_t s = 0; s < n_sites; ++s) {
+        const double speed = context.sites[s].speed;
+        const double expected =
+            context.exec.has_matrix()
+                ? cells[static_cast<std::size_t>(job.id) * n_sites + s]
+                : job.work / speed;
+        ASSERT_EQ(row[s], expected) << "context " << i << " site " << s;
+        ASSERT_EQ(row[s], context.exec.exec(job.id, job.work,
+                                            static_cast<sim::SiteId>(s),
+                                            speed));
+        ASSERT_EQ(row[s], context.exec_time(job, s));
+      }
+    }
+    ++(context.exec.has_matrix() ? with_matrix : without);
+  }
+  EXPECT_GT(with_matrix, 5u);
+  EXPECT_GT(without, 5u);
+}
+
 TEST(SchedDifferential, TiesAcrossSitesAndJobsFollowTheReference) {
   // Identical idle sites and identical jobs: every completion time ties,
   // so only the first-index / first-position rules decide the result.

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -92,6 +95,70 @@ TEST_P(AvailabilityProperty, KthSmallestMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, AvailabilityProperty,
                          ::testing::Values(1u, 2u, 3u, 8u, 16u));
+
+/// The reservation as a sort: the k earliest entries become `end`, then
+/// std::sort restores the order. Independent of reserve()'s in-place merge.
+std::vector<Time> reserve_by_sort(std::vector<Time> free_times, unsigned k,
+                                  double exec, Time now) {
+  const Time end = std::max(now, free_times[k - 1]) + exec;
+  std::fill(free_times.begin(), free_times.begin() + k, end);
+  std::sort(free_times.begin(), free_times.end());
+  return free_times;
+}
+
+bool same_bits(const std::vector<Time>& a, const std::vector<Time>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](Time x, Time y) {
+           return std::bit_cast<std::uint64_t>(x) ==
+                  std::bit_cast<std::uint64_t>(y);
+         });
+}
+
+TEST(NodeAvailability, ReserveMatchesTheSortOracleBitForBit) {
+  // Profiles of 1..33 nodes reached by random walks of reservations and
+  // releases on an integer grid, so tied and duplicate free times are the
+  // common case. From every profile on the walk each k in 1..n is
+  // reserved (on a copy) with `now` before, inside and after the profile,
+  // and exec 0 or positive, and compared bit for bit with the oracle.
+  util::Rng rng(20260419);
+  std::size_t compared = 0;
+  for (unsigned n = 1; n <= 33; ++n) {
+    NodeAvailability walk(n, 0.0);
+    for (int step = 0; step < 12; ++step) {
+      const std::vector<Time> profile = walk.free_times();
+      const std::array<Time, 4> nows = {
+          profile.front() - 1.0, profile[rng.index(n)],
+          0.5 * (profile.front() + profile.back()), profile.back() + 2.0};
+      for (unsigned k = 1; k <= n; ++k) {
+        for (const Time now : nows) {
+          for (const double exec : {0.0, 1.0, 2.5}) {
+            NodeAvailability copy = walk;
+            const auto window = copy.reserve(k, exec, now);
+            const std::vector<Time> expected =
+                reserve_by_sort(profile, k, exec, now);
+            ASSERT_TRUE(same_bits(copy.free_times(), expected))
+                << "n " << n << " step " << step << " k " << k << " now "
+                << now << " exec " << exec;
+            ASSERT_EQ(window.start, std::max(now, profile[k - 1]));
+            ASSERT_EQ(window.end, window.start + exec);
+            ++compared;
+          }
+        }
+      }
+      // Advance the walk: a reservation on the grid, now and then the
+      // early release of part of it.
+      const unsigned k = 1 + static_cast<unsigned>(rng.index(n));
+      const auto window =
+          walk.reserve(k, static_cast<double>(rng.index(3)),
+                       static_cast<double>(rng.index(4)));
+      if (rng.bernoulli(0.25)) {
+        walk.release(1 + static_cast<unsigned>(rng.index(k)), window.end,
+                     window.start);
+      }
+    }
+  }
+  EXPECT_EQ(compared, std::size_t{12} * 4 * 3 * (33 * 34 / 2));
+}
 
 TEST(NodeAvailability, ReleaseReclaimsUntouchedNodes) {
   NodeAvailability avail(2, 0.0);
