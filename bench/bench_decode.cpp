@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
     core::GaProfile profile;
     start = Clock::now();
     const core::GaResult profiled =
-        core::evolve(problem, {}, ga, profiled_rng, nullptr, &profile);
+        core::evolve(problem, {}, ga, profiled_rng, &profile);
     profiled_ms = std::min(profiled_ms, elapsed_ms(start));
     profile_rows = profile.generations.size();
     if (profiled.best_fitness != batch.best_fitness ||

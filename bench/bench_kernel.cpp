@@ -9,7 +9,11 @@
 // the committed BENCH_kernel.json doubles as a determinism baseline:
 // tools/benchgate hard-fails when the counts drift, warns on throughput
 // (hardware-dependent), and applies the O(active)-memory advisory to the
-// streaming rows (rss_delta_bytes / n_jobs must stay tiny).
+// streaming rows (rss_delta_bytes / n_jobs must stay tiny). Each row runs
+// kKernelRuns times: wall_ms and the rates are the median run's, the
+// counters and rss_delta_bytes are the first run's (later runs reuse
+// already-mapped pages, which would hide RSS growth), and a run whose
+// counters differ from the first run's fails the bench (exit 1).
 //
 // A second "builds" array times the workload build layer alone
 // (exp::make_workload of the materialised synth scenarios, median of five
@@ -29,6 +33,9 @@ namespace {
 
 using namespace gridsched;
 using Clock = std::chrono::steady_clock;
+
+/// Runs per kernel row; the reported wall time is their median.
+constexpr int kKernelRuns = 3;
 
 struct KernelRow {
   std::string scenario;
@@ -52,6 +59,26 @@ struct KernelRow {
   /// Process-wide peak RSS after this row (monotone across rows).
   std::uint64_t peak_rss_bytes = 0;
 };
+
+/// A row holding only `run`'s deterministic counters.
+KernelRow counters_of(const metrics::RunMetrics& run) {
+  KernelRow row;
+  row.n_jobs = run.n_jobs;
+  row.events = run.events;
+  row.dispatches = run.total_attempts;
+  row.cycles = run.batch_invocations;
+  row.failures = run.failure_events;
+  row.interruptions = run.interruptions;
+  row.makespan = run.makespan;
+  return row;
+}
+
+bool same_counters(const KernelRow& a, const KernelRow& b) {
+  return a.n_jobs == b.n_jobs && a.events == b.events &&
+         a.dispatches == b.dispatches && a.cycles == b.cycles &&
+         a.failures == b.failures && a.interruptions == b.interruptions &&
+         a.makespan == b.makespan;
+}
 
 }  // namespace
 
@@ -98,29 +125,40 @@ int main(int argc, char** argv) {
     const exp::Scenario scenario = exp::make_scenario(shape.name, jobs);
     const exp::AlgorithmSpec spec = exp::heuristic_spec(
         shape.algo, security::RiskPolicy::f_risky(args.f));
-    const std::uint64_t rss_before = obs::current_rss_bytes();
-    const auto start = Clock::now();
-    const metrics::RunMetrics run = exp::run_once(scenario, spec, args.seed);
-    const double wall_seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    const std::uint64_t rss_after = obs::current_rss_bytes();
-
     KernelRow row;
+    std::vector<double> wall_runs;
+    for (int rep = 0; rep < kKernelRuns; ++rep) {
+      const std::uint64_t rss_before = obs::current_rss_bytes();
+      const auto start = Clock::now();
+      const metrics::RunMetrics run = exp::run_once(scenario, spec, args.seed);
+      wall_runs.push_back(
+          std::chrono::duration<double>(Clock::now() - start).count());
+      const std::uint64_t rss_after = obs::current_rss_bytes();
+
+      const KernelRow counted = counters_of(run);
+      if (rep == 0) {
+        row = counted;
+        row.rss_delta_bytes =
+            rss_after > rss_before ? rss_after - rss_before : 0;
+      } else if (!same_counters(counted, row)) {
+        std::fprintf(stderr,
+                     "FAIL: %s run %d of %d counted differently from run 1 "
+                     "(events %" PRIu64 " vs %" PRIu64 ", dispatches %" PRIu64
+                     " vs %" PRIu64 ")\n",
+                     shape.name, rep + 1, kKernelRuns, counted.events,
+                     row.events, counted.dispatches, row.dispatches);
+        return 1;
+      }
+    }
+    std::sort(wall_runs.begin(), wall_runs.end());
+    const double wall_seconds = wall_runs[kKernelRuns / 2];
     row.scenario = shape.name;
-    row.n_jobs = run.n_jobs;
-    row.events = run.events;
-    row.dispatches = run.total_attempts;
-    row.cycles = run.batch_invocations;
-    row.failures = run.failure_events;
-    row.interruptions = run.interruptions;
-    row.makespan = run.makespan;
     row.wall_ms = wall_seconds * 1e3;
     if (wall_seconds > 0.0) {
       row.events_per_sec = static_cast<double>(row.events) / wall_seconds;
       row.dispatches_per_sec =
           static_cast<double>(row.dispatches) / wall_seconds;
     }
-    row.rss_delta_bytes = rss_after > rss_before ? rss_after - rss_before : 0;
     row.peak_rss_bytes = obs::peak_rss_bytes();
     rows.push_back(row);
     table.row()

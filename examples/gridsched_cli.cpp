@@ -274,7 +274,7 @@ int cmd_run(const util::Cli& cli) {
     config.batch_interval = cli.get_or("batch-interval", 2000.0);
     config.lambda = cli.get_or("lambda", security::kDefaultLambda);
     config.seed = seed;
-    auto scheduler = spec.make(nullptr, seed);
+    auto scheduler = spec.make(seed);
     if (ga_profile_path) {
       if (auto* ga = dynamic_cast<core::GaScheduler*>(scheduler.get())) {
         ga->set_profile_sink(&ga_profiles);

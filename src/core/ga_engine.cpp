@@ -41,39 +41,32 @@ std::uint64_t chromosome_hash(const Chromosome& chromosome) noexcept {
 }
 
 /// Memoized fitness evaluation for one evolve() run. Owns one DecodeScratch
-/// per thread-pool chunk so the ~population x generations decodes reuse the
-/// same buffers (zero steady-state allocations in the decode itself), and
-/// two duplicate memos. The in-generation memo lets identical chromosomes —
+/// so the ~population x generations decodes reuse the same buffers (zero
+/// steady-state allocations in the decode itself), and two duplicate
+/// memos. The in-generation memo lets identical chromosomes —
 /// elitism copies, crossover of converged parents — reuse one individual's
 /// score instead of decoding again; the previous generation's memo lets a
 /// chromosome that survived selection unchanged reuse last generation's
-/// score. Fitness is a pure function of the chromosome, so memoization and
-/// parallel evaluation are both result-invariant.
+/// score. Fitness is a pure function of the chromosome, so memoization is
+/// result-invariant.
 ///
 /// Each memo is a flat open-addressing table (slot -> population index,
-/// linear probing) sized once to a power of two >= 2 x population, so a
-/// serial evaluate() never allocates; the two tables and their hash arrays
+/// linear probing) sized once to a power of two >= 2 x population, so
+/// evaluate() never allocates; the two tables and their hash arrays
 /// swap roles after every call. Entries are always distinct chromosomes,
 /// so a probe finds the one representative a chained bucket scan would:
 /// the evaluation, memo-hit and decode counts do not depend on the table
 /// layout.
 class FitnessEvaluator {
  public:
-  FitnessEvaluator(const GaProblem& problem, const GaParams& params,
-                   util::ThreadPool* pool)
-      : problem_(problem), params_(params), pool_(pool),
-        scratches_(pool != nullptr ? pool->size() : 1),
+  FitnessEvaluator(const GaProblem& problem, const GaParams& params)
+      : problem_(problem), params_(params),
         slots_(std::bit_ceil(2 * params.population), kEmptySlot),
         previous_slots_(slots_.size(), kEmptySlot),
         hashes_(params.population),
         previous_hashes_(params.population),
         mask_(slots_.size() - 1) {
-    // Rank/cell tables are built once and shared; per-chunk scratches only
-    // size their own mutable buffers.
-    scratches_.front().bind(problem);
-    for (std::size_t i = 1; i < scratches_.size(); ++i) {
-      scratches_[i].bind_from(scratches_.front());
-    }
+    scratch_.bind(problem);
     alias_.reserve(params.population);
     to_eval_.reserve(params.population);
   }
@@ -133,26 +126,9 @@ class FitnessEvaluator {
     // GS-FASTPATH-END
     stats.decodes += to_eval_.size();
 
-    const std::size_t volume = to_eval_.size() * problem_.n_jobs();
-    if (pool_ != nullptr && volume >= params_.parallel_threshold) {
-      pool_->parallel_for_chunks(
-          to_eval_.size(),
-          [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-            DecodeScratch& scratch = scratches_[chunk];
-            for (std::size_t k = begin; k < end; ++k) {
-              const std::size_t i = to_eval_[k];
-              fitness[i] =
-                  decode_fitness(problem_, population[i], params_.fitness,
-                                 scratch);
-            }
-          },
-          scratches_.size());
-    } else {
-      for (const std::size_t i : to_eval_) {
-        fitness[i] =
-            decode_fitness(problem_, population[i], params_.fitness,
-                           scratches_[0]);
-      }
+    for (const std::size_t i : to_eval_) {
+      fitness[i] =
+          decode_fitness(problem_, population[i], params_.fitness, scratch_);
     }
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -187,8 +163,7 @@ class FitnessEvaluator {
 
   const GaProblem& problem_;
   const GaParams& params_;
-  util::ThreadPool* pool_;
-  std::vector<DecodeScratch> scratches_;
+  DecodeScratch scratch_;
   std::vector<std::size_t> slots_;     ///< memo: population index or empty
   std::vector<std::size_t> previous_slots_;  ///< last generation's memo
   std::vector<std::uint64_t> hashes_;  ///< chromosome_hash per individual
@@ -202,7 +177,7 @@ class FitnessEvaluator {
 
 GaResult evolve(const GaProblem& problem, std::vector<Chromosome> initial,
                 const GaParams& params, util::Rng& rng,
-                util::ThreadPool* pool, GaProfile* profile) {
+                GaProfile* profile) {
   if (problem.n_jobs() == 0) {
     throw std::invalid_argument("evolve: empty problem");
   }
@@ -249,7 +224,7 @@ GaResult evolve(const GaProblem& problem, std::vector<Chromosome> initial,
   // each swap `next` still holds the previous generation, which the
   // evaluator's previous-generation memo reads.
   GaResult result;
-  FitnessEvaluator evaluator(problem, params, pool);
+  FitnessEvaluator evaluator(problem, params);
   std::vector<double> fitness(population.size(), kUnknownFitness);
   std::vector<Chromosome> next(params.population);
   std::vector<double> next_fitness(params.population);

@@ -1,6 +1,8 @@
-// Generational GA loop with elitism and optional parallel fitness
+// Generational GA loop with elitism and memoized, serial fitness
 // evaluation. Shared by the classic GA baseline and the STGA (which differ
-// only in how the initial population is built).
+// only in how the initial population is built). Threads run whole
+// campaign cells (exp/campaign), never the fitness of one population, so
+// an evolve() is a pure function of its inputs and RNG.
 #pragma once
 
 #include <cstddef>
@@ -10,7 +12,6 @@
 #include "core/ga_problem.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gridsched::core {
 
@@ -22,11 +23,6 @@ struct GaParams {
   std::size_t elite_count = 2;    ///< elitism (paper Section 3)
   /// Objective shaping (expected completion + flowtime; see decode_fitness).
   FitnessParams fitness;
-  /// Evaluate fitness on the thread pool when the number of chromosomes
-  /// actually needing a decode (after elite carry-over and duplicate
-  /// memoization) times the batch size exceeds this (parallelism never
-  /// changes results: evaluation is pure).
-  std::size_t parallel_threshold = 1 << 14;
   /// Cooperative cancellation (non-owning; may be null). evolve() polls
   /// once per generation and aborts with util::CancelledError — the
   /// per-cell wall-clock watchdog's hook into the GA hot loop. A
@@ -81,7 +77,6 @@ struct GaProfile {
 /// profile (appending nothing to the result itself).
 GaResult evolve(const GaProblem& problem, std::vector<Chromosome> initial,
                 const GaParams& params, util::Rng& rng,
-                util::ThreadPool* pool = nullptr,
                 GaProfile* profile = nullptr);
 
 }  // namespace gridsched::core

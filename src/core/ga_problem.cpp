@@ -95,25 +95,25 @@ std::optional<std::vector<double>> uniform_job_exec(
 }  // namespace
 
 void DecodeScratch::bind(const GaProblem& problem) {
-  if (binding_ != nullptr && problem.epoch != 0 &&
-      problem.epoch == binding_->epoch) {
+  if (problem.epoch != 0 && problem.epoch == binding_.epoch) {
     return;  // already bound to this exact (immutable) problem
   }
-  auto binding = std::make_shared<ProblemBinding>();
-  binding->epoch = problem.epoch;
-  binding->n_jobs = problem.n_jobs();
-  binding->nodes.resize(binding->n_jobs);
-  for (std::size_t j = 0; j < binding->n_jobs; ++j) {
-    binding->nodes[j] = problem.jobs[j].nodes;
-  }
-
   const std::size_t n_cells = problem.exec.size();
   if (n_cells > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("DecodeScratch::bind: jobs x sites too large");
   }
-  binding->cells.resize(n_cells);
+  // Unstamped until the refill below completes, so a throw part-way can
+  // never leave a half-built binding that a later bind() would skip.
+  binding_.epoch = 0;
+  binding_.n_jobs = problem.n_jobs();
+  binding_.nodes.resize(binding_.n_jobs);
+  for (std::size_t j = 0; j < binding_.n_jobs; ++j) {
+    binding_.nodes[j] = problem.jobs[j].nodes;
+  }
+
+  binding_.cells.resize(n_cells);
   for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    binding->cells[cell] = {problem.exec[cell], problem.pfail[cell], 0};
+    binding_.cells[cell] = {problem.exec[cell], problem.pfail[cell], 0};
   }
   // The order compares doubles with ties on the index; there is no NaN:
   // exec is work/speed or infinity.
@@ -122,14 +122,17 @@ void DecodeScratch::bind(const GaProblem& problem) {
       return exec[a] < exec[b] || (exec[a] == exec[b] && a < b);
     };
   };
-  if (const auto job_exec = uniform_job_exec(problem)) {
+  const auto job_exec = uniform_job_exec(problem);
+  binding_.per_batch_order = job_exec.has_value();
+  binding_.batch_order.clear();
+  binding_.rank_job.clear();
+  if (job_exec) {
     // Every gene of job j names a cell holding job_exec[j], so sorting the
     // jobs by (exec, job) once is every chromosome's decode order.
-    binding->per_batch_order = true;
-    binding->batch_order.resize(binding->n_jobs);
-    std::iota(binding->batch_order.begin(), binding->batch_order.end(),
+    binding_.batch_order.resize(binding_.n_jobs);
+    std::iota(binding_.batch_order.begin(), binding_.batch_order.end(),
               std::uint32_t{0});
-    std::sort(binding->batch_order.begin(), binding->batch_order.end(),
+    std::sort(binding_.batch_order.begin(), binding_.batch_order.end(),
               by_exec(*job_exec));
   } else {
     // Rank every cell once per problem by (exec, cell index), i.e. by
@@ -139,45 +142,37 @@ void DecodeScratch::bind(const GaProblem& problem) {
     std::vector<std::uint32_t> by_rank(n_cells);
     std::iota(by_rank.begin(), by_rank.end(), std::uint32_t{0});
     std::sort(by_rank.begin(), by_rank.end(), by_exec(problem.exec));
-    binding->rank_job.resize(n_cells);
+    binding_.rank_job.resize(n_cells);
     const std::size_t n_sites = problem.n_sites();
     for (std::uint32_t rank = 0; rank < n_cells; ++rank) {
       const std::uint32_t cell = by_rank[rank];
-      binding->cells[cell].rank = rank;
-      binding->rank_job[rank] = static_cast<std::uint32_t>(cell / n_sites);
+      binding_.cells[cell].rank = rank;
+      binding_.rank_job[rank] = static_cast<std::uint32_t>(cell / n_sites);
     }
   }
 
   // reserve() merges whole 4-lane steps and reads up to index
   // lanes - 1 + k <= lanes - 1 + n, so each segment is padded to n + lanes.
-  auto& pristine = binding->pristine;
+  auto& pristine = binding_.pristine;
+  pristine.clear();
+  binding_.segments.clear();
   for (const auto& profile : problem.avail) {
     const auto nodes = static_cast<unsigned>(profile.free_times().size());
     const unsigned lanes = (nodes + 3) / 4 * 4;
-    binding->segments.push_back({pristine.size(), nodes, lanes});
+    binding_.segments.push_back({pristine.size(), nodes, lanes});
     pristine.insert(pristine.end(), profile.free_times().begin(),
                     profile.free_times().end());
     pristine.insert(pristine.end(), lanes,
                     std::numeric_limits<sim::Time>::infinity());
   }
-  binding_ = std::move(binding);
-  size_buffers();
-}
 
-void DecodeScratch::bind_from(const DecodeScratch& other) {
-  assert(other.binding_ != nullptr && "bind_from: source scratch not bound");
-  if (binding_ == other.binding_) return;
-  binding_ = other.binding_;
-  size_buffers();
-}
-
-void DecodeScratch::size_buffers() {
-  working_.resize(binding_->pristine.size());
-  bits_.assign((binding_->rank_job.size() + 63) / 64, 0);
-  genes_.reserve(binding_->n_jobs);
-  order_.reserve(binding_->n_jobs);
-  exec_gather_.reserve(binding_->n_jobs);
-  pfail_gather_.reserve(binding_->n_jobs);
+  working_.resize(pristine.size());
+  bits_.assign((binding_.rank_job.size() + 63) / 64, 0);
+  genes_.reserve(binding_.n_jobs);
+  order_.reserve(binding_.n_jobs);
+  exec_gather_.reserve(binding_.n_jobs);
+  pfail_gather_.reserve(binding_.n_jobs);
+  binding_.epoch = problem.epoch;
 }
 
 // GS-FASTPATH-BEGIN: per-decode hot path — zero steady-state
@@ -185,9 +180,9 @@ void DecodeScratch::size_buffers() {
 // GS-R01 rejects stable_sort/inplace_merge/vector/new in this region).
 std::span<const std::uint32_t> DecodeScratch::prepare(
     const GaProblem& problem, const Chromosome& chromosome) noexcept {
-  assert(binding_ != nullptr && chromosome.size() == binding_->n_jobs &&
+  assert(chromosome.size() == binding_.n_jobs &&
          "DecodeScratch::prepare: bind() the problem first");
-  std::copy(binding_->pristine.begin(), binding_->pristine.end(),
+  std::copy(binding_.pristine.begin(), binding_.pristine.end(),
             working_.begin());
   const std::size_t n = chromosome.size();
   exec_gather_.resize(n);
@@ -195,14 +190,14 @@ std::span<const std::uint32_t> DecodeScratch::prepare(
   // Single sequential pass: the per-row cell reads prefetch well here, and
   // the decode loop below then only touches these dense gathers.
   const std::size_t n_sites = problem.n_sites();
-  const Cell* cells = binding_->cells.data();
-  if (binding_->per_batch_order) {
+  const Cell* cells = binding_.cells.data();
+  if (binding_.per_batch_order) {
     for (std::size_t j = 0; j < n; ++j) {
       const Cell& cell = cells[j * n_sites + chromosome[j]];
       exec_gather_[j] = cell.exec;
       pfail_gather_[j] = cell.pfail;
     }
-    return binding_->batch_order;
+    return binding_.batch_order;
   }
   std::uint64_t* bits = bits_.data();
   for (std::size_t j = 0; j < n; ++j) {
@@ -224,7 +219,7 @@ std::span<const std::uint32_t> DecodeScratch::sort_genes(
   genes_.resize(n);
   std::uint32_t* out = genes_.data();
   const std::uint32_t* const end = out + n;
-  const std::uint32_t* rank_job = binding_->rank_job.data();
+  const std::uint32_t* rank_job = binding_.rank_job.data();
   for (std::uint64_t* word = bits_.data(); out != end; ++word) {
     std::uint64_t set = *word;
     *word = 0;

@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -105,26 +104,23 @@ struct GaProblem {
 /// ascending order. A chromosome holds exactly one cell per job, so either
 /// way that is stable_sort's order by exec with ties on the gene index.
 /// After bind() the steady-state decode path performs zero heap
-/// allocations; the GA engine keeps one scratch per thread-pool chunk, so
-/// ~20k evaluations per batch reuse the same buffers.
+/// allocations; each evolve() keeps one scratch, so its ~20k evaluations
+/// per batch reuse the same buffers. A scratch is single-threaded state.
 class DecodeScratch {
  public:
   /// Capture `problem`'s committed availability profiles, derive its
   /// decode order (per batch, or else the cell ranks), and size every
-  /// buffer for its job/site counts. Binding again with the same built
-  /// problem (matching GaProblem::epoch) is a no-op. Throws
-  /// std::length_error when jobs x sites exceeds the 32-bit rank range.
+  /// buffer for its job/site counts, refilling the previous binding's
+  /// buffers in place. Binding again with the same built problem
+  /// (matching GaProblem::epoch) is a no-op. Throws std::length_error,
+  /// before touching the current binding, when jobs x sites exceeds the
+  /// 32-bit rank range.
   void bind(const GaProblem& problem);
-
-  /// Share `other`'s problem binding (the immutable rank/cell/profile
-  /// tables) instead of rebuilding them — the engine binds one scratch per
-  /// evolve and fans the binding out to its per-chunk siblings.
-  void bind_from(const DecodeScratch& other);
 
   /// True when the bound problem's decode order is the same for every
   /// chromosome, so prepare() returns it without sorting (see above).
   [[nodiscard]] bool per_batch_order() const noexcept {
-    return binding_ != nullptr && binding_->per_batch_order;
+    return binding_.per_batch_order;
   }
 
   /// Reset the arena to the bound profiles, gather the chromosome's exec/
@@ -144,7 +140,7 @@ class DecodeScratch {
     return pfail_gather_[j];
   }
   [[nodiscard]] unsigned nodes_of(std::uint32_t j) const noexcept {
-    return binding_->nodes[j];
+    return binding_.nodes[j];
   }
 
   /// Arena equivalent of NodeAvailability::reserve on site `s`: occupy the
@@ -172,9 +168,7 @@ class DecodeScratch {
     unsigned lanes = 0;
   };
 
-  /// Everything derived from the (immutable) problem, shared between the
-  /// engine's per-chunk scratches so the rank table is built once per
-  /// evolve, not once per thread.
+  /// Everything derived from the (immutable) bound problem.
   struct ProblemBinding {
     std::vector<Cell> cells;            ///< exec/pfail/rank, jobs x sites
     /// Jobs by (exec, job) when per_batch_order; else empty.
@@ -208,11 +202,9 @@ class DecodeScratch {
     return own > low ? own : low;
   }
 
-  /// Size the per-scratch buffers for binding_ (shared by both binds).
-  void size_buffers();
   std::span<const std::uint32_t> sort_genes(std::size_t n) noexcept;
 
-  std::shared_ptr<const ProblemBinding> binding_;
+  ProblemBinding binding_;
   std::vector<std::uint64_t> bits_;       ///< one bit per cell rank; 0 at rest
                                           ///< (empty under per_batch_order)
   std::vector<std::uint32_t> genes_;      ///< sort_genes output
@@ -230,7 +222,7 @@ class DecodeScratch {
 // (GS-R01 no-alloc).
 inline sim::NodeAvailability::Window DecodeScratch::reserve(
     sim::SiteId s, unsigned k, double exec, sim::Time now) noexcept {
-  const Segment segment = binding_->segments[s];
+  const Segment segment = binding_.segments[s];
   sim::Time* free_times = working_.data() + segment.offset;
   assert(k >= 1 && k <= segment.nodes &&
          "DecodeScratch::reserve: bad node count");

@@ -9,8 +9,15 @@
 
 namespace gridsched::core {
 
-GaScheduler::GaScheduler(StgaConfig config, util::ThreadPool* pool)
-    : config_(config), pool_(pool),
+namespace {
+
+/// History matches that seed one batch's population (best first).
+constexpr std::size_t kMaxHistoryMatches = 8;
+
+}  // namespace
+
+GaScheduler::GaScheduler(StgaConfig config)
+    : config_(config),
       table_(config.table_capacity, config.similarity_threshold),
       rng_(config.seed) {}
 
@@ -19,7 +26,7 @@ std::vector<Chromosome> GaScheduler::build_initial_population(
   std::vector<Chromosome> initial;
 
   if (config_.use_history) {
-    const auto matches = table_.lookup(signature, config_.max_history_matches);
+    const auto matches = table_.lookup(signature, kMaxHistoryMatches);
     if (!matches.empty()) {
       const auto target = static_cast<std::size_t>(
           config_.history_seed_fraction *
@@ -117,7 +124,7 @@ void GaScheduler::schedule_into(const sim::SchedulerContext& context,
   GaParams params = config_.ga;
   params.cancel = cancel_;  // per-run token; config stays token-free
   const GaResult result =
-      evolve(problem, std::move(initial), params, rng_, pool_,
+      evolve(problem, std::move(initial), params, rng_,
              profile_sink_ != nullptr ? &profile : nullptr);
   if (profile_sink_ != nullptr) {
     profile_sink_->push_back(std::move(profile));
@@ -158,17 +165,15 @@ void GaScheduler::record_external(
   table_.insert(make_signature(problem), std::move(chromosome));
 }
 
-std::unique_ptr<GaScheduler> make_stga(StgaConfig config,
-                                       util::ThreadPool* pool) {
+std::unique_ptr<GaScheduler> make_stga(StgaConfig config) {
   config.use_history = true;
-  return std::make_unique<GaScheduler>(config, pool);
+  return std::make_unique<GaScheduler>(config);
 }
 
-std::unique_ptr<GaScheduler> make_classic_ga(StgaConfig config,
-                                             util::ThreadPool* pool) {
+std::unique_ptr<GaScheduler> make_classic_ga(StgaConfig config) {
   config.use_history = false;
   config.heuristic_seeds = false;
-  return std::make_unique<GaScheduler>(config, pool);
+  return std::make_unique<GaScheduler>(config);
 }
 
 }  // namespace gridsched::core

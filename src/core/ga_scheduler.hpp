@@ -16,7 +16,6 @@
 #include "core/history.hpp"
 #include "sim/scheduling.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gridsched::core {
 
@@ -27,7 +26,6 @@ struct StgaConfig {
   /// Fraction of the initial population filled from history matches (the
   /// rest is heuristic seeds + random diversity, Section 3).
   double history_seed_fraction = 0.5;
-  std::size_t max_history_matches = 8;
   /// Seed the population with Min-Min and Sufferage solutions.
   bool heuristic_seeds = true;
   /// false = classic cold-start GA (no table, no heuristic seeds).
@@ -37,7 +35,7 @@ struct StgaConfig {
 
 class GaScheduler : public sim::BatchScheduler {
  public:
-  explicit GaScheduler(StgaConfig config, util::ThreadPool* pool = nullptr);
+  explicit GaScheduler(StgaConfig config);
 
   [[nodiscard]] std::string name() const override {
     return config_.use_history ? "STGA" : "GA";
@@ -72,7 +70,6 @@ class GaScheduler : public sim::BatchScheduler {
       const GaProblem& problem, const BatchSignature& signature);
 
   StgaConfig config_;
-  util::ThreadPool* pool_;
   HistoryTable table_;
   util::Rng rng_;
   std::vector<GaProfile>* profile_sink_ = nullptr;
@@ -83,10 +80,8 @@ class GaScheduler : public sim::BatchScheduler {
 };
 
 /// Convenience factories for the paper's two GA flavours.
-std::unique_ptr<GaScheduler> make_stga(StgaConfig config = {},
-                                       util::ThreadPool* pool = nullptr);
-std::unique_ptr<GaScheduler> make_classic_ga(StgaConfig config = {},
-                                             util::ThreadPool* pool = nullptr);
+std::unique_ptr<GaScheduler> make_stga(StgaConfig config = {});
+std::unique_ptr<GaScheduler> make_classic_ga(StgaConfig config = {});
 
 /// Pass-through scheduler that records the inner scheduler's solutions into
 /// a GaScheduler's history table.

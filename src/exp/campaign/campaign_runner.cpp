@@ -148,9 +148,9 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) {
     // byte-stable aggregate (ROADMAP "Campaign fault-tolerance").
     // NOLINTNEXTLINE(GS-R05): wall-clock is sidecar-only here
     const auto cell_start = std::chrono::steady_clock::now();
-    // GA fitness stays serial inside each cell: the pool's workers are
-    // busy running cells and must not block on nested waits — and serial
-    // evaluation keeps the cell a pure function of its seed.
+    // GA fitness is serial by construction (core::evolve has no threads),
+    // so the pool's workers only ever run whole cells and each cell is a
+    // pure function of its seed.
     for (unsigned attempt = 0;; ++attempt) {
       out.attempts = attempt + 1;
       // Fresh watchdog per attempt, armed at attempt start.
@@ -245,9 +245,9 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) {
     threads = 1;
   } else {
     util::ThreadPool pool(threads);
-    // One chunk per cell: cell costs span orders of magnitude, so
-    // anything coarser serialises the tail behind the slowest chunk.
-    pool.parallel_for(cells.size(), run_cell, cells.size());
+    // One task per cell: cell costs span orders of magnitude, so any
+    // coarser split serialises the tail behind the slowest cell.
+    pool.parallel_for(cells.size(), run_cell);
   }
   result.wall_seconds =
       // NOLINTNEXTLINE(GS-R05): wall-clock is display-only here

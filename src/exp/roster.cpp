@@ -9,7 +9,7 @@ AlgorithmSpec heuristic_spec(const std::string& heuristic_name,
   AlgorithmSpec spec;
   auto probe = sched::make_heuristic(heuristic_name, policy);  // validates name
   spec.name = probe->name();
-  spec.make = [heuristic_name, policy](util::ThreadPool*, std::uint64_t) {
+  spec.make = [heuristic_name, policy](std::uint64_t) {
     return sched::make_heuristic(heuristic_name, policy);
   };
   return spec;
@@ -19,10 +19,10 @@ AlgorithmSpec stga_spec(core::StgaConfig config) {
   AlgorithmSpec spec;
   spec.name = "STGA";
   spec.wants_training = true;
-  spec.make = [config](util::ThreadPool* pool, std::uint64_t seed) {
+  spec.make = [config](std::uint64_t seed) {
     core::StgaConfig per_run = config;
     per_run.seed = seed;
-    return core::make_stga(per_run, pool);
+    return core::make_stga(per_run);
   };
   return spec;
 }
@@ -30,10 +30,10 @@ AlgorithmSpec stga_spec(core::StgaConfig config) {
 AlgorithmSpec classic_ga_spec(core::StgaConfig config) {
   AlgorithmSpec spec;
   spec.name = "GA";
-  spec.make = [config](util::ThreadPool* pool, std::uint64_t seed) {
+  spec.make = [config](std::uint64_t seed) {
     core::StgaConfig per_run = config;
     per_run.seed = seed;
-    return core::make_classic_ga(per_run, pool);
+    return core::make_classic_ga(per_run);
   };
   return spec;
 }

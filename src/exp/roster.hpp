@@ -11,17 +11,13 @@
 #include "core/ga_scheduler.hpp"
 #include "security/security.hpp"
 #include "sim/scheduling.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gridsched::exp {
 
 struct AlgorithmSpec {
   std::string name;
-  /// Fresh scheduler per run; `pool` may be null (serial GA fitness),
-  /// `seed` feeds the GA's stochastic components.
-  std::function<std::unique_ptr<sim::BatchScheduler>(util::ThreadPool* pool,
-                                                     std::uint64_t seed)>
-      make;
+  /// Fresh scheduler per run; `seed` feeds the GA's stochastic components.
+  std::function<std::unique_ptr<sim::BatchScheduler>(std::uint64_t seed)> make;
   /// True for STGA-style schedulers that want the 500-job training phase.
   bool wants_training = false;
 };

@@ -51,7 +51,7 @@ void train_stga(const Scenario& scenario, const workload::Workload& main,
 
 metrics::RunMetrics run_once(const Scenario& scenario,
                              const AlgorithmSpec& spec,
-                             std::uint64_t seed, util::ThreadPool* ga_pool,
+                             std::uint64_t seed, util::ThreadPool*,
                              const RunHooks& hooks) {
   const std::uint64_t workload_seed = util::Rng::child(seed, 1).next_u64();
   const std::uint64_t engine_seed = util::Rng::child(seed, 2).next_u64();
@@ -69,8 +69,7 @@ metrics::RunMetrics run_once(const Scenario& scenario,
   } else {
     workload = make_workload(scenario, workload_seed);
   }
-  std::unique_ptr<sim::BatchScheduler> scheduler = spec.make(ga_pool,
-                                                             algo_seed);
+  std::unique_ptr<sim::BatchScheduler> scheduler = spec.make(algo_seed);
   auto* ga = dynamic_cast<core::GaScheduler*>(scheduler.get());
 
   // Cancellation attaches before training: a timed-out cell must not

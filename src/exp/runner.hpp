@@ -37,10 +37,12 @@ struct RunHooks {
 };
 
 /// Build workload, (optionally) run the training phase, simulate, measure.
+/// The unnamed 4th parameter is ignored (GA fitness is always serial); it
+/// stays until perfbench/harness.cpp stops passing `/*ga_pool=*/nullptr`.
 metrics::RunMetrics run_once(const Scenario& scenario,
                              const AlgorithmSpec& spec,
                              std::uint64_t seed,
-                             util::ThreadPool* ga_pool = nullptr,
+                             util::ThreadPool* = nullptr,
                              const RunHooks& hooks = {});
 
 }  // namespace gridsched::exp

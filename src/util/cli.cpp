@@ -70,7 +70,16 @@ std::int64_t Cli::get_or(const std::string& name, std::int64_t fallback) const {
 bool Cli::get_or(const std::string& name, bool fallback) const {
   const auto value = get(name);
   if (!value) return fallback;
-  return *value == "true" || *value == "1" || *value == "yes" || *value == "on";
+  // Only the listed spellings: "--csv=ture" is a typo, not false.
+  if (*value == "true" || *value == "1" || *value == "yes" || *value == "on") {
+    return true;
+  }
+  if (*value == "false" || *value == "0" || *value == "no" || *value == "off") {
+    return false;
+  }
+  throw std::invalid_argument("Cli: flag --" + name + " is not a boolean: " +
+                              *value + " (valid: true/1/yes/on, " +
+                              "false/0/no/off)");
 }
 
 std::string Cli::get_choice(const std::string& name, std::string fallback,

@@ -22,6 +22,8 @@ class Cli {
   [[nodiscard]] double get_or(const std::string& name, double fallback) const;
   [[nodiscard]] std::int64_t get_or(const std::string& name,
                                     std::int64_t fallback) const;
+  /// true/1/yes/on or false/0/no/off; any other value throws
+  /// std::invalid_argument naming the flag, as the number parsers do.
   [[nodiscard]] bool get_or(const std::string& name, bool fallback) const;
 
   /// Enumerated flag: returns the value (or `fallback` when absent) after

@@ -39,39 +39,14 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t chunks) {
-  parallel_for_chunks(
-      n,
-      [&fn](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-      },
-      chunks);
-}
-
-void ThreadPool::parallel_for_chunks(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
-    std::size_t chunks) {
-  if (n == 0) return;
-  if (chunks == 0) chunks = std::min(n, size() * 4);
-  chunks = std::min(chunks, n);
-  const std::size_t base = n / chunks;
-  const std::size_t rem = n % chunks;
-
+                              const std::function<void(std::size_t)>& fn) {
   std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < rem ? 1 : 0);
-    const std::size_t end = begin + len;
-    futures.push_back(submit([&fn, begin, end, c] {
-      fn(begin, end, c);
-    }));
-    begin = end;
+  futures.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    futures.push_back(submit([&fn, i] { fn(i); }));
   }
   // Drain every future before reporting: a rethrow mid-drain would leave
-  // later chunks running against destroyed caller state. One failure
+  // later tasks running against destroyed caller state. One failure
   // rethrows the original exception (type intact — CancelledError vs
   // plain faults stay distinguishable); several failures aggregate into
   // one AggregateError that preserves every what().
@@ -98,11 +73,6 @@ void ThreadPool::parallel_for_chunks(
     }
     throw AggregateError(std::move(messages));
   }
-}
-
-ThreadPool& global_pool() {
-  static ThreadPool pool;
-  return pool;
 }
 
 }  // namespace gridsched::util

@@ -1,6 +1,6 @@
 // A small fixed-size thread pool with a blocking work queue and a
-// parallel_for helper used for GA fitness evaluation and experiment
-// replication fan-out.
+// parallel_for helper: the campaign runner's per-cell fan-out, the one
+// place the library runs work on threads (GA fitness is serial).
 #pragma once
 
 #include <condition_variable>
@@ -73,22 +73,11 @@ class ThreadPool {
   }
 
   /// Run fn(i) for i in [0, n) across the pool, blocking until all complete.
-  /// Work is split into contiguous chunks (one per worker by default).
-  /// A single failing chunk rethrows its exception unchanged; when several
-  /// chunks fail concurrently an AggregateError carrying every what() is
-  /// thrown instead (no failure is ever silently dropped).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                    std::size_t chunks = 0);
-
-  /// Chunk-aware parallel_for: fn(begin, end, chunk) runs once per
-  /// contiguous chunk, with chunk indices in [0, chunks). Lets callers pool
-  /// per-chunk workspaces (e.g. one core::DecodeScratch per chunk for GA
-  /// fitness evaluation) instead of allocating per item. `chunks` is capped
-  /// at n; 0 picks size() * 4 for load balancing.
-  void parallel_for_chunks(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
-      std::size_t chunks = 0);
+  /// Each index is its own task, so an idle worker takes the next index
+  /// while a slow one is still running. A single failing task rethrows its
+  /// exception unchanged; when several fail an AggregateError carrying
+  /// every what() is thrown instead (no failure is ever silently dropped).
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();
@@ -99,8 +88,5 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
-
-/// Process-wide default pool (lazily constructed, hardware_concurrency).
-ThreadPool& global_pool();
 
 }  // namespace gridsched::util

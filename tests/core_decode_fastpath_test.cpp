@@ -199,8 +199,11 @@ TEST(DecodeFastPath, RebindingToAnotherProblemIsCorrect) {
   DecodeScratch scratch;
   const FitnessParams params{0.6, 2.0};
   for (const std::uint64_t seed : {1ULL, 2ULL}) {
+    // nas binds the per-batch order, the others the rank bitmap, so the
+    // one scratch switches between the two in both directions.
     for (const std::string& name :
-         {std::string("synth-consistent-hihi"), std::string("psa")}) {
+         {std::string("synth-consistent-hihi"), std::string("psa"),
+          std::string("nas")}) {
       const auto context = scenario_batch(name, 16, seed);
       const GaProblem problem =
           build_problem(context, security::RiskPolicy::risky());

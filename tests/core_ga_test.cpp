@@ -15,7 +15,6 @@
 #include "exp/scenario_registry.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/kernel.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gridsched::core {
 namespace {
@@ -126,19 +125,6 @@ TEST(Evolve, DeterministicForIdenticalRngSeeds) {
   const GaResult b = run(5);
   EXPECT_EQ(a.best, b.best);
   EXPECT_EQ(a.best_per_generation, b.best_per_generation);
-}
-
-TEST(Evolve, ParallelEvaluationMatchesSerial) {
-  const auto problem = spread_problem(16, 4);
-  GaParams params = quick_params(40, 15);
-  params.parallel_threshold = 1;  // force the pool path
-  util::ThreadPool pool(4);
-  util::Rng rng_serial(9);
-  util::Rng rng_parallel(9);
-  const GaResult serial = evolve(problem, {}, params, rng_serial, nullptr);
-  const GaResult parallel = evolve(problem, {}, params, rng_parallel, &pool);
-  EXPECT_EQ(serial.best, parallel.best);
-  EXPECT_EQ(serial.best_per_generation, parallel.best_per_generation);
 }
 
 TEST(Evolve, TruncatesOversizedInitialPopulation) {

@@ -126,15 +126,15 @@ TEST(Roster, HeuristicSpecValidatesName) {
 TEST(Roster, SpecsProduceFreshSchedulers) {
   const AlgorithmSpec spec =
       heuristic_spec("min-min", security::RiskPolicy::risky());
-  const auto a = spec.make(nullptr, 1);
-  const auto b = spec.make(nullptr, 2);
+  const auto a = spec.make(1);
+  const auto b = spec.make(2);
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(a->name(), "Min-Min risky");
 }
 
 TEST(Roster, StgaSpecThreadsSeedIntoConfig) {
   const AlgorithmSpec spec = stga_spec();
-  const auto scheduler = spec.make(nullptr, 12345);
+  const auto scheduler = spec.make(12345);
   const auto* stga = dynamic_cast<core::GaScheduler*>(scheduler.get());
   ASSERT_NE(stga, nullptr);
   EXPECT_EQ(stga->config().seed, 12345u);
@@ -143,7 +143,7 @@ TEST(Roster, StgaSpecThreadsSeedIntoConfig) {
 
 TEST(Roster, ClassicGaSpecDisablesHistory) {
   const AlgorithmSpec spec = classic_ga_spec();
-  const auto scheduler = spec.make(nullptr, 1);
+  const auto scheduler = spec.make(1);
   const auto* ga = dynamic_cast<core::GaScheduler*>(scheduler.get());
   ASSERT_NE(ga, nullptr);
   EXPECT_FALSE(ga->config().use_history);

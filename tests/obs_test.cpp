@@ -538,7 +538,7 @@ TEST(GaProfile, ProfilingIsObservationOnly) {
   util::Rng profiled_rng(11);
   core::GaProfile profile;
   const core::GaResult profiled =
-      core::evolve(problem, {}, params, profiled_rng, nullptr, &profile);
+      core::evolve(problem, {}, params, profiled_rng, &profile);
 
   // Bit-identical result with the profile attached.
   EXPECT_EQ(plain.best, profiled.best);
@@ -576,7 +576,7 @@ TEST(GaProfile, JsonRenderIsWellFormed) {
   params.generations = 4;
   util::Rng rng(3);
   core::GaProfile profile;
-  core::evolve(problem, {}, params, rng, nullptr, &profile);
+  core::evolve(problem, {}, params, rng, &profile);
 
   const std::string json = obs::render_ga_profiles({profile});
   EXPECT_NE(json.find("\"invocations\""), std::string::npos);

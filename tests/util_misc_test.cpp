@@ -125,6 +125,20 @@ TEST(Cli, BooleanSpellings) {
   EXPECT_FALSE(cli.get_or("d", true));
 }
 
+TEST(Cli, MalformedBooleanThrowsNamingTheFlag) {
+  const auto argv = argv_of({"prog", "--csv=ture", "--e=off", "--f=no"});
+  Cli cli(static_cast<int>(argv.size()), argv.data());
+  EXPECT_FALSE(cli.get_or("e", true));
+  EXPECT_FALSE(cli.get_or("f", true));
+  try {
+    static_cast<void>(cli.get_or("csv", false));
+    ADD_FAILURE() << "--csv=ture parsed as a boolean";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("--csv"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Cli, PositionalArguments) {
   const auto argv = argv_of({"prog", "input.trace", "--n=5", "output.csv"});
   Cli cli(static_cast<int>(argv.size()), argv.data());

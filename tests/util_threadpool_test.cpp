@@ -5,6 +5,8 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace gridsched::util {
@@ -82,18 +84,23 @@ TEST(ThreadPool, ParallelForComputesCorrectSum) {
   EXPECT_EQ(total, 9999LL * 10000LL);  // 2 * n(n-1)/2
 }
 
-TEST(ThreadPool, ParallelForExplicitChunking) {
+TEST(ThreadPool, ParallelForRunsEachIndexAsItsOwnTask) {
+  // The campaign runner relies on one task per index: a slow cell must not
+  // hold back the cells after it. Index 0 waits (bounded) until index 1
+  // has run. Split into one contiguous chunk per worker, 0 and 1 would
+  // share a chunk and 1 could only start after 0 gave up.
   ThreadPool pool(2);
-  std::vector<std::atomic<int>> visits(37);
-  pool.parallel_for(37, [&](std::size_t i) { visits[i].fetch_add(1); }, 5);
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForMoreChunksThanItems) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> visits(3);
-  pool.parallel_for(3, [&](std::size_t i) { visits[i].fetch_add(1); }, 100);
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+  std::atomic<bool> second_ran{false};
+  std::atomic<bool> first_saw_second{false};
+  pool.parallel_for(4, [&](std::size_t i) {
+    if (i == 1) second_ran.store(true);
+    if (i != 0) return;
+    for (int spin = 0; spin < 1000000 && !second_ran.load(); ++spin) {
+      std::this_thread::yield();
+    }
+    first_saw_second.store(second_ran.load());
+  });
+  EXPECT_TRUE(first_saw_second.load());
 }
 
 TEST(ThreadPool, ParallelForPropagatesFirstException) {
@@ -106,30 +113,28 @@ TEST(ThreadPool, ParallelForPropagatesFirstException) {
 }
 
 TEST(ThreadPool, SingleFailurePreservesExceptionType) {
-  // One failing chunk must rethrow the original exception unchanged (not
+  // One failing task must rethrow the original exception unchanged (not
   // wrapped) so catch sites keyed on the type still work.
   ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(
-                   8, [](std::size_t i) {
-                     if (i == 3) throw std::invalid_argument("just me");
-                   },
-                   8),
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [](std::size_t i) {
+                                   if (i == 3) {
+                                     throw std::invalid_argument("just me");
+                                   }
+                                 }),
                std::invalid_argument);
 }
 
 TEST(ThreadPool, ConcurrentFailuresAggregateEveryWhat) {
-  // Several chunks fail: none may be dropped. One chunk per item makes
-  // every throwing index its own worker task.
+  // Several tasks fail: none may be dropped. Every index is its own task,
+  // so each throwing index fails separately.
   ThreadPool pool(4);
   try {
-    pool.parallel_for(
-        8,
-        [](std::size_t i) {
-          if (i % 2 == 1) {
-            throw std::runtime_error("task " + std::to_string(i) + " died");
-          }
-        },
-        8);
+    pool.parallel_for(8, [](std::size_t i) {
+      if (i % 2 == 1) {
+        throw std::runtime_error("task " + std::to_string(i) + " died");
+      }
+    });
     FAIL() << "expected an aggregate failure";
   } catch (const AggregateError& error) {
     EXPECT_EQ(error.messages().size(), 4u);
@@ -161,13 +166,6 @@ TEST(ThreadPool, TasksRunConcurrently) {
   f1.get();
   f2.get();
   EXPECT_TRUE(second_observed_first.load());
-}
-
-TEST(ThreadPool, GlobalPoolIsSingleton) {
-  ThreadPool& a = global_pool();
-  ThreadPool& b = global_pool();
-  EXPECT_EQ(&a, &b);
-  EXPECT_GE(a.size(), 1u);
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedTasks) {
