@@ -16,8 +16,8 @@
 // counters differ from the first run's fails the bench (exit 1).
 //
 // A second "builds" array times the workload build layer alone
-// (exp::make_workload of the materialised synth scenarios, median of five
-// builds) next to the built workload's fingerprint (workload_digest.hpp):
+// (exp::make_workload of the raw-ETC synth scenarios, drained into a job
+// vector, median of five builds) next to the built workload's fingerprint (workload_digest.hpp):
 // the digest is exact and hard-gated, build_ms is advisory.
 #include <algorithm>
 #include <chrono>

@@ -57,11 +57,14 @@ metrics::RunMetrics run_once(const Scenario& scenario,
   const std::uint64_t engine_seed = util::Rng::child(seed, 2).next_u64();
   const std::uint64_t algo_seed = util::Rng::child(seed, 3).next_u64();
 
-  // A streaming scenario hands the kernel its generator cursor, so the run
-  // holds O(active jobs), never the whole workload. Every other kind is
-  // materialized here (training reads the full main workload) and wrapped
-  // in a MaterializedStream once training is done.
-  const bool streamed = scenario.kind == ScenarioKind::kSynthStream;
+  // A synth scenario hands the kernel its generator cursor, so the run
+  // never builds or holds the job vector. nas and psa are materialized
+  // here and wrapped in a MaterializedStream below, and so is a kSynth run
+  // whose algorithm trains: make_training_workload resamples the main
+  // workload's ETC rows and their `work`.
+  const bool streamed =
+      scenario.kind == ScenarioKind::kSynthStream ||
+      (scenario.kind == ScenarioKind::kSynth && !spec.wants_training);
   workload::synth::StreamWorkload run;
   workload::Workload workload;
   if (streamed) {

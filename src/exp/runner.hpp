@@ -36,9 +36,13 @@ struct RunHooks {
   const util::CancelToken* cancel = nullptr;
 };
 
-/// Build workload, (optionally) run the training phase, simulate, measure.
-/// The unnamed 4th parameter is ignored (GA fitness is always serial); it
-/// stays until perfbench/harness.cpp stops passing `/*ga_pool=*/nullptr`.
+/// Build the workload, (optionally) run the training phase, simulate,
+/// measure. Synth scenarios feed the kernel their generator cursor (a
+/// kSynth run whose algorithm trains materializes, since training
+/// resamples the main workload's rows); nas and psa are materialized and
+/// wrapped in a workload::MaterializedStream. The unnamed 4th parameter is
+/// ignored (GA fitness is always serial); it stays until
+/// perfbench/harness.cpp stops passing `/*ga_pool=*/nullptr`.
 metrics::RunMetrics run_once(const Scenario& scenario,
                              const AlgorithmSpec& spec,
                              std::uint64_t seed,

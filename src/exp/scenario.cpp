@@ -59,25 +59,29 @@ workload::Workload make_workload(const Scenario& scenario, std::uint64_t seed) {
     case ScenarioKind::kPsa:
       return workload::psa_workload(scenario.psa, seed);
     case ScenarioKind::kSynth:
-      return workload::synth::synth_workload(scenario.synth, seed);
     case ScenarioKind::kSynthStream:
       // Draining the cursor gives byte-identical jobs to the streamed run
-      // (same generator, same draws) at O(n_jobs) memory — fine for trace
-      // export and tests, wrong for million-job simulation (use
-      // make_stream_workload there).
+      // (same generator, same draws) at O(n_jobs) job memory: fine for
+      // trace export, training and tests; a run streams instead.
       return workload::synth::materialize_stream(
-          workload::synth::stream_workload(scenario.stream, seed));
+          make_stream_workload(scenario, seed));
   }
   throw std::invalid_argument("make_workload: unknown scenario kind");
 }
 
 workload::synth::StreamWorkload make_stream_workload(const Scenario& scenario,
                                                      std::uint64_t seed) {
-  if (scenario.kind != ScenarioKind::kSynthStream) {
-    throw std::invalid_argument(
-        "make_stream_workload: scenario is not a streaming kind");
+  switch (scenario.kind) {
+    case ScenarioKind::kSynth:
+      return workload::synth::synth_stream(scenario.synth, seed);
+    case ScenarioKind::kSynthStream:
+      return workload::synth::stream_workload(scenario.stream, seed);
+    case ScenarioKind::kNas:
+    case ScenarioKind::kPsa:
+      break;
   }
-  return workload::synth::stream_workload(scenario.stream, seed);
+  throw std::invalid_argument(
+      "make_stream_workload: scenario is not a synth kind");
 }
 
 workload::Workload make_training_workload(const Scenario& scenario,

@@ -20,9 +20,9 @@ struct Scenario {
   workload::NasTraceConfig nas;
   workload::PsaConfig psa;
   workload::synth::SynthConfig synth;
-  /// Streaming generator config (kSynthStream only): the runner feeds the
-  /// kernel a job cursor instead of a materialised vector, so these
-  /// scenarios scale to millions of jobs in O(active) memory.
+  /// Streaming generator config (kSynthStream only): jobs are drawn as
+  /// the kernel admits them and there is no ETC matrix, so these scenarios
+  /// scale to millions of jobs in O(active) memory.
   workload::synth::SynthStreamConfig stream;
   sim::EngineConfig engine;
   /// Training jobs for STGA-style schedulers (paper Table 1: 500).
@@ -42,12 +42,12 @@ Scenario synth_scenario(workload::synth::SynthConfig config);
 Scenario synth_stream_scenario(workload::synth::SynthStreamConfig config);
 
 /// Materialise the scenario's workload; deterministic in (scenario, seed).
-/// A kSynthStream scenario is drained into a job vector here — use
-/// make_stream_workload for the O(active) path the runner takes.
+/// The synth kinds are make_stream_workload drained into a job vector
+/// here; the runner takes the cursor itself, so its runs never hold one.
 workload::Workload make_workload(const Scenario& scenario, std::uint64_t seed);
 
-/// The streaming workload of a kSynthStream scenario (grid + job cursor);
-/// throws std::invalid_argument for every other kind.
+/// The streaming workload of a kSynth or kSynthStream scenario (grid + job
+/// cursor); throws std::invalid_argument for nas and psa.
 workload::synth::StreamWorkload make_stream_workload(const Scenario& scenario,
                                                      std::uint64_t seed);
 

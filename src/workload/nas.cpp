@@ -44,6 +44,7 @@ std::vector<sim::Job> nas_jobs(const NasTraceConfig& config,
   if (config.size_weights.empty() || config.size_weights.size() > 8) {
     throw std::invalid_argument("nas_jobs: bad size_weights");
   }
+  (void)size_weight_total(config.size_weights, "nas_jobs");
   util::Rng rng(seed);
 
   const unsigned max_site_nodes =

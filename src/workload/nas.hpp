@@ -26,7 +26,8 @@ struct NasTraceConfig {
   /// Offered load: sum(work*nodes) / (capacity*horizon). 0 disables scaling.
   double target_load = 0.55;
   /// Node-request distribution over powers of two {1,2,4,8,16}; sizes are
-  /// capped at the largest site (README "Model parameters").
+  /// capped at the largest site (README "Model parameters"). At most 8
+  /// entries, each finite and >= 0, with a positive sum.
   std::vector<double> size_weights = {0.25, 0.20, 0.20, 0.20, 0.15};
   /// Short-job mixture component (interactive/debug runs).
   double short_fraction = 0.3;

@@ -1,9 +1,9 @@
 // Streaming workload cursor: pull the next job arrival on demand instead
 // of materialising the whole workload up front. SimKernel drives one of
 // these from its arrival handler, holding O(active) job state however many
-// jobs the stream will eventually yield; the MaterializedStream adapter
-// wraps a pre-built job vector (every non-streaming generator, trace
-// replay) in the same interface.
+// jobs the stream will eventually yield. The synth generators are cursors
+// themselves; the MaterializedStream adapter wraps a pre-built job vector
+// (nas, psa, trace replay, STGA training) in the same interface.
 //
 // Contract: next() yields jobs in nondecreasing arrival order (every
 // generator already sorts; the kernel enforces it at admission, because the
@@ -33,8 +33,8 @@ class JobStream {
   virtual bool next(sim::Job& job) = 0;
 };
 
-/// Adapter over a pre-built job vector (all existing generators): yields
-/// the jobs in vector order without copying the vector again.
+/// Adapter over a pre-built job vector: yields the jobs in vector order
+/// without copying the vector again.
 class MaterializedStream final : public JobStream {
  public:
   explicit MaterializedStream(std::vector<sim::Job> jobs)

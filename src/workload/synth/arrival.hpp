@@ -1,7 +1,7 @@
 // Pluggable arrival-process models for synthetic workloads: batch waves,
 // homogeneous Poisson, and a bursty ON/OFF (interrupted Poisson) process.
-// All generators return sorted arrival times and are deterministic in
-// (n, config, rng state).
+// Each process is one lazy cursor that yields sorted arrival times one at
+// a time; arrival_times drains it. Deterministic in (n, config, rng state).
 #pragma once
 
 #include <cstdint>
@@ -37,9 +37,34 @@ struct ArrivalConfig {
   double burst_rate = 0.05;
 };
 
-/// Generate `n` sorted arrival times; throws std::invalid_argument on
-/// non-positive rates/durations or zero waves.
+/// The arrival times of `n` jobs, drawn on demand: next() returns the
+/// next time (nondecreasing) and must be called at most `n` times. The
+/// constructor throws std::invalid_argument on non-positive rates or
+/// durations or zero waves.
+class ArrivalCursor {
+ public:
+  ArrivalCursor(std::size_t n, const ArrivalConfig& config, util::Rng rng);
+
+  sim::Time next();
+
+ private:
+  ArrivalConfig config_;
+  util::Rng rng_;
+  sim::Time clock_ = 0.0;
+  // kBatch: the current wave, its job count and how many it has yielded.
+  std::size_t wave_ = 0;
+  std::size_t wave_jobs_ = 0;
+  std::size_t wave_done_ = 0;
+  std::size_t per_wave_ = 0;
+  std::size_t remainder_ = 0;
+  // kBurstyOnOff: end of the current ON period, if one is open.
+  sim::Time on_end_ = 0.0;
+  bool on_ = false;
+};
+
+/// Generate `n` sorted arrival times (ArrivalCursor drained); throws as
+/// its constructor does.
 std::vector<sim::Time> arrival_times(std::size_t n, const ArrivalConfig& config,
-                                     util::Rng& rng);
+                                     util::Rng rng);
 
 }  // namespace gridsched::workload::synth

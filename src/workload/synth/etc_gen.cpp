@@ -151,10 +151,11 @@ WorkSpeedFit fit_work_speed(const EtcMatrixData& etc) {
   for (double& x : col_mean) x /= static_cast<double>(tasks);
   grand /= static_cast<double>(tasks * machines);
 
+  // The work vector is the row-mean buffer, exponentiated in place.
   WorkSpeedFit fit;
-  fit.work.resize(tasks);
+  for (double& x : row_mean) x = std::exp(x);
+  fit.work = std::move(row_mean);
   fit.speed.resize(machines);
-  for (std::size_t t = 0; t < tasks; ++t) fit.work[t] = std::exp(row_mean[t]);
   for (std::size_t m = 0; m < machines; ++m) {
     fit.speed[m] = std::exp(grand - col_mean[m]);
   }

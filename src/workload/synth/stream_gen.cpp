@@ -1,7 +1,6 @@
 #include "workload/synth/stream_gen.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -27,12 +26,11 @@ enum StreamIndex : std::uint64_t {
 
 class SynthJobStream final : public JobStream {
  public:
-  SynthJobStream(const SynthStreamConfig& config, unsigned max_site_nodes,
-                 std::uint64_t seed)
+  SynthJobStream(const SynthStreamConfig& config, double weight_total,
+                 unsigned max_site_nodes, std::uint64_t seed)
       : n_jobs_(config.n_jobs),
         size_weights_(config.size_weights),
-        weight_total_(std::accumulate(size_weights_.begin(),
-                                      size_weights_.end(), 0.0)),
+        weight_total_(weight_total),
         max_site_nodes_(max_site_nodes),
         rate_(config.arrival.rate),
         mean_exec_(config.mean_exec_seconds),
@@ -86,11 +84,8 @@ StreamWorkload stream_workload(const SynthStreamConfig& config,
   if (config.site_node_pattern.empty()) {
     throw std::invalid_argument("stream_workload: empty site_node_pattern");
   }
-  if (config.size_weights.empty() ||
-      std::accumulate(config.size_weights.begin(), config.size_weights.end(),
-                      0.0) <= 0.0) {
-    throw std::invalid_argument("stream_workload: bad size_weights");
-  }
+  const double weight_total =
+      size_weight_total(config.size_weights, "stream_workload");
   if (config.arrival.process != ArrivalProcess::kPoisson) {
     throw std::invalid_argument(
         "stream_workload: streaming workloads require a Poisson arrival "
@@ -135,7 +130,8 @@ StreamWorkload stream_workload(const SynthStreamConfig& config,
   workload.churn = churn_params(config.n_sites, config.churn, churn_rng);
 
   workload.jobs =
-      std::make_unique<SynthJobStream>(config, max_site_nodes, seed);
+      std::make_unique<SynthJobStream>(config, weight_total, max_site_nodes,
+                                       seed);
   return workload;
 }
 

@@ -1,18 +1,17 @@
 // Streaming synthetic workload generator: the million-job counterpart of
-// synth_workload. Instead of materialising a job vector (and an n_jobs x
-// n_sites ETC matrix), it builds the grid eagerly — sites, trust levels,
-// churn parameters are O(sites) — and hands the jobs to the kernel as a
-// workload::JobStream cursor that draws one job per pull. Execution times
-// resolve through the rank-1 work/speed fallback (no matrix), so total
-// generator state is O(sites) + a handful of RNG streams no matter how
-// many jobs the scenario asks for.
+// synth_stream (synth.hpp). Where synth_stream holds an n_jobs x n_sites
+// ETC matrix and the fitted work of every job, this builds only the grid —
+// sites, trust levels, churn parameters are O(sites) — and hands the jobs
+// to the kernel as a workload::JobStream cursor that draws one job per
+// pull. Execution times resolve through the rank-1 work/speed fallback
+// (no matrix), so total generator state is O(sites) + a handful of RNG
+// streams no matter how many jobs the scenario asks for.
 //
 // Determinism: every component draws from its own util::Rng child stream
 // of (seed), and jobs are drawn strictly in arrival order, so the stream
 // is a pure function of (config, seed) — the same contract as the
 // materialised generators. Arrivals are a homogeneous Poisson clock
-// (incremental exponential gaps), the only arrival process whose times
-// can be emitted sorted without buffering; other processes are rejected.
+// (incremental exponential gaps); other processes are rejected.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +33,8 @@ struct SynthStreamConfig {
   std::size_t n_sites = 100;
   /// Node counts cycled over the sites (same convention as SynthConfig).
   std::vector<unsigned> site_node_pattern = {16, 4, 8, 4, 4};
-  /// Job node-request distribution over powers of two {1, 2, 4, ...}.
+  /// Job node-request distribution over powers of two {1, 2, 4, ...};
+  /// entries must be finite and >= 0 with a positive sum.
   std::vector<double> size_weights = {0.4, 0.25, 0.2, 0.1, 0.05};
   /// Site speeds ~ U[speed_lo, speed_hi] (rank-1 execution model).
   double speed_lo = 0.8;
@@ -48,12 +48,15 @@ struct SynthStreamConfig {
 };
 
 /// A generated streaming workload: the grid is concrete, the jobs are a
-/// cursor. Move-only (the stream is single-pass).
+/// cursor. Move-only (the stream is single-pass). Produced by
+/// stream_workload and by synth_stream (synth.hpp).
 struct StreamWorkload {
   std::string name;
   std::vector<sim::SiteConfig> sites;
   std::unique_ptr<JobStream> jobs;
-  sim::ExecModel exec;  ///< always the rank-1 fallback for streams
+  /// The rank-1 fallback for stream_workload; synth_stream's raw ETC
+  /// matrix, its rows keyed by stream position.
+  sim::ExecModel exec;
   std::vector<sim::SiteChurnParams> churn;
 };
 
@@ -62,9 +65,9 @@ struct StreamWorkload {
 StreamWorkload stream_workload(const SynthStreamConfig& config,
                                std::uint64_t seed);
 
-/// Drain a streaming workload into a materialised Workload (CLI trace
-/// export, training paths). Pulls every remaining job — O(n_jobs) memory,
-/// intended for small/medium configs only.
+/// Drain a streaming workload into a materialised Workload (synth_workload,
+/// CLI trace export, training paths). Pulls every remaining job, numbering
+/// them by stream position — O(n_jobs) memory, for small/medium configs.
 Workload materialize_stream(StreamWorkload&& stream);
 
 }  // namespace gridsched::workload::synth

@@ -1,6 +1,7 @@
 #include "workload/synth/synth.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -35,6 +36,52 @@ std::vector<sim::SiteConfig> build_sites(const SynthConfig& config,
   return sites;
 }
 
+/// The jobs of one synth workload, yielded in arrival order: the arrival
+/// cursor's next time, the fitted (calibrated) work of the job at this
+/// stream position, and a node request and demand from their own child
+/// streams.
+class SynthJobStream final : public JobStream {
+ public:
+  SynthJobStream(const SynthConfig& config, std::vector<double> work,
+                 double weight_total, unsigned max_site_nodes,
+                 std::uint64_t seed)
+      : work_(std::move(work)),
+        arrivals_(work_.size(), config.arrival,
+                  util::Rng::child(seed, kArrivalStream)),
+        size_weights_(config.size_weights),
+        weight_total_(weight_total),
+        max_site_nodes_(max_site_nodes),
+        security_(config.security),
+        size_rng_(util::Rng::child(seed, kSizeStream)),
+        demand_rng_(util::Rng::child(seed, kDemandStream)) {}
+
+  [[nodiscard]] std::size_t size() const noexcept override {
+    return work_.size();
+  }
+
+  bool next(sim::Job& job) override {
+    if (emitted_ == work_.size()) return false;
+    job = sim::Job{};
+    job.arrival = arrivals_.next();
+    job.work = work_[emitted_++];
+    job.nodes =
+        draw_nodes(size_weights_, weight_total_, max_site_nodes_, size_rng_);
+    job.demand = draw_demand(security_, demand_rng_);
+    return true;
+  }
+
+ private:
+  std::vector<double> work_;
+  std::size_t emitted_ = 0;
+  ArrivalCursor arrivals_;
+  std::vector<double> size_weights_;
+  double weight_total_;
+  unsigned max_site_nodes_;
+  SecurityProfile security_;
+  util::Rng size_rng_;
+  util::Rng demand_rng_;
+};
+
 }  // namespace
 
 unsigned draw_nodes(const std::vector<double>& size_weights,
@@ -49,7 +96,7 @@ unsigned draw_nodes(const std::vector<double>& size_weights,
   return std::min(nodes, max_nodes);
 }
 
-Workload synth_workload(const SynthConfig& config, std::uint64_t seed) {
+StreamWorkload synth_stream(const SynthConfig& config, std::uint64_t seed) {
   if (config.n_jobs == 0) {
     throw std::invalid_argument("synth_workload: n_jobs == 0");
   }
@@ -59,11 +106,8 @@ Workload synth_workload(const SynthConfig& config, std::uint64_t seed) {
   if (config.site_node_pattern.empty()) {
     throw std::invalid_argument("synth_workload: empty site_node_pattern");
   }
-  const double weight_total = std::accumulate(
-      config.size_weights.begin(), config.size_weights.end(), 0.0);
-  if (config.size_weights.empty() || weight_total <= 0.0) {
-    throw std::invalid_argument("synth_workload: bad size_weights");
-  }
+  const double weight_total =
+      size_weight_total(config.size_weights, "synth_workload");
 
   // 1. ETC matrix in the requested class. The raw matrix is what the
   // simulator executes (moved below into the workload's ExecModel); the
@@ -87,7 +131,7 @@ Workload synth_workload(const SynthConfig& config, std::uint64_t seed) {
   }
 
   // 2. Sites: node pattern + fitted speeds + trust levels.
-  Workload workload;
+  StreamWorkload workload;
   workload.name = config.name;
   workload.sites = build_sites(config, fit.speed);
   const unsigned max_site_nodes =
@@ -99,23 +143,10 @@ Workload synth_workload(const SynthConfig& config, std::uint64_t seed) {
   util::Rng security_rng = util::Rng::child(seed, kSecurityStream);
   assign_trust(workload.sites, config.security, max_site_nodes, security_rng);
 
-  // 3. Jobs: fitted work, arrival process, node requests, demands.
-  util::Rng arrival_rng = util::Rng::child(seed, kArrivalStream);
-  const std::vector<sim::Time> arrivals =
-      arrival_times(config.n_jobs, config.arrival, arrival_rng);
-
-  util::Rng size_rng = util::Rng::child(seed, kSizeStream);
-  util::Rng demand_rng = util::Rng::child(seed, kDemandStream);
-  workload.jobs.resize(config.n_jobs);
-  for (std::size_t j = 0; j < config.n_jobs; ++j) {
-    sim::Job& job = workload.jobs[j];
-    job.id = static_cast<sim::JobId>(j);
-    job.arrival = arrivals[j];
-    job.work = fit.work[j];
-    job.nodes = draw_nodes(config.size_weights, weight_total, max_site_nodes,
-                           size_rng);
-    job.demand = draw_demand(config.security, demand_rng);
-  }
+  // 3. Jobs: a cursor over the fitted work that draws each job's arrival,
+  // node request and demand as it is pulled.
+  workload.jobs = std::make_unique<SynthJobStream>(
+      config, std::move(fit.work), weight_total, max_site_nodes, seed);
 
   // 4. Attach the raw ETC as the workload's execution model: inconsistent
   // and semi-consistent classes run exactly as generated instead of
@@ -128,6 +159,10 @@ Workload synth_workload(const SynthConfig& config, std::uint64_t seed) {
   util::Rng churn_rng = util::Rng::child(seed, kChurnStream);
   workload.churn = churn_params(config.n_sites, config.churn, churn_rng);
   return workload;
+}
+
+Workload synth_workload(const SynthConfig& config, std::uint64_t seed) {
+  return materialize_stream(synth_stream(config, seed));
 }
 
 }  // namespace gridsched::workload::synth

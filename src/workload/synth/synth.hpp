@@ -6,6 +6,12 @@
 // scalar fields. Everything is deterministic in (config, seed) via
 // independent util::Rng child streams, so scenarios are reproducible and
 // shardable across the thread pool.
+//
+// One generator, two consumers (as stream_gen.hpp): synth_stream builds
+// the grid, the matrix and its fit, and hands the jobs out through a
+// workload::JobStream cursor; synth_workload drains that cursor into a
+// job vector. Each job component draws from its own child stream, so the
+// cursor's lazy draws equal the materialised ones bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +22,7 @@
 #include "workload/synth/churn.hpp"
 #include "workload/synth/etc_gen.hpp"
 #include "workload/synth/security_profile.hpp"
+#include "workload/synth/stream_gen.hpp"
 #include "workload/workload.hpp"
 
 namespace gridsched::workload::synth {
@@ -36,15 +43,23 @@ struct SynthConfig {
   std::vector<unsigned> site_node_pattern = {1};
   /// Job node-request distribution over powers of two {1, 2, 4, ...};
   /// requests are capped at the largest site. {1.0} -> all sequential.
+  /// Entries must be finite and >= 0 with a positive sum.
   std::vector<double> size_weights = {1.0};
   /// Rescale job work so mean exec on a mean-speed site hits this many
   /// seconds (0 disables rescaling and keeps the raw ETC magnitudes).
   double mean_exec_seconds = 600.0;
 };
 
-/// Generate the full workload (sites + jobs). Throws std::invalid_argument
-/// on degenerate configs. The generated matrix is `exec.matrix_cells()`;
-/// the rank-1 fit behind it is each job's `work` and each site's `speed`.
+/// Build the grid, the raw ETC matrix (`exec`) and its rank-1 fit, and
+/// return the jobs as a cursor that yields each job's arrival, fitted
+/// `work`, node request and demand as the kernel admits it. Throws
+/// std::invalid_argument on degenerate configs. The cursor holds the
+/// fitted work (8 B per job); the matrix rows are keyed by stream position.
+StreamWorkload synth_stream(const SynthConfig& config, std::uint64_t seed);
+
+/// The same workload materialised: materialize_stream(synth_stream(...)).
+/// The generated matrix is `exec.matrix_cells()`; the rank-1 fit behind it
+/// is each job's `work` and each site's `speed`.
 Workload synth_workload(const SynthConfig& config, std::uint64_t seed);
 
 /// Node request: a power of two {1, 2, 4, ...} picked by `size_weights`

@@ -24,4 +24,11 @@ struct Workload {
   std::vector<sim::SiteChurnParams> churn;
 };
 
+/// Sum of a generator's node-request weight list (its `size_weights`).
+/// Throws std::invalid_argument naming `generator` and the field unless
+/// the list is non-empty, every entry is finite and >= 0, and the sum is
+/// > 0. Shared by the nas, synth and streaming generators.
+double size_weight_total(const std::vector<double>& size_weights,
+                         const char* generator);
+
 }  // namespace gridsched::workload

@@ -7,7 +7,7 @@
 // binary-wide counting allocator the decode fast path uses
 // (decode_harness.hpp; this must stay the only translation unit in this
 // binary including it). The synthetic ETC generator's per-call allocation
-// count is pinned here too.
+// count, and a synth run's live-heap high-water mark, are pinned here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "decode_harness.hpp"  // counting allocator (one TU per binary!)
+#include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "exp/scenario_registry.hpp"
 #include "metrics/metrics.hpp"
 #include "sched/heuristics.hpp"
 #include "security/security.hpp"
@@ -223,6 +225,52 @@ TEST(EtcGenAlloc, AllocationCountIsIndependentOfTaskCount) {
     SCOPED_TRACE(workload::synth::to_string(consistency));
     EXPECT_EQ(allocations(100, consistency), allocations(10000, consistency));
   }
+}
+
+/// Records the run's slot high-water mark (the kernel's O(active) part).
+class PeakSlotObserver final : public sim::KernelObserver {
+ public:
+  void on_run_end(const sim::SimKernel& kernel) override {
+    peak_slots = kernel.peak_slots();
+  }
+  std::size_t peak_slots = 0;
+};
+
+// A synth run streams its jobs: while run_once runs the churn-backlog shape
+// (synth-churn-hi, 50 000 jobs at 0.02 jobs/s, MCT f-risky), the live heap
+// stays below the raw ETC matrix plus 48 B per job. The run holds the
+// matrix, the cursor's fitted work (8 B per job) and the kernel's slot
+// table; a run that materializes the workload also holds a 96 B sim::Job
+// per job, about ETC + 110 B per job in all. The slot table grows with
+// the backlog, not the job count. At seed 7 about 500 slots are live; at
+// other seeds in-order retirement lets one straggler pin tens of
+// thousands (a known kernel limit this bound does not cover), so the slot
+// high-water is checked first and names which part failed.
+TEST(SynthRunFootprint, LiveHeapStaysBelowTheMatrixPlus48BytesPerJob) {
+  constexpr std::size_t kJobs = 50000;
+  exp::Scenario scenario = exp::make_scenario("synth-churn-hi", kJobs);
+  scenario.synth.arrival.rate = 0.02;
+  ASSERT_EQ(scenario.kind, exp::ScenarioKind::kSynth);
+  const exp::AlgorithmSpec spec =
+      exp::heuristic_spec("mct", security::RiskPolicy::f_risky(0.5));
+  PeakSlotObserver slots;
+  exp::RunHooks hooks;
+  hooks.observer = &slots;
+
+  const std::uint64_t before = bench::live_bytes();
+  bench::reset_peak_live_bytes();
+  const metrics::RunMetrics run =
+      exp::run_once(scenario, spec, 7, nullptr, hooks);
+  const std::uint64_t peak = bench::peak_live_bytes() - before;
+
+  ASSERT_EQ(run.n_jobs, kJobs);
+  ASSERT_LT(slots.peak_slots, kJobs / 50)
+      << "the slot table, not the workload, holds the heap";
+  const std::uint64_t etc_bytes =
+      kJobs * scenario.synth.n_sites * sizeof(double);
+  EXPECT_LT(peak, etc_bytes + 48 * kJobs)
+      << "live-heap high-water " << peak << " B is ETC " << etc_bytes
+      << " B + " << (peak - etc_bytes) / kJobs << " B per job";
 }
 
 }  // namespace

@@ -320,5 +320,85 @@ TEST(StreamKernel, RunOnceStreamsAndMatchesMaterializedDrain) {
   EXPECT_EQ(streamed.site_utilization, drain.site_utilization);
 }
 
+/// Every deterministic RunMetrics field (scheduler_seconds is wall clock)
+/// compared by bit pattern.
+void expect_bit_equal(const metrics::RunMetrics& a,
+                      const metrics::RunMetrics& b) {
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  EXPECT_EQ(a.n_jobs, b.n_jobs);
+  EXPECT_EQ(a.n_risk, b.n_risk);
+  EXPECT_EQ(a.n_fail, b.n_fail);
+  EXPECT_EQ(a.total_attempts, b.total_attempts);
+  EXPECT_EQ(a.failure_events, b.failure_events);
+  EXPECT_EQ(a.risky_attempts, b.risky_attempts);
+  EXPECT_EQ(a.released_nodes, b.released_nodes);
+  EXPECT_EQ(a.unreleased_nodes, b.unreleased_nodes);
+  EXPECT_EQ(a.site_down_events, b.site_down_events);
+  EXPECT_EQ(a.site_up_events, b.site_up_events);
+  EXPECT_EQ(a.interruptions, b.interruptions);
+  EXPECT_EQ(a.n_interrupted, b.n_interrupted);
+  EXPECT_EQ(a.churn_released_nodes, b.churn_released_nodes);
+  EXPECT_EQ(a.churn_unreleased_nodes, b.churn_unreleased_nodes);
+  EXPECT_EQ(bits(a.makespan), bits(b.makespan));
+  EXPECT_EQ(bits(a.avg_response), bits(b.avg_response));
+  EXPECT_EQ(bits(a.avg_final_exec), bits(b.avg_final_exec));
+  EXPECT_EQ(bits(a.slowdown_ratio), bits(b.slowdown_ratio));
+  EXPECT_EQ(bits(a.mean_job_slowdown), bits(b.mean_job_slowdown));
+  EXPECT_EQ(a.batch_invocations, b.batch_invocations);
+  EXPECT_EQ(a.events, b.events);
+  ASSERT_EQ(a.site_utilization.size(), b.site_utilization.size());
+  for (std::size_t s = 0; s < a.site_utilization.size(); ++s) {
+    EXPECT_EQ(bits(a.site_utilization[s]), bits(b.site_utilization[s]));
+  }
+  EXPECT_EQ(bits(a.avg_utilization), bits(b.avg_utilization));
+  EXPECT_EQ(a.idle_sites, b.idle_sites);
+}
+
+// run_once feeds a kSynth run the generator cursor. Its metrics must equal,
+// bit for bit, a kernel run over the materialized workload of the same
+// (scenario, seed) behind a MaterializedStream: every registry kSynth
+// scenario (batch, Poisson and bursty arrivals, churn), MCT and Min-Min.
+TEST(StreamKernel, RunOnceStreamsSynthScenariosBitEqualToMaterializedRuns) {
+  std::size_t synth_scenarios = 0;
+  for (const std::string& name : exp::scenario_names()) {
+    const exp::Scenario scenario = exp::make_scenario(name, 300);
+    if (scenario.kind != exp::ScenarioKind::kSynth) continue;
+    ++synth_scenarios;
+    for (const char* algo : {"mct", "min-min"}) {
+      for (const std::uint64_t seed : {7ULL, 20050419ULL}) {
+        SCOPED_TRACE(name + " " + algo + " seed " + std::to_string(seed));
+        const exp::AlgorithmSpec spec =
+            exp::heuristic_spec(algo, security::RiskPolicy::f_risky(0.5));
+        const metrics::RunMetrics streamed = exp::run_once(scenario, spec,
+                                                           seed);
+
+        // run_once derives the workload, engine and algorithm seeds as
+        // child streams 1, 2 and 3 of the cell seed.
+        workload::Workload materialized =
+            exp::make_workload(scenario, util::Rng::child(seed, 1).next_u64());
+        sim::EngineConfig config = scenario.engine;
+        config.seed = util::Rng::child(seed, 2).next_u64();
+        sim::SimKernel kernel(
+            std::move(materialized.sites),
+            std::make_unique<workload::MaterializedStream>(
+                std::move(materialized.jobs)),
+            config, std::move(materialized.exec),
+            std::move(materialized.churn));
+        const std::unique_ptr<sim::BatchScheduler> scheduler =
+            spec.make(util::Rng::child(seed, 3).next_u64());
+        kernel.run(*scheduler);
+        expect_bit_equal(streamed, metrics::compute_metrics(kernel));
+        if (name == "synth-churn-hi") {
+          EXPECT_GT(streamed.interruptions, 0u)
+              << "the churn scenario revoked nothing";
+        }
+      }
+    }
+  }
+  EXPECT_GE(synth_scenarios, 10u);
+}
+
 }  // namespace
 }  // namespace gridsched

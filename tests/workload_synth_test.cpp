@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include "exp/scenario_registry.hpp"
 #include "workload/synth/arrival.hpp"
 #include "workload/synth/etc_gen.hpp"
+#include "workload/synth/stream_gen.hpp"
 #include "workload/synth/synth.hpp"
 #include "workload/trace_io.hpp"
 #include "workload_digest.hpp"
@@ -79,58 +81,167 @@ TEST(SynthWorkload, SameConfigAndSeedIsByteIdentical) {
 // captured before the generator's row sort, fit and ExecModel hand-off
 // were reworked. A deliberate generator change re-captures them; say so
 // when it happens.
+struct GoldenBuild {
+  const char* scenario;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+constexpr GoldenBuild kGoldenBuilds[] = {
+    {"synth-batch", 17, 0x8f3cc4be883f9f71ULL},
+    {"synth-batch", 20050419, 0x7725fde7192d3237ULL},
+    {"synth-bursty", 17, 0x11704d80cf271155ULL},
+    {"synth-bursty", 20050419, 0xa4c07396932480b5ULL},
+    {"synth-churn-hi", 17, 0x570a7664ebf0a232ULL},
+    {"synth-churn-hi", 20050419, 0x64cc07fb6d2b36a2ULL},
+    {"synth-churn-lo", 17, 0x269d607e2c3a4a2cULL},
+    {"synth-churn-lo", 20050419, 0x2499845ad0993bafULL},
+    {"synth-consistent-hihi", 17, 0x1c0ceb28301a181cULL},
+    {"synth-consistent-hihi", 20050419, 0xa0161dbaffa27c9cULL},
+    {"synth-consistent-lolo", 17, 0x78ccd84d7d55fb59ULL},
+    {"synth-consistent-lolo", 20050419, 0x8e1bc5caddccdfd2ULL},
+    {"synth-inconsistent-hihi", 17, 0x6d801028db5e2db2ULL},
+    {"synth-inconsistent-hihi", 20050419, 0x56118d43438b9163ULL},
+    {"synth-inconsistent-lolo", 17, 0x44d9026e294253a3ULL},
+    {"synth-inconsistent-lolo", 20050419, 0xd47efd164da06ee0ULL},
+    {"synth-risky", 17, 0x43acbf342ae01f2bULL},
+    {"synth-risky", 20050419, 0xc64650417790901eULL},
+    {"synth-secure", 17, 0x365ab7583a4571f8ULL},
+    {"synth-secure", 20050419, 0x3f49e424ae032d08ULL},
+    {"synth-semi-hihi", 17, 0x3a2b055c2f5d4d83ULL},
+    {"synth-semi-hihi", 20050419, 0xa9621ddcdaf22766ULL},
+    {"synth-semi-lolo", 17, 0x846accb468870f3dULL},
+    {"synth-semi-lolo", 20050419, 0x2b39de0bb012f196ULL},
+};
+constexpr std::uint64_t kGoldenBacklogDigest = 0xfa87b229ce3c313bULL;
+
+exp::Scenario backlog_scenario() {
+  exp::Scenario backlog = exp::make_scenario("synth-churn-hi", 50000);
+  backlog.synth.arrival.rate = 0.02;
+  return backlog;
+}
+
 TEST(SynthWorkload, RegistryBuildsReproduceGoldenDigests) {
-  struct Golden {
-    const char* scenario;
-    std::uint64_t seed;
-    std::uint64_t digest;
-  };
-  static const Golden kGolden[] = {
-      {"synth-batch", 17, 0x8f3cc4be883f9f71ULL},
-      {"synth-batch", 20050419, 0x7725fde7192d3237ULL},
-      {"synth-bursty", 17, 0x11704d80cf271155ULL},
-      {"synth-bursty", 20050419, 0xa4c07396932480b5ULL},
-      {"synth-churn-hi", 17, 0x570a7664ebf0a232ULL},
-      {"synth-churn-hi", 20050419, 0x64cc07fb6d2b36a2ULL},
-      {"synth-churn-lo", 17, 0x269d607e2c3a4a2cULL},
-      {"synth-churn-lo", 20050419, 0x2499845ad0993bafULL},
-      {"synth-consistent-hihi", 17, 0x1c0ceb28301a181cULL},
-      {"synth-consistent-hihi", 20050419, 0xa0161dbaffa27c9cULL},
-      {"synth-consistent-lolo", 17, 0x78ccd84d7d55fb59ULL},
-      {"synth-consistent-lolo", 20050419, 0x8e1bc5caddccdfd2ULL},
-      {"synth-inconsistent-hihi", 17, 0x6d801028db5e2db2ULL},
-      {"synth-inconsistent-hihi", 20050419, 0x56118d43438b9163ULL},
-      {"synth-inconsistent-lolo", 17, 0x44d9026e294253a3ULL},
-      {"synth-inconsistent-lolo", 20050419, 0xd47efd164da06ee0ULL},
-      {"synth-risky", 17, 0x43acbf342ae01f2bULL},
-      {"synth-risky", 20050419, 0xc64650417790901eULL},
-      {"synth-secure", 17, 0x365ab7583a4571f8ULL},
-      {"synth-secure", 20050419, 0x3f49e424ae032d08ULL},
-      {"synth-semi-hihi", 17, 0x3a2b055c2f5d4d83ULL},
-      {"synth-semi-hihi", 20050419, 0xa9621ddcdaf22766ULL},
-      {"synth-semi-lolo", 17, 0x846accb468870f3dULL},
-      {"synth-semi-lolo", 20050419, 0x2b39de0bb012f196ULL},
-  };
   std::size_t synth_scenarios = 0;
   for (const std::string& name : exp::scenario_names()) {
     if (exp::make_scenario(name, 200).kind == exp::ScenarioKind::kSynth) {
       ++synth_scenarios;
     }
   }
-  EXPECT_EQ(2 * synth_scenarios, std::size(kGolden))
+  EXPECT_EQ(2 * synth_scenarios, std::size(kGoldenBuilds))
       << "a synth scenario was added or removed; capture or drop its digest";
-  for (const Golden& golden : kGolden) {
+  for (const GoldenBuild& golden : kGoldenBuilds) {
     SCOPED_TRACE(std::string(golden.scenario) + " seed " +
                  std::to_string(golden.seed));
     const exp::Scenario scenario = exp::make_scenario(golden.scenario, 200);
     EXPECT_EQ(bench::workload_digest(exp::make_workload(scenario, golden.seed)),
               golden.digest);
   }
+  EXPECT_EQ(
+      bench::workload_digest(exp::make_workload(backlog_scenario(), 20050419)),
+      kGoldenBacklogDigest);
+}
 
-  exp::Scenario backlog = exp::make_scenario("synth-churn-hi", 50000);
-  backlog.synth.arrival.rate = 0.02;
-  EXPECT_EQ(bench::workload_digest(exp::make_workload(backlog, 20050419)),
-            0xfa87b229ce3c313bULL);
+/// Pull every job out of `stream` one next() at a time, the way the
+/// kernel admits them (job ids are left unset: the digest skips them).
+Workload drain_by_hand(StreamWorkload stream) {
+  Workload drained;
+  drained.sites = std::move(stream.sites);
+  drained.exec = std::move(stream.exec);
+  drained.churn = std::move(stream.churn);
+  const std::size_t size = stream.jobs->size();
+  sim::Job job;
+  while (stream.jobs->next(job)) drained.jobs.push_back(job);
+  EXPECT_EQ(drained.jobs.size(), size) << "size() disagrees with next()";
+  EXPECT_FALSE(stream.jobs->next(job)) << "an exhausted cursor yielded a job";
+  return drained;
+}
+
+// The cursor a synth run hands the kernel yields, job by job, the very
+// workload synth_workload builds, and that workload's golden digest: every
+// registry kSynth scenario (batch waves, Poisson and bursty arrivals,
+// churn, all ETC classes and security regimes) and the 50 000-job
+// churn-backlog shape.
+TEST(SynthStream, DrainsToTheMaterializedWorkloadForEveryRegistryScenario) {
+  for (const GoldenBuild& golden : kGoldenBuilds) {
+    SCOPED_TRACE(std::string(golden.scenario) + " seed " +
+                 std::to_string(golden.seed));
+    const exp::Scenario scenario = exp::make_scenario(golden.scenario, 200);
+    const Workload drained =
+        drain_by_hand(synth_stream(scenario.synth, golden.seed));
+    EXPECT_EQ(bench::workload_digest(drained), golden.digest);
+    EXPECT_EQ(bench::workload_digest(
+                  synth_workload(scenario.synth, golden.seed)),
+              golden.digest);
+    // The run path reaches the same cursor through the scenario layer.
+    EXPECT_EQ(bench::workload_digest(
+                  drain_by_hand(exp::make_stream_workload(scenario,
+                                                          golden.seed))),
+              golden.digest);
+  }
+  const exp::Scenario backlog = backlog_scenario();
+  const Workload drained = drain_by_hand(synth_stream(backlog.synth, 20050419));
+  EXPECT_EQ(bench::workload_digest(drained), kGoldenBacklogDigest);
+  EXPECT_EQ(bench::workload_digest(synth_workload(backlog.synth, 20050419)),
+            kGoldenBacklogDigest);
+}
+
+TEST(SynthStream, MakeStreamWorkloadRejectsNasAndPsa) {
+  EXPECT_THROW(exp::make_stream_workload(exp::make_scenario("nas", 10), 1),
+               std::invalid_argument);
+  EXPECT_THROW(exp::make_stream_workload(exp::make_scenario("psa", 10), 1),
+               std::invalid_argument);
+}
+
+// Every entry must be finite and >= 0: a NaN or infinite entry used to
+// give every job the node cap and a negative one every job a single node,
+// because only the (possibly NaN) sum was checked.
+TEST(SynthWorkload, RejectsNonFiniteOrNegativeSizeWeights) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& weights :
+       std::vector<std::vector<double>>{{nan, 0.5},
+                                        {inf, 1.0},
+                                        {1.0, -0.5, 0.2},
+                                        {0.0, 0.0},
+                                        {}}) {
+    SynthConfig config = small_config();
+    config.size_weights = weights;
+    try {
+      (void)synth_stream(config, 3);
+      ADD_FAILURE() << "accepted size_weights of " << weights.size()
+                    << " entries";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("size_weights"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_THROW((void)synth_workload(config, 3), std::invalid_argument);
+  }
+}
+
+TEST(SynthStreamWorkload, RejectsNonFiniteOrNegativeSizeWeights) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& weights :
+       std::vector<std::vector<double>>{{nan, 0.5},
+                                        {inf, 1.0},
+                                        {1.0, -0.5, 0.2},
+                                        {0.0, 0.0},
+                                        {}}) {
+    SynthStreamConfig config;
+    config.n_jobs = 50;
+    config.n_sites = 4;
+    config.size_weights = weights;
+    try {
+      (void)stream_workload(config, 3);
+      ADD_FAILURE() << "accepted size_weights of " << weights.size()
+                    << " entries";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("size_weights"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(SynthWorkload, DifferentSeedsDiverge) {
@@ -362,6 +473,15 @@ TEST(Arrivals, BatchWavesSplitEvenly) {
   EXPECT_EQ(std::count(times.begin(), times.end(), 0.0), 4);
   EXPECT_EQ(std::count(times.begin(), times.end(), 100.0), 3);
   EXPECT_EQ(std::count(times.begin(), times.end(), 200.0), 3);
+}
+
+TEST(Arrivals, BatchWithFewerJobsThanWavesFillsTheEarliestWaves) {
+  ArrivalConfig config;
+  config.process = ArrivalProcess::kBatch;
+  config.batch_waves = 5;
+  config.wave_interval = 10.0;
+  EXPECT_EQ(arrival_times(2, config, util::Rng(1)),
+            (std::vector<sim::Time>{0.0, 10.0}));
 }
 
 TEST(Arrivals, PoissonMeanInterarrivalMatchesRate) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -215,6 +216,30 @@ TEST(NasJobs, RejectsBadConfig) {
   NasTraceConfig bad_weights = small_nas();
   bad_weights.size_weights.clear();
   EXPECT_THROW(nas_jobs(bad_weights, sites, 1), std::invalid_argument);
+}
+
+// Every size_weights entry must be finite and >= 0 (a NaN entry used to
+// pass), and the list must carry some weight.
+TEST(NasJobs, RejectsNonFiniteOrNegativeSizeWeights) {
+  util::Rng site_rng(14);
+  const auto sites = nas_sites(site_rng);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& weights :
+       std::vector<std::vector<double>>{
+           {nan, 1.0}, {1.0, inf}, {0.5, -0.1, 0.6}, {0.0, 0.0}}) {
+    NasTraceConfig config = small_nas();
+    config.size_weights = weights;
+    try {
+      (void)nas_jobs(config, sites, 1);
+      ADD_FAILURE() << "accepted size_weights of " << weights.size()
+                    << " entries";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("size_weights"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // ------------------------------------------------------------------ PSA ---
