@@ -160,16 +160,22 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 
 namespace gridsched::bench {
 
+/// A scheduling round that owns the ETC matrix its jobs' rows point into
+/// (copies share it).
+struct ScenarioBatch : sim::SchedulerContext {
+  sim::ExecModel exec;
+};
+
 /// A scheduling round drawn from a registry scenario: the scenario's sites
-/// with some committed backlog, and its first `n_jobs` generated jobs.
-inline sim::SchedulerContext scenario_batch(const std::string& name,
-                                            std::size_t n_jobs,
-                                            std::uint64_t seed) {
+/// with some committed backlog, and its first `n_jobs` generated jobs with
+/// their raw ETC rows (synth scenarios; rank-1 otherwise).
+inline ScenarioBatch scenario_batch(const std::string& name,
+                                    std::size_t n_jobs, std::uint64_t seed) {
   const exp::Scenario scenario = exp::make_scenario(name, n_jobs);
   const workload::Workload w = exp::make_workload(scenario, seed);
-  sim::SchedulerContext context;
+  ScenarioBatch context;
   context.now = 500.0;
-  context.exec = w.exec;  // raw ETC for synth scenarios, rank-1 otherwise
+  context.exec = w.exec;
   util::Rng rng(seed ^ 0x5eed5eedULL);
   for (const sim::SiteConfig& site : w.sites) {
     context.sites.push_back(site);
@@ -186,6 +192,7 @@ inline sim::SchedulerContext scenario_batch(const std::string& name,
     batch_job.nodes = job.nodes;
     batch_job.demand = job.demand;
     batch_job.arrival = job.arrival;
+    batch_job.etc_row = context.exec.row(job.id);
     context.jobs.push_back(batch_job);
   }
   return context;

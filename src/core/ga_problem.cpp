@@ -27,7 +27,6 @@ GaProblem build_problem(const sim::SchedulerContext& context,
   problem.sites = context.sites;
   problem.avail = context.avail;
   problem.site_up = context.site_up;
-  problem.exec_model = context.exec;
 
   for (std::size_t j = 0; j < context.jobs.size(); ++j) {
     if (context.jobs[j].nodes == 0) {

@@ -32,13 +32,11 @@ struct GaProblem {
   std::vector<std::uint8_t> site_up;
   /// Admissible sites per job (never empty for jobs kept in `jobs`).
   std::vector<std::vector<sim::SiteId>> domains;
-  /// The context's execution model, retained so sub-schedulers built from
-  /// this problem (heuristic population seeds) resolve exec times the same
-  /// way the `exec` matrix below was filled.
-  sim::ExecModel exec_model;
   /// Flattened jobs x sites execution times (infinity when infeasible),
-  /// resolved through `exec_model`: raw ETC cells when the workload
-  /// carries a matrix, work/speed otherwise.
+  /// resolved through each job's `etc_row`: raw ETC cells when the job
+  /// carries a row, work/speed otherwise. The rows stay on `jobs`, so
+  /// sub-schedulers built from this problem (heuristic population seeds)
+  /// resolve exec times the same way, within the schedule_into call.
   std::vector<double> exec;
   /// Flattened jobs x sites Eq. 1 failure probabilities.
   std::vector<double> pfail;
@@ -63,7 +61,6 @@ struct GaProblem {
       avail = other.avail;
       site_up = other.site_up;
       domains = other.domains;
-      exec_model = other.exec_model;
       exec = other.exec;
       pfail = other.pfail;
       epoch = 0;  // unstamped: see above

@@ -83,8 +83,7 @@ std::vector<Chromosome> GaScheduler::build_initial_population(
     sub_context.sites = problem.sites;
     sub_context.avail = problem.avail;
     sub_context.site_up = problem.site_up;  // down sites stay invisible
-    sub_context.jobs = problem.jobs;
-    sub_context.exec = problem.exec_model;  // same exec resolution as the GA
+    sub_context.jobs = problem.jobs;  // with their ETC rows, as the GA
     for (const bool use_sufferage : {false, true}) {
       std::unique_ptr<sched::HeuristicScheduler> heuristic;
       if (use_sufferage) {

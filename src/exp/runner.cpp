@@ -98,18 +98,20 @@ metrics::RunMetrics run_once(const Scenario& scenario,
     ga->set_profile_sink(hooks.ga_profiles);
   }
 
+  // A streamed kSynth cursor yields each job's ETC row as the kernel
+  // admits it, so the run holds no jobs x sites matrix; a materialized
+  // workload hands the kernel its matrix (nas and psa: none).
   if (!streamed) {
     run.sites = std::move(workload.sites);
     run.jobs = std::make_unique<workload::MaterializedStream>(
         std::move(workload.jobs));
-    run.exec = std::move(workload.exec);
     run.churn = std::move(workload.churn);
   }
   sim::EngineConfig engine_config = scenario.engine;
   engine_config.seed = engine_seed;
   engine_config.cancel = hooks.cancel;
   sim::SimKernel kernel(std::move(run.sites), std::move(run.jobs),
-                        engine_config, std::move(run.exec),
+                        engine_config, std::move(workload.exec),
                         std::move(run.churn));
   kernel.set_observer(hooks.observer);
   kernel.run(*scheduler);

@@ -78,7 +78,7 @@ void scan_pass(const sim::SchedulerContext& context,
 void MctScheduler::schedule_into(const sim::SchedulerContext& context,
                                  std::vector<sim::Assignment>& out) {
   if (!SiteTree::applies(context)) {
-    // A small grid, or no exact subtree bound (a raw ETC matrix bounds
+    // A small grid, or no exact subtree bound (raw ETC rows bound
     // nothing per subtree): scan every site.
     scan_pass(context, policy_, scratch_.avail, out,
               [&](const sim::BatchJob& job, const sim::JobExecRow& exec,

@@ -77,14 +77,12 @@ struct SiteTree::Search {
 };
 
 bool SiteTree::applies(const sim::SchedulerContext& context) {
-  if (context.sites.size() < kMinSites || context.exec.has_matrix()) {
-    return false;
-  }
+  if (context.sites.size() < kMinSites) return false;
   for (const sim::SiteConfig& site : context.sites) {
     if (!(site.speed > 0.0)) return false;
   }
   for (const sim::BatchJob& job : context.jobs) {
-    if (!(job.work >= 0.0)) return false;
+    if (job.etc_row != nullptr || !(job.work >= 0.0)) return false;
   }
   return true;
 }

@@ -42,9 +42,9 @@ class SiteTree {
 
   /// True when the tree is worth building for `context` (kMinSites or
   /// more sites) and its subtree bound is sound: a rank-1 execution model
-  /// (no ETC matrix), every site speed > 0 and every job's work >= 0, so a
-  /// job's exec time never decreases as speed falls and work * inv_lo
-  /// never exceeds it.
+  /// (no job carries an ETC row), every site speed > 0 and every job's
+  /// work >= 0, so a job's exec time never decreases as speed falls and
+  /// work * inv_lo never exceeds it.
   [[nodiscard]] static bool applies(const sim::SchedulerContext& context);
 
   /// std::nextafter(1 / speed, 0), a node's reciprocal: strictly below the

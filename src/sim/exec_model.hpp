@@ -6,9 +6,11 @@
 // from the job/site fields rather than materialised.
 //
 // Invariant (ROADMAP "Execution model"): every consumer of execution times
-// must go through an ExecModel (or a matrix derived from one, such as
-// sched::EtcMatrix / GaProblem::exec) so that raw-ETC scenarios stay exact
-// end to end.
+// resolves them through sim::exec_time on the job's row — a row of an
+// ExecModel matrix, a row the job stream generated, or null for the
+// rank-1 law — or through a matrix derived that way (sched::EtcMatrix,
+// GaProblem::exec), so raw-ETC scenarios stay exact end to end. Rows
+// travel with the batch jobs (sim::BatchJob::etc_row).
 #pragma once
 
 #include <cstddef>
@@ -19,6 +21,14 @@
 #include "sim/types.hpp"
 
 namespace gridsched::sim {
+
+/// The one execution-time rule: the job's raw ETC cell for `site` when it
+/// carries a row, the rank-1 `work / speed` when `row` is null. The
+/// kernel, the schedulers and the GA all resolve through it.
+[[nodiscard]] inline double exec_time(const double* row, double work,
+                                      SiteId site, double speed) noexcept {
+  return row != nullptr ? row[static_cast<std::size_t>(site)] : work / speed;
+}
 
 class ExecModel {
  public:
@@ -46,42 +56,13 @@ class ExecModel {
                    : std::span<const double>();
   }
 
-  /// One job's execution times across the sites: the job's matrix row when
-  /// a matrix is attached, otherwise the rank-1 `work / speed`. Resolving
-  /// the row once per job keeps the per-site lookup to one load (or one
-  /// divide). Valid while the model it came from (or a copy) is alive.
-  class Row {
-   public:
-    /// Execution time on `site`; `speed` feeds the rank-1 fallback and is
-    /// ignored when the row comes from a matrix.
-    [[nodiscard]] double operator()(SiteId site, double speed) const noexcept {
-      if (cells_ == nullptr) return work_ / speed;
-      return cells_[static_cast<std::size_t>(site)];
-    }
-
-   private:
-    friend class ExecModel;
-    Row(const double* cells, double work) noexcept
-        : cells_(cells), work_(work) {}
-
-    const double* cells_;
-    double work_;
-  };
-
-  /// The row of `job`; `work` feeds the rank-1 fallback and is ignored
-  /// when a matrix is attached.
-  [[nodiscard]] Row row(JobId job, double work) const noexcept {
-    if (matrix_ == nullptr) return {nullptr, work};
-    return {matrix_->cells.data() +
-                static_cast<std::size_t>(job) * matrix_->n_sites,
-            work};
-  }
-
-  /// Execution time of `job` on `site`. `work` and `speed` feed the rank-1
-  /// fallback and are ignored when a matrix is attached.
-  [[nodiscard]] double exec(JobId job, double work, SiteId site,
-                            double speed) const noexcept {
-    return row(job, work)(site, speed);
+  /// The raw ETC row of `job` (matrix_sites() cells) when a matrix is
+  /// attached, null for the rank-1 fallback. Valid while the model it came
+  /// from (or a copy) is alive.
+  [[nodiscard]] const double* row(JobId job) const noexcept {
+    if (matrix_ == nullptr) return nullptr;
+    return matrix_->cells.data() +
+           static_cast<std::size_t>(job) * matrix_->n_sites;
   }
 
   /// Throws std::invalid_argument when a matrix is attached and its shape

@@ -52,6 +52,18 @@ SimKernel::SimKernel(std::vector<SiteConfig> sites,
   // The matrix rows are keyed by dense job ids; a shape mismatch would
   // silently read a different job's row.
   exec_model_.check_shape(total_jobs_, sites_.size());
+  row_sites_ = stream_->row_sites();
+  if (row_sites_ != 0 && row_sites_ != sites_.size()) {
+    throw std::invalid_argument(
+        "SimKernel: job stream rows have " + std::to_string(row_sites_) +
+        " cell(s) but the grid has " + std::to_string(sites_.size()) +
+        " site(s)");
+  }
+  if (row_sites_ != 0 && exec_model_.has_matrix()) {
+    throw std::invalid_argument(
+        "SimKernel: job stream yields ETC rows and an ETC matrix is attached "
+        "too; a run has one execution model");
+  }
   site_up_.assign(sites_.size(), 1);
   live_.resize(sites_.size());
   slot_of_.resize(kInitialSlotRing);
@@ -162,6 +174,7 @@ bool SimKernel::admit_next(Event& arrival) {
     slot = static_cast<std::uint32_t>(jobs_.size());
     jobs_.emplace_back();
     attempts_.emplace_back();
+    if (row_sites_ != 0) row_of_.emplace_back();
     // Keep enough spare capacity for every slot to be parked free at once,
     // so retirement pushes never allocate in the steady-state loop.
     free_slots_.reserve(jobs_.size());
@@ -169,6 +182,7 @@ bool SimKernel::admit_next(Event& arrival) {
   if (admitted_ + 1 - retire_frontier_ > slot_of_.size()) grow_slot_ring();
   jobs_[slot] = job;
   attempts_[slot] = Attempt{};
+  if (row_sites_ != 0) admit_row(slot, job.id);
   slot_of_[job.id & slot_mask_] = slot;
   ++admitted_;
   arrival = Event{};
@@ -176,6 +190,27 @@ bool SimKernel::admit_next(Event& arrival) {
   arrival.kind = EventKind::kJobArrival;
   arrival.job = job.id;
   return true;
+}
+
+void SimKernel::admit_row(std::uint32_t slot, JobId id) {
+  const std::span<const double> row = stream_->row();
+  if (row.size() != row_sites_) {
+    throw std::invalid_argument("SimKernel: job " + std::to_string(id) +
+                                " arrived without its ETC row");
+  }
+  std::uint32_t index = 0;
+  if (!free_rows_.empty()) {
+    index = free_rows_.back();
+    free_rows_.pop_back();
+  } else {
+    index = static_cast<std::uint32_t>(rows_.size() / row_sites_);
+    rows_.resize(rows_.size() + row_sites_);
+    // As for free_slots_: room for every row to be parked free at once.
+    free_rows_.reserve(index + 1);
+  }
+  row_of_[slot] = index;
+  std::copy(row.begin(), row.end(),
+            rows_.begin() + static_cast<std::ptrdiff_t>(index * row_sites_));
 }
 
 void SimKernel::grow_slot_ring() {
@@ -338,7 +373,6 @@ void SimKernel::schedule_batch(BatchScheduler& scheduler, Time now) {
   SchedulerContext& context = context_;
   context.now = now;
   if (!context_static_ready_) {
-    context.exec = exec_model_;
     context.lambda = config_.lambda;
     context.sites.reserve(sites_.size());
     for (const GridSite& site : sites_) context.sites.push_back(site.config());
@@ -352,10 +386,10 @@ void SimKernel::schedule_batch(BatchScheduler& scheduler, Time now) {
   context.jobs.clear();
   context.jobs.reserve(pending_.size());
   for (const JobId id : pending_) {
-    const Job& job = jobs_[slot_of(id)];
-    context.jobs.push_back(
-        {job.id, job.work, job.nodes, job.demand, job.arrival,
-         job.secure_only});
+    const std::uint32_t slot = slot_of(id);
+    const Job& job = jobs_[slot];
+    context.jobs.push_back({job.id, job.nodes, job.work, job.demand,
+                            job.arrival, job.secure_only, etc_row(slot)});
   }
 
   ++counters_.batch_invocations;
@@ -425,10 +459,12 @@ void SimKernel::schedule_batch(BatchScheduler& scheduler, Time now) {
 }
 
 void SimKernel::dispatch(JobId job_id, SiteId site_id, Time now) {
-  Job& job = jobs_[slot_of(job_id)];
+  const std::uint32_t slot = slot_of(job_id);
+  Job& job = jobs_[slot];
   GridSite& site = sites_[site_id];
 
-  const double exec = exec_model_.exec(job.id, job.work, site_id, site.speed());
+  const double exec =
+      exec_time(etc_row(slot), job.work, site_id, site.speed());
   const NodeAvailability::Window window = site.dispatch(job.nodes, exec, now);
 
   ++job.attempts;
@@ -516,6 +552,9 @@ void SimKernel::on_job_end(const Event& event) {
     request_cycle(event.time);
   } else {
     stop_attempt(event.job);
+    // A completed job is never scheduled again: its row goes back to the
+    // pool now, not when the in-order frontier retires its slot.
+    if (row_sites_ != 0) free_rows_.push_back(row_of_[slot]);
     job.state = JobState::kCompleted;
     job.finish = event.time;
     job.final_site = attempt.site;

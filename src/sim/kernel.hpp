@@ -153,7 +153,12 @@ class SimKernel {
   /// `config.lambda` finite and >= 0 (std::invalid_argument naming the
   /// field otherwise). `exec_model`: per-(job, site) execution times; a
   /// raw ETC matrix (rows keyed by stream position) is authoritative, the
-  /// default is the rank-1 work/speed fallback. `churn`: per-site up/down
+  /// default is the rank-1 work/speed fallback. A stream that yields rows
+  /// (row_sites() > 0) is the execution model instead: each admitted job's
+  /// row is copied into a row pool and returned to it when the job
+  /// completes, so no jobs x sites matrix exists; its width must equal the
+  /// site count and no matrix may be attached (std::invalid_argument
+  /// otherwise). `churn`: per-site up/down
   /// parameters drawn from config.seed (entries beyond the site count are
   /// ignored; an empty list, or entries with mtbf/mttr <= 0, queue no
   /// churn event) or a scripted outage list, queued in the given order;
@@ -206,9 +211,6 @@ class SimKernel {
     return counters_;
   }
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const ExecModel& exec_model() const noexcept {
-    return exec_model_;
-  }
 
   // --- job identity (id -> slot) ---
   /// Total jobs this run will simulate (the stream's size).
@@ -238,6 +240,14 @@ class SimKernel {
   /// High-water slot count: O(active jobs), not O(total) — the streaming
   /// scale tests pin this.
   [[nodiscard]] std::size_t peak_slots() const noexcept { return jobs_.size(); }
+  /// Bytes of the ETC row pool: its high-water count of admitted,
+  /// not-yet-completed jobs x the stream's row_sites() x 8 (0 when the
+  /// stream yields no rows). Rows are freed at completion, so completed
+  /// jobs a straggler keeps from retiring pin slots but no rows: the pool
+  /// never exceeds peak_slots() rows.
+  [[nodiscard]] std::size_t row_table_bytes() const noexcept {
+    return rows_.size() * sizeof(double);
+  }
 
   /// Diagnostic text for runs that end with incomplete jobs: names the
   /// unfinished count, the first few job ids (with their states) and the
@@ -284,6 +294,17 @@ class SimKernel {
   [[nodiscard]] std::uint32_t slot_of(JobId id) const noexcept {
     return slot_of_[id & slot_mask_];
   }
+  /// The ETC row of the (not yet completed) job in `slot`: its pool row
+  /// when the stream yields rows, else its ExecModel matrix row (null for
+  /// the rank-1 fallback). Valid until the next admission may grow the
+  /// pool.
+  [[nodiscard]] const double* etc_row(std::uint32_t slot) const noexcept {
+    if (row_sites_ != 0) {
+      return rows_.data() +
+             static_cast<std::size_t>(row_of_[slot]) * row_sites_;
+    }
+    return exec_model_.row(jobs_[slot].id);
+  }
   [[nodiscard]] bool work_remains() const noexcept {
     return !pending_.empty() || arrivals_remaining_ > 0 || running_ > 0;
   }
@@ -320,6 +341,9 @@ class SimKernel {
   /// fill `arrival` with its kJobArrival event; false when exhausted.
   bool admit_next(Event& arrival);
   void validate_admitted(const Job& job) const;
+  /// Copy the stream's row for job `id` into a pool row (a freed one if
+  /// any) and link it to `slot`.
+  void admit_row(std::uint32_t slot, JobId id);
   void grow_slot_ring();
   /// Advance the retirement frontier over completed jobs (in id order),
   /// folding each into the accumulator and freeing its slot. Called after
@@ -359,6 +383,13 @@ class SimKernel {
   std::vector<Job> jobs_;  ///< slot table (live jobs)
   EngineConfig config_;
   ExecModel exec_model_;
+  /// ETC row pool (row_sites_ cells per row) when the stream yields rows:
+  /// row_of_[slot] is the row of the slot's job while it is incomplete,
+  /// and free_rows_ lists the rows of completed jobs for reuse.
+  std::vector<double> rows_;
+  std::vector<std::uint32_t> row_of_;
+  std::vector<std::uint32_t> free_rows_;
+  std::size_t row_sites_ = 0;
 
   EventQueue events_;
   /// The admitted job whose arrival has not popped yet (valid while
@@ -391,9 +422,9 @@ class SimKernel {
   // Persistent cycle scratch: the context snapshot, assignment list and
   // per-batch-index marks are rebuilt every cycle but keep their heap
   // buffers, so a steady-state cycle performs no allocations (the
-  // invariants tests pin this with a counting allocator). Site configs,
-  // the execution model and lambda never change mid-run, so the context
-  // captures them once, at the first cycle.
+  // invariants tests pin this with a counting allocator). Site configs
+  // and lambda never change mid-run, so the context captures them once, at
+  // the first cycle; each batch job carries its ETC row pointer.
   SchedulerContext context_;
   std::vector<Assignment> assignments_;
   std::vector<std::uint8_t> assigned_;

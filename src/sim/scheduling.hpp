@@ -16,25 +16,38 @@
 
 namespace gridsched::sim {
 
-/// One job of the current batch, as visible to a scheduler.
+/// One job of the current batch, as visible to a scheduler. `nodes` sits
+/// next to `id` so the two share 8 bytes and the row pointer keeps the
+/// struct at 48 bytes.
 struct BatchJob {
   JobId id = kInvalidJob;
-  double work = 0.0;
   unsigned nodes = 1;
+  double work = 0.0;
   double demand = 0.0;
   Time arrival = 0.0;
   /// Fail-stop retry: must go to a site with SL >= SD, whatever the mode.
   bool secure_only = false;
+  /// The job's raw ETC row, one cell per context site, or null for the
+  /// rank-1 `work / speed` law. Authoritative when set: schedulers resolve
+  /// exec times through it (SchedulerContext::exec_row), never recompute
+  /// work / speed themselves. The kernel fills it at snapshot time (a row
+  /// of its slot table or of the workload's ExecModel matrix); it is valid
+  /// for the duration of one schedule_into call.
+  const double* etc_row = nullptr;
 };
+static_assert(sizeof(BatchJob) == 48,
+              "BatchJob must stay 48 bytes (the kernel snapshots every "
+              "pending job into one each cycle)");
 
-/// One batch job's execution times by site index: the execution model's
-/// row, plus the site configs whose speeds feed the rank-1 fallback.
+/// One batch job's execution times by site index: the job's row and work,
+/// plus the site configs whose speeds feed the rank-1 fallback.
 struct JobExecRow {
-  ExecModel::Row row;
+  const double* cells;
+  double work;
   const SiteConfig* sites;
 
   [[nodiscard]] double operator[](std::size_t s) const noexcept {
-    return row(static_cast<SiteId>(s), sites[s].speed);
+    return exec_time(cells, work, static_cast<SiteId>(s), sites[s].speed);
   }
 };
 
@@ -52,10 +65,6 @@ struct SchedulerContext {
   /// through sched::admissible(context, ...) rather than reading this
   /// directly, so the mask and the risk filter can never disagree.
   std::vector<std::uint8_t> site_up;
-  /// The engine's execution model. Raw ETC when the workload carries one
-  /// (authoritative — schedulers must resolve exec times through it, never
-  /// recompute work/speed themselves); rank-1 fallback otherwise.
-  ExecModel exec;
   /// Eq. 1 coefficient of the run: the kernel's copy of
   /// EngineConfig::lambda, the one lambda every risk cutoff and GA rework
   /// term reads. Hand-assembled contexts get the default.
@@ -65,12 +74,11 @@ struct SchedulerContext {
     return site_up.empty() || site_up[s] != 0;
   }
 
-  /// Batch job `job`'s execution times by site index, resolved through the
-  /// execution model once per job (matrix rows are keyed by the job's
-  /// global id). Scans fetch the row before their site loop. Valid while
-  /// the context is alive and its sites unchanged.
+  /// Batch job `job`'s execution times by site index: its `etc_row` when
+  /// it carries one, else work / speed. Scans fetch the row before their
+  /// site loop. Valid while the context is alive and its sites unchanged.
   [[nodiscard]] JobExecRow exec_row(const BatchJob& job) const noexcept {
-    return {exec.row(job.id, job.work), sites.data()};
+    return {job.etc_row, job.work, sites.data()};
   }
 
   /// Execution time of batch job `job` on site index `s`.

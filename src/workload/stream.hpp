@@ -10,9 +10,14 @@
 // lazy one-arrival-ahead event push is only order-preserving for sorted
 // streams), and size() is the total count the stream will yield — the
 // kernel pre-reserves that many event sequence numbers for the arrivals.
+//
+// A stream may also yield each job's raw ETC row (row_sites() > 0): the
+// synth generator regenerates its matrix row by row this way, so a run
+// holds the rows of its live jobs only, never the jobs x sites matrix.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,6 +36,18 @@ class JobStream {
   /// once exhausted. The kernel overwrites `job.id` with the dense
   /// admission index, so implementations need not set it.
   virtual bool next(sim::Job& job) = 0;
+
+  /// Cells per execution-time row: 0 (the default) when the stream yields
+  /// no rows and the run resolves exec times through its sim::ExecModel,
+  /// else the grid's site count.
+  [[nodiscard]] virtual std::size_t row_sites() const noexcept { return 0; }
+
+  /// The raw ETC row of the job the last next() produced: row_sites()
+  /// cells, each finite and > 0, valid until the next call to next().
+  /// Empty when row_sites() is 0.
+  [[nodiscard]] virtual std::span<const double> row() const noexcept {
+    return {};
+  }
 };
 
 /// Adapter over a pre-built job vector: yields the jobs in vector order

@@ -3,17 +3,19 @@
 // 2001): three consistency classes crossed with hi/lo task and machine
 // heterogeneity.
 //
-// The raw generated matrix is executed directly by the simulator (it
-// becomes the workload's sim::ExecModel), so every consistency class is
-// exact. The log-domain least-squares rank-1 fit (`fit_work_speed`)
-// derives the scalar work/speed fields a Workload still carries (trace
-// I/O, fallback model, characterisation); the separate `log_rms_residual`
-// diagnostic quantifies how much cross-site structure that rank-1
-// projection would discard.
+// The raw generated rows are executed directly by the simulator (a synth
+// job cursor regenerates each row as the kernel admits the job, and a
+// materialized workload gathers them into its sim::ExecModel), so every
+// consistency class is exact. The log-domain least-squares rank-1 fit
+// (`WorkSpeedFitter`, `fit_work_speed`) derives the scalar work/speed
+// fields a Workload still carries (trace I/O, fallback model,
+// characterisation); the separate `log_rms_residual` diagnostic quantifies
+// how much cross-site structure that rank-1 projection would discard.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -65,10 +67,41 @@ struct EtcMatrixData {
   }
 };
 
-/// Range-based method: cell(t, m) = tau_t * U[1, R_machine] with
-/// tau_t ~ U[1, R_task], then per-class row sorting (a Batcher odd-even
-/// merge network; byte-identical to std::sort). Deterministic in
-/// (tasks, machines, config, rng state).
+/// The range-based generator, one task row at a time: row t is
+/// cell(t, m) = tau_t * U[1, R_machine] with tau_t ~ U[1, R_task], then
+/// per-class row sorting (a Batcher odd-even merge network; byte-identical
+/// to std::sort). Two cursors on equal RNG states yield equal rows, so a
+/// consumer can fit a matrix in one pass and regenerate its rows in a
+/// second without ever holding it. Allocates only at construction.
+class EtcRowCursor {
+ public:
+  /// Throws std::invalid_argument when `machines` is 0 or the active task
+  /// or machine range (the field named in the message) is not finite and
+  /// >= 1.
+  EtcRowCursor(std::size_t machines, const EtcConfig& config, util::Rng rng);
+
+  /// The RNG state after the rows drawn so far.
+  [[nodiscard]] const util::Rng& rng() const noexcept { return rng_; }
+
+  /// Write the next task's row into its `machines` cells at `row`.
+  void next(double* row);
+
+ private:
+  /// Sort `width` cells ascending through network_ (Batcher's odd-even
+  /// merge sort of that width).
+  void sort(double* row, std::size_t width) const noexcept;
+
+  std::size_t machines_;
+  EtcConfig config_;
+  util::Rng rng_;
+  /// The semi-consistent class sorts only the even-indexed cells,
+  /// gathered into this buffer (empty for the other classes).
+  std::vector<double> even_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> network_;
+};
+
+/// The whole matrix from an EtcRowCursor on `rng` (which advances past the
+/// draws). Deterministic in (tasks, machines, config, rng state).
 EtcMatrixData generate_etc(std::size_t tasks, std::size_t machines,
                            const EtcConfig& config, util::Rng& rng);
 
@@ -84,6 +117,31 @@ struct WorkSpeedFit {
   std::vector<double> speed;  ///< per machine, relative
 };
 
+/// The rank-1 fit accumulated row by row, in the matrix's cell order
+/// (row_mean[t], col_mean[m] and the grand sum see every cell in the same
+/// order), so fitting rows as a cursor yields them equals fitting the
+/// matrix they form, bit for bit. Holds 8 B per task plus 8 B per machine.
+class WorkSpeedFitter {
+ public:
+  /// `tasks` only reserves the work vector.
+  WorkSpeedFitter(std::size_t tasks, std::size_t machines);
+
+  /// Fold in the next task's row (machines cells). Throws
+  /// std::invalid_argument on a cell that is not > 0.
+  void add_row(const double* row);
+
+  /// The fit of every row added; throws std::invalid_argument when none
+  /// was. Call once, after the last row.
+  WorkSpeedFit finish();
+
+ private:
+  std::size_t machines_;
+  std::vector<double> row_mean_;
+  std::vector<double> col_mean_;
+  double grand_ = 0.0;
+};
+
+/// WorkSpeedFitter over the rows of `etc`.
 WorkSpeedFit fit_work_speed(const EtcMatrixData& etc);
 
 /// RMS over all cells of log(cell) - log(work[t] / speed[m]): how far `etc`

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "workload/sites.hpp"
 
@@ -17,10 +18,30 @@ std::string to_string(const SecurityProfile& profile) {
   return buffer;
 }
 
+void validate(const SecurityProfile& profile, const char* generator) {
+  // Negated positive tests, so NaN fails them too: a NaN fraction makes
+  // assign_trust's size_t cast undefined, and NaN demand bounds surface
+  // only later as a misleading "no absolutely-safe site".
+  const auto require = [generator](bool ok, const char* problem) {
+    if (!ok) {
+      throw std::invalid_argument(std::string(generator) + ": security." +
+                                  problem);
+    }
+  };
+  require(std::isfinite(profile.demand_lo), "demand_lo must be finite");
+  require(std::isfinite(profile.demand_hi) &&
+              profile.demand_hi >= profile.demand_lo,
+          "demand_hi must be finite and >= demand_lo");
+  require(std::isfinite(profile.trust_lo), "trust_lo must be finite");
+  require(std::isfinite(profile.trust_hi) &&
+              profile.trust_hi >= profile.trust_lo,
+          "trust_hi must be finite and >= trust_lo");
+  require(profile.certified_fraction >= 0.0 &&
+              profile.certified_fraction <= 1.0,
+          "certified_fraction must lie in [0, 1]");
+}
+
 double draw_demand(const SecurityProfile& profile, util::Rng& rng) {
-  if (profile.demand_lo > profile.demand_hi) {
-    throw std::invalid_argument("draw_demand: demand_lo > demand_hi");
-  }
   return rng.uniform(profile.demand_lo, profile.demand_hi);
 }
 
@@ -28,10 +49,6 @@ void assign_trust(std::vector<sim::SiteConfig>& sites,
                   const SecurityProfile& profile, unsigned max_nodes,
                   util::Rng& rng) {
   if (sites.empty()) throw std::invalid_argument("assign_trust: no sites");
-  if (profile.trust_lo > profile.trust_hi ||
-      profile.certified_fraction < 0.0 || profile.certified_fraction > 1.0) {
-    throw std::invalid_argument("assign_trust: bad trust parameters");
-  }
   // Round up so any positive fraction certifies at least one site, and
   // pick the certified subset at random: site index correlates with speed
   // and node count in synthetic grids (consistent ETC sorting), so

@@ -36,13 +36,20 @@ struct SecurityProfile {
 
 std::string to_string(const SecurityProfile& profile);
 
+/// Throws std::invalid_argument naming `generator` and the field unless
+/// every bound is finite, demand_lo <= demand_hi, trust_lo <= trust_hi
+/// and certified_fraction lies in [0, 1]. The generators call it once,
+/// before any site or job is drawn; draw_demand and assign_trust assume a
+/// validated profile.
+void validate(const SecurityProfile& profile, const char* generator);
+
 /// Draw one job demand.
 double draw_demand(const SecurityProfile& profile, util::Rng& rng);
 
 /// Assign trust levels to every site in place: a random subset of
 /// ceil(certified_fraction * n) sites gets SL >= demand_hi, the rest draw
 /// U[trust_lo, trust_hi]; then guarantee a safe home for the largest job
-/// (`max_nodes`).
+/// (`max_nodes`). Throws std::invalid_argument when `sites` is empty.
 void assign_trust(std::vector<sim::SiteConfig>& sites,
                   const SecurityProfile& profile, unsigned max_nodes,
                   util::Rng& rng);

@@ -102,6 +102,7 @@ StreamWorkload stream_workload(const SynthStreamConfig& config,
     throw std::invalid_argument(
         "stream_workload: mean_exec_seconds must be > 0");
   }
+  validate(config.security, "stream_workload");
 
   StreamWorkload workload;
   workload.name = config.name;
@@ -139,13 +140,22 @@ Workload materialize_stream(StreamWorkload&& stream) {
   Workload workload;
   workload.name = std::move(stream.name);
   workload.sites = std::move(stream.sites);
-  workload.exec = std::move(stream.exec);
   workload.churn = std::move(stream.churn);
-  workload.jobs.reserve(stream.jobs->size());
+  JobStream& jobs = *stream.jobs;
+  const std::size_t row_sites = jobs.row_sites();
+  workload.jobs.reserve(jobs.size());
+  std::vector<double> cells;
+  cells.reserve(jobs.size() * row_sites);
   sim::Job job;
-  while (stream.jobs->next(job)) {
+  while (jobs.next(job)) {
     job.id = static_cast<sim::JobId>(workload.jobs.size());
     workload.jobs.push_back(job);
+    const std::span<const double> row = jobs.row();
+    cells.insert(cells.end(), row.begin(), row.end());
+  }
+  if (row_sites > 0) {
+    workload.exec =
+        sim::ExecModel(workload.jobs.size(), row_sites, std::move(cells));
   }
   return workload;
 }

@@ -1,6 +1,7 @@
 // Streaming synthetic workload generator: the million-job counterpart of
-// synth_stream (synth.hpp). Where synth_stream holds an n_jobs x n_sites
-// ETC matrix and the fitted work of every job, this builds only the grid —
+// synth_stream (synth.hpp). Where synth_stream fits an n_jobs x n_sites
+// ETC matrix, holds the fitted work of every job and regenerates each
+// job's ETC row as it is pulled, this builds only the grid —
 // sites, trust levels, churn parameters are O(sites) — and hands the jobs
 // to the kernel as a workload::JobStream cursor that draws one job per
 // pull. Execution times resolve through the rank-1 work/speed fallback
@@ -49,14 +50,12 @@ struct SynthStreamConfig {
 
 /// A generated streaming workload: the grid is concrete, the jobs are a
 /// cursor. Move-only (the stream is single-pass). Produced by
-/// stream_workload and by synth_stream (synth.hpp).
+/// stream_workload (rank-1: the cursor yields no rows) and by synth_stream
+/// (synth.hpp), whose cursor yields each job's raw ETC row.
 struct StreamWorkload {
   std::string name;
   std::vector<sim::SiteConfig> sites;
   std::unique_ptr<JobStream> jobs;
-  /// The rank-1 fallback for stream_workload; synth_stream's raw ETC
-  /// matrix, its rows keyed by stream position.
-  sim::ExecModel exec;
   std::vector<sim::SiteChurnParams> churn;
 };
 
@@ -67,7 +66,9 @@ StreamWorkload stream_workload(const SynthStreamConfig& config,
 
 /// Drain a streaming workload into a materialised Workload (synth_workload,
 /// CLI trace export, training paths). Pulls every remaining job, numbering
-/// them by stream position — O(n_jobs) memory, for small/medium configs.
+/// them by stream position, and gathers the cursor's rows (if it yields
+/// any) into the workload's ETC matrix — O(n_jobs) memory, for
+/// small/medium configs.
 Workload materialize_stream(StreamWorkload&& stream);
 
 }  // namespace gridsched::workload::synth

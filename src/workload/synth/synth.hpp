@@ -1,17 +1,19 @@
 // Synthetic workload generator: parameterised ETC heterogeneity classes x
-// arrival processes x security regimes. The generated raw per-(job, site)
-// ETC matrix is attached to the workload as its sim::ExecModel, so every
-// consistency class — including semi-consistent and inconsistent — is
-// simulated exactly; the rank-1 work/speed fit only supplies the job/site
-// scalar fields. Everything is deterministic in (config, seed) via
-// independent util::Rng child streams, so scenarios are reproducible and
-// shardable across the thread pool.
+// arrival processes x security regimes. Each job's generated raw
+// per-site ETC row is its execution model, so every consistency class —
+// including semi-consistent and inconsistent — is simulated exactly; the
+// rank-1 work/speed fit only supplies the job/site scalar fields.
+// Everything is deterministic in (config, seed) via independent util::Rng
+// child streams, so scenarios are reproducible and shardable across the
+// thread pool.
 //
 // One generator, two consumers (as stream_gen.hpp): synth_stream builds
-// the grid, the matrix and its fit, and hands the jobs out through a
-// workload::JobStream cursor; synth_workload drains that cursor into a
-// job vector. Each job component draws from its own child stream, so the
-// cursor's lazy draws equal the materialised ones bit for bit.
+// the grid and the fit, and hands the jobs out through a
+// workload::JobStream cursor that regenerates each job's ETC row as it is
+// pulled; synth_workload drains that cursor into a job vector and the
+// rows into the workload's ETC matrix. Each job component draws from its
+// own child stream, so the cursor's lazy draws equal the materialised
+// ones bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -50,16 +52,20 @@ struct SynthConfig {
   double mean_exec_seconds = 600.0;
 };
 
-/// Build the grid, the raw ETC matrix (`exec`) and its rank-1 fit, and
+/// Build the grid and the rank-1 fit of the raw ETC matrix without holding
+/// the matrix (its rows are generated one at a time into the fit), and
 /// return the jobs as a cursor that yields each job's arrival, fitted
-/// `work`, node request and demand as the kernel admits it. Throws
-/// std::invalid_argument on degenerate configs. The cursor holds the
-/// fitted work (8 B per job); the matrix rows are keyed by stream position.
+/// `work`, node request, demand and raw ETC row (regenerated, calibrated
+/// and checked finite and > 0) as the kernel admits it. Throws
+/// std::invalid_argument on degenerate configs, naming the field for the
+/// security profile and the ETC ranges; a bad row throws from next(). The
+/// cursor holds the fitted work (8 B per job) and one row.
 StreamWorkload synth_stream(const SynthConfig& config, std::uint64_t seed);
 
 /// The same workload materialised: materialize_stream(synth_stream(...)).
-/// The generated matrix is `exec.matrix_cells()`; the rank-1 fit behind it
-/// is each job's `work` and each site's `speed`.
+/// The generated matrix is `exec.matrix_cells()` (the cursor's rows in
+/// stream order); the rank-1 fit behind it is each job's `work` and each
+/// site's `speed`.
 Workload synth_workload(const SynthConfig& config, std::uint64_t seed);
 
 /// Node request: a power of two {1, 2, 4, ...} picked by `size_weights`

@@ -202,7 +202,10 @@ GaProblem first_batch_problem(const std::string& name) {
 }
 
 /// The STGA's heuristic population seeds (Min-Min and Sufferage on the
-/// problem's own batch, risky policy), complete ones only.
+/// problem's own batch, risky policy), complete ones only. The problem
+/// outlives the run it came from, so each job's ETC row is re-pointed at
+/// the problem's own exec matrix, which holds the same cell on every site
+/// the job fits (the only cells a heuristic reads).
 std::vector<Chromosome> heuristic_seeds(const GaProblem& problem) {
   sim::SchedulerContext context;
   context.now = problem.now;
@@ -210,7 +213,9 @@ std::vector<Chromosome> heuristic_seeds(const GaProblem& problem) {
   context.avail = problem.avail;
   context.site_up = problem.site_up;
   context.jobs = problem.jobs;
-  context.exec = problem.exec_model;
+  for (std::size_t j = 0; j < context.jobs.size(); ++j) {
+    context.jobs[j].etc_row = &problem.exec[j * problem.n_sites()];
+  }
   std::vector<Chromosome> seeds;
   sched::MinMinScheduler min_min(security::RiskPolicy::risky());
   sched::SufferageScheduler sufferage(security::RiskPolicy::risky());

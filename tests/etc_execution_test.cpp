@@ -29,16 +29,17 @@ namespace {
 TEST(ExecModel, DefaultIsRankOneFallback) {
   const sim::ExecModel model;
   EXPECT_FALSE(model.has_matrix());
-  EXPECT_DOUBLE_EQ(model.exec(0, 100.0, 0, 4.0), 25.0);
+  EXPECT_EQ(model.row(0), nullptr);
+  EXPECT_DOUBLE_EQ(sim::exec_time(model.row(0), 100.0, 0, 4.0), 25.0);
 }
 
 TEST(ExecModel, MatrixIsAuthoritative) {
   const sim::ExecModel model(2, 2, {30.0, 200.0, 200.0, 40.0});
   ASSERT_TRUE(model.has_matrix());
   // work/speed arguments are ignored when a matrix is attached.
-  EXPECT_DOUBLE_EQ(model.exec(0, 999.0, 0, 7.0), 30.0);
-  EXPECT_DOUBLE_EQ(model.exec(0, 999.0, 1, 7.0), 200.0);
-  EXPECT_DOUBLE_EQ(model.exec(1, 999.0, 1, 7.0), 40.0);
+  EXPECT_DOUBLE_EQ(sim::exec_time(model.row(0), 999.0, 0, 7.0), 30.0);
+  EXPECT_DOUBLE_EQ(sim::exec_time(model.row(0), 999.0, 1, 7.0), 200.0);
+  EXPECT_DOUBLE_EQ(sim::exec_time(model.row(1), 999.0, 1, 7.0), 40.0);
 }
 
 TEST(ExecModel, RejectsBadMatrices) {
@@ -96,20 +97,20 @@ TEST(EtcExecution, EngineRealisesHandCheckedRawEtc) {
 // ---------------------------------------------------- registry scenarios ---
 
 /// A scheduling round built from a workload: fresh availability, the first
-/// `n_jobs` jobs as the batch, and the workload's execution model.
+/// `n_jobs` jobs as the batch, each with its row of the workload's ETC
+/// matrix (valid while `w` is).
 sim::SchedulerContext context_of(const workload::Workload& w,
                                  std::size_t n_jobs, sim::Time now) {
   sim::SchedulerContext context;
   context.now = now;
-  context.exec = w.exec;
   context.sites = w.sites;
   for (const sim::SiteConfig& site : w.sites) {
     context.avail.emplace_back(site.nodes, 0.0);
   }
   for (const sim::Job& job : w.jobs) {
     if (context.jobs.size() >= n_jobs) break;
-    context.jobs.push_back(
-        {job.id, job.work, job.nodes, job.demand, job.arrival, false});
+    context.jobs.push_back({job.id, job.nodes, job.work, job.demand,
+                            job.arrival, false, w.exec.row(job.id)});
   }
   return context;
 }

@@ -69,14 +69,20 @@ double grid(util::Rng& rng, double step, std::int64_t max_steps) {
 /// The default site speed grid.
 constexpr std::array kSpeedGrid = {1.0, 2.0, 4.0};
 
+/// A context that owns the raw ETC matrix its jobs' rows point into
+/// (copies share it; a sliced copy must not outlive this one).
+struct MatrixContext : sim::SchedulerContext {
+  sim::ExecModel exec;  ///< rank-1 fallback when no job carries a row
+};
+
 /// Random context with `n_jobs` jobs on `min_sites`..`max_sites` sites,
-/// speeds drawn from `speeds`; half of them carry a raw ETC matrix unless
-/// `rank_one`.
-sim::SchedulerContext random_context(
-    util::Rng& rng, std::size_t n_jobs, std::int64_t min_sites,
-    std::int64_t max_sites, bool rank_one = false,
-    std::span<const double> speeds = kSpeedGrid) {
-  sim::SchedulerContext context;
+/// speeds drawn from `speeds`; in half of them every job carries its row
+/// of a raw ETC matrix unless `rank_one`.
+MatrixContext random_context(util::Rng& rng, std::size_t n_jobs,
+                             std::int64_t min_sites, std::int64_t max_sites,
+                             bool rank_one = false,
+                             std::span<const double> speeds = kSpeedGrid) {
+  MatrixContext context;
   context.now = rng.bernoulli(0.5) ? 0.0 : grid(rng, 5.0, 4);
   const std::size_t n_sites =
       static_cast<std::size_t>(rng.uniform_int(min_sites, max_sites));
@@ -115,6 +121,9 @@ sim::SchedulerContext random_context(
     std::vector<double> cells(n_jobs * n_sites);
     for (double& cell : cells) cell = grid(rng, 2.0, 5);
     context.exec = sim::ExecModel(n_jobs, n_sites, std::move(cells));
+    for (sim::BatchJob& job : context.jobs) {
+      job.etc_row = context.exec.row(job.id);
+    }
   }
   return context;
 }
@@ -148,7 +157,7 @@ TEST(SchedDifferential, MatchesDenseReferenceOnRandomContexts) {
     if (n_jobs >= 2) {
       n_jobs = static_cast<std::size_t>(rng.uniform_int(2, wide ? 40 : 12));
     }
-    const sim::SchedulerContext context =
+    const MatrixContext context =
         random_context(rng, n_jobs, 1, wide ? 16 : 6);
 
     for (std::size_t h = 0; h < names.size(); ++h) {
@@ -243,11 +252,15 @@ sim::SchedulerContext cache_context(util::Rng& rng, std::size_t n_sites,
     context.sites.push_back({static_cast<sim::SiteId>(s), nodes, speed, 1.0});
     context.avail.emplace_back(nodes, first ? 0.5 - 0x1p-53 : 0.0);
   }
-  context.jobs.push_back({0, 1.0, 1, 0.5, 0.0, false});
+  context.jobs.push_back({.id = 0, .nodes = 1, .work = 1.0, .demand = 0.5});
   for (std::size_t j = 1; j < 40; ++j) {
-    context.jobs.push_back({static_cast<sim::JobId>(j), grid(rng, 4.0, 4),
-                            static_cast<unsigned>(rng.uniform_int(1, 4)), 0.5,
-                            0.0, rng.bernoulli(0.15)});
+    sim::BatchJob job;
+    job.id = static_cast<sim::JobId>(j);
+    job.work = grid(rng, 4.0, 4);
+    job.nodes = static_cast<unsigned>(rng.uniform_int(1, 4));
+    job.demand = 0.5;
+    job.secure_only = rng.bernoulli(0.15);
+    context.jobs.push_back(job);
   }
   return context;
 }
@@ -296,13 +309,13 @@ TEST(SchedDifferential, SiteTreeKeepsItsSpeedOrderOnlyWhileSpeedsMatch) {
 
 TEST(SchedDifferential, ExecRowMatchesExecOnEveryCell) {
   // The per-job row the scans hoist out of their site loops: with a raw
-  // ETC matrix it is the matrix row, without one work / speed, and either
-  // way it agrees with ExecModel::exec on every (job, site).
+  // ETC row it is the matrix row, without one work / speed, and either
+  // way it agrees with sim::exec_time on every (job, site).
   util::Rng rng = util::Rng::child(0xe7ec0ULL, 0);
   std::size_t with_matrix = 0;
   std::size_t without = 0;
   for (int i = 0; i < 40; ++i) {
-    const sim::SchedulerContext context = random_context(rng, 9, 1, 12);
+    const MatrixContext context = random_context(rng, 9, 1, 12);
     const std::size_t n_sites = context.sites.size();
     const auto cells = context.exec.matrix_cells();
     for (const sim::BatchJob& job : context.jobs) {
@@ -314,9 +327,9 @@ TEST(SchedDifferential, ExecRowMatchesExecOnEveryCell) {
                 ? cells[static_cast<std::size_t>(job.id) * n_sites + s]
                 : job.work / speed;
         ASSERT_EQ(row[s], expected) << "context " << i << " site " << s;
-        ASSERT_EQ(row[s], context.exec.exec(job.id, job.work,
-                                            static_cast<sim::SiteId>(s),
-                                            speed));
+        ASSERT_EQ(row[s],
+                  sim::exec_time(context.exec.row(job.id), job.work,
+                                 static_cast<sim::SiteId>(s), speed));
         ASSERT_EQ(row[s], context.exec_time(job, s));
       }
     }
@@ -359,7 +372,7 @@ TEST(SchedDifferential, MalformedContextIsRejected) {
   sim::SchedulerContext zero_nodes;
   zero_nodes.sites.push_back({0, 2, 1.0, 1.0});
   zero_nodes.avail.emplace_back(2, 0.0);
-  zero_nodes.jobs.push_back({0, 10.0, 0, 0.5, 0.0, false});
+  zero_nodes.jobs.push_back({.id = 0, .nodes = 0, .work = 10.0, .demand = 0.5});
   sim::SchedulerContext short_profile = zero_nodes;
   short_profile.avail[0] = sim::NodeAvailability(1, 0.0);
   short_profile.jobs[0].nodes = 2;
@@ -371,7 +384,7 @@ TEST(SchedDifferential, MalformedContextIsRejected) {
     short_mask.sites.push_back({static_cast<sim::SiteId>(s), 2, 1.0, 1.0});
     short_mask.avail.emplace_back(2, 0.0);
   }
-  short_mask.jobs.push_back({0, 10.0, 1, 0.5, 0.0, false});
+  short_mask.jobs.push_back({.id = 0, .nodes = 1, .work = 10.0, .demand = 0.5});
   short_mask.site_up.assign(SiteTree::kMinSites - 1, 1);
   for (const std::string& name : heuristic_names()) {
     const auto scheduler = make_heuristic(name, RiskPolicy::risky());

@@ -77,7 +77,9 @@ TEST(EtcMatrix, FlattenedLayoutIsRowMajor) {
 TEST(EtcMatrix, ContextConstructorUsesTheRawExecModel) {
   auto context = make_context({{0, 2, 2.0, 1.0}, {1, 1, 4.0, 1.0}},
                               {batch_job(100.0), batch_job(50.0, 2)});
-  context.exec = sim::ExecModel(2, 2, {7.0, 9.0, 11.0, 13.0});
+  const std::vector<double> rows = {7.0, 9.0, 11.0, 13.0};
+  context.jobs[0].etc_row = &rows[0];
+  context.jobs[1].etc_row = &rows[2];
   const EtcMatrix etc(context);
   EXPECT_DOUBLE_EQ(etc.exec(0, 0), 7.0);
   EXPECT_DOUBLE_EQ(etc.exec(0, 1), 9.0);

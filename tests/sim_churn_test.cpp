@@ -433,7 +433,7 @@ TEST(LiveAttemptIndex, MatchesBruteForceScanGenerated) {
   config.batch_interval = 100.0;
   config.seed = 4;
   SimKernel kernel(std::move(stream.sites), std::move(stream.jobs), config,
-                   std::move(stream.exec), std::move(stream.churn));
+                   {}, std::move(stream.churn));
   check_live_index(kernel, stream_config.n_jobs);
 }
 

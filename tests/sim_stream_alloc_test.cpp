@@ -3,11 +3,13 @@
 // scheduler context, scheduler scratch), running the hot loop —
 // admissions, scheduling, dispatches, completions, retirements, slot
 // recycling and, under site churn, revocations through the live-attempt
-// index — must perform ZERO heap allocations. Pinned with the same
+// index, and each admitted job's ETC row copied into the kernel's row
+// table — must perform ZERO heap allocations. Pinned with the same
 // binary-wide counting allocator the decode fast path uses
 // (decode_harness.hpp; this must stay the only translation unit in this
 // binary including it). The synthetic ETC generator's per-call allocation
-// count, and a synth run's live-heap high-water mark, are pinned here too.
+// count, and a synth run's live-heap high-water mark and ETC row pool, are
+// pinned here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,12 +83,40 @@ struct AllocProbe {
   std::size_t n_sites = 20;
   bool streamed = true;  ///< generator cursor (else a drained job vector)
   bool churn = false;    ///< stochastic site churn (revocations)
+  /// A kSynth cursor instead of the rank-1 stream: it yields each job's
+  /// raw ETC row, which the kernel copies into its row pool.
+  bool etc_rows = false;
 };
 
-/// Runs `probe`'s workload through `scheduler` and returns the allocation
-/// counts sampled at every batch cycle.
-std::vector<std::uint64_t> alloc_samples(sim::BatchScheduler& scheduler,
-                                         const AllocProbe& probe) {
+/// The kernel a probe runs: its workload, from a generator cursor or a
+/// drained job vector.
+std::unique_ptr<sim::SimKernel> probe_kernel(const AllocProbe& probe) {
+  sim::EngineConfig engine_config;
+  engine_config.batch_interval = 100.0;
+  engine_config.seed = 4;
+  if (probe.etc_rows) {
+    // The rank-1 probe's grid, arrival rate and job sizes, with an
+    // inconsistent ETC whose narrow ranges keep execution times about as
+    // even as its U[0.5, 1.5] work on U[0.8, 1.25] speeds.
+    workload::synth::SynthConfig config;
+    config.name = "alloc-probe-rows";
+    config.n_jobs = probe.n_jobs;
+    config.n_sites = probe.n_sites;
+    config.site_node_pattern = {16, 4, 8, 4, 4};
+    config.size_weights = {0.4, 0.25, 0.2, 0.1, 0.05};
+    config.arrival.rate = 0.01 * static_cast<double>(probe.n_sites);
+    config.etc.consistency = workload::synth::EtcConsistency::kInconsistent;
+    config.etc.task_heterogeneity = workload::synth::Heterogeneity::kLo;
+    config.etc.machine_heterogeneity = workload::synth::Heterogeneity::kLo;
+    config.etc.task_range_lo = 3.0;
+    config.etc.machine_range_lo = 1.5;
+    workload::synth::StreamWorkload stream =
+        workload::synth::synth_stream(config, 13);
+    EXPECT_EQ(stream.jobs->row_sites(), stream.sites.size());
+    return std::make_unique<sim::SimKernel>(
+        std::move(stream.sites), std::move(stream.jobs), engine_config,
+        sim::ExecModel{}, std::move(stream.churn));
+  }
   workload::synth::SynthStreamConfig config;
   config.name = "alloc-probe";
   config.n_jobs = probe.n_jobs;
@@ -102,22 +132,23 @@ std::vector<std::uint64_t> alloc_samples(sim::BatchScheduler& scheduler,
   }
   workload::synth::StreamWorkload stream =
       workload::synth::stream_workload(config, 13);
-
-  sim::EngineConfig engine_config;
-  engine_config.batch_interval = 100.0;
-  engine_config.seed = 4;
-  std::unique_ptr<sim::SimKernel> kernel;
   if (probe.streamed) {
-    kernel = std::make_unique<sim::SimKernel>(
+    return std::make_unique<sim::SimKernel>(
         std::move(stream.sites), std::move(stream.jobs), engine_config,
-        std::move(stream.exec), std::move(stream.churn));
-  } else {
-    workload::Workload drained =
-        workload::synth::materialize_stream(std::move(stream));
-    kernel = std::make_unique<sim::SimKernel>(
-        std::move(drained.sites), std::move(drained.jobs), engine_config,
-        std::move(drained.exec), std::move(drained.churn));
+        sim::ExecModel{}, std::move(stream.churn));
   }
+  workload::Workload drained =
+      workload::synth::materialize_stream(std::move(stream));
+  return std::make_unique<sim::SimKernel>(
+      std::move(drained.sites), std::move(drained.jobs), engine_config,
+      std::move(drained.exec), std::move(drained.churn));
+}
+
+/// Runs `probe`'s workload through `scheduler` and returns the allocation
+/// counts sampled at every batch cycle.
+std::vector<std::uint64_t> alloc_samples(sim::BatchScheduler& scheduler,
+                                         const AllocProbe& probe) {
+  const std::unique_ptr<sim::SimKernel> kernel = probe_kernel(probe);
   AllocSampleObserver observer;
   kernel->set_observer(&observer);
   kernel->run(scheduler);
@@ -126,6 +157,14 @@ std::vector<std::uint64_t> alloc_samples(sim::BatchScheduler& scheduler,
   if (probe.churn) {
     EXPECT_GT(kernel->counters().interrupted_attempts, 0u)
         << "churn probe revoked nothing; the victim path went unexercised";
+  }
+  if (probe.etc_rows) {
+    EXPECT_GT(kernel->row_table_bytes(), 0u);
+    EXPECT_LE(kernel->row_table_bytes(),
+              kernel->peak_slots() * kernel->sites().size() * sizeof(double))
+        << "the row pool outgrew the slot table";
+  } else {
+    EXPECT_EQ(kernel->row_table_bytes(), 0u);
   }
   return std::move(observer.samples);
 }
@@ -172,6 +211,25 @@ TEST(StreamKernelAlloc, WideMctSteadyStateIsAllocationFree) {
 TEST(StreamKernelAlloc, MinMinSteadyStateIsAllocationFree) {
   sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
   expect_steady_state_allocation_free(alloc_samples(scheduler, {}));
+}
+
+// A kSynth cursor yields each job's raw ETC row; the kernel copies it into
+// a row pool whose rows return to it as jobs complete, so the
+// row-streaming loop stays heap-free too once the pool has reached its
+// high-water mark (jobs with rows bypass the site trees, so MCT scans
+// every site).
+TEST(StreamKernelAlloc, EtcRowStreamingMctSteadyStateIsAllocationFree) {
+  AllocProbe probe;
+  probe.etc_rows = true;
+  sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_steady_state_allocation_free(alloc_samples(scheduler, probe));
+}
+
+TEST(StreamKernelAlloc, EtcRowStreamingMinMinSteadyStateIsAllocationFree) {
+  AllocProbe probe;
+  probe.etc_rows = true;
+  sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_steady_state_allocation_free(alloc_samples(scheduler, probe));
 }
 
 TEST(StreamKernelAlloc, MaterializedVectorSteadyStateIsAllocationFree) {
@@ -227,29 +285,40 @@ TEST(EtcGenAlloc, AllocationCountIsIndependentOfTaskCount) {
   }
 }
 
-/// Records the run's slot high-water mark (the kernel's O(active) part).
+/// Records the run's slot high-water mark (the kernel's O(active) part)
+/// and the size of its ETC row pool.
 class PeakSlotObserver final : public sim::KernelObserver {
  public:
   void on_run_end(const sim::SimKernel& kernel) override {
     peak_slots = kernel.peak_slots();
+    row_table_bytes = kernel.row_table_bytes();
   }
   std::size_t peak_slots = 0;
+  std::size_t row_table_bytes = 0;
 };
 
-// A synth run streams its jobs: while run_once runs the churn-backlog shape
-// (synth-churn-hi, 50 000 jobs at 0.02 jobs/s, MCT f-risky), the live heap
-// stays below the raw ETC matrix plus 48 B per job. The run holds the
-// matrix, the cursor's fitted work (8 B per job) and the kernel's slot
-// table; a run that materializes the workload also holds a 96 B sim::Job
-// per job, about ETC + 110 B per job in all. The slot table grows with
-// the backlog, not the job count. At seed 7 about 500 slots are live; at
-// other seeds in-order retirement lets one straggler pin tens of
-// thousands (a known kernel limit this bound does not cover), so the slot
-// high-water is checked first and names which part failed.
-TEST(SynthRunFootprint, LiveHeapStaysBelowTheMatrixPlus48BytesPerJob) {
-  constexpr std::size_t kJobs = 50000;
-  exp::Scenario scenario = exp::make_scenario("synth-churn-hi", kJobs);
+/// The churn-backlog shape: synth-churn-hi, 50 000 jobs at 0.02 jobs/s.
+constexpr std::size_t kBacklogJobs = 50000;
+
+exp::Scenario backlog_scenario() {
+  exp::Scenario scenario = exp::make_scenario("synth-churn-hi", kBacklogJobs);
   scenario.synth.arrival.rate = 0.02;
+  return scenario;
+}
+
+// A synth run streams its jobs and their ETC rows: while run_once runs the
+// churn-backlog shape (MCT f-risky), the live heap stays below 24 B per
+// job, with no term for the jobs x sites matrix, which no longer exists in
+// a streamed run. The run holds the cursor's fitted work (8 B per job),
+// the kernel's slot table and its row pool (one 128 B row per incomplete
+// job on 16 sites); a run that materializes the workload also holds the
+// 6.1 MiB matrix and a 96 B sim::Job per job. The slot table grows with the
+// backlog, not the job count. At seed 7 about 500 slots are live; at other
+// seeds in-order retirement lets one straggler pin tens of thousands (a
+// known kernel limit this bound does not cover; see the next test), so
+// the slot high-water is checked first and names which part failed.
+TEST(SynthRunFootprint, LiveHeapStaysBelow24BytesPerJob) {
+  const exp::Scenario scenario = backlog_scenario();
   ASSERT_EQ(scenario.kind, exp::ScenarioKind::kSynth);
   const exp::AlgorithmSpec spec =
       exp::heuristic_spec("mct", security::RiskPolicy::f_risky(0.5));
@@ -263,14 +332,38 @@ TEST(SynthRunFootprint, LiveHeapStaysBelowTheMatrixPlus48BytesPerJob) {
       exp::run_once(scenario, spec, 7, nullptr, hooks);
   const std::uint64_t peak = bench::peak_live_bytes() - before;
 
-  ASSERT_EQ(run.n_jobs, kJobs);
-  ASSERT_LT(slots.peak_slots, kJobs / 50)
+  ASSERT_EQ(run.n_jobs, kBacklogJobs);
+  ASSERT_LT(slots.peak_slots, kBacklogJobs / 50)
       << "the slot table, not the workload, holds the heap";
-  const std::uint64_t etc_bytes =
-      kJobs * scenario.synth.n_sites * sizeof(double);
-  EXPECT_LT(peak, etc_bytes + 48 * kJobs)
-      << "live-heap high-water " << peak << " B is ETC " << etc_bytes
-      << " B + " << (peak - etc_bytes) / kJobs << " B per job";
+  EXPECT_GT(slots.row_table_bytes, 0u) << "the run did not stream ETC rows";
+  EXPECT_LT(peak, 24 * kBacklogJobs)
+      << "live-heap high-water " << peak << " B is " << peak / kBacklogJobs
+      << " B per job";
+}
+
+// At seed 20050419 one straggler pins ~41 000 slots (the in-order
+// retirement limit above). The kernel's row pool never exceeds
+// peak_slots x n_sites x 8 B, and since a row returns to the pool when its
+// job completes, not when the frontier retires the slot, the pinned slots
+// pin no rows: the pool stays near the live backlog (about 600 rows),
+// far below the jobs x sites matrix a materialized run holds.
+TEST(SynthRunFootprint, StragglerSeedRowTableStaysBelowPeakSlots) {
+  const exp::Scenario scenario = backlog_scenario();
+  const exp::AlgorithmSpec spec =
+      exp::heuristic_spec("mct", security::RiskPolicy::f_risky(0.5));
+  PeakSlotObserver slots;
+  exp::RunHooks hooks;
+  hooks.observer = &slots;
+  const metrics::RunMetrics run =
+      exp::run_once(scenario, spec, 20050419, nullptr, hooks);
+
+  ASSERT_EQ(run.n_jobs, kBacklogJobs);
+  const std::size_t row_bytes = scenario.synth.n_sites * sizeof(double);
+  EXPECT_GT(slots.row_table_bytes, 0u) << "the run did not stream ETC rows";
+  EXPECT_LE(slots.row_table_bytes, slots.peak_slots * row_bytes);
+  EXPECT_LT(slots.row_table_bytes, kBacklogJobs / 50 * row_bytes)
+      << slots.row_table_bytes / row_bytes << " rows for "
+      << slots.peak_slots << " slots";
 }
 
 }  // namespace

@@ -256,6 +256,28 @@ TEST(StreamKernel, ShortStreamThrowsWithProgressCount) {
   }
 }
 
+// A stream that yields ETC rows is the run's execution model: its rows
+// must span the grid, and a second model (an attached matrix) is refused
+// rather than silently shadowed.
+TEST(StreamKernel, EtcRowStreamMustMatchTheGridAndStandAlone) {
+  const exp::Scenario scenario = exp::make_scenario("synth-semi-lolo", 20);
+  const auto stream = [&] {
+    return exp::make_stream_workload(scenario, 5);
+  };
+  workload::synth::StreamWorkload narrow = stream();
+  ASSERT_EQ(narrow.jobs->row_sites(), narrow.sites.size());
+  narrow.sites.pop_back();
+  EXPECT_THROW(sim::SimKernel(std::move(narrow.sites), std::move(narrow.jobs),
+                              scenario.engine),
+               std::invalid_argument);
+  workload::synth::StreamWorkload doubled = stream();
+  const workload::Workload materialized = exp::make_workload(scenario, 5);
+  EXPECT_THROW(sim::SimKernel(std::move(doubled.sites),
+                              std::move(doubled.jobs), scenario.engine,
+                              materialized.exec),
+               std::invalid_argument);
+}
+
 TEST(StreamKernel, DescribeUnfinishedCoversUnadmittedJobs) {
   auto stream = std::make_unique<ScriptedStream>(
       std::vector<sim::Job>{stream_job(0.0), stream_job(1.0)}, 2);
@@ -276,8 +298,7 @@ TEST(StreamKernel, HundredThousandJobStreamStaysSmall) {
   sim::EngineConfig config = scenario.engine;
   config.seed = 21;
   sim::SimKernel kernel(std::move(stream.sites), std::move(stream.jobs),
-                        config, std::move(stream.exec),
-                        std::move(stream.churn));
+                        config, {}, std::move(stream.churn));
   sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
   kernel.run(scheduler);
 

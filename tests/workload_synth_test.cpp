@@ -9,9 +9,11 @@
 #include <iterator>
 #include <limits>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/scenario_registry.hpp"
@@ -142,17 +144,27 @@ TEST(SynthWorkload, RegistryBuildsReproduceGoldenDigests) {
 }
 
 /// Pull every job out of `stream` one next() at a time, the way the
-/// kernel admits them (job ids are left unset: the digest skips them).
+/// kernel admits them, collecting each job's ETC row as it is yielded
+/// (job ids are left unset: the digest skips them).
 Workload drain_by_hand(StreamWorkload stream) {
   Workload drained;
   drained.sites = std::move(stream.sites);
-  drained.exec = std::move(stream.exec);
   drained.churn = std::move(stream.churn);
   const std::size_t size = stream.jobs->size();
+  const std::size_t row_sites = stream.jobs->row_sites();
+  std::vector<double> cells;
   sim::Job job;
-  while (stream.jobs->next(job)) drained.jobs.push_back(job);
+  while (stream.jobs->next(job)) {
+    drained.jobs.push_back(job);
+    const std::span<const double> row = stream.jobs->row();
+    EXPECT_EQ(row.size(), row_sites);
+    cells.insert(cells.end(), row.begin(), row.end());
+  }
   EXPECT_EQ(drained.jobs.size(), size) << "size() disagrees with next()";
   EXPECT_FALSE(stream.jobs->next(job)) << "an exhausted cursor yielded a job";
+  if (row_sites > 0) {
+    drained.exec = sim::ExecModel(size, row_sites, std::move(cells));
+  }
   return drained;
 }
 
@@ -241,6 +253,64 @@ TEST(SynthStreamWorkload, RejectsNonFiniteOrNegativeSizeWeights) {
                 std::string::npos)
           << error.what();
     }
+  }
+}
+
+/// Expects `build` to throw std::invalid_argument naming `field`.
+template <typename Build>
+void expect_rejected_naming(const char* field, Build&& build) {
+  try {
+    build();
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
+}
+
+// Every SecurityProfile field is checked once, before any site or job is
+// drawn, with negated positive tests: a NaN certified_fraction used to
+// reach assign_trust's size_t cast (undefined behaviour), and NaN demand
+// bounds used to pass draw_demand's `lo > hi` test and surface as a
+// misleading "no absolutely-safe site" in the kernel.
+TEST(SynthWorkload, RejectsNonFiniteOrReversedSecurityBounds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct BadField {
+    double SecurityProfile::*field;
+    const char* name;
+    double value;
+  };
+  std::vector<BadField> cases;
+  const std::pair<double SecurityProfile::*, const char*> fields[] = {
+      {&SecurityProfile::demand_lo, "demand_lo"},
+      {&SecurityProfile::demand_hi, "demand_hi"},
+      {&SecurityProfile::trust_lo, "trust_lo"},
+      {&SecurityProfile::trust_hi, "trust_hi"},
+      {&SecurityProfile::certified_fraction, "certified_fraction"}};
+  for (const auto& [field, name] : fields) {
+    for (const double value : {nan, inf, -inf}) {
+      cases.push_back({field, name, value});
+    }
+  }
+  // Reversed bounds name the upper field; the fraction must lie in [0, 1].
+  cases.push_back({&SecurityProfile::demand_lo, "demand_hi", 0.95});
+  cases.push_back({&SecurityProfile::trust_lo, "trust_hi", 1.5});
+  cases.push_back({&SecurityProfile::certified_fraction,
+                   "certified_fraction", 1.5});
+  cases.push_back({&SecurityProfile::certified_fraction,
+                   "certified_fraction", -0.25});
+  for (const BadField& bad : cases) {
+    SCOPED_TRACE(std::string(bad.name) + " = " + std::to_string(bad.value));
+    SynthConfig config = small_config();
+    config.security.*bad.field = bad.value;
+    expect_rejected_naming(bad.name, [&] { (void)synth_stream(config, 3); });
+    SynthStreamConfig stream_config;
+    stream_config.n_jobs = 50;
+    stream_config.n_sites = 4;
+    stream_config.security.*bad.field = bad.value;
+    expect_rejected_naming(bad.name,
+                           [&] { (void)stream_workload(stream_config, 3); });
   }
 }
 
@@ -417,6 +487,56 @@ TEST(EtcGen, RejectsDegenerateRequests) {
   util::Rng rng(1);
   EXPECT_THROW(generate_etc(0, 4, {}, rng), std::invalid_argument);
   EXPECT_THROW(generate_etc(4, 0, {}, rng), std::invalid_argument);
+}
+
+// The active range of each dimension must be finite and >= 1, checked when
+// the row cursor is built: NaN used to pass `task_range() < 1.0` and
+// surface as fit_work_speed's "non-positive cell", and +inf passed too,
+// caught only by the ExecModel pass over a materialized matrix.
+TEST(EtcGen, RejectsNonFiniteOrSubUnitRanges) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double EtcConfig::*, const char*> fields[] = {
+      {&EtcConfig::task_range_hi, "task_range_hi"},
+      {&EtcConfig::task_range_lo, "task_range_lo"},
+      {&EtcConfig::machine_range_hi, "machine_range_hi"},
+      {&EtcConfig::machine_range_lo, "machine_range_lo"}};
+  for (const auto& [field, name] : fields) {
+    for (const double value : {nan, inf, 0.5}) {
+      SCOPED_TRACE(std::string(name) + " = " + std::to_string(value));
+      EtcConfig etc;
+      // Make the mutated field the active one of its dimension.
+      etc.task_heterogeneity = field == &EtcConfig::task_range_lo
+                                   ? Heterogeneity::kLo
+                                   : Heterogeneity::kHi;
+      etc.machine_heterogeneity = field == &EtcConfig::machine_range_lo
+                                      ? Heterogeneity::kLo
+                                      : Heterogeneity::kHi;
+      etc.*field = value;
+      expect_rejected_naming(name, [&] {
+        util::Rng rng(1);
+        (void)generate_etc(4, 4, etc, rng);
+      });
+      SynthConfig config = small_config();
+      config.etc = etc;
+      expect_rejected_naming(name, [&] { (void)synth_stream(config, 3); });
+    }
+  }
+}
+
+// Every row the cursor emits passes the ExecModel cell check (finite and
+// > 0) as it is emitted: a calibration that overflows the cells above the
+// mean fails at the first such job instead of reaching the kernel.
+TEST(SynthStream, RejectsAnOverflowingScaledRow) {
+  SynthConfig config = small_config();
+  config.mean_exec_seconds = std::numeric_limits<double>::max();
+  StreamWorkload stream = synth_stream(config, 3);
+  expect_rejected_naming("ETC row", [&] {
+    sim::Job job;
+    while (stream.jobs->next(job)) {
+    }
+  });
+  EXPECT_THROW((void)synth_workload(config, 3), std::invalid_argument);
 }
 
 // ---------------------------------------------------------- rank-1 fit ---
