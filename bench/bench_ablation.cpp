@@ -38,7 +38,8 @@ void run_and_print(const exp::campaign::CampaignSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_args(argc, argv);
+  const bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"reps", "seed", "quick", "psa-jobs"});
   const util::Cli cli(argc, argv);
   const auto psa_jobs = static_cast<std::size_t>(
       cli.get_or("psa-jobs", std::int64_t{args.quick ? 300 : 1000}));

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,8 +25,18 @@ struct BenchArgs {
   bool quick = false;             // shrink everything for CI-style runs
 };
 
-inline BenchArgs parse_args(int argc, char** argv) {
+/// Parse the shared flags. `known` lists every flag the binary reads,
+/// shared ones included; any other flag (--help too) prints the known
+/// flags on stderr and exits 1 before the binary runs or writes anything.
+inline BenchArgs parse_args(int argc, char** argv,
+                            const std::vector<std::string>& known) {
   const util::Cli cli(argc, argv);
+  try {
+    cli.require_known(known);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(1);
+  }
   BenchArgs args;
   args.reps = static_cast<std::size_t>(
       cli.get_or("reps", static_cast<std::int64_t>(args.reps)));
@@ -116,7 +128,7 @@ inline std::string json_array(const std::vector<std::string>& items) {
 }
 
 /// Peak resident set size in MiB — the footer figure bench_decode and
-/// bench_synth both print.
+/// bench_kernel both print.
 inline double peak_rss_mib() {
   return static_cast<double>(obs::peak_rss_bytes()) / 1048576.0;
 }

@@ -216,7 +216,8 @@ std::string ga_batch_json(const GaBatchRow& row, const core::GaParams& ga) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_args(argc, argv);
+  const bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"seed", "quick", "out", "check-overhead"});
   const util::Cli cli(argc, argv);
   const std::string out_path =
       cli.get_or("out", std::string("BENCH_ga_decode.json"));

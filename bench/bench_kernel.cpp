@@ -83,7 +83,8 @@ bool same_counters(const KernelRow& a, const KernelRow& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_args(argc, argv);
+  const bench::BenchArgs args =
+      bench::parse_args(argc, argv, {"seed", "f", "quick", "out"});
   const util::Cli cli(argc, argv);
   const std::string out_path =
       cli.get_or("out", std::string("BENCH_kernel.json"));

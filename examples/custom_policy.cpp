@@ -77,8 +77,10 @@ int main(int argc, char** argv) {
   util::Table table({"scheduler", "makespan (s)", "response (s)", "N_fail"});
   // Baselines from the registry...
   for (const std::string name : {"mct", "min-min"}) {
-    sim::SimKernel kernel(workload.sites, workload.jobs, engine_config,
-                          workload.exec);
+    sim::SimKernel kernel(workload.sites,
+                          std::make_unique<workload::MaterializedStream>(
+                              workload.jobs, workload.exec),
+                          engine_config);
     auto scheduler =
         sched::make_heuristic(name, security::RiskPolicy::f_risky(0.5));
     kernel.run(*scheduler);
@@ -88,8 +90,10 @@ int main(int argc, char** argv) {
   }
   // ...versus the custom policy.
   {
-    sim::SimKernel kernel(workload.sites, workload.jobs, engine_config,
-                          workload.exec);
+    sim::SimKernel kernel(workload.sites,
+                          std::make_unique<workload::MaterializedStream>(
+                              workload.jobs, workload.exec),
+                          engine_config);
     ExpectedCompletionScheduler scheduler;
     kernel.run(scheduler);
     const auto run = metrics::compute_metrics(kernel);

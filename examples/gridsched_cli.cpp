@@ -284,8 +284,10 @@ int cmd_run(const util::Cli& cli) {
       GS_LOG_WARN("trace carries no ETC section; replay uses the rank-1 "
                   "work/speed execution model");
     }
-    sim::SimKernel kernel(std::move(sites), std::move(trace.jobs), config,
-                          std::move(trace.exec));
+    sim::SimKernel kernel(std::move(sites),
+                          std::make_unique<workload::MaterializedStream>(
+                              std::move(trace.jobs), std::move(trace.exec)),
+                          config);
     kernel.set_observer(observer);
     kernel.run(*scheduler);
     print_metrics(scheduler->name(), metrics::compute_metrics(kernel), csv);

@@ -41,8 +41,11 @@ void train_stga(const Scenario& scenario, const workload::Workload& main,
     sim::EngineConfig engine_config = scenario.engine;
     engine_config.seed = phase_seed;
     engine_config.cancel = cancel;  // the watchdog covers training too
-    sim::SimKernel kernel(std::move(training.sites), std::move(training.jobs),
-                          engine_config, std::move(training.exec));
+    sim::SimKernel kernel(std::move(training.sites),
+                          std::make_unique<workload::MaterializedStream>(
+                              std::move(training.jobs),
+                              std::move(training.exec)),
+                          engine_config);
     kernel.run(recorder);
   }
 }
@@ -98,21 +101,20 @@ metrics::RunMetrics run_once(const Scenario& scenario,
     ga->set_profile_sink(hooks.ga_profiles);
   }
 
-  // A streamed kSynth cursor yields each job's ETC row as the kernel
-  // admits it, so the run holds no jobs x sites matrix; a materialized
-  // workload hands the kernel its matrix (nas and psa: none).
+  // Either way the kernel's ETC rows come from the stream: the cursor
+  // generates them, a materialized workload yields its matrix rows (nas
+  // and psa have none).
   if (!streamed) {
     run.sites = std::move(workload.sites);
     run.jobs = std::make_unique<workload::MaterializedStream>(
-        std::move(workload.jobs));
+        std::move(workload.jobs), std::move(workload.exec));
     run.churn = std::move(workload.churn);
   }
   sim::EngineConfig engine_config = scenario.engine;
   engine_config.seed = engine_seed;
   engine_config.cancel = hooks.cancel;
   sim::SimKernel kernel(std::move(run.sites), std::move(run.jobs),
-                        engine_config, std::move(workload.exec),
-                        std::move(run.churn));
+                        engine_config, std::move(run.churn));
   kernel.set_observer(hooks.observer);
   kernel.run(*scheduler);
   return metrics::compute_metrics(kernel);

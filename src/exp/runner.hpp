@@ -39,8 +39,9 @@ struct RunHooks {
 /// Build the workload, (optionally) run the training phase, simulate,
 /// measure. Synth scenarios feed the kernel their generator cursor (a
 /// kSynth run whose algorithm trains materializes, since training
-/// resamples the main workload's rows); nas and psa are materialized and
-/// wrapped in a workload::MaterializedStream. The unnamed 4th parameter is
+/// resamples the main workload's rows); nas, psa and that kSynth run are
+/// materialized and wrapped, with their ETC matrix if any, in a
+/// workload::MaterializedStream. The unnamed 4th parameter is
 /// ignored (GA fitness is always serial); it stays until
 /// perfbench/harness.cpp stops passing `/*ga_pool=*/nullptr`.
 metrics::RunMetrics run_once(const Scenario& scenario,

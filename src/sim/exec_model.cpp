@@ -30,19 +30,4 @@ ExecModel::ExecModel(std::size_t n_jobs, std::size_t n_sites,
   matrix_ = std::move(matrix);
 }
 
-void ExecModel::check_shape(std::size_t n_jobs, std::size_t n_sites) const {
-  if (matrix_ == nullptr) return;
-  // Exact match only: rows are keyed by dense JobId, so even a larger
-  // matrix means the job list was subset/reordered relative to the
-  // workload the matrix was generated for — every lookup would silently
-  // read some other job's row.
-  if (matrix_->n_jobs != n_jobs || matrix_->n_sites != n_sites) {
-    throw std::invalid_argument(
-        "ExecModel: matrix shape " + std::to_string(matrix_->n_jobs) + "x" +
-        std::to_string(matrix_->n_sites) + " does not cover " +
-        std::to_string(n_jobs) + " jobs x " + std::to_string(n_sites) +
-        " sites");
-  }
-}
-
 }  // namespace gridsched::sim

@@ -1,16 +1,15 @@
-// Per-(job, site) execution-time resolution. A workload may attach a raw
-// Expected-Time-to-Compute matrix (Braun et al. terminology); when present
-// it is *authoritative* — the engine, the heuristics and the GA all resolve
-// execution times through it. Without a matrix the model falls back to the
-// rank-1 `work / speed` law, i.e. the rank-1 ETC is generated on demand
-// from the job/site fields rather than materialised.
+// Per-(job, site) execution-time resolution. A materialized workload may
+// attach a raw Expected-Time-to-Compute matrix (Braun et al. terminology);
+// when present it is *authoritative*. Without a matrix the rank-1
+// `work / speed` law applies, generated on demand from the job/site fields.
+// A matrix reaches a run only through its job stream
+// (workload::MaterializedStream yields row j with job j).
 //
-// Invariant (ROADMAP "Execution model"): every consumer of execution times
-// resolves them through sim::exec_time on the job's row — a row of an
-// ExecModel matrix, a row the job stream generated, or null for the
-// rank-1 law — or through a matrix derived that way (sched::EtcMatrix,
-// GaProblem::exec), so raw-ETC scenarios stay exact end to end. Rows
-// travel with the batch jobs (sim::BatchJob::etc_row).
+// Invariant (ROADMAP "Execution-model invariant"): every consumer of
+// execution times resolves them through sim::exec_time on the job's row (a
+// row of the kernel's row pool, or null for the rank-1 law) or through a
+// matrix derived that way (sched::EtcMatrix, GaProblem::exec). Rows travel
+// with the batch jobs (sim::BatchJob::etc_row).
 #pragma once
 
 #include <cstddef>
@@ -64,11 +63,6 @@ class ExecModel {
     return matrix_->cells.data() +
            static_cast<std::size_t>(job) * matrix_->n_sites;
   }
-
-  /// Throws std::invalid_argument when a matrix is attached and its shape
-  /// is not exactly `n_jobs` x `n_sites` (rows are keyed by dense JobId, so
-  /// any size mismatch means misaligned rows). No-op without a matrix.
-  void check_shape(std::size_t n_jobs, std::size_t n_sites) const;
 
  private:
   struct Matrix {

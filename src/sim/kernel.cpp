@@ -22,11 +22,8 @@ constexpr std::uint32_t kMinLiveCapacity = 4;
 
 SimKernel::SimKernel(std::vector<SiteConfig> sites,
                      std::unique_ptr<workload::JobStream> stream,
-                     EngineConfig config, ExecModel exec_model,
-                     SiteChurn churn)
-    : config_(config),
-      exec_model_(std::move(exec_model)),
-      stream_(std::move(stream)) {
+                     EngineConfig config, SiteChurn churn)
+    : config_(config), stream_(std::move(stream)) {
   if (stream_ == nullptr) {
     throw std::invalid_argument("SimKernel: null job stream");
   }
@@ -49,20 +46,12 @@ SimKernel::SimKernel(std::vector<SiteConfig> sites,
     sc.id = static_cast<SiteId>(i);  // ids are dense indices by construction
     sites_.emplace_back(sc);
   }
-  // The matrix rows are keyed by dense job ids; a shape mismatch would
-  // silently read a different job's row.
-  exec_model_.check_shape(total_jobs_, sites_.size());
   row_sites_ = stream_->row_sites();
   if (row_sites_ != 0 && row_sites_ != sites_.size()) {
     throw std::invalid_argument(
         "SimKernel: job stream rows have " + std::to_string(row_sites_) +
         " cell(s) but the grid has " + std::to_string(sites_.size()) +
         " site(s)");
-  }
-  if (row_sites_ != 0 && exec_model_.has_matrix()) {
-    throw std::invalid_argument(
-        "SimKernel: job stream yields ETC rows and an ETC matrix is attached "
-        "too; a run has one execution model");
   }
   site_up_.assign(sites_.size(), 1);
   live_.resize(sites_.size());
@@ -124,11 +113,10 @@ SimKernel::SimKernel(std::vector<SiteConfig> sites,
 }
 
 SimKernel::SimKernel(std::vector<SiteConfig> sites, std::vector<Job> jobs,
-                     EngineConfig config, ExecModel exec_model,
-                     SiteChurn churn)
+                     EngineConfig config, SiteChurn churn)
     : SimKernel(std::move(sites),
                 std::make_unique<workload::MaterializedStream>(std::move(jobs)),
-                config, std::move(exec_model), std::move(churn)) {}
+                config, std::move(churn)) {}
 
 void SimKernel::validate_admitted(const Job& job) const {
   const auto reject = [&job](const char* problem) {

@@ -9,10 +9,11 @@
 // mutator is private and observers receive the kernel by const reference,
 // so nothing outside the kernel can steer a run.
 //
-// Jobs come from a workload::JobStream cursor (a job vector is wrapped in
-// workload::MaterializedStream). They are admitted lazily, one arrival
-// ahead of the clock, into a recycled slot table, and every admission is
-// validated in O(1). A completed job retires into the
+// Jobs, and their raw ETC rows when the workload has them, come from a
+// workload::JobStream cursor (a materialized job vector and its ETC matrix
+// are wrapped in workload::MaterializedStream). They are admitted lazily,
+// one arrival ahead of the clock, into a recycled slot table, and every
+// admission is validated in O(1). A completed job retires into the
 // RetirementAccumulator as soon as every lower id has retired (in-order
 // retirement frontier), freeing its slot: resident job state is
 // O(active jobs), not O(total), which is what opens million-job
@@ -37,7 +38,6 @@
 #include "metrics/retirement.hpp"
 #include "security/security.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/exec_model.hpp"
 #include "sim/job.hpp"
 #include "sim/observer.hpp"
 #include "sim/scheduling.hpp"
@@ -151,14 +151,12 @@ class SimKernel {
   /// per-node-count table). A violation throws std::invalid_argument
   /// naming the job. `config.batch_interval` must be finite and > 0 and
   /// `config.lambda` finite and >= 0 (std::invalid_argument naming the
-  /// field otherwise). `exec_model`: per-(job, site) execution times; a
-  /// raw ETC matrix (rows keyed by stream position) is authoritative, the
-  /// default is the rank-1 work/speed fallback. A stream that yields rows
-  /// (row_sites() > 0) is the execution model instead: each admitted job's
-  /// row is copied into a row pool and returned to it when the job
-  /// completes, so no jobs x sites matrix exists; its width must equal the
-  /// site count and no matrix may be attached (std::invalid_argument
-  /// otherwise). `churn`: per-site up/down
+  /// field otherwise). Execution times come from the stream: when it
+  /// yields rows (row_sites() > 0) each admitted job's raw ETC row is
+  /// copied into a row pool and returned to it when the job completes, so
+  /// the kernel holds no jobs x sites matrix; the row width must equal the
+  /// site count (std::invalid_argument otherwise). A stream without rows
+  /// runs the rank-1 work/speed law. `churn`: per-site up/down
   /// parameters drawn from config.seed (entries beyond the site count are
   /// ignored; an empty list, or entries with mtbf/mttr <= 0, queue no
   /// churn event) or a scripted outage list, queued in the given order;
@@ -166,14 +164,13 @@ class SimKernel {
   /// one site, or a site outside the grid throws std::invalid_argument.
   SimKernel(std::vector<SiteConfig> sites,
             std::unique_ptr<workload::JobStream> stream,
-            EngineConfig config = {}, ExecModel exec_model = {},
-            SiteChurn churn = {});
+            EngineConfig config = {}, SiteChurn churn = {});
 
-  /// Convenience overload: wraps `jobs` in a workload::MaterializedStream.
-  /// Arrivals must be nondecreasing, as for any stream.
+  /// Convenience overload: wraps `jobs` in a workload::MaterializedStream
+  /// (no ETC rows: the rank-1 law). Arrivals must be nondecreasing, as for
+  /// any stream.
   SimKernel(std::vector<SiteConfig> sites, std::vector<Job> jobs,
-            EngineConfig config = {}, ExecModel exec_model = {},
-            SiteChurn churn = {});
+            EngineConfig config = {}, SiteChurn churn = {});
 
   /// Run the event loop to completion (all jobs finished), invoking
   /// `scheduler` at every non-empty batch cycle. Throws on scheduler
@@ -294,16 +291,12 @@ class SimKernel {
   [[nodiscard]] std::uint32_t slot_of(JobId id) const noexcept {
     return slot_of_[id & slot_mask_];
   }
-  /// The ETC row of the (not yet completed) job in `slot`: its pool row
-  /// when the stream yields rows, else its ExecModel matrix row (null for
-  /// the rank-1 fallback). Valid until the next admission may grow the
-  /// pool.
+  /// The ETC row of the (not yet completed) job in `slot`: its pool row,
+  /// or null when the stream yields no rows (the rank-1 law). Valid until
+  /// the next admission may grow the pool.
   [[nodiscard]] const double* etc_row(std::uint32_t slot) const noexcept {
-    if (row_sites_ != 0) {
-      return rows_.data() +
-             static_cast<std::size_t>(row_of_[slot]) * row_sites_;
-    }
-    return exec_model_.row(jobs_[slot].id);
+    if (row_sites_ == 0) return nullptr;
+    return rows_.data() + static_cast<std::size_t>(row_of_[slot]) * row_sites_;
   }
   [[nodiscard]] bool work_remains() const noexcept {
     return !pending_.empty() || arrivals_remaining_ > 0 || running_ > 0;
@@ -382,7 +375,6 @@ class SimKernel {
   std::vector<GridSite> sites_;
   std::vector<Job> jobs_;  ///< slot table (live jobs)
   EngineConfig config_;
-  ExecModel exec_model_;
   /// ETC row pool (row_sites_ cells per row) when the stream yields rows:
   /// row_of_[slot] is the row of the slot's job while it is incomplete,
   /// and free_rows_ lists the rows of completed jobs for reuse.

@@ -30,9 +30,9 @@ struct BatchJob {
   /// The job's raw ETC row, one cell per context site, or null for the
   /// rank-1 `work / speed` law. Authoritative when set: schedulers resolve
   /// exec times through it (SchedulerContext::exec_row), never recompute
-  /// work / speed themselves. The kernel fills it at snapshot time (a row
-  /// of its slot table or of the workload's ExecModel matrix); it is valid
-  /// for the duration of one schedule_into call.
+  /// work / speed themselves. The kernel fills it at snapshot time with a
+  /// row of its row pool (the job stream's rows); it is valid for the
+  /// duration of one schedule_into call.
   const double* etc_row = nullptr;
 };
 static_assert(sizeof(BatchJob) == 48,

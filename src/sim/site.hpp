@@ -19,8 +19,8 @@ struct SiteConfig {
   SiteId id = kInvalidSite;
   unsigned nodes = 1;
   /// Node speed for the rank-1 fallback execution model: a job of `work`
-  /// reference seconds runs work/speed seconds. Ignored for exec-time
-  /// resolution when the workload attaches a raw ETC (sim::ExecModel).
+  /// reference seconds runs work/speed seconds. Ignored for a job that
+  /// carries a raw ETC row (sim::exec_time).
   double speed = 1.0;
   /// Security level SL (paper: U[0.4, 1.0]).
   double security = 1.0;
@@ -114,7 +114,7 @@ class GridSite {
   }
 
   /// Commit a reservation for a job needing `job_nodes` nodes and `exec`
-  /// seconds (resolved by the caller through the ExecModel), starting no
+  /// seconds (resolved by the caller through sim::exec_time), starting no
   /// earlier than `now`.
   NodeAvailability::Window dispatch(unsigned job_nodes, double exec, Time now);
 

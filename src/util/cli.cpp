@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
@@ -91,6 +92,15 @@ std::string Cli::get_choice(const std::string& name, std::string fallback,
   std::string message = "Cli: flag --" + name + "=" + value + " (valid:";
   for (const std::string& choice : choices) message += " " + choice;
   throw std::invalid_argument(message + ")");
+}
+
+void Cli::require_known(std::span<const std::string> known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::ranges::find(known, name) != known.end()) continue;
+    std::string message = "Cli: unknown flag --" + name + " (known:";
+    for (const std::string& flag : known) message += " --" + flag;
+    throw std::invalid_argument(message + ")");
+  }
 }
 
 }  // namespace gridsched::util

@@ -34,6 +34,10 @@ class Cli {
       const std::string& name, std::string fallback,
       std::span<const std::string> choices) const;
 
+  /// Throws std::invalid_argument naming a given flag `known` does not
+  /// list, and listing `known`: a typo or --help is refused, not ignored.
+  void require_known(std::span<const std::string> known) const;
+
   /// Non-flag arguments in order of appearance.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

@@ -3,24 +3,27 @@
 // these from its arrival handler, holding O(active) job state however many
 // jobs the stream will eventually yield. The synth generators are cursors
 // themselves; the MaterializedStream adapter wraps a pre-built job vector
-// (nas, psa, trace replay, STGA training) in the same interface.
+// and its ETC matrix (nas, psa, trace replay, STGA training).
 //
 // Contract: next() yields jobs in nondecreasing arrival order (every
 // generator already sorts; the kernel enforces it at admission, because the
 // lazy one-arrival-ahead event push is only order-preserving for sorted
-// streams), and size() is the total count the stream will yield — the
-// kernel pre-reserves that many event sequence numbers for the arrivals.
+// streams), and size() is the total count the stream will yield.
 //
-// A stream may also yield each job's raw ETC row (row_sites() > 0): the
-// synth generator regenerates its matrix row by row this way, so a run
-// holds the rows of its live jobs only, never the jobs x sites matrix.
+// The stream is the kernel's only source of raw ETC rows (row_sites() > 0;
+// without rows the run uses the rank-1 law). The synth generator
+// regenerates its matrix row by row, so a run holds the rows of its live
+// jobs only, never the jobs x sites matrix.
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/exec_model.hpp"
 #include "sim/job.hpp"
 
 namespace gridsched::workload {
@@ -38,8 +41,8 @@ class JobStream {
   virtual bool next(sim::Job& job) = 0;
 
   /// Cells per execution-time row: 0 (the default) when the stream yields
-  /// no rows and the run resolves exec times through its sim::ExecModel,
-  /// else the grid's site count.
+  /// no rows and the run uses the rank-1 work/speed law, else the grid's
+  /// site count.
   [[nodiscard]] virtual std::size_t row_sites() const noexcept { return 0; }
 
   /// The raw ETC row of the job the last next() produced: row_sites()
@@ -51,11 +54,21 @@ class JobStream {
 };
 
 /// Adapter over a pre-built job vector: yields the jobs in vector order
-/// without copying the vector again.
+/// without copying the vector again, job j with row j of `exec`'s matrix
+/// when it has one. A matrix whose row count differs from the job count
+/// throws std::invalid_argument naming both (rows would be misaligned).
 class MaterializedStream final : public JobStream {
  public:
-  explicit MaterializedStream(std::vector<sim::Job> jobs)
-      : jobs_(std::move(jobs)) {}
+  explicit MaterializedStream(std::vector<sim::Job> jobs,
+                              sim::ExecModel exec = {})
+      : jobs_(std::move(jobs)), exec_(std::move(exec)) {
+    if (exec_.has_matrix() && exec_.matrix_jobs() != jobs_.size()) {
+      throw std::invalid_argument(
+          "MaterializedStream: ETC matrix has " +
+          std::to_string(exec_.matrix_jobs()) + " row(s) but the workload " +
+          "has " + std::to_string(jobs_.size()) + " job(s)");
+    }
+  }
 
   [[nodiscard]] std::size_t size() const noexcept override {
     return jobs_.size();
@@ -67,8 +80,19 @@ class MaterializedStream final : public JobStream {
     return true;
   }
 
+  [[nodiscard]] std::size_t row_sites() const noexcept override {
+    return exec_.matrix_sites();
+  }
+
+  [[nodiscard]] std::span<const double> row() const noexcept override {
+    if (cursor_ == 0 || !exec_.has_matrix()) return {};
+    return {exec_.row(static_cast<sim::JobId>(cursor_ - 1)),
+            exec_.matrix_sites()};
+  }
+
  private:
   std::vector<sim::Job> jobs_;
+  sim::ExecModel exec_;
   std::size_t cursor_ = 0;
 };
 

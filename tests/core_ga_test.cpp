@@ -193,8 +193,10 @@ GaProblem first_batch_problem(const std::string& name) {
   const workload::Workload workload = exp::make_workload(scenario, 17);
   sim::EngineConfig config = scenario.engine;
   config.seed = 9;
-  sim::SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
-                        workload.churn);
+  sim::SimKernel kernel(workload.sites,
+                        std::make_unique<workload::MaterializedStream>(
+                            workload.jobs, workload.exec),
+                        config, workload.churn);
   FirstProblemScheduler recorder;
   kernel.run(recorder);
   if (!recorder.problem) throw std::runtime_error(name + ": no GA batch");

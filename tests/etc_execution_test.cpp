@@ -1,4 +1,5 @@
-// Raw-ETC execution model, end to end: sim::ExecModel validation, a
+// Raw-ETC execution model, end to end: sim::ExecModel validation, the
+// MaterializedStream that carries a matrix's rows to the kernel, a
 // hand-checked small instance driven through the engine, and the golden
 // property that the synth-{semi,inconsistent}-* scenarios now run the
 // engine / heuristics / GA on the raw generated matrix (no fit_work_speed
@@ -7,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/ga_problem.hpp"
@@ -19,6 +25,7 @@
 #include "sched/etc_matrix.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/kernel.hpp"
+#include "workload/stream.hpp"
 #include "workload/synth/synth.hpp"
 
 namespace gridsched {
@@ -52,15 +59,78 @@ TEST(ExecModel, RejectsBadMatrices) {
       std::invalid_argument);
 }
 
-TEST(ExecModel, CheckShapeGuardsEngineWiring) {
+// --------------------------------------------------- MaterializedStream ---
+
+/// `n` valid jobs of distinct work, for stream and kernel wiring checks.
+std::vector<sim::Job> unit_jobs(std::size_t n) {
+  std::vector<sim::Job> jobs(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    jobs[j].work = 10.0 + static_cast<double>(j);
+    jobs[j].nodes = 1;
+    jobs[j].demand = 0.5;
+  }
+  return jobs;
+}
+
+TEST(MaterializedStream, YieldsEachJobsMatrixRowBitForBit) {
+  std::vector<double> cells;
+  for (int k = 0; k < 12; ++k) cells.push_back(0.1 + 1.0 / (k + 3.0));
+  const sim::ExecModel model(4, 3, cells);
+  workload::MaterializedStream stream(unit_jobs(4), model);
+  EXPECT_EQ(stream.size(), 4u);
+  ASSERT_EQ(stream.row_sites(), 3u);
+  sim::Job job;
+  for (std::size_t j = 0; j < 4; ++j) {
+    ASSERT_TRUE(stream.next(job));
+    EXPECT_EQ(job.work, 10.0 + static_cast<double>(j));
+    const std::span<const double> row = stream.row();
+    ASSERT_EQ(row.size(), 3u);
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row[s]),
+                std::bit_cast<std::uint64_t>(cells[j * 3 + s]))
+          << "job " << j << " site " << s;
+    }
+  }
+  EXPECT_FALSE(stream.next(job));
+
+  // Without a matrix the stream yields no rows: the rank-1 law.
+  workload::MaterializedStream rank_one(unit_jobs(2));
+  EXPECT_EQ(rank_one.row_sites(), 0u);
+  ASSERT_TRUE(rank_one.next(job));
+  EXPECT_TRUE(rank_one.row().empty());
+}
+
+// Rows are keyed by stream position, so the matrix must hold exactly one
+// row per job (the stream checks) and one cell per site (the kernel checks
+// the stream's row width); either mismatch would read another job's or
+// site's cell.
+TEST(MaterializedStream, MatrixShapeIsCheckedByStreamAndKernel) {
   const sim::ExecModel model(4, 2, std::vector<double>(8, 1.0));
-  EXPECT_NO_THROW(model.check_shape(4, 2));
-  // Exact shape only: extra rows mean the job list was subset relative to
-  // the matrix, i.e. dense JobIds no longer select the right row.
-  EXPECT_THROW(model.check_shape(3, 2), std::invalid_argument);
-  EXPECT_THROW(model.check_shape(5, 2), std::invalid_argument);
-  EXPECT_THROW(model.check_shape(4, 3), std::invalid_argument);
-  EXPECT_NO_THROW(sim::ExecModel{}.check_shape(100, 100));  // fallback: any
+  EXPECT_NO_THROW(workload::MaterializedStream(unit_jobs(4), model));
+  try {
+    workload::MaterializedStream(unit_jobs(3),
+                                 sim::ExecModel(2, 2, {1, 2, 3, 4}));
+    FAIL() << "a 2-row matrix under 3 jobs was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string text = error.what();
+    EXPECT_NE(text.find("2 row(s)"), std::string::npos) << text;
+    EXPECT_NE(text.find("3 job(s)"), std::string::npos) << text;
+  }
+  EXPECT_THROW(workload::MaterializedStream(unit_jobs(5), model),
+               std::invalid_argument);
+  // The rank-1 fallback fits any job count.
+  EXPECT_NO_THROW(workload::MaterializedStream(unit_jobs(100), {}));
+
+  const auto kernel_on = [&](std::vector<sim::SiteConfig> sites) {
+    return sim::SimKernel(
+        std::move(sites),
+        std::make_unique<workload::MaterializedStream>(unit_jobs(4), model));
+  };
+  EXPECT_NO_THROW(kernel_on({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}));
+  EXPECT_THROW(kernel_on({{0, 1, 1.0, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(
+      kernel_on({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}, {2, 1, 1.0, 1.0}}),
+      std::invalid_argument);
 }
 
 // ------------------------------------------- hand-checked small instance ---
@@ -82,8 +152,9 @@ TEST(EtcExecution, EngineRealisesHandCheckedRawEtc) {
   }
   sim::EngineConfig config;
   config.batch_interval = 50.0;
-  sim::SimKernel kernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, jobs, config,
-                        etc);
+  sim::SimKernel kernel(
+      {{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}},
+      std::make_unique<workload::MaterializedStream>(jobs, etc), config);
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
   const std::vector<sim::Job> done = test::run_recorded(kernel, scheduler);
 
@@ -178,7 +249,9 @@ TEST(EtcExecution, RawEtcChangesHeuristicAndGaMakespans) {
   projected.exec = sim::ExecModel{};  // strip: rank-1 fallback
 
   const auto run_minmin = [&](const workload::Workload& w) {
-    sim::SimKernel kernel(w.sites, w.jobs, scenario.engine, w.exec);
+    sim::SimKernel kernel(
+        w.sites, std::make_unique<workload::MaterializedStream>(w.jobs, w.exec),
+        scenario.engine);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
     kernel.run(scheduler);
     return kernel.makespan();
@@ -190,7 +263,9 @@ TEST(EtcExecution, RawEtcChangesHeuristicAndGaMakespans) {
     config.ga.population = 16;
     config.ga.generations = 6;
     core::GaScheduler scheduler(config);
-    sim::SimKernel kernel(w.sites, w.jobs, scenario.engine, w.exec);
+    sim::SimKernel kernel(
+        w.sites, std::make_unique<workload::MaterializedStream>(w.jobs, w.exec),
+        scenario.engine);
     kernel.run(scheduler);
     return kernel.makespan();
   };

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <span>
+#include <utility>
 
 #include "workload/stats.hpp"
 
@@ -158,6 +161,62 @@ TEST(Runner, TrainingJobsZeroSkipsTraining) {
   config.ga.generations = 4;
   const auto run = run_once(scenario, stga_spec(config), 77);
   EXPECT_EQ(run.n_jobs, 40u);
+}
+
+/// 64-bit FNV-1a over every deterministic RunMetrics field
+/// (scheduler_seconds is wall clock and left out). Numbers are hashed as
+/// 8-byte little-endian bit patterns.
+std::uint64_t metrics_digest(const metrics::RunMetrics& m) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto u64 = [&hash](std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      hash = (hash ^ static_cast<unsigned char>(value >> shift)) *
+             0x100000001b3ULL;
+    }
+  };
+  for (const std::size_t count :
+       {m.n_jobs, m.n_risk, m.n_fail, m.total_attempts, m.failure_events,
+        m.risky_attempts, m.released_nodes, m.unreleased_nodes,
+        m.site_down_events, m.site_up_events, m.interruptions,
+        m.n_interrupted, m.churn_released_nodes, m.churn_unreleased_nodes,
+        m.batch_invocations, m.events, m.idle_sites}) {
+    u64(count);
+  }
+  for (const double value :
+       {m.makespan, m.avg_response, m.avg_final_exec, m.slowdown_ratio,
+        m.mean_job_slowdown, m.avg_utilization}) {
+    u64(std::bit_cast<std::uint64_t>(value));
+  }
+  u64(m.site_utilization.size());
+  for (const double value : m.site_utilization) {
+    u64(std::bit_cast<std::uint64_t>(value));
+  }
+  return hash;
+}
+
+// A trained STGA on a raw-ETC synth scenario is the run_once path that
+// materializes the workload: training resamples the main workload's ETC
+// rows, and the measured run reads the main matrix's rows through the
+// kernel. Digests captured at commit 44972b5, when the kernel took the
+// matrix as a constructor argument instead of pulling rows from the job
+// stream.
+TEST(Runner, TrainedStgaOnRawEtcSynthReproducesGoldenDigests) {
+  const Scenario scenario = make_scenario("synth-semi-lolo", 60);
+  core::StgaConfig config;
+  config.ga.population = 16;
+  config.ga.generations = 6;
+  const AlgorithmSpec spec = stga_spec(config);
+  ASSERT_TRUE(spec.wants_training);
+  const std::pair<std::uint64_t, std::uint64_t> golden[] = {
+      {7, 0x0912fa9ca62ef600ULL},
+      {20050419, 0xabb31c5b87648e0dULL},
+  };
+  for (const auto& [seed, digest] : golden) {
+    const metrics::RunMetrics run = run_once(scenario, spec, seed);
+    EXPECT_EQ(run.n_jobs, 60u);
+    EXPECT_EQ(metrics_digest(run), digest)
+        << "seed " << seed << ": 0x" << std::hex << metrics_digest(run);
+  }
 }
 
 TEST(WorkloadStats, CharacterizesGeneratedTrace) {

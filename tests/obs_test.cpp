@@ -110,7 +110,7 @@ SimKernel churn_timeline_kernel() {
   return SimKernel({{0, 1, 1.0, 1.0}},
                    std::make_unique<workload::MaterializedStream>(
                        std::vector<sim::Job>{make_job(0.0, 100.0, 1, 0.5)}),
-                   quick_config(50.0), {},
+                   quick_config(50.0),
                    std::vector<sim::SiteOutage>{{0, 100.0, 120.0}});
 }
 

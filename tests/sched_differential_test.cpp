@@ -444,8 +444,10 @@ TEST(SchedDifferential, FRiskyAboveTheDeficitCutoffIsRisky) {
     const workload::Workload workload = exp::make_workload(scenario, 17);
     sim::EngineConfig config = scenario.engine;
     config.seed = 9;
-    sim::SimKernel kernel(workload.sites, workload.jobs, config,
-                          workload.exec, workload.churn);
+    sim::SimKernel kernel(workload.sites,
+                          std::make_unique<workload::MaterializedStream>(
+                              workload.jobs, workload.exec),
+                          config, workload.churn);
     FirstContextScheduler recorder;
     kernel.run(recorder);
     ASSERT_TRUE(recorder.first.has_value()) << name;

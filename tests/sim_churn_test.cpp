@@ -96,7 +96,7 @@ TEST(SiteChurn, HandCheckedMidRunRevocation) {
   // re-dispatches for a [150, 250) run.
   SimKernel kernel({{0, 1, 1.0, 1.0}},
                    stream_of({make_job(0.0, 100.0, 1, 0.5)}),
-                   quick_config(50.0), {}, outages({{0, 100.0, 120.0}}));
+                   quick_config(50.0), outages({{0, 100.0, 120.0}}));
   ScriptedScheduler scheduler({0});
   const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
@@ -134,7 +134,7 @@ TEST(SiteChurn, RevocationReleasesStackedReservationsLatestFirst) {
   SimKernel kernel(
       {{0, 1, 1.0, 1.0}},
       stream_of({make_job(0.0, 100.0, 1, 0.5), make_job(0.0, 10.0, 1, 0.5)}),
-      quick_config(50.0), {}, outages({{0, 100.0, 120.0}}));
+      quick_config(50.0), outages({{0, 100.0, 120.0}}));
   ScriptedScheduler scheduler({0});
   const std::vector<Job> done = test::run_recorded(kernel, scheduler);
 
@@ -156,7 +156,7 @@ TEST(SiteChurn, RevocationReleasesStackedReservationsLatestFirst) {
 TEST(SiteChurn, SchedulersSeeTheAvailabilityMask) {
   SimKernel kernel({{0, 1, 1.0, 1.0}},
                    stream_of({make_job(0.0, 100.0, 1, 0.5)}),
-                   quick_config(50.0), {}, outages({{0, 100.0, 120.0}}));
+                   quick_config(50.0), outages({{0, 100.0, 120.0}}));
   ScriptedScheduler inner({0});
   MaskProbeScheduler probe(inner);
   kernel.run(probe);
@@ -173,7 +173,7 @@ TEST(SiteChurn, AssigningToADownSiteIsAProtocolViolation) {
   SimKernel kernel(
       {{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}},
       stream_of({make_job(0.0, 100.0, 1, 0.5), make_job(60.0, 10.0, 1, 0.5)}),
-      quick_config(50.0), {}, outages({{0, 90.0, 500.0}}));
+      quick_config(50.0), outages({{0, 90.0, 500.0}}));
   ScriptedScheduler scheduler({0}, /*respect_mask=*/false);
   EXPECT_THROW(kernel.run(scheduler), std::logic_error);
 }
@@ -187,7 +187,7 @@ TEST(SiteChurn, InterruptedSecureOnlyRetryStaysSecureOnly) {
   config.lambda = 1000.0;
   config.detection = FailureDetection::kImmediate;
   SimKernel kernel({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
-                   stream_of({make_job(0.0, 100.0, 1, 0.9)}), config, {},
+                   stream_of({make_job(0.0, 100.0, 1, 0.9)}), config,
                    outages({{1, 150.0, 160.0}}));
   ScriptedScheduler scheduler({0, 1, 1});
   const std::vector<Job> done = test::run_recorded(kernel, scheduler);
@@ -209,7 +209,7 @@ TEST(SiteChurn, StaleEndEventOfARevokedAttemptIsDropped) {
   // stale end must not complete (or double-complete) the job.
   SimKernel kernel({{0, 1, 1.0, 1.0}},
                    stream_of({make_job(0.0, 100.0, 1, 0.5)}),
-                   quick_config(50.0), {}, outages({{0, 100.0, 120.0}}));
+                   quick_config(50.0), outages({{0, 100.0, 120.0}}));
   ScriptedScheduler scheduler({0});
   const std::vector<Job> done = test::run_recorded(kernel, scheduler);
   EXPECT_EQ(kernel.counters().completed_jobs, 1u);
@@ -220,7 +220,7 @@ TEST(SiteChurn, StaleEndEventOfARevokedAttemptIsDropped) {
 /// A two-site kernel over `script`; construction validates the script.
 SimKernel two_site_kernel(std::vector<SiteOutage> script) {
   return SimKernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, stream_of({}),
-                   quick_config(), {}, std::move(script));
+                   quick_config(), std::move(script));
 }
 
 TEST(SiteChurn, ScriptedOutageValidation) {
@@ -262,8 +262,10 @@ TEST(SiteChurn, StochasticChurnIsDeterministic) {
     EXPECT_EQ(workload.churn.size(), workload.sites.size());
     sim::EngineConfig config = scenario.engine;
     config.seed = engine_seed;
-    SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
-                     workload.churn);
+    SimKernel kernel(workload.sites,
+                     std::make_unique<workload::MaterializedStream>(
+                         workload.jobs, workload.exec),
+                     config, workload.churn);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
     const std::vector<Job> done = test::run_recorded(kernel, scheduler);
     std::vector<double> finishes;
@@ -283,7 +285,7 @@ TEST(SiteChurn, ChurnFreeWorkloadQueuesNoChurnEvent) {
   // An all-zero churn vector must behave exactly like no churn vector.
   std::vector<SiteChurnParams> no_churn(1);
   SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
-                   quick_config(50.0), {}, no_churn);
+                   quick_config(50.0), no_churn);
   ScriptedScheduler scheduler({0});
   const std::vector<Job> done = test::run_recorded(kernel, scheduler);
   EXPECT_EQ(kernel.counters().events_of(EventKind::kSiteDown), 0u);
@@ -354,7 +356,7 @@ TEST(LiveAttemptIndex, ScriptedOutageOverStackedReservations) {
                               make_job(0.0, 100.0, 1, 0.5),
                               make_job(0.0, 10.0, 1, 0.5),
                               make_job(0.0, 100.0, 1, 0.5)}),
-                   quick_config(50.0), {}, outages({{0, 100.0, 120.0}}));
+                   quick_config(50.0), outages({{0, 100.0, 120.0}}));
   // First cycle: jobs 0-2 to site 0, job 3 to site 1; later cycles (after
   // the outage) send everything to site 1.
   class SplitScheduler final : public BatchScheduler {
@@ -412,8 +414,10 @@ TEST(LiveAttemptIndex, MatchesBruteForceScanMaterialized) {
   const workload::Workload workload = exp::make_workload(scenario, 5);
   EngineConfig config = scenario.engine;
   config.seed = 11;
-  SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
-                   workload.churn);
+  SimKernel kernel(workload.sites,
+                   std::make_unique<workload::MaterializedStream>(
+                       workload.jobs, workload.exec),
+                   config, workload.churn);
   check_live_index(kernel, workload.jobs.size());
 }
 
@@ -433,7 +437,7 @@ TEST(LiveAttemptIndex, MatchesBruteForceScanGenerated) {
   config.batch_interval = 100.0;
   config.seed = 4;
   SimKernel kernel(std::move(stream.sites), std::move(stream.jobs), config,
-                   {}, std::move(stream.churn));
+                   std::move(stream.churn));
   check_live_index(kernel, stream_config.n_jobs);
 }
 

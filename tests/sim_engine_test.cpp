@@ -571,7 +571,7 @@ TEST(Engine, ArrivalPopsBeforeEveryQueuedEventAtTheSameTime) {
       make_job(150.0, 10.0, 1, 0.5), make_job(300.0, 10.0, 1, 0.5)};
   const std::vector<SiteOutage> outages = {{1, 300.0, 400.0}};
   SimKernel kernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, jobs,
-                   quick_config(100.0), {}, outages);
+                   quick_config(100.0), outages);
   EventOrderRecorder recorder;
   kernel.set_observer(&recorder);
   ScriptedScheduler scheduler({0});
@@ -666,7 +666,7 @@ TEST(Engine, LambdaReachesEveryScheduler) {
   sched::SufferageScheduler sufferage(security::RiskPolicy::f_risky(kF));
   for (BatchScheduler* inner : {static_cast<BatchScheduler*>(&min_min),
                                 static_cast<BatchScheduler*>(&sufferage)}) {
-    SimKernel kernel(workload.sites, workload.jobs, config, workload.exec);
+    SimKernel kernel(workload.sites, workload.jobs, config);
     LambdaProbe probe(*inner, kLambda, kF);
     kernel.run(probe);
     EXPECT_GT(probe.pfail_cells, 0u) << inner->name();

@@ -115,7 +115,7 @@ std::unique_ptr<sim::SimKernel> probe_kernel(const AllocProbe& probe) {
     EXPECT_EQ(stream.jobs->row_sites(), stream.sites.size());
     return std::make_unique<sim::SimKernel>(
         std::move(stream.sites), std::move(stream.jobs), engine_config,
-        sim::ExecModel{}, std::move(stream.churn));
+        std::move(stream.churn));
   }
   workload::synth::SynthStreamConfig config;
   config.name = "alloc-probe";
@@ -135,13 +135,13 @@ std::unique_ptr<sim::SimKernel> probe_kernel(const AllocProbe& probe) {
   if (probe.streamed) {
     return std::make_unique<sim::SimKernel>(
         std::move(stream.sites), std::move(stream.jobs), engine_config,
-        sim::ExecModel{}, std::move(stream.churn));
+        std::move(stream.churn));
   }
   workload::Workload drained =
       workload::synth::materialize_stream(std::move(stream));
   return std::make_unique<sim::SimKernel>(
       std::move(drained.sites), std::move(drained.jobs), engine_config,
-      std::move(drained.exec), std::move(drained.churn));
+      std::move(drained.churn));
 }
 
 /// Runs `probe`'s workload through `scheduler` and returns the allocation

@@ -44,8 +44,10 @@ RunArtifacts run_workload(const workload::Workload& workload,
   tee.add(&trace);
   tee.add(&probe);
 
-  sim::SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
-                        workload.churn);
+  sim::SimKernel kernel(workload.sites,
+                        std::make_unique<workload::MaterializedStream>(
+                            workload.jobs, workload.exec),
+                        config, workload.churn);
   kernel.set_observer(&tee);
   sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
   kernel.run(scheduler);
@@ -182,8 +184,10 @@ TEST(StreamKernel, SlotRecyclingHoldsFrontierThroughChurn) {
   const workload::Workload workload = exp::make_workload(scenario, 5);
   sim::EngineConfig config = scenario.engine;
   config.seed = 11;
-  sim::SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
-                        workload.churn);
+  sim::SimKernel kernel(workload.sites,
+                        std::make_unique<workload::MaterializedStream>(
+                            workload.jobs, workload.exec),
+                        config, workload.churn);
   FrontierInvariantObserver invariants;
   kernel.set_observer(&invariants);
   sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
@@ -257,24 +261,15 @@ TEST(StreamKernel, ShortStreamThrowsWithProgressCount) {
 }
 
 // A stream that yields ETC rows is the run's execution model: its rows
-// must span the grid, and a second model (an attached matrix) is refused
-// rather than silently shadowed.
-TEST(StreamKernel, EtcRowStreamMustMatchTheGridAndStandAlone) {
+// must span the grid.
+TEST(StreamKernel, EtcRowStreamMustMatchTheGrid) {
   const exp::Scenario scenario = exp::make_scenario("synth-semi-lolo", 20);
-  const auto stream = [&] {
-    return exp::make_stream_workload(scenario, 5);
-  };
-  workload::synth::StreamWorkload narrow = stream();
+  workload::synth::StreamWorkload narrow =
+      exp::make_stream_workload(scenario, 5);
   ASSERT_EQ(narrow.jobs->row_sites(), narrow.sites.size());
   narrow.sites.pop_back();
   EXPECT_THROW(sim::SimKernel(std::move(narrow.sites), std::move(narrow.jobs),
                               scenario.engine),
-               std::invalid_argument);
-  workload::synth::StreamWorkload doubled = stream();
-  const workload::Workload materialized = exp::make_workload(scenario, 5);
-  EXPECT_THROW(sim::SimKernel(std::move(doubled.sites),
-                              std::move(doubled.jobs), scenario.engine,
-                              materialized.exec),
                std::invalid_argument);
 }
 
@@ -298,7 +293,7 @@ TEST(StreamKernel, HundredThousandJobStreamStaysSmall) {
   sim::EngineConfig config = scenario.engine;
   config.seed = 21;
   sim::SimKernel kernel(std::move(stream.sites), std::move(stream.jobs),
-                        config, {}, std::move(stream.churn));
+                        config, std::move(stream.churn));
   sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
   kernel.run(scheduler);
 
@@ -326,8 +321,10 @@ TEST(StreamKernel, RunOnceStreamsAndMatchesMaterializedDrain) {
                                                         workload_seed);
   sim::EngineConfig config = scenario.engine;
   config.seed = engine_seed;
-  sim::SimKernel kernel(drained.sites, drained.jobs, config, drained.exec,
-                        drained.churn);
+  sim::SimKernel kernel(drained.sites,
+                        std::make_unique<workload::MaterializedStream>(
+                            drained.jobs, drained.exec),
+                        config, drained.churn);
   sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
   kernel.run(scheduler);
   const metrics::RunMetrics drain = metrics::compute_metrics(kernel);
@@ -404,9 +401,8 @@ TEST(StreamKernel, RunOnceStreamsSynthScenariosBitEqualToMaterializedRuns) {
         sim::SimKernel kernel(
             std::move(materialized.sites),
             std::make_unique<workload::MaterializedStream>(
-                std::move(materialized.jobs)),
-            config, std::move(materialized.exec),
-            std::move(materialized.churn));
+                std::move(materialized.jobs), std::move(materialized.exec)),
+            config, std::move(materialized.churn));
         const std::unique_ptr<sim::BatchScheduler> scheduler =
             spec.make(util::Rng::child(seed, 3).next_u64());
         kernel.run(*scheduler);

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace gridsched::util {
 namespace {
@@ -136,6 +137,28 @@ TEST(Cli, MalformedBooleanThrowsNamingTheFlag) {
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("--csv"), std::string::npos)
         << error.what();
+  }
+}
+
+TEST(Cli, RequireKnownRejectsAnUnlistedFlagNamingIt) {
+  const std::vector<std::string> known = {"seed", "quick", "out"};
+  const auto ok = argv_of({"prog", "--seed=3", "--quick", "positional"});
+  EXPECT_NO_THROW(Cli(static_cast<int>(ok.size()), ok.data())
+                      .require_known(known));
+  for (const char* flag : {"--help", "--sed=3", "--out-json=x.json"}) {
+    const auto argv = argv_of({"prog", "--seed=3", flag});
+    const Cli cli(static_cast<int>(argv.size()), argv.data());
+    try {
+      cli.require_known(known);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      const std::string text = error.what();
+      const std::string given = flag;
+      const std::string name = given.substr(0, given.find('='));
+      EXPECT_NE(text.find("unknown flag " + name + " "), std::string::npos)
+          << text;
+      EXPECT_NE(text.find("--seed --quick --out"), std::string::npos) << text;
+    }
   }
 }
 
