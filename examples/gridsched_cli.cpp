@@ -61,11 +61,13 @@
 //
 // --scenario accepts any name from exp::scenario_names() ("nas", "psa",
 // "synth-inconsistent-hihi", ...). The older --kind=nas|psa spelling is
-// kept as an alias. The global --log-level=debug|info|warn|error|off flag
-// (default: info) controls stderr diagnostics. Every file written here
-// (traces, snapshots, series, profiles, campaign artifacts) goes through
-// util::write_file: one that cannot be written in full exits 1 naming
-// the path.
+// kept as an alias. `run` and `campaign` reject any flag they do not list
+// above (exit 1, naming it and the known flags), so a typo cannot
+// silently run a different experiment. The global
+// --log-level=debug|info|warn|error|off flag (default: info) controls
+// stderr diagnostics. Every file written here (traces, snapshots, series,
+// profiles, campaign artifacts) goes through util::write_file: one that
+// cannot be written in full exits 1 naming the path.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -200,6 +202,12 @@ void print_metrics(const std::string& name, const metrics::RunMetrics& run,
 }
 
 int cmd_run(const util::Cli& cli) {
+  static const std::vector<std::string> kKnown = {
+      "trace", "sites", "scenario", "kind", "jobs", "algo", "mode", "f",
+      "seed", "batch-interval", "lambda", "csv", "trace-events", "metrics",
+      "ga-profile", "timeseries", "timeseries-csv", "timeseries-interval",
+      "log-level"};
+  cli.require_known(kKnown);
   const auto seed =
       static_cast<std::uint64_t>(cli.get_or("seed", std::int64_t{1}));
   const bool csv = cli.get_or("csv", false);
@@ -317,6 +325,12 @@ int cmd_campaign(const util::Cli& cli) {
                          "[--timeseries-interval=SEC]\n");
     return 2;
   }
+  static const std::vector<std::string> kKnown = {
+      "threads", "dry-run", "out-json", "out-csv", "profile",
+      "progress", "quiet", "strict", "retries", "cell-timeout",
+      "checkpoint", "resume", "timeseries", "timeseries-interval",
+      "log-level"};
+  cli.require_known(kKnown);
   const std::string spec_path = cli.positional()[1];
   const exp::campaign::CampaignSpec spec = exp::campaign::load_spec(spec_path);
 

@@ -28,6 +28,7 @@ GaProblem build_problem(const sim::SchedulerContext& context,
   problem.avail = context.avail;
   problem.site_up = context.site_up;
 
+  const security::RiskCutoff cutoff(policy, context.lambda);
   for (std::size_t j = 0; j < context.jobs.size(); ++j) {
     if (context.jobs[j].nodes == 0) {
       // A 0-node reservation has always been rejected (previously deep in
@@ -38,7 +39,7 @@ GaProblem build_problem(const sim::SchedulerContext& context,
     // Mask-aware: a churned-down site never enters a domain, so no
     // chromosome — including repaired history matches — can place on it.
     std::vector<sim::SiteId> domain =
-        sched::admissible_sites(context, context.jobs[j], policy);
+        sched::admissible_sites(context, context.jobs[j], cutoff);
     if (domain.empty()) continue;  // stays pending this round
     problem.jobs.push_back(context.jobs[j]);
     problem.batch_index.push_back(j);

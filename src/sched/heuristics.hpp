@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "sched/scan.hpp"
 #include "sched/site_tree.hpp"
 #include "security/security.hpp"
 #include "sim/scheduling.hpp"
@@ -39,6 +40,8 @@ struct HeuristicScratch {
   std::vector<JobBest> best;
   /// MCT's branch-and-bound site trees (see SiteTree::applies).
   SiteTree tree;
+  /// MCT's start rows where the trees do not apply.
+  scan::StartRows starts;
 };
 
 /// Common state for the iterative list heuristics.
@@ -100,8 +103,9 @@ class SufferageScheduler final : public HeuristicScheduler {
 
 /// MCT: jobs in batch order, each to the admissible site with the minimum
 /// completion time. Where SiteTree::applies (a rank-1 execution model on a
-/// wide grid) the site is found by a branch-and-bound query on the tree
-/// instead of a scan of every site, with the same result.
+/// wide grid) the site is found by a branch-and-bound query on the tree;
+/// elsewhere by one branch-free pass over per-node-count start rows
+/// (scan::StartRows) masked by the risk cutoff. Both give the scan's site.
 class MctScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;

@@ -15,6 +15,7 @@
 #include "sched/heuristics.hpp"
 #include "sched/risk_filter.hpp"
 #include "sched/scan.hpp"
+#include "util/grow.hpp"
 
 namespace gridsched::sched {
 
@@ -26,7 +27,7 @@ using JobBest = HeuristicScratch::JobBest;
 /// current availability, first site index winning ties.
 template <bool kSecond>
 JobBest scan_job(const sim::SchedulerContext& context,
-                 const security::RiskPolicy& policy,
+                 const security::RiskCutoff& cutoff,
                  const std::vector<sim::NodeAvailability>& avail,
                  const sim::BatchJob& job) {
   JobBest b;
@@ -37,7 +38,7 @@ JobBest scan_job(const sim::SchedulerContext& context,
         scan::completion(avail[s], job, exec[s], context.now);
     const auto site = static_cast<sim::SiteId>(s);
     if constexpr (kSecond) {
-      if (!(completion < b.second) || !admissible(context, job, s, policy)) {
+      if (!(completion < b.second) || !admissible(context, job, s, cutoff)) {
         continue;
       }
       if (completion < b.best) {
@@ -49,7 +50,7 @@ JobBest scan_job(const sim::SchedulerContext& context,
         b.second = completion;
         b.second_site = site;
       }
-    } else if (completion < b.best && admissible(context, job, s, policy)) {
+    } else if (completion < b.best && admissible(context, job, s, cutoff)) {
       b.best = completion;
       b.best_site = site;
     }
@@ -65,18 +66,21 @@ void commit_loop(const sim::SchedulerContext& context,
                  const security::RiskPolicy& policy, HeuristicScratch& scratch,
                  std::vector<sim::Assignment>& out, PickFn&& pick) {
   scan::check_context(context);
+  const security::RiskCutoff cutoff(policy, context.lambda);
   const std::size_t n = context.jobs.size();
   scratch.avail = context.avail;
+  util::reserve_geometric(scratch.unassigned, n);
   scratch.unassigned.resize(n);
   std::iota(scratch.unassigned.begin(), scratch.unassigned.end(),
             std::size_t{0});
+  util::reserve_geometric(scratch.best, n);
   scratch.best.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const sim::BatchJob& job = context.jobs[j];
-    scratch.best[j] = scan_job<kSecond>(context, policy, scratch.avail, job);
+    scratch.best[j] = scan_job<kSecond>(context, cutoff, scratch.avail, job);
   }
   out.clear();
-  out.reserve(n);
+  util::reserve_geometric(out, n);
 
   std::vector<std::size_t>& unassigned = scratch.unassigned;
   while (!unassigned.empty()) {
@@ -94,7 +98,7 @@ void commit_loop(const sim::SchedulerContext& context,
     for (const std::size_t k : unassigned) {
       JobBest& b = scratch.best[k];
       if (b.best_site == site || (kSecond && b.second_site == site)) {
-        b = scan_job<kSecond>(context, policy, scratch.avail, context.jobs[k]);
+        b = scan_job<kSecond>(context, cutoff, scratch.avail, context.jobs[k]);
       }
     }
   }

@@ -3,7 +3,7 @@
 namespace gridsched::sched {
 
 bool admissible(const sim::SchedulerContext& context, const sim::BatchJob& job,
-                std::size_t s, const security::RiskPolicy& policy) noexcept {
+                std::size_t s, const security::RiskCutoff& cutoff) noexcept {
   const sim::SiteConfig& site = context.sites[s];
   if (!context.site_usable(s) || job.nodes > site.nodes) return false;
   if (job.secure_only) {
@@ -11,16 +11,16 @@ bool admissible(const sim::SchedulerContext& context, const sim::BatchJob& job,
     // absolutely safe, regardless of the scheduler's mode.
     return security::is_safe(job.demand, site.security);
   }
-  return policy.admissible(job.demand, site.security, context.lambda);
+  return cutoff.admits(job.demand, site.security);
 }
 
 std::vector<sim::SiteId> admissible_sites(const sim::SchedulerContext& context,
                                           const sim::BatchJob& job,
-                                          const security::RiskPolicy& policy) {
+                                          const security::RiskCutoff& cutoff) {
   std::vector<sim::SiteId> result;
   result.reserve(context.sites.size());
   for (std::size_t s = 0; s < context.sites.size(); ++s) {
-    if (admissible(context, job, s, policy)) {
+    if (admissible(context, job, s, cutoff)) {
       result.push_back(static_cast<sim::SiteId>(s));
     }
   }

@@ -11,17 +11,18 @@
 
 namespace gridsched::sched {
 
-/// True iff `job` may be placed on the context's site `s` under `policy`:
-/// the job fits, the site is not masked out (a churned-down site is never
-/// admissible, whatever the risk mode), and the risk mode admits the pair
-/// at the context's lambda. The one admissibility predicate every
-/// scheduler must use.
+/// True iff `job` may be placed on the context's site `s` under the policy
+/// `cutoff` was built from: the job fits, the site is not masked out (a
+/// churned-down site is never admissible, whatever the risk mode), and the
+/// risk mode admits the pair at the context's lambda (the one `cutoff` was
+/// built with). The one admissibility predicate every scheduler must use;
+/// a scheduler builds its cutoff once per schedule_into.
 bool admissible(const sim::SchedulerContext& context, const sim::BatchJob& job,
-                std::size_t s, const security::RiskPolicy& policy) noexcept;
+                std::size_t s, const security::RiskCutoff& cutoff) noexcept;
 
 /// Admissible set over the context's sites, in site order.
 std::vector<sim::SiteId> admissible_sites(const sim::SchedulerContext& context,
                                           const sim::BatchJob& job,
-                                          const security::RiskPolicy& policy);
+                                          const security::RiskCutoff& cutoff);
 
 }  // namespace gridsched::sched

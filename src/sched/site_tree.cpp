@@ -14,15 +14,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::uint32_t kNoTree = std::numeric_limits<std::uint32_t>::max();
 
-/// Leaf value of site `s` in the tree for `nodes`-node jobs.
-double leaf_start(const sim::SchedulerContext& context,
-                  const std::vector<sim::NodeAvailability>& avail,
-                  unsigned nodes, std::size_t s) noexcept {
-  return scan::fits(context, nodes, s)
-             ? scan::start_time(avail[s], nodes, context.now)
-             : kInf;
-}
-
 }  // namespace
 
 /// One query's depth-first branch and bound. (best, best_site) starts at
@@ -30,7 +21,7 @@ double leaf_start(const sim::SchedulerContext& context,
 /// like the scan's `< infinity` start.
 struct SiteTree::Search {
   const sim::SchedulerContext& context;
-  const security::RiskPolicy& policy;
+  const security::RiskCutoff& cutoff;
   const sim::BatchJob& job;
   const sim::JobExecRow exec;
   const std::size_t leaves;
@@ -56,7 +47,7 @@ struct SiteTree::Search {
       const std::uint32_t s = nodes[i].fastest;
       const double completion = start[i] + exec[s];
       if (before(completion, s, best, best_site) &&
-          admissible(context, job, s, policy)) {
+          admissible(context, job, s, cutoff)) {
         best = completion;
         best_site = s;
       }
@@ -161,7 +152,8 @@ void SiteTree::build(const sim::SchedulerContext& context) {
     double* tree = start_.data() + t * 2 * leaves_;
     const unsigned k = tree_nodes_[t];
     for (std::size_t p = 0; p < n_sites; ++p) {
-      tree[leaves_ + p] = leaf_start(context, context.avail, k, order_[p]);
+      tree[leaves_ + p] =
+          scan::start_or_inf(context, context.avail, k, order_[p]);
     }
     std::fill(tree + leaves_ + n_sites, tree + 2 * leaves_, kInf);
     for (std::size_t i = leaves_ - 1; i >= 1; --i) {
@@ -171,7 +163,7 @@ void SiteTree::build(const sim::SchedulerContext& context) {
 }
 
 sim::SiteId SiteTree::best_site(const sim::SchedulerContext& context,
-                                const security::RiskPolicy& policy,
+                                const security::RiskCutoff& cutoff,
                                 const sim::BatchJob& job) const {
   // No tree: no site has job.nodes nodes (or the job is not from the
   // batch the tree was built for).
@@ -180,7 +172,7 @@ sim::SiteId SiteTree::best_site(const sim::SchedulerContext& context,
   }
   const double* tree =
       start_.data() + std::size_t{tree_of_[job.nodes]} * 2 * leaves_;
-  Search search{context, policy, job, context.exec_row(job),
+  Search search{context, cutoff, job, context.exec_row(job),
                 leaves_, nodes_.data(), tree};
   search.visit(1, tree[1] + job.work * nodes_[1].inv_lo);
   return search.best < kInf ? search.best_site : sim::kInvalidSite;
@@ -192,7 +184,7 @@ void SiteTree::update(const sim::SchedulerContext& context,
   const std::size_t leaf = leaf_of_site_[s];
   for (std::size_t t = 0; t < tree_nodes_.size(); ++t) {
     double* tree = start_.data() + t * 2 * leaves_;
-    tree[leaf] = leaf_start(context, avail, tree_nodes_[t], s);
+    tree[leaf] = scan::start_or_inf(context, avail, tree_nodes_[t], s);
     // Stop at the first ancestor whose minimum did not change: the ones
     // above it read only it and unchanged siblings.
     for (std::size_t i = leaf / 2; i >= 1; i /= 2) {

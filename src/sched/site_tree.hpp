@@ -63,11 +63,11 @@ class SiteTree {
   /// scan::check_context(context).
   void build(const sim::SchedulerContext& context);
 
-  /// The admissible site with the least completion time for `job` on the
-  /// profiles the tree was last built or updated from, lowest site index
-  /// among ties; kInvalidSite when none is admissible.
+  /// The site admissible under `cutoff` with the least completion time
+  /// for `job` on the profiles the tree was last built or updated from,
+  /// lowest site index among ties; kInvalidSite when none is admissible.
   [[nodiscard]] sim::SiteId best_site(const sim::SchedulerContext& context,
-                                      const security::RiskPolicy& policy,
+                                      const security::RiskCutoff& cutoff,
                                       const sim::BatchJob& job) const;
 
   /// Re-read site `s`'s leaves from `avail[s]` after a reservation there.

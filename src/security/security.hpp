@@ -74,4 +74,47 @@ class RiskPolicy {
   double f_;
 };
 
+/// RiskPolicy::admissible at one lambda, decided by a compare on the
+/// deficit d = sd - sl wherever a compare is exact. Eq. 1 is monotone in d,
+/// so an f-risky policy with 0 < f < 1 and a finite lambda > 0 admits
+/// every deficit below the boundary d* = -log1p(-f) / lambda and refuses
+/// every one above it; only a narrow bracket around d* (and a NaN deficit)
+/// needs the exact test, which calls exp. Secure admits d <= 0 and risky
+/// every deficit. Any other f-risky policy (f <= 0, f >= 1, f NaN, lambda
+/// not finite and > 0) takes the exact test on every call. Built once per
+/// schedule_into; admits() equals policy.admissible(sd, sl, lambda) for
+/// every input, NaN and infinities included (security_test pins it).
+class RiskCutoff {
+ public:
+  RiskCutoff(const RiskPolicy& policy, double lambda) noexcept;
+
+  /// policy.admissible(sd, sl, lambda).
+  [[nodiscard]] bool admits(double sd, double sl) const noexcept {
+    const double deficit = sd - sl;
+    if (deficit <= admit_to_) return true;
+    if (deficit > refuse_from_) return false;
+    return policy_.admissible(sd, sl, lambda_);
+  }
+
+  /// Every deficit d <= admit_to() is admitted; false for a NaN d.
+  [[nodiscard]] bool clears(double deficit) const noexcept {
+    return deficit <= admit_to_;
+  }
+  /// Neither clears(d) nor refused by d > refuse_from(): the bracket
+  /// around the boundary, or a NaN d. Only such a deficit needs admits().
+  [[nodiscard]] bool undecided(double deficit) const noexcept {
+    return !(deficit <= admit_to_) && !(deficit > refuse_from_);
+  }
+
+  /// The bracket's ends: NaN for a policy that always takes the exact test.
+  [[nodiscard]] double admit_to() const noexcept { return admit_to_; }
+  [[nodiscard]] double refuse_from() const noexcept { return refuse_from_; }
+
+ private:
+  RiskPolicy policy_;
+  double lambda_;
+  double admit_to_;
+  double refuse_from_;
+};
+
 }  // namespace gridsched::security

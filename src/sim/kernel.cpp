@@ -8,6 +8,8 @@
 #include <string>
 #include <utility>
 
+#include "util/grow.hpp"
+
 namespace gridsched::sim {
 
 namespace {
@@ -164,8 +166,10 @@ bool SimKernel::admit_next(Event& arrival) {
     attempts_.emplace_back();
     if (row_sites_ != 0) row_of_.emplace_back();
     // Keep enough spare capacity for every slot to be parked free at once,
-    // so retirement pushes never allocate in the steady-state loop.
-    free_slots_.reserve(jobs_.size());
+    // so retirement pushes never allocate in the steady-state loop. The
+    // slot table's capacity, not its size: the free list then grows once
+    // per table doubling, not at every new high-water.
+    free_slots_.reserve(jobs_.capacity());
   }
   if (admitted_ + 1 - retire_frontier_ > slot_of_.size()) grow_slot_ring();
   jobs_[slot] = job;
@@ -193,8 +197,9 @@ void SimKernel::admit_row(std::uint32_t slot, JobId id) {
   } else {
     index = static_cast<std::uint32_t>(rows_.size() / row_sites_);
     rows_.resize(rows_.size() + row_sites_);
-    // As for free_slots_: room for every row to be parked free at once.
-    free_rows_.reserve(index + 1);
+    // As for free_slots_: room for every row of the pool's capacity to be
+    // parked free at once.
+    free_rows_.reserve(rows_.capacity() / row_sites_);
   }
   row_of_[slot] = index;
   std::copy(row.begin(), row.end(),
@@ -372,7 +377,10 @@ void SimKernel::schedule_batch(BatchScheduler& scheduler, Time now) {
     context.avail[s] = sites_[s].availability();
   }
   context.jobs.clear();
-  context.jobs.reserve(pending_.size());
+  util::reserve_geometric(context.jobs, pending_.size());
+  // Sized before the scheduler runs, like the batch, so a new batch
+  // high-water allocates within the cycle that reaches it.
+  util::reserve_geometric(assigned_, pending_.size());
   for (const JobId id : pending_) {
     const std::uint32_t slot = slot_of(id);
     const Job& job = jobs_[slot];
@@ -602,10 +610,10 @@ void SimKernel::on_site_event(const Event& event) {
     // the index. The sort key (end descending, id ascending) is a strict
     // total order, so the index's internal order never shows.
     victims_.clear();
-    // Victims hold distinct slots: sizing the buffer to the slot table
-    // means it grows only when the table does, never on a late outage
-    // that merely hits more attempts than any earlier one.
-    victims_.reserve(jobs_.size());
+    // Victims hold distinct slots: sizing the buffer to the slot table's
+    // capacity means it grows only when the table does, never on a late
+    // outage that merely hits more attempts than any earlier one.
+    victims_.reserve(jobs_.capacity());
     for (const std::uint32_t slot : live_attempts(event.site)) {
       victims_.push_back(jobs_[slot].id);
     }

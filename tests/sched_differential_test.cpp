@@ -12,6 +12,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -361,6 +362,147 @@ TEST(SchedDifferential, TiesAcrossSitesAndJobsFollowTheReference) {
       EXPECT_EQ(scheduler->schedule(context),
                 reference_schedule(name, context, policy));
     }
+  }
+}
+
+/// A 16-site raw-ETC context (MCT's scan pass, not its site trees) whose
+/// cells and levels come from small grids, with masked sites, secure_only
+/// retries and 5-node jobs no site fits. Site 9 repeats site 4 (nodes,
+/// level, profile, every job's cell), so completions tie across the two;
+/// 40% of the jobs demand a random site's level plus `deficit` give or
+/// take 64 ulps, so their risk test falls inside the cutoff's bracket.
+MatrixContext raw_etc_context(util::Rng& rng, std::size_t n_jobs,
+                              double deficit) {
+  constexpr std::size_t kSites = 16;
+  constexpr std::size_t kTwin = 4;
+  constexpr std::size_t kCopy = 9;
+  MatrixContext context;
+  context.now = rng.bernoulli(0.5) ? 0.0 : grid(rng, 5.0, 4);
+  for (std::size_t s = 0; s < kSites; ++s) {
+    sim::SiteConfig site;
+    site.id = static_cast<sim::SiteId>(s);
+    site.nodes = static_cast<unsigned>(rng.uniform_int(1, 4));
+    site.security = 0.4 + 0.1 * static_cast<double>(rng.uniform_int(0, 6));
+    sim::NodeAvailability avail(site.nodes, 0.0);
+    const auto reservations = rng.uniform_int(0, 3);
+    for (std::int64_t r = 0; r < reservations; ++r) {
+      const auto k = static_cast<unsigned>(rng.uniform_int(1, site.nodes));
+      avail.reserve(k, grid(rng, 5.0, 6), 0.0);
+    }
+    if (s == kCopy) {
+      site.nodes = context.sites[kTwin].nodes;
+      site.security = context.sites[kTwin].security;
+      avail = context.avail[kTwin];
+    }
+    context.sites.push_back(site);
+    context.avail.push_back(std::move(avail));
+  }
+  if (rng.bernoulli(0.3)) {
+    context.site_up.resize(kSites);
+    for (auto& up : context.site_up) up = rng.bernoulli(0.7) ? 1 : 0;
+  }
+  std::vector<double> cells(n_jobs * kSites);
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    sim::BatchJob job;
+    job.id = static_cast<sim::JobId>(j);
+    job.nodes = static_cast<unsigned>(rng.uniform_int(1, 5));
+    job.secure_only = rng.bernoulli(0.2);
+    if (rng.bernoulli(0.4)) {
+      double demand = context.sites[rng.index(kSites)].security + deficit;
+      const auto ulps = rng.uniform_int(-64, 64);
+      for (std::int64_t u = 0; u < std::abs(ulps); ++u) {
+        demand = std::nextafter(demand, ulps < 0 ? 0.0 : 2.0);
+      }
+      job.demand = demand;
+    } else {
+      job.demand = 0.3 + 0.1 * static_cast<double>(rng.uniform_int(0, 6));
+    }
+    context.jobs.push_back(job);
+    for (std::size_t s = 0; s < kSites; ++s) {
+      cells[j * kSites + s] = grid(rng, 2.0, 5);
+    }
+    cells[j * kSites + kCopy] = cells[j * kSites + kTwin];
+  }
+  context.exec = sim::ExecModel(n_jobs, kSites, std::move(cells));
+  for (sim::BatchJob& job : context.jobs) {
+    job.etc_row = context.exec.row(job.id);
+  }
+  return context;
+}
+
+TEST(SchedDifferential, RawEtcMctMatchesReferenceAroundTheRiskCutoff) {
+  // MCT's scan pass masks each site through the risk cutoff's deficit
+  // compare and rescans a job exactly when a deficit falls in the
+  // cutoff's bracket; f = 0 and f = 1 take the exact test on every cell,
+  // and lambda = 0 admits every deficit under f-risky. Every heuristic is
+  // diffed, MCT's scan pass being the one this case is built for.
+  const double lambda = security::kDefaultLambda;
+  const double deficit = -std::log1p(-0.5) / lambda;  // f-risky(0.5)'s d*
+  const std::array<RiskPolicy, 5> policies = {
+      RiskPolicy::secure(), RiskPolicy::f_risky(0.0), RiskPolicy::f_risky(0.5),
+      RiskPolicy::f_risky(1.0), RiskPolicy::risky()};
+  const std::vector<std::string> names = heuristic_names();
+  std::vector<std::unique_ptr<sim::BatchScheduler>> schedulers;
+  for (const std::string& name : names) {
+    for (const RiskPolicy& policy : policies) {
+      schedulers.push_back(make_heuristic(name, policy));
+    }
+  }
+  const security::RiskCutoff half(RiskPolicy::f_risky(0.5), lambda);
+  std::size_t bracketed = 0;  // (job, site) deficits inside half's bracket
+  std::size_t nonempty = 0;
+  for (std::size_t i = 0; i < 600; ++i) {
+    util::Rng rng = util::Rng::child(0x7a11c0ffULL, i);
+    const std::size_t n_jobs =
+        static_cast<std::size_t>(rng.uniform_int(1, i % 3 == 0 ? 40 : 12));
+    MatrixContext context = raw_etc_context(rng, n_jobs, deficit);
+    for (const sim::BatchJob& job : context.jobs) {
+      for (const sim::SiteConfig& site : context.sites) {
+        if (half.undecided(job.demand - site.security)) ++bracketed;
+      }
+    }
+    for (const double context_lambda : {0.0, lambda}) {
+      context.lambda = context_lambda;
+      for (std::size_t h = 0; h < names.size(); ++h) {
+        for (std::size_t p = 0; p < policies.size(); ++p) {
+          const auto expected =
+              reference_schedule(names[h], context, policies[p]);
+          const auto actual =
+              schedulers[h * policies.size() + p]->schedule(context);
+          ASSERT_EQ(actual, expected)
+              << names[h] << " policy " << p << " lambda " << context_lambda
+              << " context " << i;
+          if (!expected.empty()) ++nonempty;
+        }
+      }
+    }
+  }
+  EXPECT_GT(bracketed, 1000u);
+  EXPECT_GT(nonempty, 600u * 2 * names.size() * policies.size() / 2);
+}
+
+TEST(SchedDifferential, RawEtcMctTakesTheFirstOfTwoTiedSites) {
+  // Sites 1 and 3 tie exactly (same profile, same cell) and beat sites 0
+  // and 2; the first index wins, so the job goes to site 1, the next to 3.
+  MatrixContext context;
+  for (std::size_t s = 0; s < 16; ++s) {
+    context.sites.push_back({static_cast<sim::SiteId>(s), 1, 1.0, 0.9});
+    context.avail.emplace_back(1, 0.0);
+  }
+  std::vector<double> cells(2 * 16, 9.0);
+  for (const std::size_t j : {0, 1}) {
+    cells[j * 16 + 1] = 4.0;
+    cells[j * 16 + 3] = 4.0;
+    context.jobs.push_back({.id = static_cast<sim::JobId>(j), .demand = 0.5});
+  }
+  context.exec = sim::ExecModel(2, 16, std::move(cells));
+  for (sim::BatchJob& job : context.jobs) {
+    job.etc_row = context.exec.row(job.id);
+  }
+  const std::vector<sim::Assignment> expected = {{0, 1}, {1, 3}};
+  for (const RiskPolicy& policy : kPolicies) {
+    EXPECT_EQ(make_heuristic("mct", policy)->schedule(context), expected);
+    EXPECT_EQ(reference::mct(context, policy), expected);
   }
 }
 

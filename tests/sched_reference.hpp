@@ -4,7 +4,8 @@
 // rescan of every unassigned job per Min-Min family commit). They are the
 // oracle the matrix-free schedulers in src/sched are diffed against, so
 // keep them naive — any cleverness added here weakens the differential
-// test.
+// test. They use their own admissibility predicate, not sched::admissible,
+// whose risk cutoff is part of what is under test.
 #pragma once
 
 #include <cstddef>
@@ -12,11 +13,32 @@
 #include <vector>
 
 #include "sched/etc_matrix.hpp"
-#include "sched/risk_filter.hpp"
+#include "sched/scan.hpp"
 #include "security/security.hpp"
 #include "sim/scheduling.hpp"
 
 namespace gridsched::sched::reference {
+
+/// Admissibility straight from the model: the job fits a usable site, a
+/// fail-stop retry goes only where it is safe, and otherwise the policy's
+/// mode decides, f-risky by Eq. 1 at the context's lambda.
+inline bool admissible(const sim::SchedulerContext& context,
+                       const sim::BatchJob& job, std::size_t s,
+                       const security::RiskPolicy& policy) {
+  if (!scan::fits(context, job, s) || !context.site_usable(s)) return false;
+  const double sl = context.sites[s].security;
+  if (job.secure_only) return security::is_safe(job.demand, sl);
+  switch (policy.mode()) {
+    case security::RiskMode::kSecure:
+      return security::is_safe(job.demand, sl);
+    case security::RiskMode::kRisky:
+      return true;
+    case security::RiskMode::kFRisky:
+      return security::failure_probability(job.demand, sl, context.lambda) <=
+             policy.f();
+  }
+  return false;
+}
 
 /// Single-pass skeleton: `score` returns the value to minimise for an
 /// admissible (job, site) pair given the current availability.

@@ -94,17 +94,21 @@ TEST(RiskFilter, CombinesFitAndPolicy) {
   const auto context = make_context({{0, 1, 1.0, 0.95}, {1, 8, 1.0, 0.45}},
                                     {batch_job(10.0, 4, 0.8)});
   const auto& job = context.jobs[0];
-  const security::RiskPolicy secure = security::RiskPolicy::secure();
+  const security::RiskCutoff secure(security::RiskPolicy::secure(),
+                                    context.lambda);
+  const security::RiskCutoff risky(security::RiskPolicy::risky(),
+                                   context.lambda);
   EXPECT_FALSE(admissible(context, job, 0, secure));  // does not fit
   EXPECT_FALSE(admissible(context, job, 1, secure));  // not safe
-  EXPECT_TRUE(admissible(context, job, 1, security::RiskPolicy::risky()));
+  EXPECT_TRUE(admissible(context, job, 1, risky));
 }
 
 TEST(RiskFilter, SecureOnlyOverridesRiskyPolicy) {
   const auto context =
       make_context({{0, 4, 1.0, 0.5}, {1, 4, 1.0, 0.9}},
                    {batch_job(10.0, 1, 0.8, /*secure_only=*/true)});
-  const security::RiskPolicy risky = security::RiskPolicy::risky();
+  const security::RiskCutoff risky(security::RiskPolicy::risky(),
+                                   context.lambda);
   EXPECT_FALSE(admissible(context, context.jobs[0], 0, risky));
   EXPECT_TRUE(admissible(context, context.jobs[0], 1, risky));
 }
@@ -113,8 +117,9 @@ TEST(RiskFilter, AdmissibleSitesOrdered) {
   const auto context = make_context(
       {{0, 1, 1.0, 0.9}, {1, 1, 1.0, 0.4}, {2, 1, 1.0, 0.95}},
       {batch_job(1.0, 1, 0.85)});
-  const auto sites = admissible_sites(context, context.jobs[0],
-                                      security::RiskPolicy::secure());
+  const auto sites = admissible_sites(
+      context, context.jobs[0],
+      security::RiskCutoff(security::RiskPolicy::secure(), context.lambda));
   EXPECT_EQ(sites, (std::vector<sim::SiteId>{0, 2}));
 }
 
@@ -337,7 +342,8 @@ TEST_P(HeuristicProperty, AssignmentsAreValidAndRiskBounded) {
       const auto& job = context.jobs[assignment.job_index];
       const auto& site = context.sites[assignment.site];
       ASSERT_LE(job.nodes, site.nodes);
-      ASSERT_TRUE(admissible(context, job, assignment.site, policy));
+      ASSERT_TRUE(admissible(context, job, assignment.site,
+                             security::RiskCutoff(policy, lambda)));
       if (!job.secure_only) {
         ASSERT_LE(
             security::failure_probability(job.demand, site.security, lambda),
